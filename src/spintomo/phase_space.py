@@ -1,17 +1,29 @@
 """Spatial representation transforms on a 1-D grid.
 
 Density kernel <-> Wigner by FFT over the skew coordinate (with exact Fourier
-interpolation at half-grid points), Wigner -> optical tomogram by sampling the
-characteristic function along rays (a semidiscrete Radon transform, exact to
-the grid band limit), optical -> Wigner by ramp-filtered back-projection,
-Wigner -> Husimi by Gaussian smoothing, plus the Fourier-multiplier operators
-used by the tomographic evolution equations.
+interpolation at half-grid points); optical and symplectic tomograms by
+metaplectic rotation of kernel factors; optical -> Wigner by ramp-filtered
+back-projection; Wigner -> Husimi by Gaussian smoothing; plus the
+Fourier-multiplier operators used by the tomographic evolution equations.
+
+Tomograms: a Hermitian kernel K = sum_r lam_r phi_r phi_r^H (signed
+eigen-factors) has the quadrature marginal
+w(X, theta) = sum_r lam_r |R_theta phi_r|^2(X), where R_theta is the
+fractional-Fourier rotation, applied as chirp / Fresnel / chirp FFT shears.
+The symplectic tomogram of mu q + nu p is the same marginal at X/r, divided
+by r = |(mu, nu m omega)|.  Rotations need equal, origin-centred ranges in q
+and p/(m omega), so the factors are first embedded (by band-limited
+interpolation) in a balanced working grid that covers both; on balanced
+grids that embedding is the identity.  Results are exact to round-off for
+grid-supported states: mass inside the box, momentum content within half the
+p-range, and kernel coherences negligible at half-box separation.
 """
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidStateError, UndersampledDomainError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
@@ -148,59 +160,147 @@ def density_from_wigner(fld: ScalarField) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# Radon transform by characteristic-function rays
+# band-limited evaluation
 # ---------------------------------------------------------------------------
 
-def _ray_profiles(w_stack: np.ndarray, grid: PhaseSpaceGrid,
-                  a_rows: np.ndarray, b_rows: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """Profiles over x for frequency rays (a_rows[r], b_rows[r]) * eta.
+def _band_limited_matrix(x: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Real matrix E such that values @ E.T evaluates the trigonometric
+    interpolant of samples values (..., n), real or complex, on the uniform
+    grid x (n even) at the targets.
 
-    w_stack has shape (..., n, n).  For each ray r, the characteristic
-    function chi(eta * a_r, eta * b_r) is evaluated by direct (exact)
-    summation on the eta grid conjugate to x, then inverted to X space.
-    Returns shape (..., n_rays, n_x).
+    The Nyquist bin is split symmetrically, so real data keeps a real
+    interpolant and grid samples are reproduced.  Targets outside the period
+    box [x[0], x[0] + n dx) get zero rows: content is taken to decay inside
+    the box, not to repeat periodically.
     """
-    q = grid.q
-    p = grid.p
-    cell = grid.cell
-    nx = len(x)
+    n = len(x)
     dx = float(x[1] - x[0])
-    eta = 2.0 * np.pi * np.fft.fftfreq(nx, dx)
+    targets = np.asarray(targets, dtype=float)
+    u = (targets[:, None] - x[None, :]) / dx
+    # closed-form sum of the split-Nyquist Fourier series: sin(pi u) cot(pi u/n) / n
+    t = np.tan(np.pi * u / n)
+    near = np.abs(t) < 1e-12
+    mat = np.where(near, 1.0, np.sin(np.pi * u) / (n * np.where(near, 1.0, t)))
+    mat[(targets < x[0]) | (targets >= x[0] + n * dx)] = 0.0
+    return mat
+
+
+# ---------------------------------------------------------------------------
+# tomograms by metaplectic rotation of kernel factors
+# ---------------------------------------------------------------------------
+
+# eigenvalues below this fraction of a kernel's largest |eigenvalue| are
+# eigensolver round-off and are dropped from its factorization
+_FACTOR_RTOL = 1e-13
+
+
+def _working_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
+    """Smallest balanced, centered grid whose box covers both the q-box and
+    the p/(m omega)-range of grid; grid itself when it is balanced and centered.
+
+    Rotations mix q with p/(m omega), so they need equal, origin-centered
+    ranges in both; on other grids rotated content would wrap round the box.
+    """
+    m_omega = grid.mass * grid.omega
+    span = max(2.0 * abs(grid.x0), 2.0 * abs(grid.x0 + grid.length),
+               grid.n * grid.dp / m_omega)
+    n = grid.n
+    work = PhaseSpaceGrid.balanced(n, grid.hbar, grid.mass, grid.omega)
+    while work.length < span * (1.0 - 1e-12):
+        n *= 2
+        work = PhaseSpaceGrid.balanced(n, grid.hbar, grid.mass, grid.omega)
+    if (n == grid.n and np.isclose(work.dx, grid.dx, rtol=1e-12, atol=0.0)
+            and np.isclose(work.x0, grid.x0, rtol=1e-12, atol=0.0)):
+        return grid
+    return work
+
+
+def _rotate(amps: np.ndarray, work: PhaseSpaceGrid, theta: float) -> np.ndarray:
+    """Fractional-Fourier rotation of amplitudes (..., N) on the balanced grid
+    work: afterwards |amps|^2 is the marginal of q cos(theta) + p sin(theta)/(m omega).
+
+    Each sub-rotation t is three shears (Ozaktas et al., IEEE TSP 1996): the
+    chirp exp(-i tan(t/2) m omega q^2 / 2 hbar), the Fresnel factor
+    exp(-i sin(t) hbar k^2 / 2 m omega), and the chirp again.  The chirp
+    stretches the momentum band by sqrt(1 + tan^2(t/2)), which diverges as
+    t -> pi; sub-rotations of at most pi/4 keep content within 0.92 of the
+    box half-width inside the band.
+    """
+    m_omega = work.mass * work.omega
+    half_q2 = 0.5 * m_omega * work.q**2 / work.hbar
+    half_k2 = 0.5 * work.hbar * work.k_fft**2 / m_omega
+    n_sub = int(np.ceil(abs(theta) / (0.25 * np.pi)))
+    for _ in range(n_sub):
+        t = theta / n_sub
+        chirp = np.exp(-1j * np.tan(0.5 * t) * half_q2)
+        fresnel = np.exp(-1j * np.sin(t) * half_k2)
+        amps = chirp * np.fft.ifft(fresnel * np.fft.fft(chirp * amps, axis=-1), axis=-1)
+    return amps
+
+
+def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid,
+                          thetas: np.ndarray, radii: np.ndarray, x: np.ndarray,
+                          kernels: np.ndarray | None) -> np.ndarray:
+    """Distributions over x of r (q cos(theta) + p sin(theta)/(m omega)) for
+    each ray (theta, r), shape (..., n_rays, n_x).
+
+    Each Hermitian kernel K = sum_r lam_r phi_r phi_r^H (signed eigen-factors)
+    has the marginal sum_r lam_r |R_theta phi_r|^2(x/r) / r, with R_theta the
+    metaplectic rotation on the working grid.
+    """
     lead = w_stack.shape[:-2]
-    flat = w_stack.reshape((-1,) + w_stack.shape[-2:])
-    out = np.empty((flat.shape[0], len(a_rows), nx))
-    phase_x0 = np.exp(1j * eta * x[0])
-    # frequencies beyond the grid band alias to periodization ghosts; drop them
-    band_q = (1.0 + 1e-12) * np.pi / grid.dx
-    band_p = (1.0 + 1e-12) * np.pi / grid.dp
-    for r, (ar, br) in enumerate(zip(a_rows, b_rows)):
-        keep = (np.abs(eta * ar) <= band_q) & (np.abs(eta * br) <= band_p)
-        e_q = np.exp(-1j * np.outer(eta * ar, q))          # (n_eta, n)
-        e_p = np.exp(-1j * np.outer(eta * br, p))          # (n_eta, n)
-        tmp = flat @ e_p.T                                  # (c, n, n_eta)
-        chi = np.einsum("mi,cim->cm", e_q, tmp) * cell      # (c, n_eta)
-        prof = np.fft.ifft(chi * keep[None, :] * phase_x0, axis=1) / dx
-        out[:, r, :] = prof.real
-    return out.reshape(lead + (len(a_rows), nx))
+    if kernels is None:
+        kernels = [_kernel_of_wigner(w, grid)
+                   for w in w_stack.reshape((-1,) + w_stack.shape[-2:])]
+    kernels = np.reshape(kernels, (-1, grid.n, grid.n))
+    lam, vecs = np.linalg.eigh(kernels)
+    scale = np.max(np.abs(lam), axis=-1, keepdims=True)
+    comp, idx = np.nonzero(np.abs(lam) > _FACTOR_RTOL * scale)
+    amps = vecs[comp, :, idx]                                   # (rank, n)
+    weights = np.zeros((len(kernels), len(comp)))
+    weights[comp, np.arange(len(comp))] = lam[comp, idx]
+
+    work = _working_grid(grid)
+    if work is not grid:
+        amps = amps @ _band_limited_matrix(grid.q, work.q).T
+    dilations = {}
+    out = np.empty((len(kernels), len(thetas), len(x)))
+    for k, (theta, r) in enumerate(zip(thetas, radii)):
+        rotated = _rotate(amps, work, theta)
+        if not np.array_equal(x / r, work.q):
+            if r not in dilations:
+                dilations[r] = _band_limited_matrix(work.q, x / r)
+            rotated = rotated @ dilations[r].T
+        out[:, k] = weights @ np.abs(rotated)**2 / r
+    return out.reshape(lead + out.shape[1:])
 
 
 def radon_slices(w_stack: np.ndarray, grid: PhaseSpaceGrid,
-                 thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Marginals of Wigner data along X = q cos(theta) + p sin(theta)/(m*omega)."""
+                 thetas: np.ndarray, x: np.ndarray,
+                 kernels: np.ndarray | None = None) -> np.ndarray:
+    """Marginals of Wigner data along X = q cos(theta) + p sin(theta)/(m*omega).
+
+    w_stack has shape (..., n, n); returns (..., n_theta, n_x).  A caller
+    that already holds the density kernels of w_stack passes them as
+    kernels (same shape) to skip the Wigner -> kernel map.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    m_omega = grid.mass * grid.omega
-    return _ray_profiles(w_stack, grid, np.cos(thetas), np.sin(thetas) / m_omega, x)
+    return _quadrature_marginals(w_stack, grid, thetas, np.ones_like(thetas), x, kernels)
 
 
 def symplectic_profiles(w_stack: np.ndarray, grid: PhaseSpaceGrid,
-                        mu: np.ndarray, nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+                        mu: np.ndarray, nu: np.ndarray, x: np.ndarray,
+                        kernels: np.ndarray | None = None) -> np.ndarray:
     """Distributions of mu*q + nu*p on the meshed (mu, nu) samples.
 
-    Returns shape (..., n_mu, n_nu, n_x).
+    Uses mu q + nu p = r X(theta) with r = sqrt(mu^2 + nu^2 m^2 w^2) and
+    theta = atan2(nu m w, mu).  Returns shape (..., n_mu, n_nu, n_x);
+    kernels as in radon_slices.
     """
     mm, nn = np.meshgrid(mu, nu, indexing="ij")
-    prof = _ray_profiles(w_stack, grid, mm.ravel(), nn.ravel(), x)
+    m_omega = grid.mass * grid.omega
+    prof = _quadrature_marginals(w_stack, grid, np.arctan2(nn * m_omega, mm).ravel(),
+                                 np.hypot(mm, nn * m_omega).ravel(), x, kernels)
     return prof.reshape(w_stack.shape[:-2] + (len(mu), len(nu), len(x)))
 
 
@@ -235,21 +335,20 @@ def _ramp_kernel_matrix(x_src: np.ndarray, x_dst: np.ndarray, dxs: float) -> np.
     return np.where(small, taylor, direct) * dxs
 
 
-def wigner_from_optical(fld: ScalarField) -> ScalarField:
-    """Ramp-filtered back-projection of an optical tomogram onto a Wigner grid.
+def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -> np.ndarray:
+    """Ramp-filtered back-projection of optical tomograms (c, n_theta, n_x)
+    onto Wigner grids (c, n, n).
 
     Hann window at 80% of the X-Nyquist frequency; Radon inversion dominates
-    the error budget (about 1e-3 in max norm for well-resolved states).
+    the error budget (about 1e-3 in max norm for well-resolved states).  The
+    filter and the interpolation weights depend only on the domain, so they
+    are built once and shared by all c tomograms in one loop over angles.
     """
-    if fld.kind != "optical":
-        raise ValueError(f"expected an optical field, got {fld.kind!r}")
-    dom = fld.domain
     thetas = dom.thetas
     if len(thetas) < 16:
         raise UndersampledDomainError(
             f"filtered back-projection needs >= 16 angles, got {len(thetas)}"
         )
-    grid = fld.grid
     x = dom.x
     nx = len(x)
     dxs = dom.dx
@@ -258,18 +357,15 @@ def wigner_from_optical(fld: ScalarField) -> ScalarField:
     # tails), 4x upsampled so linear interpolation is harmless
     n_pad = 4 * nx
     up = 4
+    n_fine = up * n_pad
     off = (n_pad - nx) // 2
-    x_pad0 = x[0] - off * dxs
-    x_fine = x_pad0 + (dxs / up) * np.arange(up * n_pad)
+    x_fine = x[0] - off * dxs + (dxs / up) * np.arange(n_fine)
 
-    # band-limited ramp applied as its exact real-space kernel; exact for
-    # band-limited slices, so no zero-bin quadrature bias
-    fine = fld.values @ _ramp_kernel_matrix(x, x_fine, dxs).T
-
-    # Hann taper from 80% of Nyquist, applied as a smooth spectral correction:
-    # effective filter |eta| * window = ramp - |eta| * (1 - window)
-    padded = np.zeros((len(thetas), n_pad))
-    padded[:, off:off + nx] = fld.values
+    # Hann taper from 80% of Nyquist as a smooth spectral correction:
+    # effective filter |eta| * window = ramp - |eta| * (1 - window).  The
+    # correction is a periodic convolution on the padded range: its response
+    # to a unit sample at padded index 0, Fourier-upsampled to the fine
+    # abscissa, where sample l sits at index up * (off + l).
     eta = 2.0 * np.pi * np.fft.fftfreq(n_pad, dxs)
     eta_nyq = np.pi / dxs
     eta_cut = 0.8 * eta_nyq
@@ -277,70 +373,50 @@ def wigner_from_optical(fld: ScalarField) -> ScalarField:
     roll = np.abs(eta) > eta_cut
     taper_loss[roll] = np.abs(eta[roll]) * 0.5 * (
         1.0 - np.cos(np.pi * (np.abs(eta[roll]) - eta_cut) / (eta_nyq - eta_cut)))
-    smooth_spec = dxs * np.fft.fft(padded, axis=1) * taper_loss[None, :]
-    half = n_pad // 2
-    spec_fine = np.zeros((len(thetas), up * n_pad), dtype=complex)
-    spec_fine[:, :half] = smooth_spec[:, :half]
-    spec_fine[:, half] = 0.5 * smooth_spec[:, half]
-    spec_fine[:, up * n_pad - half] = 0.5 * smooth_spec[:, half]
-    spec_fine[:, up * n_pad - half + 1:] = smooth_spec[:, half + 1:]
-    fine -= np.fft.ifft(spec_fine, axis=1).real * (up / dxs)
+    taper = fourier_upsample2(fourier_upsample2(np.fft.ifft(taper_loss))).real
+
+    # band-limited ramp applied as its exact real-space kernel; exact for
+    # band-limited slices, so no zero-bin quadrature bias
+    filt = _ramp_kernel_matrix(x, x_fine, dxs)                  # (n_fine, n_x)
+    for l in range(nx):
+        filt[:, l] -= np.roll(taper, up * (off + l))
 
     m_omega = grid.mass * grid.omega
     q = grid.q
     y = grid.p / m_omega
     d_theta = thetas[1] - thetas[0] if len(thetas) > 1 else np.pi
+    n_out = grid.n * grid.n
+    row_ptr = np.arange(0, 2 * n_out + 1, 2)
 
-    w_scaled = np.zeros((grid.n, grid.n))
+    w_scaled = np.zeros((n_out, len(stack)))
     for t, th in enumerate(thetas):
-        targets = q[:, None] * np.cos(th) + y[None, :] * np.sin(th)
-        w_scaled += np.interp(targets.ravel(), x_fine, fine[t],
-                              left=0.0, right=0.0).reshape(grid.n, grid.n)
+        # linear interpolation on the fine abscissa (zero outside it) as a
+        # sparse matrix with two entries per output point
+        pos = ((q[:, None] * np.cos(th) + y[None, :] * np.sin(th)).ravel()
+               - x_fine[0]) * (up / dxs)
+        inside = (pos >= 0.0) & (pos <= n_fine - 1)
+        i0 = np.clip(np.floor(pos).astype(int), 0, n_fine - 2)
+        frac = pos - i0
+        interp = sparse.csr_matrix(
+            (np.column_stack([(1.0 - frac) * inside, frac * inside]).ravel(),
+             np.column_stack([i0, i0 + 1]).ravel(), row_ptr),
+            shape=(n_out, n_fine))
+        w_scaled += interp @ (filt @ stack[:, t, :].T)
     w_scaled *= d_theta / (2.0 * np.pi)
-    return ScalarField(grid=grid, values=w_scaled / m_omega, kind="wigner")
+    return w_scaled.T.reshape(len(stack), grid.n, grid.n) / m_omega
+
+
+def wigner_from_optical(fld: ScalarField) -> ScalarField:
+    """Ramp-filtered back-projection of one optical tomogram (see back_project)."""
+    if fld.kind != "optical":
+        raise ValueError(f"expected an optical field, got {fld.kind!r}")
+    values = back_project(fld.values[None], fld.grid, fld.domain)[0]
+    return ScalarField(grid=fld.grid, values=values, kind="wigner")
 
 
 # ---------------------------------------------------------------------------
 # symplectic sections and Husimi smoothing
 # ---------------------------------------------------------------------------
-
-def _resample_band_limited(profile: np.ndarray, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of profile at arbitrary points."""
-    n = len(x)
-    dx = float(x[1] - x[0])
-    eta = 2.0 * np.pi * np.fft.fftfreq(n, dx)
-    spec = np.fft.fft(profile)
-    # split the Nyquist bin so the interpolant of real data is real
-    weights = np.ones(n)
-    weights[n // 2] = 0.5
-    phases = np.exp(1j * np.outer(targets - x[0], eta))
-    vals = (phases * (weights * spec)[None, :]).sum(axis=1) / n
-    # eta[n//2] = -pi/dx in FFT layout; the split Nyquist needs its mirror term
-    nyq = spec[n // 2] / n
-    vals += 0.5 * nyq * np.exp(1j * np.pi * (targets - x[0]) / dx)
-    return vals.real
-
-def _theta_interpolated_slice(tom: ScalarField, theta: float) -> np.ndarray:
-    """Tomogram slice at an arbitrary angle via the mirror-extended theta FFT."""
-    thetas = tom.domain.thetas
-    hits = np.where(np.abs(thetas - theta) < 1e-12)[0]
-    if len(hits):
-        return tom.values[hits[0]].copy()
-    # extend over [0, 2*pi) using w(X, theta + pi) = w(-X, theta)
-    mirrored = np.roll(tom.values[:, ::-1], 1, axis=1)
-    extended = np.concatenate([tom.values, mirrored], axis=0)
-    n_ext = extended.shape[0]
-    spec = np.fft.fft(extended, axis=0)
-    modes = np.fft.fftfreq(n_ext, 1.0 / n_ext)
-    phases = np.exp(1j * modes * theta)
-    weights = np.ones(n_ext)
-    weights[n_ext // 2] = 0.5
-    vals = (phases * weights)[:, None] * spec
-    out = vals.sum(axis=0) / n_ext
-    # modes[n_ext//2] = -n_ext/2; add the mirrored half of the split Nyquist bin
-    out += 0.5 * spec[n_ext // 2] / n_ext * np.exp(1j * (n_ext // 2) * theta)
-    return out.real
-
 
 def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
     """Distribution of mu*q + nu*p from an optical tomogram.
@@ -358,12 +434,16 @@ def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarr
     r = float(np.hypot(mu, nu * m_omega))
     theta = float(np.arctan2(nu * m_omega, mu)) % np.pi
     x = tom.domain.x
-    sl = _theta_interpolated_slice(tom, theta)
-    targets = x / r
-    profile = _resample_band_limited(sl, x, targets) / r
+    thetas = tom.domain.thetas
+    # slice at theta from the theta series extended over [0, 2 pi) with
+    # w(X, theta + pi) = w(-X, theta)
+    mirrored = np.roll(tom.values[:, ::-1], 1, axis=1)
+    extended = np.concatenate([tom.values, mirrored], axis=0)
+    theta_ext = np.concatenate([thetas, thetas + np.pi])
+    sl = _band_limited_matrix(theta_ext, np.array([theta])) @ extended
     # targets beyond the quadrature box would wrap periodically; the slice
     # decays there, so the true value is zero
-    profile[(targets < x[0]) | (targets > x[-1])] = 0.0
+    profile = (sl @ _band_limited_matrix(x, x / r).T)[0] / r
     return x.copy(), profile
 
 

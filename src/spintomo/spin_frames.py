@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,9 +168,14 @@ class SpinFrame:
     dequantizer: np.ndarray
     quantizer: np.ndarray
     gram: np.ndarray
+    # Tr D_j: weights that turn component integrals into the total trace
+    quantizer_traces: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.directions, self.eigenvalues, self.dequantizer, self.quantizer, self.gram):
+        object.__setattr__(self, "quantizer_traces",
+                           np.einsum("jaa->j", self.quantizer).real.copy())
+        for arr in (self.directions, self.eigenvalues, self.dequantizer, self.quantizer,
+                    self.gram, self.quantizer_traces):
             arr.flags.writeable = False
 
     @property

@@ -18,10 +18,10 @@ from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain, save_field
 from .phase_space import (
     _kernel_of_wigner,
     _wigner_of_kernel,
+    back_project,
     husimi_from_wigner,
     radon_slices,
     symplectic_profiles,
-    wigner_from_optical,
 )
 from .spin_frames import SpinFrame
 
@@ -124,7 +124,8 @@ class VectorDistribution:
             range(1, self.components.ndim - 1))) * dxs
 
     def normalization_sum(self) -> float:
-        return float(np.sum(self.component_integrals()[:3]))
+        """Total trace sum_j Tr(D_j) * integral(w_j); 1 for a normalized state."""
+        return float(self.frame.quantizer_traces @ self.component_integrals())
 
 
 def _spin_contract(rho: SpinorDensity, frame: SpinFrame) -> np.ndarray:
@@ -155,11 +156,12 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     elif representation == "optical":
         if dom is None or dom.kind != "optical":
             raise ValueError("optical representation needs an optical domain")
-        comps = radon_slices(wigners, rho.grid, dom.thetas, dom.x)
+        comps = radon_slices(wigners, rho.grid, dom.thetas, dom.x, kernels=kernels)
     else:
         if dom is None or dom.kind != "symplectic":
             raise ValueError("symplectic representation needs a symplectic domain")
-        comps = symplectic_profiles(wigners, rho.grid, dom.mu, dom.nu, dom.x)
+        comps = symplectic_profiles(wigners, rho.grid, dom.mu, dom.nu, dom.x,
+                                    kernels=kernels)
 
     return VectorDistribution(
         representation=representation, components=comps, frame=frame,
@@ -170,17 +172,14 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
 def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
     """Spinor density from a vector distribution (wigner or optical route)."""
     if v.representation == "wigner":
-        kernels = np.stack([_kernel_of_wigner(w, v.grid) for w in v.components])
+        wigners = v.components
     elif v.representation == "optical":
-        kernels = []
-        for comp in v.components:
-            w = wigner_from_optical(ScalarField(v.grid, comp, "optical", domain=v.domain))
-            kernels.append(_kernel_of_wigner(w.values, v.grid))
-        kernels = np.stack(kernels)
+        wigners = back_project(v.components, v.grid, v.domain)
     else:
         raise UnsupportedInverseError(
             f"no inverse map for the {v.representation} representation; "
             "reconstruct through the wigner route instead")
+    kernels = np.stack([_kernel_of_wigner(w, v.grid) for w in wigners])
     blocks = np.einsum("lab,lxy->abxy", frame.quantizer, kernels)
     return SpinorDensity(grid=v.grid, blocks=blocks)
 
@@ -234,7 +233,7 @@ def audit(v: VectorDistribution) -> AuditReport:
     maxs = np.max(v.components, axis=tuple(range(1, v.components.ndim)))
     residues = (v.imag_residues if v.imag_residues is not None
                 else np.zeros(len(integrals)))
-    norm_sum = float(np.sum(integrals[:3]))
+    norm_sum = v.normalization_sum()
 
     notes = []
     if v.representation == "wigner":

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spintomo
 from spintomo import (
     EMFieldConfig,
     PropagatorConfig,
@@ -130,6 +134,16 @@ class TestScenarios:
                 == (tmp_path / "b" / "report.json").read_bytes())
         assert ((tmp_path / "a" / "precess_weights.csv").read_bytes()
                 == (tmp_path / "b" / "precess_weights.csv").read_bytes())
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(spintomo.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spintomo.cli", "audit-frame", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert read_report(tmp_path / "o")["pass"]
 
 
 @pytest.fixture(scope="module")

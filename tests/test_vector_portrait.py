@@ -186,6 +186,25 @@ class TestAudit:
         assert np.all(rep.min_values >= -1e-9)
         assert rep.passed
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_normalization_on_random_frames(self, grid128, s, rng):
+        # the total trace is sum_j Tr(D_j) * integral(w_j) for every frame,
+        # not the sum of the first three integrals (the paper frame's z block)
+        fr = random_frame(s, seed=21)
+        d = fr.dim
+        psis = [spinor_product_state(grid128, rng.normal(size=d) + 1j * rng.normal(size=d),
+                                     gaussian_packet(grid128, q0, p0, 0.8))
+                for q0, p0 in ((0.5, -0.3), (-1.0, 0.8))]
+        rho = SpinorDensity.from_mixture([0.6, 0.4], psis, grid128)
+        for rep, dom in (("wigner", None),
+                         ("optical", TomogramDomain.optical_default(grid128, 32))):
+            rep_ = audit(to_vector(rho, fr, rep, dom))
+            assert abs(rep_.normalization_sum - 1.0) < 1e-8
+            assert rep_.normalization_ok and rep_.passed
+
+    def test_paper_frame_quantizer_traces(self, frame):
+        assert np.max(np.abs(frame.quantizer_traces - [1, 1, 1, 0, 0, 0, 0, 0, 0])) < 1e-12
+
     def test_optical_audit_fields(self, frame, grid128, rng):
         dom = TomogramDomain.optical_default(grid128, 32)
         rep = audit(to_vector(random_rank2_density(grid128, rng), frame, "optical", dom))
