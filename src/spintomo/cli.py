@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .dynamics import (
+    ORACLE_SCHEMES,
     EMFieldConfig,
     PropagatorConfig,
     Trajectory,
@@ -31,11 +32,13 @@ from .residuals import StateSpec, residual_convergence
 from .spin_frames import (
     build_spin1_frame,
     paper_quantizer_comparison,
+    projection_values,
     random_frame,
     spin_eigenvector,
 )
 from .states import gaussian_packet, random_band_limited_state, spinor_product_state
 from .vector_portrait import (
+    VECTOR_REPRESENTATIONS,
     SpinorDensity,
     audit,
     fidelity_with_pure,
@@ -74,7 +77,18 @@ _TOL_DEFAULTS = {
 }
 
 
+_CHOICES = {"scheme": ORACLE_SCHEMES, "frame": ("paper", "random"),
+            "route": ("wigner", "optical", "both")}
+_GRID_SIZES = ("grid.n", "run.n", "run.optical_n")
+
+
+def _is_finite_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and bool(np.isfinite(val))
+
+
 def _merge_section(user: dict, defaults: dict, path: str) -> dict:
+    """Defaults overlaid with user values of the same type: finite numbers,
+    numeric vectors of the default's length, strings."""
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: expected an object")
     for key in user:
@@ -84,10 +98,53 @@ def _merge_section(user: dict, defaults: dict, path: str) -> dict:
     merged.update(user)
     for key, val in merged.items():
         ref = defaults[key]
-        if isinstance(ref, (int, float)) and not isinstance(ref, bool):
-            if not isinstance(val, (int, float)) or not np.isfinite(val):
-                raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
+        if _is_finite_number(ref) and not _is_finite_number(val):
+            raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
+        if isinstance(ref, list) and all(map(_is_finite_number, ref)) and not (
+                isinstance(val, list) and len(val) == len(ref)
+                and all(map(_is_finite_number, val))):
+            raise ConfigError(
+                f"{path}.{key}: expected a list of {len(ref)} finite numbers, got {val!r}")
+        if isinstance(ref, str) and not isinstance(val, str):
+            raise ConfigError(f"{path}.{key}: expected a string, got {val!r}")
     return merged
+
+
+def _check_values(cfg: dict) -> None:
+    """Enums, grid sizes and spin values that the scenarios would otherwise
+    reject with a traceback."""
+    run = cfg["run"]
+    for key, allowed in _CHOICES.items():
+        if key in run and run[key] not in allowed:
+            raise ConfigError(f"run.{key}: expected one of {list(allowed)}, got {run[key]!r}")
+    reps = run.get("representations", "all")
+    if reps != "all" and not (isinstance(reps, list) and reps
+                              and all(r in VECTOR_REPRESENTATIONS for r in reps)):
+        raise ConfigError(f"run.representations: expected \"all\" or a non-empty list "
+                          f"of {list(VECTOR_REPRESENTATIONS)}, got {reps!r}")
+    for where in _GRID_SIZES:
+        section, key = where.split(".")
+        if key not in cfg[section]:
+            continue
+        n = cfg[section][key]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ConfigError(f"{where}: expected an integer, got {n!r}")
+        try:
+            PhaseSpaceGrid.balanced(n)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    if cfg["scenario"] == "audit-frame":
+        try:
+            projection_values(run["spin"])
+        except ValueError as exc:
+            raise ConfigError(f"run.spin: {exc}") from exc
+    s, m = cfg["field"]["s"], cfg["state"]["spin_m"]
+    if s != 1.0:
+        raise ConfigError(f"field.s: the scenarios use the spin-1 frame, got {s!r}")
+    allowed_m = projection_values(s)
+    if not np.any(np.abs(allowed_m - m) < 1e-9):
+        raise ConfigError(
+            f"state.spin_m: expected one of {allowed_m.tolist()} for s={s:g}, got {m!r}")
 
 
 # scenario-specific default overrides (a precession run needs a field)
@@ -108,9 +165,12 @@ def load_config(raw: dict, scenario: str) -> dict:
             f"scenario: config says {raw['scenario']!r} but subcommand is {scenario!r}")
     field_defaults = {**_FIELD_DEFAULTS, **_FIELD_SCENARIO.get(scenario, {})}
     state_defaults = {**_STATE_DEFAULTS, **_STATE_SCENARIO.get(scenario, {})}
+    seed = raw.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed: expected an integer, got {seed!r}")
     cfg = {
         "scenario": scenario,
-        "seed": int(raw.get("seed", 0)),
+        "seed": seed,
         "grid": _merge_section(raw.get("grid", {}), _GRID_DEFAULTS, "grid"),
         "field": _merge_section(raw.get("field", {}), field_defaults, "field"),
         "state": _merge_section(raw.get("state", {}), state_defaults, "state"),
@@ -118,6 +178,7 @@ def load_config(raw: dict, scenario: str) -> dict:
         "tolerances": _merge_section(raw.get("tolerances", {}), _TOL_DEFAULTS[scenario],
                                      "tolerances"),
     }
+    _check_values(cfg)
     return cfg
 
 
@@ -208,10 +269,8 @@ def _run_audit_frame(cfg: dict, out: Path, scale: float) -> dict:
     run = cfg["run"]
     if run["frame"] == "paper":
         frame = build_spin1_frame()
-    elif run["frame"] == "random":
-        frame = random_frame(float(run["spin"]), cfg["seed"])
     else:
-        raise ConfigError("run.frame: expected 'paper' or 'random'")
+        frame = random_frame(float(run["spin"]), cfg["seed"])
     tol = cfg["tolerances"]
     proj = frame.projector_residuals()
     gram_det = float(np.linalg.det(frame.gram))

@@ -1,6 +1,12 @@
 """Time evolution: exact spinor propagation, the 9x9 spin coupling matrix,
 and direct integration of the vector phase-space equation for quadratic
-potentials with uniform fields."""
+potentials with uniform fields.
+
+In that field class a Strang step of the vector Wigner equation is an affine
+symplectic map of (q, p), so evolve_wigner_vector composes the steps between
+two saved frames in closed form and applies the result as three spectral
+shears: dt keeps its meaning as the Strang step, and the cost follows the
+number of saved frames rather than n_steps."""
 from __future__ import annotations
 
 import json
@@ -13,7 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import SchemeMismatchError, UnsupportedPotentialError
 from .grids import PhaseSpaceGrid
-from .spin_frames import SpinFrame, spin_operators
+from .spin_frames import SpinFrame, projection_values, spin_operators
 from .vector_portrait import SpinorDensity, VectorDistribution, save_vector
 
 ORACLE_SCHEMES = ("split-step-strang", "rk4-ode")
@@ -103,6 +109,14 @@ class EMFieldConfig:
             "e": self.e, "c_light": self.c_light, "kappa": self.kappa,
             "mass": self.mass, "spin": self.spin,
         }
+
+
+def _check_spin_dim(fld: EMFieldConfig, dim: int, what: str) -> None:
+    """Raise unless the field's spin s has the spin dimension 2s+1 of what."""
+    field_dim = len(projection_values(fld.spin))
+    if field_dim != dim:
+        raise ValueError(f"field spin s={fld.spin:g} has spin dimension {field_dim}, "
+                         f"but the {what} has spin dimension {dim}")
 
 
 @dataclass(frozen=True)
@@ -235,6 +249,7 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     if prop.scheme not in ORACLE_SCHEMES:
         raise SchemeMismatchError(
             f"oracle propagation supports {ORACLE_SCHEMES}, got {prop.scheme!r}")
+    _check_spin_dim(fld, rho0.spin_dim, "state")
     grid = rho0.grid
     probs, fields = rho0.eigen_decomposition()
     psis = np.stack(fields)
@@ -286,14 +301,98 @@ class VectorTrajectory:
         return float(self.times[1] - self.times[0])
 
 
+# Largest p-shear slope of a sub-map in grid units (dp per dq): a p-shear
+# moves the two ends of the q-box apart by at most a quarter of the p-box.
+# Spectral content folded at the p-band edge of a marginally resolved state
+# takes the wrong sign of each p-shear's phase, so steeper sub-maps move
+# frames further from the step-by-step result: on acceptance criterion 8's
+# oscillator run (n=128) slope 0.41, a pi/4 rotation on a balanced grid,
+# gives 3.4e-12 and slope 1/4 gives 7e-13.  The q-shear between the p-shears
+# is the physical drift and is not capped.
+_P_SHEAR_CAP = 0.25
+
+
+def _compose(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(I + e)(I + f) - I.  Maps are kept as their offset from the identity so
+    that a - 1 and d - 1 of short maps keep full relative precision."""
+    return e + f + e @ f
+
+
+def _power(e: np.ndarray, n: int) -> np.ndarray:
+    """(I + e)^n - I by binary powering."""
+    out = np.zeros_like(e)
+    while n:
+        if n & 1:
+            out = _compose(out, e)
+        e = _compose(e, e)
+        n >>= 1
+    return out
+
+
+def _strang_step(fld: EMFieldConfig, dt: float) -> np.ndarray:
+    """One Strang step kick(dt/2) drift(dt) kick(dt/2) as the backward affine
+    map M of (q, p, 1), w(t + dt)(z) = w(t)(M z), returned as M - I.
+
+    The kick is p -> p + e phi'(q) dt/2, the drift q -> q - (p - eA/c) dt/m.
+    """
+    _, c1, c2 = fld.phi_coeffs()
+    kick = np.zeros((3, 3))
+    kick[1] = (fld.e * c2 * dt, 0.0, 0.5 * fld.e * c1 * dt)
+    drift = np.zeros((3, 3))
+    drift[0] = (0.0, -dt / fld.mass, fld.e * fld.a_at() * dt / (fld.c_light * fld.mass))
+    return _compose(_compose(kick, drift), kick)
+
+
+def _p_shear(e: np.ndarray, aspect: float) -> float:
+    """Steeper of the two p-shears (d-1)/b and (a-1)/b of I + e, in grid
+    units by aspect = dq/dp; inf when b = 0."""
+    b = e[0, 1]
+    return max(abs(e[0, 0]), abs(e[1, 1])) * aspect / abs(b) if b else np.inf
+
+
+def _max_steps(step: np.ndarray, n: int, aspect: float) -> int:
+    """Most steps, at most n, whose composed map and every shorter one keep
+    their p-shears within _P_SHEAR_CAP; at least one.
+
+    The p-shear of step^j grows with j (tan, tanh or 0 for elliptic,
+    hyperbolic and free steps) until a rotation passes pi, so doubling then
+    bisection finds the first j over the cap, and no sub-map can wrap round a
+    period to a near-identity map whose shears lose all precision.
+    """
+    def ok(j):
+        return _p_shear(_power(step, j), aspect) <= _P_SHEAR_CAP
+
+    if not ok(1):
+        return 1
+    lo, hi = 1, 2
+    while hi <= n and ok(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, n + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+def _shear(w: np.ndarray, axis: int, phase: np.ndarray) -> np.ndarray:
+    """Band-limited shift along axis by phase / k, one shift per line."""
+    return np.fft.ifft(np.exp(1j * phase) * np.fft.fft(w, axis=axis), axis=axis)
+
+
 def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
                          prop: PropagatorConfig) -> VectorTrajectory:
     """Evolve a vector Wigner distribution under a quadratic potential and
     uniform fields.
 
     The drift is the exact phase-space flow -((p - eA/c)/m) d_q + e phi'(q) d_p
-    (the operator series truncates at first derivatives for this field class),
-    applied as spectral shears in Strang order; the spin coupling dw/dt = S w
+    (the operator series truncates at first derivatives for this field
+    class).  prop.dt is the Strang step kick(dt/2) drift(dt) kick(dt/2); each
+    step is an affine symplectic map of (q, p), so the steps between two saved
+    frames compose in closed form to one map w(z) -> w(M z).  M is applied as
+    three spectral shears (Paeth 1986): a p-shear, a q-shear, a p-shear, with
+    the translation folded into their offsets, in as many sub-maps as keep
+    the p-shears within _P_SHEAR_CAP.  The cost therefore grows with the
+    number of saved frames, not with n_steps.  The spin coupling dw/dt = S w
     is applied as an exact matrix exponential (it commutes with the drift).
     """
     if prop.scheme != WIGNER_SCHEME:
@@ -307,6 +406,7 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
             "use residual checking for general fields")
     if callable(fld.a_long):
         raise UnsupportedPotentialError("direct vector evolution requires static a_long")
+    _check_spin_dim(fld, v0.frame.dim, "frame")
 
     grid = v0.grid
     dt = prop.dt
@@ -314,27 +414,23 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     p = grid.p
     kq = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
     kp = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dp)
-
-    vel = (p - fld.e * fld.a_at() / fld.c_light) / fld.mass
-    force_shift = fld.e * fld.dphi_dq(q) * dt          # p-translation per step
-    drift_phase = np.exp(-1j * np.outer(kq, vel) * dt)          # (n_q, n_p)
-    half_kick = np.exp(0.5j * np.outer(force_shift, kp))        # (n_q, n_p)
-    full_kick = half_kick * half_kick
-
+    step = _strang_step(fld, dt)
+    max_steps = _max_steps(step, min(prop.save_every, prop.n_steps), grid.dx / grid.dp)
     s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin,
                                  grid.hbar).entries
 
     w = v0.components.astype(complex)
 
     def run_chunk(w, n_sub):
-        # Strang kick-drift-kick with interior half-kicks fused; the exact
-        # spin rotation commutes with the drift and is applied once
-        w = np.fft.fft(w, axis=2)
-        w = np.fft.ifft(half_kick[None] * w, axis=2)
-        for i in range(n_sub):
-            w = np.fft.ifft(drift_phase[None] * np.fft.fft(w, axis=1), axis=1)
-            kick = half_kick if i == n_sub - 1 else full_kick
-            w = np.fft.ifft(kick[None] * np.fft.fft(w, axis=2), axis=2)
+        k = -(-n_sub // max_steps)
+        m, r = divmod(n_sub, k)
+        for steps in [m + 1] * r + [m] * (k - r):
+            # w(M z) for M = p-shear . q-shear . p-shear, translation in the offsets
+            (a1, b, cq), (_, d1, cp) = _power(step, steps)[:2]
+            alpha, gamma = d1 / b, a1 / b
+            w = _shear(w, 2, np.outer(alpha * q + (cp - alpha * cq), kp))
+            w = _shear(w, 1, np.outer(kq, b * p + cq))
+            w = _shear(w, 2, np.outer(gamma * q, kp))
         return np.einsum("jk,kqp->jqp", expm(s_mat * (n_sub * dt)), w)
 
     def frame_of(w, t):

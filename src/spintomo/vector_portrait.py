@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import UnsupportedInverseError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain, save_field
@@ -88,14 +89,17 @@ class SpinorDensity:
         return worst
 
     def eigen_decomposition(self, tol: float = 1e-12):
-        """Probabilities and discrete-normalized spinor fields with p > tol."""
+        """Probabilities and discrete-normalized spinor fields with p > tol.
+
+        Only the eigenpairs above tol are computed (a subset solve); a density
+        of low rank skips most of the full (d n)^2 eigenproblem.
+        """
         d, _, n, _ = self.blocks.shape
-        evals, evecs = np.linalg.eigh(self.to_matrix())
-        probs = evals * self.grid.dx
-        keep = probs > tol
+        evals, evecs = eigh(self.to_matrix(),
+                             subset_by_value=(tol / self.grid.dx, np.inf))
         fields = [evecs[:, i].reshape(d, n) / np.sqrt(self.grid.dx)
-                  for i in np.nonzero(keep)[0]]
-        return probs[keep], fields
+                  for i in range(len(evals))]
+        return evals * self.grid.dx, fields
 
 
 @dataclass(frozen=True)

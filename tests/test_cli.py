@@ -120,6 +120,24 @@ class TestScenarios:
         rep = read_report(tmp_path / "o3")
         assert rep["first_failed_gate"] == "freq_rel_err"
 
+    @pytest.mark.parametrize("scenario, raw, path", [
+        ("precess", {"seed": "abc"}, "seed"),
+        ("precess", {"field": {"b": [1.0, 0.0]}}, "field.b"),
+        ("wavepacket", {"run": {"scheme": "euler"}}, "run.scheme"),
+        ("roundtrip", {"grid": {"n": 100}}, "grid.n"),
+        ("precess", {"field": {"s": 0.5}}, "field.s"),
+        ("wavepacket", {"state": {"spin_m": 0.5}}, "state.spin_m"),
+        ("roundtrip", {"run": {"route": "neither"}}, "run.route"),
+        ("residual", {"run": {"representations": ["wigner", "radon"]}}, "run.representations"),
+        ("audit-frame", {"run": {"frame": "random", "spin": 0.3}}, "run.spin"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, scenario, raw, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_tolerance_scale_loosens_gate(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tolerances": {"freq_rel_err": 1e-12}}))

@@ -23,9 +23,45 @@ from spintomo import (
     spinor_product_state,
     to_vector,
 )
-from spintomo.dynamics import export_oracle_trajectory
+from spintomo.dynamics import _max_steps, _strang_step, export_oracle_trajectory
 
 HARMONIC = (0.0, 0.0, 0.5)     # e*phi = q^2/2 for e = 1
+
+
+def kick_drift_reference(v0, fld, prop):
+    """The step-by-step Strang loop that the composed map replaces: half-kick,
+    then per step a drift and a (fused) kick, as spectral shifts.  Returns the
+    complex frames, shape (n_frames, 9, n, n)."""
+    grid = v0.grid
+    dt = prop.dt
+    kq = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
+    kp = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dp)
+    vel = (grid.p - fld.e * fld.a_at() / fld.c_light) / fld.mass
+    drift_phase = np.exp(-1j * np.outer(kq, vel) * dt)
+    half_kick = np.exp(0.5j * np.outer(fld.e * fld.dphi_dq(grid.q) * dt, kp))
+    full_kick = half_kick * half_kick
+    s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin,
+                                 grid.hbar).entries
+    w = v0.components.astype(complex)
+    frames = [w]
+    done = 0
+    while done < prop.n_steps:
+        chunk = min(prop.save_every, prop.n_steps - done)
+        w = np.fft.ifft(half_kick[None] * np.fft.fft(w, axis=2), axis=2)
+        for i in range(chunk):
+            w = np.fft.ifft(drift_phase[None] * np.fft.fft(w, axis=1), axis=1)
+            kick = half_kick if i == chunk - 1 else full_kick
+            w = np.fft.ifft(kick[None] * np.fft.fft(w, axis=2), axis=2)
+        w = np.einsum("jk,kqp->jqp", expm(s_mat * (chunk * dt)), w)
+        frames.append(w)
+        done += chunk
+    return np.stack(frames)
+
+
+def packet_vector(frame, grid, direction, q0, p0, sigma):
+    chi = spin_eigenvector(1.0, np.asarray(direction) / np.linalg.norm(direction), 1.0)
+    psi = spinor_product_state(grid, chi, gaussian_packet(grid, q0, p0, sigma))
+    return to_vector(SpinorDensity.from_pure(psi, grid), frame, "wigner"), chi
 
 
 def q_expectation(state, grid):
@@ -273,12 +309,106 @@ class TestEvolveWignerVector:
             evolve_wigner_vector(v0, fld, PropagatorConfig(
                 dt=0.01, n_steps=1, scheme="wigner-spectral"))
 
+    @pytest.mark.parametrize("spin", [0.5, 1.5])
+    def test_spin_dimension_mismatch_rejected(self, frame, grid64, spin):
+        rho0 = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
+        v0 = to_vector(rho0, frame, "wigner")
+        fld = EMFieldConfig(phi=HARMONIC, spin=spin)
+        dim = int(2 * spin + 1)
+        with pytest.raises(ValueError, match=f"{dim}, but the state has spin dimension 3"):
+            evolve_oracle(rho0, fld, PropagatorConfig(dt=0.01, n_steps=1))
+        with pytest.raises(ValueError, match=f"{dim}, but the frame has spin dimension 3"):
+            evolve_wigner_vector(v0, fld, PropagatorConfig(
+                dt=0.01, n_steps=1, scheme="wigner-spectral"))
+
     def test_scheme_checked(self, frame, grid64):
         psi = spin_coherent_state(grid64, [0, 0, 1])
         v0 = to_vector(SpinorDensity.from_pure(psi, grid64), frame, "wigner")
         with pytest.raises(SchemeMismatchError):
             evolve_wigner_vector(v0, EMFieldConfig(phi=HARMONIC),
                                  PropagatorConfig(dt=0.01, n_steps=1))
+
+
+class TestComposedStrangMap:
+    """evolve_wigner_vector composes the Strang steps between saved frames in
+    closed form; the step-by-step loop is the reference."""
+
+    @pytest.mark.parametrize("case", ["workload", "units", "ragged-chunks", "full-period"])
+    def test_matches_kick_drift_loop(self, frame, grid128, case):
+        if case == "workload":       # the benchmark's dynamics jobs
+            fld = EMFieldConfig(phi=(0.0, -0.21, 0.62), b_field=[0.4, -0.7, 0.3],
+                                kappa=1.3, spin=1.0)
+            v0, _ = packet_vector(frame, grid128, [0.3, -0.5, 0.8], 1.2, -0.9, 2**-0.5)
+            prop = PropagatorConfig(dt=4e-3, n_steps=100, scheme="wigner-spectral",
+                                    save_every=25)
+        elif case == "units":        # a_long, mass, e and c_light all != 1
+            fld = EMFieldConfig(phi=(0.3, 0.25, 0.35), a_long=0.6, e=0.8, c_light=1.7,
+                                mass=1.6, b_field=[0.2, 0.5, -0.4], kappa=0.7, spin=1.0)
+            v0, _ = packet_vector(frame, grid128, [1, 1, 0], -0.6, 0.4, 0.8)
+            prop = PropagatorConfig(dt=0.01, n_steps=120, scheme="wigner-spectral",
+                                    save_every=40)
+        elif case == "ragged-chunks":  # save_every does not divide n_steps
+            fld = EMFieldConfig(phi=(0.0, 0.1, 0.5), b_field=[0, 0.6, 0], spin=1.0)
+            v0, _ = packet_vector(frame, grid128, [0, 0, 1], 0.5, 0.2, 0.9)
+            prop = PropagatorConfig(dt=0.01, n_steps=90, scheme="wigner-spectral",
+                                    save_every=25)
+        else:                        # a whole oscillator period in one chunk
+            fld = EMFieldConfig(phi=HARMONIC, spin=1.0)
+            v0, _ = packet_vector(frame, grid128, [1, 0, 0], 1.0, 0.5, 1.0)
+            n = 200
+            prop = PropagatorConfig(dt=2 * np.pi / n, n_steps=n, scheme="wigner-spectral",
+                                    save_every=n)
+            max_steps = _max_steps(_strang_step(fld, prop.dt), n, grid128.dx / grid128.dp)
+            assert -(-n // max_steps) >= 8
+        traj = evolve_wigner_vector(v0, fld, prop)
+        ref = kick_drift_reference(v0, fld, prop)
+        got = np.stack([f.components for f in traj.frames])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref.real)) < 1e-11
+        assert np.allclose(traj.times, v0.time + prop.dt * np.minimum(
+            np.arange(len(ref)) * prop.save_every, prop.n_steps), rtol=0, atol=1e-12)
+
+    def test_uniform_force_matches_closed_form(self, frame, grid128):
+        # with c2 = 0 the Strang step is exact: the packet falls freely
+        c1, a_long = 0.3, 0.5
+        fld = EMFieldConfig(phi=(0.1, c1, 0.0), a_long=a_long, e=1.2, c_light=2.0, mass=1.5,
+                            b_field=[0.3, 0.0, 0.8], kappa=0.9, spin=1.0)
+        q0, p0, sig = -0.8, 0.6, 2**-0.5
+        v0, chi = packet_vector(frame, grid128, [1, 0, 1], q0, p0, sig)
+        prop = PropagatorConfig(dt=0.02, n_steps=75, scheme="wigner-spectral",
+                                save_every=25)
+        traj = evolve_wigner_vector(v0, fld, prop)
+        s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, 1.0).entries
+        spin_w = frame.weights(np.outer(chi, chi.conj())).real
+        q, p = np.meshgrid(grid128.q, grid128.p, indexing="ij")
+        force = -fld.e * c1
+        for t, f in zip(traj.times, traj.frames):
+            p_back = p - force * t
+            q_back = q - (p - fld.e * a_long / fld.c_light) * t / fld.mass \
+                + force * t**2 / (2 * fld.mass)
+            scalar = np.exp(-(q_back - q0)**2 / (2 * sig**2)
+                            - 2 * sig**2 * (p_back - p0)**2) / np.pi
+            expected = (expm(s_mat * t) @ spin_w)[:, None, None] * scalar[None]
+            # one q-shear per chunk; the kick/drift loop drifts 1.9e-13 here
+            assert np.max(np.abs(f.components - expected)) < 1e-13
+
+    def test_inverted_oscillator_short_run(self, frame, grid128):
+        fld = EMFieldConfig(phi=(0.0, 0.0, -0.3), b_field=[0.1, 0.2, 0.3], spin=1.0)
+        v0, _ = packet_vector(frame, grid128, [0, 1, 0], 0.3, -0.2, 0.8)
+        prop = PropagatorConfig(dt=0.01, n_steps=100, scheme="wigner-spectral",
+                                save_every=50)
+        traj = evolve_wigner_vector(v0, fld, prop)
+        ref = kick_drift_reference(v0, fld, prop)
+        assert np.max(np.abs(np.stack([f.components for f in traj.frames]) - ref.real)) < 1e-7
+
+    def test_cost_does_not_grow_with_steps(self, grid64):
+        # the same final time in 10x more steps needs no more sub-maps
+        fld = EMFieldConfig(phi=HARMONIC, spin=1.0)
+        counts = []
+        for n in (200, 2000):
+            step = _strang_step(fld, 2.0 / n)
+            counts.append(-(-n // _max_steps(step, n, grid64.dx / grid64.dp)))
+        assert counts[0] == counts[1] >= 2
 
 
 class TestFrequencyFit:

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from spintomo import (
+    EMFieldConfig,
     PhaseSpaceGrid,
+    PropagatorConfig,
     SpinorDensity,
     TomogramDomain,
     UnsupportedInverseError,
     audit,
+    evolve_oracle,
     fidelity_with_pure,
     from_vector,
     gaussian_packet,
@@ -45,6 +48,28 @@ class TestSpinorDensity:
         assert len(probs) == 2
         rebuilt = SpinorDensity.from_mixture(probs, fields, grid64)
         assert np.max(np.abs(rebuilt.blocks - rho.blocks)) < 1e-12
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_eigen_decomposition_matches_full_solve(self, grid64, rng, rank):
+        # the subset solve keeps exactly the eigenpairs a full eigh keeps
+        psis = [spinor_product_state(grid64, rng.normal(size=3) + 1j * rng.normal(size=3),
+                                     random_band_limited_state(grid64, rng))
+                for _ in range(rank)]
+        rho = SpinorDensity.from_mixture(rng.dirichlet(np.ones(rank)), psis, grid64)
+        evals, evecs = np.linalg.eigh(rho.to_matrix())
+        keep = evals * grid64.dx > 1e-12
+        full_probs = evals[keep] * grid64.dx
+        full_fields = evecs[:, keep].T.reshape(-1, 3, grid64.n) / np.sqrt(grid64.dx)
+        probs, fields = rho.eigen_decomposition()
+        assert len(probs) == rank
+        assert np.max(np.abs(probs - full_probs)) < 1e-14
+        assemble = "k,kai,kbj->abij"
+        expected = np.einsum(assemble, full_probs, full_fields, full_fields.conj())
+        got = np.einsum(assemble, probs, np.stack(fields), np.stack(fields).conj())
+        assert np.max(np.abs(got - expected)) < 1e-13
+        oracle = evolve_oracle(rho, EMFieldConfig(phi=(0.0, 0.0, 0.5)),
+                               PropagatorConfig(dt=0.01, n_steps=1))
+        assert np.max(np.abs(oracle.states[0].blocks - expected)) < 1e-13
 
     def test_matrix_round_trip(self, grid64, rng):
         rho = random_rank2_density(grid64, rng)
