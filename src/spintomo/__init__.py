@@ -8,7 +8,6 @@ against an exact propagator.
 from .dynamics import (
     EMFieldConfig,
     PropagatorConfig,
-    SpinCouplingMatrix,
     Trajectory,
     VectorTrajectory,
     evolve_oracle,
@@ -30,11 +29,9 @@ from .errors import (
 )
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain, field_to_csv, load_field, save_field
 from .phase_space import (
-    BoundaryLeakWarning,
     ddx,
     density_from_wigner,
     husimi_from_wigner,
-    inv_ddx,
     optical_tomogram,
     symplectic_section,
     wigner_from_density,

@@ -22,12 +22,14 @@ from .dynamics import (
     PropagatorConfig,
     Trajectory,
     VectorTrajectory,
+    conserved_columns,
     evolve_oracle,
     fit_precession_frequency,
     spin_coupling_matrix,
 )
 from .errors import ConfigError
-from .grids import PhaseSpaceGrid, TomogramDomain
+from .grids import PhaseSpaceGrid, TomogramDomain, write_csv
+from .phase_space import MIN_ANGLES
 from .residuals import StateSpec, residual_convergence
 from .spin_frames import (
     build_spin1_frame,
@@ -36,7 +38,7 @@ from .spin_frames import (
     random_frame,
     spin_eigenvector,
 )
-from .states import gaussian_packet, random_band_limited_state, spinor_product_state
+from .states import random_band_limited_state, spin_coherent_state, spinor_product_state
 from .vector_portrait import (
     VECTOR_REPRESENTATIONS,
     SpinorDensity,
@@ -80,6 +82,14 @@ _TOL_DEFAULTS = {
 _CHOICES = {"scheme": ORACLE_SCHEMES, "frame": ("paper", "random"),
             "route": ("wigner", "optical", "both")}
 _GRID_SIZES = ("grid.n", "run.n", "run.optical_n")
+# least counts the scenarios step, mix or sample with; central differences in
+# time, mu and nu need three samples, in theta two (run.n_theta is checked
+# with the route)
+_MINIMA = {"run.n_steps": 1, "run.save_every": 1, "run.rank": 1, "run.substeps": 1,
+           "run.n_frames": 3, "run.n_mu": 3, "run.n_nu": 3}
+# scales and durations the scenarios divide by or sample over
+_POSITIVE = ("grid.hbar", "grid.mass", "grid.omega", "field.m", "field.c", "run.t_final",
+             "run.periods", "run.samples_per_period", "run.dt_frame")
 
 
 def _is_finite_number(val) -> bool:
@@ -110,9 +120,15 @@ def _merge_section(user: dict, defaults: dict, path: str) -> dict:
     return merged
 
 
+def _present(cfg: dict, paths: tuple) -> list:
+    """(path, value) for each "section.key" path the config holds."""
+    pairs = [(where, where.split(".")) for where in paths]
+    return [(where, cfg[sec][key]) for where, (sec, key) in pairs if key in cfg[sec]]
+
+
 def _check_values(cfg: dict) -> None:
-    """Enums, grid sizes and spin values that the scenarios would otherwise
-    reject with a traceback."""
+    """Enums, grid sizes, counts, scales and spin values that the scenarios
+    would otherwise reject with a traceback."""
     run = cfg["run"]
     for key, allowed in _CHOICES.items():
         if key in run and run[key] not in allowed:
@@ -122,17 +138,27 @@ def _check_values(cfg: dict) -> None:
                               and all(r in VECTOR_REPRESENTATIONS for r in reps)):
         raise ConfigError(f"run.representations: expected \"all\" or a non-empty list "
                           f"of {list(VECTOR_REPRESENTATIONS)}, got {reps!r}")
-    for where in _GRID_SIZES:
-        section, key = where.split(".")
-        if key not in cfg[section]:
-            continue
-        n = cfg[section][key]
+    for where, n in _present(cfg, _GRID_SIZES):
         if not isinstance(n, int) or isinstance(n, bool):
             raise ConfigError(f"{where}: expected an integer, got {n!r}")
         try:
             PhaseSpaceGrid.balanced(n)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+    minima = {**_MINIMA, "run.n_theta": 2}
+    if run.get("route") in ("optical", "both"):
+        minima["run.n_theta"] = MIN_ANGLES         # filtered back-projection
+    for where, val in _present(cfg, tuple(minima)):
+        if val < minima[where]:
+            raise ConfigError(f"{where}: expected at least {minima[where]}, got {val!r}")
+    for where, val in _present(cfg, _POSITIVE):
+        if val <= 0:
+            raise ConfigError(f"{where}: expected a positive number, got {val!r}")
+    if cfg["scenario"] == "precess" and run["periods"] * run["samples_per_period"] < 1:
+        raise ConfigError("run.samples_per_period: periods * samples_per_period must be "
+                          "at least 1, so that the run has two samples")
+    if not np.any(cfg["state"]["spin_direction"]):
+        raise ConfigError("state.spin_direction: expected a nonzero vector")
     if cfg["scenario"] == "audit-frame":
         try:
             projection_values(run["spin"])
@@ -205,10 +231,6 @@ def _gate(value: float, threshold: float, scale: float) -> dict:
     return {"value": float(value), "threshold": float(thr), "pass": bool(value <= thr)}
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    path.write_text(header + "\n" + "\n".join(rows) + "\n")
-
-
 def emit_plot_data(traj, what: str, path: str | Path, theta_index: int = 0) -> None:
     """Tidy CSV (one row per (t, series) pair) from a trajectory.
 
@@ -216,49 +238,34 @@ def emit_plot_data(traj, what: str, path: str | Path, theta_index: int = 0) -> N
     "conserved": trace/energy/norm series; "slice": the X-profile of every
     component at one tomographic angle (or at p = 0 for wigner frames).
     """
-    path = Path(path)
-    if isinstance(traj, VectorTrajectory):
-        if not traj.frames:
-            raise ValueError("empty trajectory")
-        if what == "component-integrals":
-            rows = []
-            for t, frame in zip(traj.times, traj.frames):
-                for j, val in enumerate(frame.component_integrals()):
-                    rows.append(f"{float(t)!r},w{j + 1},{float(val)!r}")
-            _write_csv(path, "t,series,value", rows)
-            return
-        if what == "conserved":
-            rows = [f"{float(t)!r},norm_sum,{float(v)!r}"
-                    for t, v in zip(traj.times, traj.norm_sums)]
-            _write_csv(path, "t,series,value", rows)
-            return
-        if what == "slice":
-            rows = []
-            for t, frame in zip(traj.times, traj.frames):
-                if frame.representation == "optical":
-                    profiles = frame.components[:, theta_index, :]
-                    xs = frame.domain.x
-                else:
-                    profiles = frame.components[:, :, frame.grid.n // 2]
-                    xs = frame.grid.q
-                for j in range(profiles.shape[0]):
-                    for x, val in zip(xs, profiles[j]):
-                        rows.append(f"{float(t)!r},w{j + 1},{float(x)!r},{float(val)!r}")
-            _write_csv(path, "t,series,X,value", rows)
-            return
-        raise ValueError(f"unknown plot-data kind {what!r}")
-    if isinstance(traj, Trajectory):
-        if not traj.states:
-            raise ValueError("empty trajectory")
-        if what != "conserved":
-            raise ValueError("oracle trajectories export the 'conserved' table")
-        rows = []
-        for t, tr, en in zip(traj.times, traj.traces, traj.energies):
-            rows.append(f"{float(t)!r},trace,{float(tr)!r}")
-            rows.append(f"{float(t)!r},energy,{float(en)!r}")
-        _write_csv(path, "t,series,value", rows)
+    if not isinstance(traj, (Trajectory, VectorTrajectory)):
+        raise ValueError("unsupported trajectory object")
+    if not len(traj.times):
+        raise ValueError("empty trajectory")
+    if what == "conserved":
+        write_csv(path, conserved_columns(traj))
         return
-    raise ValueError("unsupported trajectory object")
+    if isinstance(traj, Trajectory):
+        raise ValueError("oracle trajectories export the 'conserved' table")
+    first = traj.frames[0]
+    series = [f"w{j + 1}" for j in range(len(first.components))]
+    if what == "component-integrals":
+        t, names = np.meshgrid(traj.times, series, indexing="ij")
+        values = np.stack([f.component_integrals() for f in traj.frames])
+        write_csv(path, {"t": t.ravel(), "series": names.ravel(), "value": values.ravel()})
+        return
+    if what == "slice":
+        if first.representation == "optical":
+            xs = first.domain.x
+            values = np.stack([f.components[:, theta_index, :] for f in traj.frames])
+        else:
+            xs = first.grid.q
+            values = np.stack([f.components[:, :, first.grid.n // 2] for f in traj.frames])
+        t, names, x = np.meshgrid(traj.times, series, xs, indexing="ij")
+        write_csv(path, {"t": t.ravel(), "series": names.ravel(), "X": x.ravel(),
+                         "value": values.ravel()})
+        return
+    raise ValueError(f"unknown plot-data kind {what!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +296,21 @@ def _run_audit_frame(cfg: dict, out: Path, scale: float) -> dict:
     }
     (out / "frame.json").write_text(frame.to_json())
     if run["frame"] == "paper":
-        rows = []
-        diffs = {}
-        for entry in paper_quantizer_comparison(frame):
-            diffs[entry["slot"]] = entry["max_abs_diff"]
-            for l in range(9):
-                rc, pr = entry["recomputed"][l], entry["printed"][l]
-                rows.append(
-                    f"{entry['slot']},{l + 1},{rc.real!r},{rc.imag!r},"
-                    f"{pr.real!r},{pr.imag!r},{abs(rc - pr)!r}")
-        _write_csv(out / "quantizer_diff.csv",
-                   "slot,component,re_recomputed,im_recomputed,re_printed,im_printed,abs_diff",
-                   rows)
-        measurements["paper_quantizer_max_diffs"] = diffs
+        entries = paper_quantizer_comparison(frame)
+        slot, component = np.meshgrid([e["slot"] for e in entries], np.arange(1, 10),
+                                      indexing="ij")
+        rc = np.array([e["recomputed"] for e in entries]).ravel()
+        pr = np.array([e["printed"] for e in entries]).ravel()
+        diff = rc - pr
+        write_csv(out / "quantizer_diff.csv", {
+            "slot": slot.ravel(), "component": component.ravel(),
+            "re_recomputed": rc.real, "im_recomputed": rc.imag,
+            "re_printed": pr.real, "im_printed": pr.imag,
+            # hypot gives abs() of each complex scalar to the last bit; np.abs
+            # of a complex array can differ in it
+            "abs_diff": np.hypot(diff.real, diff.imag)})
+        measurements["paper_quantizer_max_diffs"] = {
+            e["slot"]: e["max_abs_diff"] for e in entries}
     return {"measurements": measurements, "gates": gates}
 
 
@@ -333,7 +342,7 @@ def _run_precess(cfg: dict, out: Path, scale: float) -> dict:
 
     s_mat = spin_coupling_matrix(frame, field.b_field, field.kappa, field.spin, hbar)
     w0 = weights[0]
-    s_weights = np.stack([expm(s_mat.entries * t) @ w0 for t in times])
+    s_weights = np.stack([expm(s_mat * t) @ w0 for t in times])
     s_err = float(np.max(np.abs(s_weights - weights)))
 
     spans = weights.max(axis=0) - weights.min(axis=0)
@@ -341,9 +350,9 @@ def _run_precess(cfg: dict, out: Path, scale: float) -> dict:
     omega_fit = fit_precession_frequency(times, series)
     rel_err = abs(omega_fit - omega_expected) / omega_expected
 
-    rows = [f"{t!r},w{j + 1},{weights[i, j]!r}"
-            for i, t in enumerate(times) for j in range(frame.size)]
-    _write_csv(out / "precess_weights.csv", "t,series,value", rows)
+    t, series = np.meshgrid(times, [f"w{j + 1}" for j in range(frame.size)], indexing="ij")
+    write_csv(out / "precess_weights.csv",
+              {"t": t.ravel(), "series": series.ravel(), "value": weights.ravel()})
 
     measurements = {
         "omega_expected": omega_expected,
@@ -364,13 +373,7 @@ def _run_wavepacket(cfg: dict, out: Path, scale: float) -> dict:
     field = _field_from(cfg)
     tol = cfg["tolerances"]
     run = cfg["run"]
-    st = cfg["state"]
-    direction = np.asarray(st["spin_direction"], dtype=float)
-    chi = spin_eigenvector(field.spin, direction / np.linalg.norm(direction),
-                           float(st["spin_m"]))
-    psi = spinor_product_state(grid, chi,
-                               gaussian_packet(grid, st["q0"], st["p0"], st["sigma"]))
-    rho0 = SpinorDensity.from_pure(psi, grid)
+    rho0 = StateSpec(**cfg["state"]).build(grid, field.spin)
     dt = run["t_final"] / run["n_steps"]
     prop = PropagatorConfig(dt=dt, n_steps=int(run["n_steps"]),
                             scheme=run["scheme"], save_every=int(run["save_every"]))
@@ -381,8 +384,8 @@ def _run_wavepacket(cfg: dict, out: Path, scale: float) -> dict:
     ])
 
     emit_plot_data(traj, "conserved", out / "conserved.csv")
-    rows = [f"{t!r},norm_sum,{v!r}" for t, v in zip(traj.times, norm_sums)]
-    _write_csv(out / "norm_sums.csv", "t,series,value", rows)
+    write_csv(out / "norm_sums.csv", {"t": traj.times, "series": ["norm_sum"] * len(norm_sums),
+                                      "value": norm_sums})
 
     trace_drift = float(np.max(np.abs(traj.traces - 1.0)))
     e0 = traj.energies[0]
@@ -429,12 +432,8 @@ def _run_roundtrip(cfg: dict, out: Path, scale: float) -> dict:
     if run["route"] in ("optical", "both"):
         grid_o = _grid_from(cfg, n_override=int(run["optical_n"]))
         st = cfg["state"]
-        direction = np.asarray(st["spin_direction"], dtype=float)
-        if not np.linalg.norm(direction):
-            direction = np.array([1.0, 1.0, 1.0])
-        chi = spin_eigenvector(1.0, direction / np.linalg.norm(direction), float(st["spin_m"]))
-        psi = spinor_product_state(grid_o, chi,
-                                   gaussian_packet(grid_o, st["q0"], st["p0"], st["sigma"]))
+        psi = spin_coherent_state(grid_o, st["spin_direction"], 1.0, st["spin_m"],
+                                  st["q0"], st["p0"], st["sigma"])
         rho = SpinorDensity.from_pure(psi, grid_o)
         dom = TomogramDomain.optical_default(grid_o, int(run["n_theta"]))
         v = to_vector(rho, frame, "optical", dom)
@@ -451,16 +450,12 @@ def _run_residual(cfg: dict, out: Path, scale: float) -> dict:
     run = cfg["run"]
     field = _field_from(cfg)
     frame = build_spin1_frame()
-    st = cfg["state"]
-    spec = StateSpec(spin_direction=tuple(st["spin_direction"]),
-                     spin_m=float(st["spin_m"]), q0=float(st["q0"]),
-                     p0=float(st["p0"]), sigma=float(st["sigma"]))
+    spec = StateSpec(**cfg["state"])
     reps = run["representations"]
     if reps == "all":
         reps = ["wigner", "optical", "symplectic-section", "husimi"]
     measurements = {}
     gates = {}
-    rows = []
     for rep in reps:
         length = float(run["length"])
         if length <= 0.0:
@@ -479,10 +474,9 @@ def _run_residual(cfg: dict, out: Path, scale: float) -> dict:
             "order_max": report.order_max,
         }
         gates[f"{rep}_ratio"] = _gate(abs(report.ratio_max - 4.0), tol["ratio_window"], scale)
-        rows.append(f"{rep},{report.coarse.max_residual!r},{report.fine.max_residual!r},"
-                    f"{report.ratio_max!r},{report.order_max!r}")
-    _write_csv(out / "residual_convergence.csv",
-               "representation,coarse_max,fine_max,ratio_max,order_max", rows)
+    columns = ("coarse_max", "fine_max", "ratio_max", "order_max")
+    write_csv(out / "residual_convergence.csv", {
+        "representation": reps, **{c: [measurements[r][c] for r in reps] for c in columns}})
     return {"measurements": measurements, "gates": gates}
 
 

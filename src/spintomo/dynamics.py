@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from .errors import SchemeMismatchError, UnsupportedPotentialError
-from .grids import PhaseSpaceGrid
+from .grids import PhaseSpaceGrid, write_csv
 from .spin_frames import SpinFrame, projection_values, spin_operators
 from .vector_portrait import SpinorDensity, VectorDistribution, save_vector
 
@@ -133,27 +133,16 @@ class PropagatorConfig:
             raise ValueError("n_steps and save_every must be >= 1")
 
 
-@dataclass(frozen=True)
-class SpinCouplingMatrix:
-    """Constant 9x9 generator of the frame weights under a uniform field."""
-
-    entries: np.ndarray
-    field_value: np.ndarray
-
-
 def spin_coupling_matrix(frame: SpinFrame, b_field, kappa: float, s: float,
-                         hbar: float = 1.0) -> SpinCouplingMatrix:
+                         hbar: float = 1.0) -> np.ndarray:
     """S_jk = (2/hbar) Im Tr{U_j H_s D_k} with H_s = -(kappa/s) s_hat . B.
 
     Valid for uniform fields, where the frame weights of any state obey
     dw/dt = S w exactly.
     """
-    b_field = np.asarray(b_field, dtype=float)
-    sx, sy, sz = spin_operators(s)
-    h_s = -(kappa / s) * (b_field[0] * sx + b_field[1] * sy + b_field[2] * sz)
+    h_s = EMFieldConfig(b_field=b_field, kappa=kappa, spin=s).zeeman_matrix()
     traces = np.einsum("jab,bc,kca->jk", frame.dequantizer, h_s, frame.quantizer)
-    entries = (2.0 / hbar) * traces.imag
-    return SpinCouplingMatrix(entries=entries, field_value=b_field)
+    return (2.0 / hbar) * traces.imag
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +405,7 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     kp = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dp)
     step = _strang_step(fld, dt)
     max_steps = _max_steps(step, min(prop.save_every, prop.n_steps), grid.dx / grid.dp)
-    s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin,
-                                 grid.hbar).entries
+    s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
 
     w = v0.components.astype(complex)
 
@@ -489,38 +477,35 @@ def fit_precession_frequency(times: np.ndarray, series: np.ndarray,
     return float(res.x)
 
 
-def export_trajectory(traj: VectorTrajectory, directory: str | Path,
+def conserved_columns(traj: Trajectory | VectorTrajectory) -> dict:
+    """Tidy t, series, value columns of a trajectory's conserved quantities:
+    trace and energy of an oracle trajectory, the normalization sum of a
+    vector trajectory."""
+    if isinstance(traj, VectorTrajectory):
+        series = {"norm_sum": traj.norm_sums}
+    else:
+        series = {"trace": traj.traces, "energy": traj.energies}
+    return {"t": np.repeat(traj.times, len(series)),
+            "series": np.tile(list(series), len(traj.times)),
+            "value": np.column_stack(list(series.values())).ravel()}
+
+
+def export_trajectory(traj: Trajectory | VectorTrajectory, directory: str | Path,
                       write_frames: bool = False) -> None:
-    """Manifest JSON, conserved-quantity CSV, and optionally per-frame fields."""
+    """Manifest JSON, the conserved-quantity CSV (see conserved_columns), and
+    optionally the frames of a vector trajectory."""
+    if write_frames and not isinstance(traj, VectorTrajectory):
+        raise ValueError("only vector trajectories have frames to write")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "times": traj.times.tolist(),
         "scheme": traj.scheme,
         "field": traj.field.describe(),
-        "n_frames": len(traj.frames),
+        "n_frames": len(traj.times),
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    lines = ["t,trace,energy,norm_sum,residual_max"]
-    for t, f, ns in zip(traj.times, traj.frames, traj.norm_sums):
-        lines.append(f"{t!r},,,{ns!r},")
-    (directory / "conserved.csv").write_text("\n".join(lines) + "\n")
+    write_csv(directory / "conserved.csv", conserved_columns(traj))
     if write_frames:
         for i, f in enumerate(traj.frames):
             save_vector(f, directory / f"frame_{i:04d}")
-
-
-def export_oracle_trajectory(traj: Trajectory, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "times": traj.times.tolist(),
-        "scheme": traj.scheme,
-        "field": traj.field.describe(),
-        "n_frames": len(traj.states),
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    lines = ["t,trace,energy,norm_sum,residual_max"]
-    for t, tr, en in zip(traj.times, traj.traces, traj.energies):
-        lines.append(f"{t!r},{tr!r},{en!r},{tr!r},")
-    (directory / "conserved.csv").write_text("\n".join(lines) + "\n")

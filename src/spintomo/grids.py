@@ -187,8 +187,6 @@ class ScalarField:
             return float(np.trace(self.values).real * g.dx)
         if self.kind in ("wigner", "husimi"):
             return float(np.sum(self.values).real * g.cell)
-        if self.kind == "optical":
-            return float(np.mean(np.sum(self.values, axis=-1)) * self.domain.dx)
         return float(np.mean(np.sum(self.values, axis=-1)) * self.domain.dx)
 
     def slice_integrals(self) -> np.ndarray:
@@ -236,27 +234,38 @@ def load_field(basename: str | Path) -> ScalarField:
                        imag_residue=float(meta.get("imag_residue", 0.0)))
 
 
+def write_csv(path: str | Path, columns: dict) -> None:
+    """Write a CSV table: the header, then one row per index of the columns.
+
+    columns maps each header name, in order, to a 1-D column; all columns have
+    the same length.  Float columns are written as repr(float(x)), the
+    shortest text that reads back to the same float64; integer and string
+    columns as str(x).
+    """
+    cells = []
+    for col in columns.values():
+        col = np.asarray(col)
+        cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*cells, strict=True)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _coordinate_columns(kind: str, grid: PhaseSpaceGrid,
+                        domain: TomogramDomain | None) -> dict:
+    """Coordinate columns of a field kind, raveled in the C order of its values."""
+    if kind == "density-matrix":
+        axes = {"x": grid.q, "x_prime": grid.q}
+    elif kind in ("wigner", "husimi"):
+        axes = {"q": grid.q, "p": grid.p}
+    elif kind == "optical":
+        axes = {"theta": domain.thetas, "X": domain.x}
+    else:
+        axes = {"mu": domain.mu, "nu": domain.nu, "X": domain.x}
+    mesh = np.meshgrid(*axes.values(), indexing="ij")
+    return {name: m.ravel() for name, m in zip(axes, mesh)}
+
+
 def field_to_csv(fld: ScalarField, path: str | Path) -> None:
     """Plot-ready CSV: coordinate columns followed by the value column."""
-    g = fld.grid
-    rows = []
-    if fld.kind in ("wigner", "husimi", "density-matrix"):
-        a = g.q if fld.kind == "density-matrix" else g.q
-        b = g.q if fld.kind == "density-matrix" else g.p
-        header = "x,x_prime,value" if fld.kind == "density-matrix" else "q,p,value"
-        vals = fld.values.real
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                rows.append(f"{ai!r},{bj!r},{vals[i, j]!r}")
-    elif fld.kind == "optical":
-        header = "theta,X,value"
-        for t, th in enumerate(fld.domain.thetas):
-            for l, x in enumerate(fld.domain.x):
-                rows.append(f"{th!r},{x!r},{fld.values[t, l]!r}")
-    else:
-        header = "mu,nu,X,value"
-        for i, mu in enumerate(fld.domain.mu):
-            for j, nu in enumerate(fld.domain.nu):
-                for l, x in enumerate(fld.domain.x):
-                    rows.append(f"{mu!r},{nu!r},{x!r},{fld.values[i, j, l]!r}")
-    Path(path).write_text(header + "\n" + "\n".join(rows) + "\n")
+    write_csv(path, {**_coordinate_columns(fld.kind, fld.grid, fld.domain),
+                     "value": fld.values.real.ravel()})

@@ -20,17 +20,11 @@ p-range, and kernel coherences negligible at half-box separation.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import sparse
 
 from .errors import InvalidStateError, UndersampledDomainError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
-
-
-class BoundaryLeakWarning(UserWarning):
-    """Profile does not decay at the grid boundary; inverse derivative is suspect."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,32 +65,6 @@ def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
     shape[axis] = n
     out = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
     return out.real if np.isrealobj(values) else out
-
-
-def inv_ddx(profile: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
-    """Fourier-multiplier antiderivative 1/(ik) with the k = 0 mode dropped.
-
-    d/dX after inv_ddx restores zero-mean inputs.  A BoundaryLeakWarning is
-    attached when the profile fails to decay at the X-boundary.
-    """
-    profile = np.asarray(profile)
-    n = profile.shape[axis]
-    edge = max(np.max(np.abs(np.take(profile, 0, axis=axis))),
-               np.max(np.abs(np.take(profile, n - 1, axis=axis))))
-    scale = np.max(np.abs(profile))
-    if scale > 0 and edge > 1e-8 * scale:
-        warnings.warn(
-            f"profile does not decay at the X-boundary (edge/max = {edge / scale:.2e})",
-            BoundaryLeakWarning,
-            stacklevel=2,
-        )
-    k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
-    mult = np.zeros(n, dtype=complex)
-    mult[1:] = 1.0 / (1j * k[1:])
-    shape = [1] * profile.ndim
-    shape[axis] = n
-    out = np.fft.ifft(mult.reshape(shape) * np.fft.fft(profile, axis=axis), axis=axis)
-    return out.real if np.isrealobj(profile) else out
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +286,10 @@ def optical_tomogram(fld: ScalarField, dom: TomogramDomain) -> ScalarField:
 # filtered back-projection
 # ---------------------------------------------------------------------------
 
+# fewest tomogram angles back_project accepts
+MIN_ANGLES = 16
+
+
 def _ramp_kernel_matrix(x_src: np.ndarray, x_dst: np.ndarray, dxs: float) -> np.ndarray:
     """Matrix of the band-limited ramp kernel h(x_dst - x_src) * dx.
 
@@ -345,9 +317,9 @@ def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -
     are built once and shared by all c tomograms in one loop over angles.
     """
     thetas = dom.thetas
-    if len(thetas) < 16:
+    if len(thetas) < MIN_ANGLES:
         raise UndersampledDomainError(
-            f"filtered back-projection needs >= 16 angles, got {len(thetas)}"
+            f"filtered back-projection needs >= {MIN_ANGLES} angles, got {len(thetas)}"
         )
     x = dom.x
     nx = len(x)

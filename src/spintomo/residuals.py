@@ -24,8 +24,7 @@ from .errors import UnsupportedPotentialError
 from .grids import PhaseSpaceGrid, TomogramDomain
 from .phase_space import ddx
 from .spin_frames import SpinFrame
-from .states import gaussian_packet, spinor_product_state
-from .spin_frames import spin_eigenvector
+from .states import spin_coherent_state
 from .vector_portrait import SpinorDensity, to_vector
 
 
@@ -217,8 +216,7 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
     vals = [to_vector(s, frame, representation, dom).components
             for s in traj.states]
     gen = representation_generator(representation, grid, dom, fld)
-    s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, fld.spin,
-                                 grid.hbar).entries
+    s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
 
     if representation in ("wigner", "husimi"):
         cell = grid.cell
@@ -265,10 +263,8 @@ class StateSpec:
     sigma: float = 1.0
 
     def build(self, grid: PhaseSpaceGrid, s: float = 1.0) -> SpinorDensity:
-        direction = np.asarray(self.spin_direction, dtype=float)
-        direction = direction / np.linalg.norm(direction)
-        chi = spin_eigenvector(s, direction, self.spin_m)
-        psi = spinor_product_state(grid, chi, gaussian_packet(grid, self.q0, self.p0, self.sigma))
+        psi = spin_coherent_state(grid, self.spin_direction, s, self.spin_m,
+                                  self.q0, self.p0, self.sigma)
         return SpinorDensity.from_pure(psi, grid)
 
 

@@ -15,7 +15,14 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import UnsupportedInverseError
-from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain, save_field
+from .grids import (
+    PhaseSpaceGrid,
+    ScalarField,
+    TomogramDomain,
+    _coordinate_columns,
+    save_field,
+    write_csv,
+)
 from .phase_space import (
     _kernel_of_wigner,
     _wigner_of_kernel,
@@ -291,31 +298,9 @@ def save_vector(v: VectorDistribution, directory: str | Path, basename: str = "v
 
 def vector_to_csv(v: VectorDistribution, path: str | Path) -> None:
     """CSV with coordinate columns and one column per component."""
-    g = v.grid
-    ncomp = v.components.shape[0]
-    wcols = ",".join(f"w{j + 1}" for j in range(ncomp))
-    lines = []
-    if v.representation in ("wigner", "husimi"):
-        lines.append("q,p," + wcols)
-        p = g.p
-        for i, qi in enumerate(g.q):
-            for j, pj in enumerate(p):
-                vals = ",".join(repr(float(v.components[c, i, j])) for c in range(ncomp))
-                lines.append(f"{qi!r},{pj!r},{vals}")
-    elif v.representation == "optical":
-        lines.append("theta,X," + wcols)
-        for t, th in enumerate(v.domain.thetas):
-            for l, x in enumerate(v.domain.x):
-                vals = ",".join(repr(float(v.components[c, t, l])) for c in range(ncomp))
-                lines.append(f"{th!r},{x!r},{vals}")
-    else:
-        lines.append("mu,nu,X," + wcols)
-        for i, mu in enumerate(v.domain.mu):
-            for j, nu in enumerate(v.domain.nu):
-                for l, x in enumerate(v.domain.x):
-                    vals = ",".join(repr(float(v.components[c, i, j, l])) for c in range(ncomp))
-                    lines.append(f"{mu!r},{nu!r},{x!r},{vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = _coordinate_columns(v.representation, v.grid, v.domain)
+    columns.update((f"w{j + 1}", comp.ravel()) for j, comp in enumerate(v.components))
+    write_csv(path, columns)
 
 
 def fidelity_with_pure(rho: SpinorDensity, psi: np.ndarray) -> float:

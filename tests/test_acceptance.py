@@ -204,7 +204,7 @@ def test_criterion_07_larmor_precession():
         weights[i] = FRAME.weights(u @ rho0 @ u.conj().T).real
 
     s_mat = spin_coupling_matrix(FRAME, [b, 0, 0], kappa, s, hbar)
-    w_direct = np.stack([expm(s_mat.entries * t) @ weights[0] for t in times])
+    w_direct = np.stack([expm(s_mat * t) @ weights[0] for t in times])
     s_err = float(np.max(np.abs(w_direct - weights)))
 
     spans = weights.max(axis=0) - weights.min(axis=0)

@@ -130,6 +130,27 @@ class TestScenarios:
         ("roundtrip", {"run": {"route": "neither"}}, "run.route"),
         ("residual", {"run": {"representations": ["wigner", "radon"]}}, "run.representations"),
         ("audit-frame", {"run": {"frame": "random", "spin": 0.3}}, "run.spin"),
+        ("wavepacket", {"state": {"spin_direction": [0, 0, 0]}}, "state.spin_direction"),
+        ("roundtrip", {"state": {"spin_direction": [0, 0, 0]}}, "state.spin_direction"),
+        ("wavepacket", {"grid": {"hbar": 0.0}}, "grid.hbar"),
+        ("residual", {"grid": {"mass": -1.0}}, "grid.mass"),
+        ("precess", {"grid": {"omega": 0}}, "grid.omega"),
+        ("wavepacket", {"field": {"m": 0}}, "field.m"),
+        ("wavepacket", {"field": {"c": -1.0}}, "field.c"),
+        ("wavepacket", {"run": {"n_steps": 0}}, "run.n_steps"),
+        ("wavepacket", {"run": {"save_every": 0}}, "run.save_every"),
+        ("wavepacket", {"run": {"t_final": -1.0}}, "run.t_final"),
+        ("precess", {"run": {"periods": 0}}, "run.periods"),
+        ("precess", {"run": {"samples_per_period": -64}}, "run.samples_per_period"),
+        ("precess", {"run": {"periods": 0.01}}, "run.samples_per_period"),
+        ("roundtrip", {"run": {"rank": 0}}, "run.rank"),
+        ("roundtrip", {"run": {"n_theta": 8}}, "run.n_theta"),
+        ("roundtrip", {"run": {"route": "optical", "n_theta": 15}}, "run.n_theta"),
+        ("residual", {"run": {"n_theta": 1}}, "run.n_theta"),
+        ("residual", {"run": {"n_frames": 2}}, "run.n_frames"),
+        ("residual", {"run": {"substeps": 0}}, "run.substeps"),
+        ("residual", {"run": {"n_mu": 2}}, "run.n_mu"),
+        ("residual", {"run": {"dt_frame": 0.0}}, "run.dt_frame"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, scenario, raw, path):
         cfg = tmp_path / "cfg.json"
@@ -137,6 +158,30 @@ class TestScenarios:
         assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {path}:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_csv_cells_read_back_as_numbers(self, tmp_path):
+        wave = tmp_path / "wave.json"
+        wave.write_text(json.dumps({
+            "grid": {"n": 64}, "run": {"t_final": 0.1, "n_steps": 20, "save_every": 10}}))
+        residual = tmp_path / "residual.json"
+        residual.write_text(json.dumps({
+            "grid": {"n": 64},
+            "run": {"representations": ["wigner"], "n": 64, "n_frames": 3, "substeps": 2}}))
+        for argv in (["audit-frame"], ["precess"], ["wavepacket", "--config", str(wave)],
+                     ["residual", "--config", str(residual)]):
+            main(argv + ["--out", str(tmp_path / "out" / argv[0])])
+        tables = sorted((tmp_path / "out").rglob("*.csv"))
+        assert sorted(t.name for t in tables) == [
+            "conserved.csv", "norm_sums.csv", "precess_weights.csv", "quantizer_diff.csv",
+            "residual_convergence.csv"]
+        for table in tables:
+            header, *rows = table.read_text().splitlines()
+            names = header.split(",")
+            assert rows, table.name
+            for row in rows:
+                for name, cell in zip(names, row.split(","), strict=True):
+                    if name not in ("slot", "series", "representation"):
+                        float(cell)
 
     def test_tolerance_scale_loosens_gate(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -23,7 +23,7 @@ from spintomo import (
     spinor_product_state,
     to_vector,
 )
-from spintomo.dynamics import _max_steps, _strang_step, export_oracle_trajectory
+from spintomo.dynamics import _max_steps, _strang_step
 
 HARMONIC = (0.0, 0.0, 0.5)     # e*phi = q^2/2 for e = 1
 
@@ -40,8 +40,7 @@ def kick_drift_reference(v0, fld, prop):
     drift_phase = np.exp(-1j * np.outer(kq, vel) * dt)
     half_kick = np.exp(0.5j * np.outer(fld.e * fld.dphi_dq(grid.q) * dt, kp))
     full_kick = half_kick * half_kick
-    s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin,
-                                 grid.hbar).entries
+    s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
     w = v0.components.astype(complex)
     frames = [w]
     done = 0
@@ -225,22 +224,22 @@ class TestEvolveOracle:
 class TestSpinCouplingMatrix:
     def test_zero_field(self, frame):
         s = spin_coupling_matrix(frame, [0, 0, 0], 1.0, 1.0)
-        assert np.max(np.abs(s.entries)) == 0.0
+        assert np.max(np.abs(s)) == 0.0
 
     def test_entries_real(self, frame):
         s = spin_coupling_matrix(frame, [0.3, -0.4, 0.9], 1.3, 1.0)
-        assert s.entries.dtype == np.float64
+        assert s.dtype == np.float64
 
     def test_z_field_leaves_z_projectors(self, frame):
         s = spin_coupling_matrix(frame, [0, 0, 1.3], 0.8, 1.0)
-        assert np.max(np.abs(s.entries[:3])) < 1e-14
+        assert np.max(np.abs(s[:3])) < 1e-14
 
     def test_probability_sum_conserved(self, frame, rng):
         left = np.array([1.0, 1, 1, 0, 0, 0, 0, 0, 0])
         for _ in range(5):
             b = rng.normal(size=3)
             s = spin_coupling_matrix(frame, b, 0.9, 1.0)
-            assert np.max(np.abs(left @ s.entries)) < 1e-13
+            assert np.max(np.abs(left @ s)) < 1e-13
 
     def test_matches_matrix_exponential_oracle(self, frame):
         kappa, b, s_spin = 0.7, 2.0, 1.0
@@ -256,7 +255,7 @@ class TestSpinCouplingMatrix:
         for t in times:
             u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
             w_oracle = frame.weights(u @ rho0 @ u.conj().T).real
-            w_direct = expm(s_mat.entries * t) @ w0
+            w_direct = expm(s_mat * t) @ w0
             assert np.max(np.abs(w_direct - w_oracle)) < 1e-8
 
 
@@ -378,7 +377,7 @@ class TestComposedStrangMap:
         prop = PropagatorConfig(dt=0.02, n_steps=75, scheme="wigner-spectral",
                                 save_every=25)
         traj = evolve_wigner_vector(v0, fld, prop)
-        s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, 1.0).entries
+        s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, 1.0)
         spin_w = frame.weights(np.outer(chi, chi.conj())).real
         q, p = np.meshgrid(grid128.q, grid128.p, indexing="ij")
         force = -fld.e * c1
@@ -430,14 +429,17 @@ class TestExport:
         export_trajectory(traj, tmp_path, write_frames=True)
         assert (tmp_path / "manifest.json").exists()
         conserved = (tmp_path / "conserved.csv").read_text().splitlines()
-        assert conserved[0] == "t,trace,energy,norm_sum,residual_max"
-        assert len(conserved) == 1 + 3
+        assert conserved[0] == "t,series,value"
+        assert conserved[1:] == [f"{t!r},norm_sum,{v!r}"
+                                 for t, v in zip(traj.times.tolist(), traj.norm_sums.tolist())]
         assert (tmp_path / "frame_0000" / "vector.json").exists()
 
     def test_oracle_trajectory_export(self, grid64, tmp_path):
         rho0 = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
         traj = evolve_oracle(rho0, EMFieldConfig(phi=HARMONIC),
                              PropagatorConfig(dt=0.01, n_steps=4, save_every=2))
-        export_oracle_trajectory(traj, tmp_path)
+        export_trajectory(traj, tmp_path)
         assert (tmp_path / "manifest.json").exists()
-        assert (tmp_path / "conserved.csv").exists()
+        conserved = (tmp_path / "conserved.csv").read_text().splitlines()
+        assert conserved[0] == "t,series,value"
+        assert [row.split(",")[1] for row in conserved[1:]] == ["trace", "energy"] * 3

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spintomo import (
-    BoundaryLeakWarning,
     InvalidStateError,
     PhaseSpaceGrid,
     ScalarField,
@@ -12,7 +11,6 @@ from spintomo import (
     field_to_csv,
     gaussian_packet,
     husimi_from_wigner,
-    inv_ddx,
     load_field,
     optical_tomogram,
     oscillator_eigenstate,
@@ -311,30 +309,6 @@ class TestHusimi:
         assert husimi_from_wigner(w).values.max() <= bound
 
 
-class TestInvDdx:
-    def test_inverse_pair_zero_mean(self, grid64):
-        x = grid64.q
-        g = np.exp(-x**2)
-        deriv = -2 * x * g                      # zero-mean derivative
-        assert np.max(np.abs(ddx(inv_ddx(deriv, grid64.dx), grid64.dx) - deriv)) < 1e-9
-
-    def test_constant_annihilated(self, grid64):
-        with pytest.warns(BoundaryLeakWarning):    # constants do not decay
-            out = inv_ddx(np.full(64, 3.7), grid64.dx)
-        assert np.max(np.abs(out)) < 1e-12
-
-    def test_gaussian_derivative_antiderivative(self, grid64):
-        x = grid64.q
-        g = np.exp(-x**2)
-        out = inv_ddx(-2 * x * g, grid64.dx)
-        expected = g - np.mean(g)
-        assert np.max(np.abs(out - expected)) < 1e-9
-
-    def test_boundary_leak_warning(self, grid64):
-        with pytest.warns(BoundaryLeakWarning):
-            inv_ddx(np.ones(64) + 0.2 * np.sin(grid64.q), grid64.dx)
-
-
 class TestFieldIO:
     def test_binary_round_trip(self, grid64, tmp_path, rng):
         psi = random_band_limited_state(grid64, rng)
@@ -361,6 +335,8 @@ class TestFieldIO:
         lines = (tmp_path / "w.csv").read_text().splitlines()
         assert lines[0] == "q,p,value"
         assert len(lines) == 1 + 64 * 64
+        assert [float(c) for c in lines[1].split(",")] == [grid64.q[0], grid64.p[0],
+                                                           w.values[0, 0]]
 
     def test_csv_export_optical(self, grid64, tmp_path):
         dom = TomogramDomain.optical_default(grid64, 32)

@@ -254,3 +254,5 @@ class TestSerialization:
         lines = (tmp_path / "v.csv").read_text().splitlines()
         assert lines[0].startswith("theta,X,w1")
         assert len(lines) == 1 + 32 * 64
+        assert [float(c) for c in lines[1].split(",")] == [
+            dom.thetas[0], dom.x[0], *v.components[:, 0, 0]]
