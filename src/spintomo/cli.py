@@ -67,7 +67,7 @@ _RUN_DEFAULTS = {
                    "scheme": "split-step-strang"},
     "roundtrip": {"route": "both", "rank": 2, "n_theta": 128, "optical_n": 256},
     "residual": {"representations": ["wigner", "optical", "symplectic-section", "husimi"],
-                 "n": 128, "length": 0.0, "n_theta": 64, "n_mu": 5, "n_nu": 5,
+                 "n_theta": 64, "n_mu": 5, "n_nu": 5,
                  "n_frames": 5, "dt_frame": 0.04, "substeps": 8},
 }
 _TOL_DEFAULTS = {
@@ -81,7 +81,7 @@ _TOL_DEFAULTS = {
 
 _CHOICES = {"scheme": ORACLE_SCHEMES, "frame": ("paper", "random"),
             "route": ("wigner", "optical", "both")}
-_GRID_SIZES = ("grid.n", "run.n", "run.optical_n")
+_GRID_SIZES = ("grid.n", "run.optical_n")
 # least counts the scenarios step, mix or sample with; central differences in
 # time, mu and nu need three samples, in theta two (run.n_theta is checked
 # with the route)
@@ -454,18 +454,16 @@ def _run_residual(cfg: dict, out: Path, scale: float) -> dict:
     reps = run["representations"]
     if reps == "all":
         reps = ["wigner", "optical", "symplectic-section", "husimi"]
+    grid = _grid_from(cfg)
     measurements = {}
     gates = {}
     for rep in reps:
-        length = float(run["length"])
-        if length <= 0.0:
-            length = _grid_from(cfg, n_override=int(run["n"])).length
         report = residual_convergence(
-            rep, field, frame, spec, n=int(run["n"]), length=length,
+            rep, field, frame, spec, n=grid.n, length=grid.length,
             n_theta=int(run["n_theta"]), n_mu=int(run["n_mu"]), n_nu=int(run["n_nu"]),
             n_frames=int(run["n_frames"]), dt_frame=float(run["dt_frame"]),
-            substeps=int(run["substeps"]), hbar=float(cfg["grid"]["hbar"]),
-            mass=float(cfg["grid"]["mass"]), omega=float(cfg["grid"]["omega"]))
+            substeps=int(run["substeps"]), hbar=grid.hbar, mass=grid.mass,
+            omega=grid.omega)
         measurements[rep] = {
             "coarse_max": report.coarse.max_residual,
             "fine_max": report.fine.max_residual,

@@ -37,7 +37,7 @@ class EMFieldConfig:
     dA_y/dq = B_z and dA_z/dq = -B_y; a longitudinal-only grid carries no
     orbital coupling for them, so b_field enters through the magnetic-moment
     term alone.  B_x has no A(q)-only representation and is treated the same
-    way.
+    way.  mass and c_light must be positive.
     """
 
     phi: object = None
@@ -48,7 +48,6 @@ class EMFieldConfig:
     kappa: float = 1.0
     mass: float = 1.0
     spin: float = 1.0
-    transverse_slopes: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "b_field", np.asarray(self.b_field, dtype=float))
@@ -57,12 +56,9 @@ class EMFieldConfig:
         for name in ("e", "c_light", "kappa", "mass", "spin"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.transverse_slopes is not None:
-            ay, az = self.transverse_slopes
-            if abs(ay - self.b_field[2]) > 1e-12 or abs(az + self.b_field[1]) > 1e-12:
-                raise ValueError(
-                    "declared transverse vector-potential slopes are inconsistent "
-                    "with b_field (need dAy/dq = B_z, dAz/dq = -B_y)")
+        for name in ("mass", "c_light"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def is_quadratic(self) -> bool:
@@ -88,12 +84,24 @@ class EMFieldConfig:
         c0, c1, c2 = self.phi_coeffs()
         return c0 + c1 * q + c2 * q * q
 
-    def dphi_dq(self, q: np.ndarray, t: float = 0.0):
-        c0, c1, c2 = self.phi_coeffs()
-        return c1 + 2.0 * c2 * q
-
     def a_at(self, t: float = 0.0) -> float:
         return float(self.a_long(t)) if callable(self.a_long) else float(self.a_long)
+
+    def phase_flow(self) -> np.ndarray:
+        """Affine generator L of the classical flow, d(q, p, 1)/dt = L (q, p, 1):
+        dq/dt = (p - eA/c)/m and dp/dt = -e phi'(q) = -e (c1 + 2 c2 q).
+
+        The Strang step and the Wigner, Husimi, optical and symplectic drifts
+        are all images of this flow.  Raises UnsupportedPotentialError for a
+        callable phi or a_long, where no such flow exists.
+        """
+        _, c1, c2 = self.phi_coeffs()
+        if callable(self.a_long):
+            raise UnsupportedPotentialError("the phase-space flow needs a static a_long")
+        m, e, c = self.mass, self.e, self.c_light
+        return np.array([[0.0, 1.0 / m, -e * self.a_at() / (m * c)],
+                         [-2.0 * e * c2, 0.0, -e * c1],
+                         [0.0, 0.0, 0.0]])
 
     def zeeman_matrix(self) -> np.ndarray:
         """-(kappa/s) s_hat . B, acting on the spin index."""
@@ -322,13 +330,12 @@ def _strang_step(fld: EMFieldConfig, dt: float) -> np.ndarray:
     """One Strang step kick(dt/2) drift(dt) kick(dt/2) as the backward affine
     map M of (q, p, 1), w(t + dt)(z) = w(t)(M z), returned as M - I.
 
-    The kick is p -> p + e phi'(q) dt/2, the drift q -> q - (p - eA/c) dt/m.
+    With L = fld.phase_flow(), the kick moves p back along the p-row of L for
+    dt/2, the drift moves q back along its q-row for dt.
     """
-    _, c1, c2 = fld.phi_coeffs()
-    kick = np.zeros((3, 3))
-    kick[1] = (fld.e * c2 * dt, 0.0, 0.5 * fld.e * c1 * dt)
-    drift = np.zeros((3, 3))
-    drift[0] = (0.0, -dt / fld.mass, fld.e * fld.a_at() * dt / (fld.c_light * fld.mass))
+    flow = fld.phase_flow()
+    kick = np.diag([0.0, -0.5 * dt, 0.0]) @ flow
+    drift = np.diag([-dt, 0.0, 0.0]) @ flow
     return _compose(_compose(kick, drift), kick)
 
 
@@ -373,28 +380,23 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     """Evolve a vector Wigner distribution under a quadratic potential and
     uniform fields.
 
-    The drift is the exact phase-space flow -((p - eA/c)/m) d_q + e phi'(q) d_p
-    (the operator series truncates at first derivatives for this field
-    class).  prop.dt is the Strang step kick(dt/2) drift(dt) kick(dt/2); each
-    step is an affine symplectic map of (q, p), so the steps between two saved
-    frames compose in closed form to one map w(z) -> w(M z).  M is applied as
-    three spectral shears (Paeth 1986): a p-shear, a q-shear, a p-shear, with
-    the translation folded into their offsets, in as many sub-maps as keep
-    the p-shears within _P_SHEAR_CAP.  The cost therefore grows with the
-    number of saved frames, not with n_steps.  The spin coupling dw/dt = S w
-    is applied as an exact matrix exponential (it commutes with the drift).
+    The drift is -(L z).grad w with z = (q, p, 1) and L = fld.phase_flow()
+    (the operator series truncates at first derivatives for this field class;
+    other fields raise UnsupportedPotentialError).  prop.dt is the Strang step
+    kick(dt/2) drift(dt) kick(dt/2); each step is an affine symplectic map of
+    (q, p), so the steps between two saved frames compose in closed form to
+    one map w(z) -> w(M z).  M is applied as three spectral shears (Paeth
+    1986): a p-shear, a q-shear, a p-shear, with the translation folded into
+    their offsets, in as many sub-maps as keep the p-shears within
+    _P_SHEAR_CAP.  The cost therefore grows with the number of saved frames,
+    not with n_steps.  The spin coupling dw/dt = S w is applied as an exact
+    matrix exponential (it commutes with the drift).
     """
     if prop.scheme != WIGNER_SCHEME:
         raise SchemeMismatchError(
             f"vector Wigner evolution uses scheme {WIGNER_SCHEME!r}, got {prop.scheme!r}")
     if v0.representation != "wigner":
         raise ValueError("initial distribution must be in the wigner representation")
-    if not fld.is_quadratic:
-        raise UnsupportedPotentialError(
-            "direct vector evolution requires a quadratic potential; "
-            "use residual checking for general fields")
-    if callable(fld.a_long):
-        raise UnsupportedPotentialError("direct vector evolution requires static a_long")
     _check_spin_dim(fld, v0.frame.dim, "frame")
 
     grid = v0.grid

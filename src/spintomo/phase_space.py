@@ -290,6 +290,17 @@ def optical_tomogram(fld: ScalarField, dom: TomogramDomain) -> ScalarField:
 MIN_ANGLES = 16
 
 
+def angle_step(thetas: np.ndarray) -> float:
+    """pi / n_theta for the uniform angle grid theta_k = pi k / n_theta, which
+    back-projection, symplectic sections and theta derivatives assume; raises
+    UndersampledDomainError for any other grid."""
+    n = len(thetas)
+    if not np.allclose(thetas, np.pi * np.arange(n) / n, rtol=0.0, atol=1e-12):
+        raise UndersampledDomainError(
+            f"expected the uniform angle grid pi k / {n} over [0, pi)")
+    return np.pi / n
+
+
 def _ramp_kernel_matrix(x_src: np.ndarray, x_dst: np.ndarray, dxs: float) -> np.ndarray:
     """Matrix of the band-limited ramp kernel h(x_dst - x_src) * dx.
 
@@ -315,12 +326,14 @@ def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -
     the error budget (about 1e-3 in max norm for well-resolved states).  The
     filter and the interpolation weights depend only on the domain, so they
     are built once and shared by all c tomograms in one loop over angles.
+    Needs at least MIN_ANGLES angles on the uniform grid of angle_step.
     """
     thetas = dom.thetas
     if len(thetas) < MIN_ANGLES:
         raise UndersampledDomainError(
             f"filtered back-projection needs >= {MIN_ANGLES} angles, got {len(thetas)}"
         )
+    d_theta = angle_step(thetas)
     x = dom.x
     nx = len(x)
     dxs = dom.dx
@@ -356,7 +369,6 @@ def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -
     m_omega = grid.mass * grid.omega
     q = grid.q
     y = grid.p / m_omega
-    d_theta = thetas[1] - thetas[0] if len(thetas) > 1 else np.pi
     n_out = grid.n * grid.n
     row_ptr = np.arange(0, 2 * n_out + 1, 2)
 
@@ -394,8 +406,9 @@ def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarr
     """Distribution of mu*q + nu*p from an optical tomogram.
 
     Uses the homogeneity relation M(X, mu, nu) = w(X/r, theta)/r with
-    r = sqrt(mu^2 + nu^2 m^2 w^2) and theta = atan2(nu m w, mu).
-    Returns (x, profile) on the tomogram's quadrature grid.
+    r = sqrt(mu^2 + nu^2 m^2 w^2) and theta = atan2(nu m w, mu), read between
+    the tomogram's angles by band-limited interpolation on the uniform grid
+    of angle_step.  Returns (x, profile) on the tomogram's quadrature grid.
     """
     if tom.kind != "optical":
         raise ValueError(f"expected an optical field, got {tom.kind!r}")
@@ -407,6 +420,7 @@ def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarr
     theta = float(np.arctan2(nu * m_omega, mu)) % np.pi
     x = tom.domain.x
     thetas = tom.domain.thetas
+    angle_step(thetas)
     # slice at theta from the theta series extended over [0, 2 pi) with
     # w(X, theta + pi) = w(-X, theta)
     mirrored = np.roll(tom.values[:, ::-1], 1, axis=1)
@@ -419,17 +433,22 @@ def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarr
     return x.copy(), profile
 
 
-def husimi_from_wigner(fld: ScalarField) -> ScalarField:
-    """Husimi function: Weierstrass (Gaussian) smoothing of the Wigner function.
+def husimi_variances(grid: PhaseSpaceGrid) -> tuple[float, float]:
+    """Variances hbar/(2 m w) in q and hbar m w / 2 in p of the Gaussian that
+    smooths a Wigner function into the Husimi function."""
+    return (grid.hbar / (2.0 * grid.mass * grid.omega),
+            grid.hbar * grid.mass * grid.omega / 2.0)
 
-    Widths hbar/(2 m w) in q and hbar m w / 2 in p, so the result equals the
+
+def husimi_from_wigner(fld: ScalarField) -> ScalarField:
+    """Husimi function: Weierstrass (Gaussian) smoothing of the Wigner function
+    with the variances of husimi_variances, so the result equals the
     coherent-state expectation divided by 2*pi*hbar.
     """
     if fld.kind != "wigner":
         raise ValueError(f"expected a wigner field, got {fld.kind!r}")
     g = fld.grid
-    var_q = g.hbar / (2.0 * g.mass * g.omega)
-    var_p = g.hbar * g.mass * g.omega / 2.0
+    var_q, var_p = husimi_variances(g)
     kq = 2.0 * np.pi * np.fft.fftfreq(g.n, g.dx)
     kp = 2.0 * np.pi * np.fft.fftfreq(g.n, g.dp)
     mult = np.exp(-0.5 * var_q * kq[:, None] ** 2 - 0.5 * var_p * kp[None, :] ** 2)

@@ -20,9 +20,8 @@ from .dynamics import (
     evolve_oracle,
     spin_coupling_matrix,
 )
-from .errors import UnsupportedPotentialError
 from .grids import PhaseSpaceGrid, TomogramDomain
-from .phase_space import ddx
+from .phase_space import angle_step, ddx, husimi_variances
 from .spin_frames import SpinFrame
 from .states import spin_coherent_state
 from .vector_portrait import SpinorDensity, to_vector
@@ -37,115 +36,96 @@ def _flip_x(values: np.ndarray, axis: int) -> np.ndarray:
 def _theta_derivative(v: np.ndarray, thetas: np.ndarray, x_axis: int) -> np.ndarray:
     """Central difference in theta using the mirror extension
     w(X, theta + pi) = w(-X, theta); theta sits on axis 1 of (c, n_t, n_x)."""
-    d_theta = thetas[1] - thetas[0]
-    plus = np.empty_like(v)
-    minus = np.empty_like(v)
-    plus[:, :-1] = v[:, 1:]
-    plus[:, -1] = _flip_x(v[:, 0], axis=x_axis - 1)
-    minus[:, 1:] = v[:, :-1]
-    minus[:, 0] = _flip_x(v[:, -1], axis=x_axis - 1)
-    return (plus - minus) / (2.0 * d_theta)
+    ext = np.concatenate([_flip_x(v[:, -1:], x_axis), v, _flip_x(v[:, :1], x_axis)], axis=1)
+    return (ext[:, 2:] - ext[:, :-2]) / (2.0 * angle_step(thetas))
 
 
-def _require_quadratic(fld: EMFieldConfig) -> tuple[float, float, float]:
-    if not fld.is_quadratic:
-        raise UnsupportedPotentialError(
-            "residual operators exist in closed form only for quadratic potentials")
-    if callable(fld.a_long):
-        raise UnsupportedPotentialError("residual operators require a static a_long")
-    return fld.phi_coeffs()
+# Every drift below is an image of one affine flow d(q, p, 1)/dt = L (q, p, 1),
+# L = fld.phase_flow(): G = L[:2, :2] is its linear part (zero diagonal in the
+# quadratic class) and b = L[:2, 2] its offset.
+
+def _rates(grid: PhaseSpaceGrid, fld: EMFieldConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(dq/dt, dp/dt) = L z with z = (q, p, 1) on the (q, p) mesh."""
+    flow = fld.phase_flow()
+    qq, pp = np.meshgrid(grid.q, grid.p, indexing="ij")
+    return tuple(row[0] * qq + row[1] * pp + row[2] for row in flow[:2])
 
 
 def wigner_generator(grid: PhaseSpaceGrid, fld: EMFieldConfig):
-    """Moyal-type drift for the vector Wigner function (quadratic class):
-    -((p - eA/c)/m) d_q + e phi'(q) d_p."""
-    _require_quadratic(fld)
-    vel = (grid.p - fld.e * fld.a_at() / fld.c_light) / fld.mass
-    force = fld.e * fld.dphi_dq(grid.q)
+    """Liouville drift of the vector Wigner function: d_t w = -(L z).grad w."""
+    rate_q, rate_p = _rates(grid, fld)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        dq = ddx(v, grid.dx, axis=1)
-        dp = ddx(v, grid.dp, axis=2)
-        return -vel[None, None, :] * dq + force[None, :, None] * dp
+        return -rate_q * ddx(v, grid.dx, axis=1) - rate_p * ddx(v, grid.dp, axis=2)
 
     return apply
 
 
 def husimi_generator(grid: PhaseSpaceGrid, fld: EMFieldConfig):
-    """Drift of the vector Husimi function; stated for m = omega = hbar = 1."""
-    c0, c1, c2 = _require_quadratic(fld)
-    if not (grid.hbar == 1.0 and grid.mass == 1.0 and grid.omega == 1.0):
-        raise ValueError("the Husimi evolution operator is implemented for "
-                         "m = omega = hbar = 1 grids")
-    a_over_c = fld.e * fld.a_at() / fld.c_light
+    """Drift of the vector Husimi function: the Wigner drift minus
+    (G_01 S_pp + G_10 S_qq) d_q d_p, where S = diag(S_qq, S_pp) is the
+    covariance of the Gaussian that smooths Wigner into Husimi."""
+    rate_q, rate_p = _rates(grid, fld)
+    g = fld.phase_flow()[:2, :2]
+    var_q, var_p = husimi_variances(grid)
+    diffusion = g[0, 1] * var_p + g[1, 0] * var_q
 
     def apply(v: np.ndarray) -> np.ndarray:
         dq = ddx(v, grid.dx, axis=1)
-        dp = ddx(v, grid.dp, axis=2)
-        dqdp = ddx(dq, grid.dp, axis=2)
-        out = -grid.p[None, None, :] * dq - 0.5 * dqdp
-        out += fld.e * (c1 + 2.0 * c2 * grid.q)[None, :, None] * dp
-        out += fld.e * c2 * dqdp
-        out += a_over_c * dq
-        return out
+        return (-rate_q * dq - rate_p * ddx(v, grid.dp, axis=2)
+                - diffusion * ddx(dq, grid.dp, axis=2))
 
     return apply
 
 
 def optical_generator(grid: PhaseSpaceGrid, dom: TomogramDomain, fld: EMFieldConfig):
-    """Drift of the vector optical tomogram (quadratic class).
+    """Drift of the vector optical tomogram w(X, theta) = M(X, k(theta)) on
+    the ellipse k = (cos theta, sin theta / m omega) (grid constants).
 
-    Kinetic part: omega [cos^2(t) d_t - (1/2) sin(2t) (1 + X d_X)];
-    quadratic potential: (2 e c2 / m omega) [sin^2(t) d_t + (1/2) sin(2t)(1 + X d_X)];
-    linear potential: (e c1 sin(t) / m omega) d_X;
-    uniform A: (e A / m c) cos(t) d_X.
+    Splitting G^T k = alpha k + beta dk/dtheta, the homogeneity of M turns
+    the symplectic drift into
+    d_t w = beta d_theta w - alpha (1 + X d_X) w - (k.b) d_X w,
+    the form of the tomographic evolution equations of Mancini, Man'ko and
+    Tombesi (Phys. Lett. A 213, 1996).
     """
-    c0, c1, c2 = _require_quadratic(fld)
+    flow = fld.phase_flow()
     th = dom.thetas[:, None]
     x = dom.x[None, :]
     m_omega = grid.mass * grid.omega
-    omega = grid.omega
-    a_term = fld.e * fld.a_at() / (fld.mass * fld.c_light)
+    k = np.array([np.cos(th), np.sin(th) / m_omega])
+    dk = np.array([-np.sin(th), np.cos(th) / m_omega])
+    gk = np.einsum("ij,i...->j...", flow[:2, :2], k)
+    # Cramer's rule; k x dk = 1 / m_omega
+    alpha = m_omega * (gk[0] * dk[1] - gk[1] * dk[0])
+    beta = m_omega * (k[0] * gk[1] - k[1] * gk[0])
+    shift = flow[0, 2] * k[0] + flow[1, 2] * k[1]
 
     def apply(v: np.ndarray) -> np.ndarray:
         d_th = _theta_derivative(v, dom.thetas, x_axis=2)
         d_x = ddx(v, dom.dx, axis=2)
-        stretch = v + x[None] * d_x            # (1 + X d_X) v
-        out = omega * (np.cos(th)[None] ** 2 * d_th
-                       - 0.5 * np.sin(2 * th)[None] * stretch)
-        out += (2.0 * fld.e * c2 / m_omega) * (np.sin(th)[None] ** 2 * d_th
-                                               + 0.5 * np.sin(2 * th)[None] * stretch)
-        out += (fld.e * c1 / m_omega) * np.sin(th)[None] * d_x
-        out += a_term * np.cos(th)[None] * d_x
-        return out
+        return beta * d_th - alpha * (v + x * d_x) - shift * d_x
 
     return apply
 
 
 def symplectic_generator(grid: PhaseSpaceGrid, dom: TomogramDomain, fld: EMFieldConfig):
-    """Drift of the symplectic vector tomogram (quadratic class):
-    (mu/m) d_nu + e c1 nu d_X - 2 e c2 nu d_mu + (e A mu / m c) d_X.
+    """Drift of the symplectic vector tomogram M(X, mu, nu), k = (mu, nu):
+    d_t M = (G^T k).grad_k M - (k.b) d_X M.
 
-    The kinetic term carries the 1/m factor mandated by the Hamiltonian;
     mu and nu derivatives are central differences, so residuals are
     meaningful on interior (mu, nu) samples only.
     """
-    c0, c1, c2 = _require_quadratic(fld)
-    mu = dom.mu[:, None, None]
-    nu = dom.nu[None, :, None]
+    flow = fld.phase_flow()
+    k = (dom.mu[:, None, None], dom.nu[None, :, None])
+    rate_mu, rate_nu, shift = (flow[0, j] * k[0] + flow[1, j] * k[1] for j in range(3))
     d_mu = dom.mu[1] - dom.mu[0]
     d_nu = dom.nu[1] - dom.nu[0]
-    a_term = fld.e * fld.a_at() / (fld.mass * fld.c_light)
 
     def apply(v: np.ndarray) -> np.ndarray:
         d_x = ddx(v, dom.dx, axis=3)
         dv_mu = np.gradient(v, d_mu, axis=1)
         dv_nu = np.gradient(v, d_nu, axis=2)
-        out = (mu[None] / fld.mass) * dv_nu
-        out += fld.e * c1 * nu[None] * d_x
-        out += -2.0 * fld.e * c2 * nu[None] * dv_mu
-        out += a_term * mu[None] * d_x
-        return out
+        return rate_nu * dv_nu - shift * d_x + rate_mu * dv_mu
 
     return apply
 
@@ -213,15 +193,15 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
     if dom is None:
         dom = default_domain(representation, grid)
 
+    gen = representation_generator(representation, grid, dom, fld)
     vals = [to_vector(s, frame, representation, dom).components
             for s in traj.states]
-    gen = representation_generator(representation, grid, dom, fld)
     s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
 
     if representation in ("wigner", "husimi"):
         cell = grid.cell
     elif representation == "optical":
-        cell = dom.dx * (dom.thetas[1] - dom.thetas[0])
+        cell = dom.dx * angle_step(dom.thetas)
     else:
         cell = dom.dx * (dom.mu[1] - dom.mu[0]) * (dom.nu[1] - dom.nu[0])
 
@@ -307,19 +287,10 @@ def residual_convergence(representation: str, fld: EMFieldConfig, frame: SpinFra
     reports = []
     for level in (0, 1):
         factor = 2**level
-        if representation in ("wigner", "husimi"):
-            grid = PhaseSpaceGrid.centered(n * factor, length, hbar, mass, omega)
-        else:
-            grid = PhaseSpaceGrid.centered(n, length, hbar, mass, omega)
-        if representation == "optical":
-            dom = TomogramDomain.optical_default(grid, n_theta * factor)
-        elif representation == "symplectic-section":
-            dom = TomogramDomain.symplectic_grid(
-                grid,
-                np.linspace(0.85, 1.15, (n_mu - 1) * factor + 1),
-                np.linspace(0.75, 1.05, (n_nu - 1) * factor + 1))
-        else:
-            dom = None
+        n_grid = n * factor if representation in ("wigner", "husimi") else n
+        grid = PhaseSpaceGrid.centered(n_grid, length, hbar, mass, omega)
+        dom = default_domain(representation, grid, n_theta * factor,
+                             (n_mu - 1) * factor + 1, (n_nu - 1) * factor + 1)
         dt = dt_frame / factor
         prop = PropagatorConfig(dt=dt / substeps, n_steps=substeps * (n_frames - 1),
                                 scheme="split-step-strang", save_every=substeps)

@@ -289,10 +289,8 @@ def save_vector(v: VectorDistribution, directory: str | Path, basename: str = "v
     if v.domain is not None:
         meta["domain"] = v.domain.describe()
     (directory / f"{basename}.json").write_text(json.dumps(meta, sort_keys=True))
-    kind = "wigner" if v.representation in ("wigner", "husimi") else (
-        "optical" if v.representation == "optical" else "symplectic-section")
     for j, comp in enumerate(v.components):
-        save_field(ScalarField(v.grid, comp, kind, domain=v.domain),
+        save_field(ScalarField(v.grid, comp, v.representation, domain=v.domain),
                    directory / f"{basename}_w{j + 1}")
 
 

@@ -12,8 +12,11 @@ from spintomo import (
     EMFieldConfig,
     PropagatorConfig,
     SpinorDensity,
+    StateSpec,
+    build_spin1_frame,
     evolve_oracle,
     evolve_wigner_vector,
+    residual_convergence,
     spin_coherent_state,
     to_vector,
 )
@@ -98,13 +101,40 @@ class TestScenarios:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "grid": {"n": 64},
-            "run": {"representations": ["wigner"], "n": 64, "n_frames": 4,
+            "run": {"representations": ["wigner"], "n_frames": 4,
                     "dt_frame": 0.04, "substeps": 6}}))
         rc = main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 0
         rep = read_report(tmp_path / "o")
         assert 3.0 <= rep["measurements"]["wigner"]["ratio_max"] <= 5.0
         assert (tmp_path / "o" / "residual_convergence.csv").exists()
+
+    def test_residual_field_mass(self, tmp_path):
+        # the optical and Husimi drifts carry the field's mass, not the grid's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"field": {"m": 2.0},
+                                   "run": {"representations": ["optical", "husimi"]}}))
+        assert main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        rep = read_report(tmp_path / "o")
+        for name in ("optical", "husimi"):
+            assert 3.0 <= rep["measurements"][name]["ratio_max"] <= 5.0
+
+    def test_residual_grid_section_sets_the_grid(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 64, "length": 20.0},
+                                   "run": {"representations": ["wigner"], "n_frames": 3,
+                                           "substeps": 2}}))
+        assert main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        rep = read_report(tmp_path / "o")
+        fld = EMFieldConfig(phi=(0.0, 0.2, 0.5), b_field=[0.4, 0.3, 0.5], kappa=0.8)
+        spec = StateSpec(spin_direction=(1, 0, 0), q0=0.8, p0=0.5)
+        direct = residual_convergence("wigner", fld, build_spin1_frame(), spec, n=64,
+                                      length=20.0, n_frames=3, substeps=2)
+        assert rep["measurements"]["wigner"]["coarse_max"] == direct.coarse.max_residual
+        assert "n" not in rep["config"]["run"] and "length" not in rep["config"]["run"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"run": {"n": 64}}))
+        assert main(["residual", "--config", str(bad), "--out", str(tmp_path / "b")]) == 2
 
     def test_exit_codes_contract(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -166,7 +196,7 @@ class TestScenarios:
         residual = tmp_path / "residual.json"
         residual.write_text(json.dumps({
             "grid": {"n": 64},
-            "run": {"representations": ["wigner"], "n": 64, "n_frames": 3, "substeps": 2}}))
+            "run": {"representations": ["wigner"], "n_frames": 3, "substeps": 2}}))
         for argv in (["audit-frame"], ["precess"], ["wavepacket", "--config", str(wave)],
                      ["residual", "--config", str(residual)]):
             main(argv + ["--out", str(tmp_path / "out" / argv[0])])

@@ -37,8 +37,9 @@ def kick_drift_reference(v0, fld, prop):
     kq = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
     kp = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dp)
     vel = (grid.p - fld.e * fld.a_at() / fld.c_light) / fld.mass
+    _, c1, c2 = fld.phi_coeffs()
     drift_phase = np.exp(-1j * np.outer(kq, vel) * dt)
-    half_kick = np.exp(0.5j * np.outer(fld.e * fld.dphi_dq(grid.q) * dt, kp))
+    half_kick = np.exp(0.5j * np.outer(fld.e * (c1 + 2.0 * c2 * grid.q) * dt, kp))
     full_kick = half_kick * half_kick
     s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
     w = v0.components.astype(complex)
@@ -78,7 +79,21 @@ class TestFieldConfig:
         fld = EMFieldConfig(phi=(1.0, 2.0, 3.0))
         q = np.array([0.0, 1.0])
         assert np.allclose(fld.phi_at(q), [1.0, 6.0])
-        assert np.allclose(fld.dphi_dq(q), [2.0, 8.0])
+        # dp/dt = -e phi'(q) = -(2 + 6 q)
+        assert np.allclose(fld.phase_flow()[1], [-6.0, 0.0, -2.0])
+
+    def test_phase_flow(self):
+        fld = EMFieldConfig(phi=(1.0, 0.3, 0.5), a_long=0.4, e=-2.0, c_light=2.0, mass=4.0)
+        flow = fld.phase_flow()
+        assert np.allclose(flow, [[0.0, 0.25, 0.1], [2.0, 0.0, 0.6], [0.0, 0.0, 0.0]])
+        # L (q, p, 1) is the right-hand side of Hamilton's equations
+        q, p = 0.7, -0.2
+        assert np.allclose(flow @ [q, p, 1.0], [(p - fld.e * 0.4 / fld.c_light) / fld.mass,
+                                                -fld.e * (0.3 + 2 * 0.5 * q), 0.0])
+        with pytest.raises(UnsupportedPotentialError):
+            EMFieldConfig(a_long=lambda t: t).phase_flow()
+        with pytest.raises(UnsupportedPotentialError):
+            EMFieldConfig(phi=lambda q, t: q**4).phase_flow()
 
     def test_callable_potential_not_quadratic(self):
         fld = EMFieldConfig(phi=lambda q, t: np.cos(q))
@@ -86,14 +101,11 @@ class TestFieldConfig:
         with pytest.raises(UnsupportedPotentialError):
             fld.phi_coeffs()
 
-    def test_curl_consistency_check(self):
-        EMFieldConfig(b_field=[0, 1, 2], transverse_slopes=(2.0, -1.0))
-        with pytest.raises(ValueError, match="inconsistent"):
-            EMFieldConfig(b_field=[0, 1, 2], transverse_slopes=(5.0, -1.0))
-
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            EMFieldConfig(kappa=np.inf)
+        for bad in ({"kappa": np.inf}, {"mass": 0.0}, {"mass": -1.0},
+                    {"c_light": 0.0}, {"c_light": -2.0}):
+            with pytest.raises(ValueError):
+                EMFieldConfig(**bad)
 
     def test_zeeman_matrix(self):
         fld = EMFieldConfig(b_field=[0, 0, 2.0], kappa=0.7, spin=1.0)

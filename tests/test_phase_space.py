@@ -239,6 +239,21 @@ class TestFilteredBackProjection:
         with pytest.raises(UndersampledDomainError):
             wigner_from_optical(tom)
 
+    @pytest.mark.parametrize("thetas", [
+        np.pi * np.arange(32) / 64,                                   # half range
+        np.sort(np.random.default_rng(0).uniform(0.0, np.pi, 32)),    # irregular
+    ], ids=["half-range", "irregular"])
+    def test_non_uniform_angles_rejected(self, grid64, thetas):
+        # forward tomograms take any angles; the inverse and the sections
+        # need theta_k = pi k / n_theta
+        w = wigner_from_density(ground_state_field(grid64))
+        tom = optical_tomogram(w, TomogramDomain(kind="optical", x=grid64.q, thetas=thetas))
+        assert np.all(np.isfinite(tom.values))
+        with pytest.raises(UndersampledDomainError):
+            wigner_from_optical(tom)
+        with pytest.raises(UndersampledDomainError):
+            symplectic_section(tom, 1.0, 0.5)
+
 
 @pytest.fixture(scope="module")
 def ground_tomogram(grid128):

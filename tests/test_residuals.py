@@ -6,10 +6,13 @@ from spintomo import (
     PhaseSpaceGrid,
     PropagatorConfig,
     SpinorDensity,
+    ScalarField,
     StateSpec,
     TomogramDomain,
+    UndersampledDomainError,
     UnsupportedPotentialError,
     evolve_oracle,
+    husimi_from_wigner,
     oscillator_eigenstate,
     residual_check,
     residual_convergence,
@@ -72,13 +75,6 @@ class TestResidualCheck:
         with pytest.raises(UnsupportedPotentialError):
             residual_check(traj, fld, "wigner", frame)
 
-    def test_husimi_requires_unit_constants(self, frame):
-        grid = PhaseSpaceGrid.balanced(64, mass=2.0)
-        fld = EMFieldConfig(phi=(0, 0, 0.5), mass=2.0, spin=1.0)
-        traj = short_trajectory(grid, fld)
-        with pytest.raises(ValueError, match="hbar"):
-            residual_check(traj, fld, "husimi", frame)
-
     def test_report_fields(self, frame):
         grid = PhaseSpaceGrid.balanced(64)
         traj = short_trajectory(grid, FIELD, n_frames=4)
@@ -101,6 +97,23 @@ class TestResidualCheck:
 
 
 class TestGenerators:
+    def test_husimi_drift_is_smoothed_wigner_drift(self, frame):
+        # Husimi = Gaussian smoothing of Wigner, so its drift applied to the
+        # Husimi components equals the smoothed Wigner drift, for any hbar,
+        # grid mass and omega and any field mass (the packet is narrowed so
+        # that its kernel coherences vanish at half the smaller box)
+        grid = PhaseSpaceGrid.balanced(128, hbar=0.8, mass=1.5, omega=1.3)
+        fld = EMFieldConfig(phi=(0.0, 0.2, 0.5), a_long=0.3, b_field=[0.4, 0.3, 0.5],
+                            kappa=0.8, mass=0.7, spin=1.0)
+        rho = StateSpec(spin_direction=(1, 0, 0), q0=0.8, p0=0.5, sigma=0.6).build(grid)
+        w = to_vector(rho, frame, "wigner").components
+        h = to_vector(rho, frame, "husimi").components
+        drift_w = representation_generator("wigner", grid, None, fld)(w)
+        smoothed = np.stack([husimi_from_wigner(ScalarField(grid, c, "wigner")).values
+                             for c in drift_w])
+        drift_h = representation_generator("husimi", grid, None, fld)(h)
+        assert np.max(np.abs(drift_h - smoothed)) < 1e-10 * np.max(np.abs(drift_h))
+
     def test_oscillator_optical_generator_reduces_to_rotation(self, frame):
         # for the matched oscillator the drift collapses to w -> d_theta w
         grid = PhaseSpaceGrid.balanced(128)
@@ -112,6 +125,13 @@ class TestGenerators:
         from spintomo.residuals import _theta_derivative
         expected = grid.omega * _theta_derivative(v, dom.thetas, x_axis=2)
         assert np.max(np.abs(gen(v) - expected)) < 1e-10
+
+    def test_non_uniform_angles_rejected(self, frame):
+        grid = PhaseSpaceGrid.balanced(64)
+        dom = TomogramDomain(kind="optical", x=grid.q, thetas=np.pi * np.arange(32) / 64)
+        v = to_vector(SPEC.build(grid, 1.0), frame, "optical", dom).components
+        with pytest.raises(UndersampledDomainError):
+            optical_generator(grid, dom, FIELD)(v)
 
     def test_unknown_representation(self, frame):
         grid = PhaseSpaceGrid.balanced(64)
@@ -138,3 +158,15 @@ class TestConvergence:
                                       dt_frame=0.04, substeps=6, mass=2.0)
         assert 3.0 <= report.ratio_max <= 5.0
         assert report.coarse.max_residual < 0.05
+
+    @pytest.mark.parametrize("rep", ["wigner", "optical", "symplectic-section", "husimi"])
+    def test_second_order_at_non_unit_constants(self, frame, rep):
+        # hbar, grid mass and omega differ from 1 and from the field mass, so
+        # a drift that mixes up the grid's m omega and the field's m, or that
+        # assumes unit constants, stops converging
+        fld = EMFieldConfig(phi=(0.0, 0.2, 0.5), b_field=[0.4, 0.3, 0.5], kappa=0.8,
+                            mass=0.7, spin=1.0)
+        grid = PhaseSpaceGrid.balanced(128, hbar=0.8, mass=1.5, omega=1.3)
+        report = residual_convergence(rep, fld, frame, SPEC, n=128, length=grid.length,
+                                      hbar=0.8, mass=1.5, omega=1.3)
+        assert 3.0 <= report.ratio_max <= 5.0

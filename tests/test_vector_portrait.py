@@ -13,6 +13,7 @@ from spintomo import (
     fidelity_with_pure,
     from_vector,
     gaussian_packet,
+    load_field,
     oscillator_eigenstate,
     random_band_limited_state,
     random_frame,
@@ -240,11 +241,18 @@ class TestAudit:
 class TestSerialization:
     def test_save_vector_files(self, frame, grid64, tmp_path):
         rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
-        v = to_vector(rho, frame, "wigner")
-        save_vector(v, tmp_path, "vec")
-        assert (tmp_path / "vec.json").exists()
-        assert (tmp_path / "vec_w1.bin").exists()
-        assert (tmp_path / "vec_w9.json").exists()
+        for rep, dom in (("wigner", None), ("husimi", None),
+                         ("optical", TomogramDomain.optical_default(grid64, 32)),
+                         ("symplectic-section", TomogramDomain.symplectic_grid(
+                             grid64, [0.9, 1.1], [0.8, 1.0]))):
+            v = to_vector(rho, frame, rep, dom)
+            save_vector(v, tmp_path / rep, "vec")
+            assert (tmp_path / rep / "vec.json").exists()
+            assert (tmp_path / rep / "vec_w1.bin").exists()
+            assert (tmp_path / rep / "vec_w9.json").exists()
+            back = load_field(tmp_path / rep / "vec_w9")
+            assert back.kind == rep
+            assert np.array_equal(back.values, v.components[8])
 
     def test_csv_export(self, frame, grid64, tmp_path):
         rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
