@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     DegenerateFrameError,
     FrameSearchError,
-    InvalidStateError,
     SchemeMismatchError,
     UndersampledDomainError,
     UnsupportedInverseError,
@@ -30,11 +29,8 @@ from .errors import (
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain, field_to_csv, load_field, save_field
 from .phase_space import (
     ddx,
-    density_from_wigner,
     husimi_from_wigner,
-    optical_tomogram,
     symplectic_section,
-    wigner_from_density,
     wigner_from_optical,
 )
 from .residuals import (

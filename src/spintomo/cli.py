@@ -20,8 +20,6 @@ from .dynamics import (
     ORACLE_SCHEMES,
     EMFieldConfig,
     PropagatorConfig,
-    Trajectory,
-    VectorTrajectory,
     conserved_columns,
     evolve_oracle,
     fit_precession_frequency,
@@ -231,43 +229,6 @@ def _gate(value: float, threshold: float, scale: float) -> dict:
     return {"value": float(value), "threshold": float(thr), "pass": bool(value <= thr)}
 
 
-def emit_plot_data(traj, what: str, path: str | Path, theta_index: int = 0) -> None:
-    """Tidy CSV (one row per (t, series) pair) from a trajectory.
-
-    what = "component-integrals": the (2s+1)^2 component integrals per frame;
-    "conserved": trace/energy/norm series; "slice": the X-profile of every
-    component at one tomographic angle (or at p = 0 for wigner frames).
-    """
-    if not isinstance(traj, (Trajectory, VectorTrajectory)):
-        raise ValueError("unsupported trajectory object")
-    if not len(traj.times):
-        raise ValueError("empty trajectory")
-    if what == "conserved":
-        write_csv(path, conserved_columns(traj))
-        return
-    if isinstance(traj, Trajectory):
-        raise ValueError("oracle trajectories export the 'conserved' table")
-    first = traj.frames[0]
-    series = [f"w{j + 1}" for j in range(len(first.components))]
-    if what == "component-integrals":
-        t, names = np.meshgrid(traj.times, series, indexing="ij")
-        values = np.stack([f.component_integrals() for f in traj.frames])
-        write_csv(path, {"t": t.ravel(), "series": names.ravel(), "value": values.ravel()})
-        return
-    if what == "slice":
-        if first.representation == "optical":
-            xs = first.domain.x
-            values = np.stack([f.components[:, theta_index, :] for f in traj.frames])
-        else:
-            xs = first.grid.q
-            values = np.stack([f.components[:, :, first.grid.n // 2] for f in traj.frames])
-        t, names, x = np.meshgrid(traj.times, series, xs, indexing="ij")
-        write_csv(path, {"t": t.ravel(), "series": names.ravel(), "X": x.ravel(),
-                         "value": values.ravel()})
-        return
-    raise ValueError(f"unknown plot-data kind {what!r}")
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -383,7 +344,7 @@ def _run_wavepacket(cfg: dict, out: Path, scale: float) -> dict:
         to_vector(s, frame, "wigner").normalization_sum() for s in traj.states
     ])
 
-    emit_plot_data(traj, "conserved", out / "conserved.csv")
+    write_csv(out / "conserved.csv", conserved_columns(traj))
     write_csv(out / "norm_sums.csv", {"t": traj.times, "series": ["norm_sum"] * len(norm_sums),
                                       "value": norm_sums})
 

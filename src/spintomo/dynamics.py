@@ -188,10 +188,6 @@ class Trajectory:
     field: EMFieldConfig
     scheme: str
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def _strang_steps(psis: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
                   t0: float, dt: float, n_sub: int) -> np.ndarray:
@@ -292,10 +288,6 @@ class VectorTrajectory:
     field: EMFieldConfig
     scheme: str
     norm_sums: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 # Largest p-shear slope of a sub-map in grid units (dp per dq): a p-shear

@@ -9,10 +9,6 @@ class FrameSearchError(RuntimeError):
     """Rejection sampling failed to find a well-conditioned projector frame."""
 
 
-class InvalidStateError(ValueError):
-    """Input violates a state precondition (Hermiticity, trace, positivity)."""
-
-
 class UndersampledDomainError(ValueError):
     """Tomogram domain too coarse for the requested inversion."""
 

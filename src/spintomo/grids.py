@@ -1,4 +1,5 @@
-"""Phase-space grids, tomogram domains, and field containers with file I/O."""
+"""Phase-space grids, tomogram domains, the per-component field container
+with its file I/O, and the package's one CSV writer."""
 from __future__ import annotations
 
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-FIELD_KINDS = ("density-matrix", "wigner", "husimi", "optical", "symplectic-section")
+FIELD_KINDS = ("wigner", "husimi", "optical", "symplectic-section")
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -55,14 +56,6 @@ class PhaseSpaceGrid:
         stay inside the supported frequency band."""
         length = float(np.sqrt(2.0 * np.pi * hbar * n / (mass * omega)))
         return cls.centered(n, length, hbar, mass, omega)
-
-    @property
-    def n_q(self) -> int:
-        return self.n
-
-    @property
-    def n_p(self) -> int:
-        return self.n
 
     @property
     def length(self) -> float:
@@ -166,8 +159,10 @@ class TomogramDomain:
 class ScalarField:
     """Array of field values tagged with its grid, kind, and optional domain.
 
-    Shapes by kind: density-matrix and wigner/husimi are (n, n); optical is
-    (n_theta, n_x); symplectic-section is (n_mu, n_nu, n_x).
+    Kept as the container of one vector component for save_field, load_field
+    and field_to_csv, and as the argument of the single-field maps.  Shapes by
+    kind: wigner/husimi are (n, n); optical is (n_theta, n_x);
+    symplectic-section is (n_mu, n_nu, n_x).
     """
 
     grid: PhaseSpaceGrid
@@ -179,21 +174,6 @@ class ScalarField:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
-
-    def integral(self) -> float:
-        """Total mass of the field under its natural measure."""
-        g = self.grid
-        if self.kind == "density-matrix":
-            return float(np.trace(self.values).real * g.dx)
-        if self.kind in ("wigner", "husimi"):
-            return float(np.sum(self.values).real * g.cell)
-        return float(np.mean(np.sum(self.values, axis=-1)) * self.domain.dx)
-
-    def slice_integrals(self) -> np.ndarray:
-        """Per-slice integrals over X (optical / symplectic kinds)."""
-        if self.kind not in ("optical", "symplectic-section"):
-            raise ValueError("slice integrals only defined for tomogram kinds")
-        return np.sum(self.values, axis=-1) * self.domain.dx
 
 
 def save_field(fld: ScalarField, basename: str | Path) -> None:
@@ -253,9 +233,7 @@ def write_csv(path: str | Path, columns: dict) -> None:
 def _coordinate_columns(kind: str, grid: PhaseSpaceGrid,
                         domain: TomogramDomain | None) -> dict:
     """Coordinate columns of a field kind, raveled in the C order of its values."""
-    if kind == "density-matrix":
-        axes = {"x": grid.q, "x_prime": grid.q}
-    elif kind in ("wigner", "husimi"):
+    if kind in ("wigner", "husimi"):
         axes = {"q": grid.q, "p": grid.p}
     elif kind == "optical":
         axes = {"theta": domain.thetas, "X": domain.x}

@@ -1,10 +1,13 @@
-"""Spatial representation transforms on a 1-D grid.
+"""Spatial representation transforms on a 1-D grid, applied per component.
 
 Density kernel <-> Wigner by FFT over the skew coordinate (with exact Fourier
 interpolation at half-grid points); optical and symplectic tomograms by
 metaplectic rotation of kernel factors; optical -> Wigner by ramp-filtered
 back-projection; Wigner -> Husimi by Gaussian smoothing; plus the
 Fourier-multiplier operators used by the tomographic evolution equations.
+These act on kernel and component stacks for vector_portrait; a spinless
+state is the spin-0 case of that API (one component, U = D = 1), so there is
+no separate scalar density entry point.
 
 Tomograms: a Hermitian kernel K = sum_r lam_r phi_r phi_r^H (signed
 eigen-factors) has the quadrature marginal
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .errors import InvalidStateError, UndersampledDomainError
+from .errors import UndersampledDomainError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
 
 
@@ -72,7 +75,8 @@ def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _wigner_of_kernel(rho: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Wigner transform of a (not necessarily unit-trace) Hermitian kernel.
+    """Wigner transform of a (not necessarily unit-trace) Hermitian kernel:
+    the per-component spatial map of to_vector.
 
     Returns the complex array on the (q, p-ascending) grid; callers take the
     real part after checking the imaginary residue.
@@ -90,7 +94,8 @@ def _wigner_of_kernel(rho: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
 
 
 def _kernel_of_wigner(w: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Inverse of _wigner_of_kernel (exact on grid-supported states)."""
+    """Inverse of _wigner_of_kernel (exact on grid-supported states): the
+    per-component spatial map of from_vector and of the tomogram routines."""
     n = grid.n
     skew = np.fft.ifft(np.fft.ifftshift(np.asarray(w, dtype=complex), axes=1), axis=1)
     skew *= 2.0 * np.pi * grid.hbar / grid.dx
@@ -101,30 +106,6 @@ def _kernel_of_wigner(w: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     # signed offset representative; wrapped offsets shift the midpoint by L/2
     s = (d + n // 2) % n - n // 2
     return centers_fine[(2 * a - s) % (2 * n), d % n]
-
-
-def wigner_from_density(fld: ScalarField) -> ScalarField:
-    """Wigner function of a density kernel rho(x, x')."""
-    if fld.kind != "density-matrix":
-        raise ValueError(f"expected a density-matrix field, got {fld.kind!r}")
-    rho = fld.values
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > 1e-8:
-        raise InvalidStateError(f"kernel is not Hermitian (residue {herm:.2e})")
-    tr = float(np.trace(rho).real * fld.grid.dx)
-    if abs(tr - 1.0) > 1e-10:
-        raise InvalidStateError(f"kernel trace {tr!r} != 1")
-    w = _wigner_of_kernel(rho, fld.grid)
-    residue = float(np.max(np.abs(w.imag)))
-    return ScalarField(grid=fld.grid, values=w.real, kind="wigner", imag_residue=residue)
-
-
-def density_from_wigner(fld: ScalarField) -> ScalarField:
-    """Density kernel from a Wigner field (inverse FFT map)."""
-    if fld.kind != "wigner":
-        raise ValueError(f"expected a wigner field, got {fld.kind!r}")
-    rho = _kernel_of_wigner(fld.values, fld.grid)
-    return ScalarField(grid=fld.grid, values=rho, kind="density-matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +253,6 @@ def symplectic_profiles(w_stack: np.ndarray, grid: PhaseSpaceGrid,
     return prof.reshape(w_stack.shape[:-2] + (len(mu), len(nu), len(x)))
 
 
-def optical_tomogram(fld: ScalarField, dom: TomogramDomain) -> ScalarField:
-    """Optical tomogram (Radon marginals) of a Wigner field."""
-    if fld.kind != "wigner":
-        raise ValueError(f"expected a wigner field, got {fld.kind!r}")
-    if dom.kind != "optical":
-        raise ValueError("optical tomogram needs an optical domain")
-    values = radon_slices(fld.values[None, :, :], fld.grid, dom.thetas, dom.x)[0]
-    return ScalarField(grid=fld.grid, values=values, kind="optical", domain=dom)
-
-
 # ---------------------------------------------------------------------------
 # filtered back-projection
 # ---------------------------------------------------------------------------
@@ -391,7 +362,11 @@ def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -
 
 
 def wigner_from_optical(fld: ScalarField) -> ScalarField:
-    """Ramp-filtered back-projection of one optical tomogram (see back_project)."""
+    """Ramp-filtered back-projection of one optical tomogram (see back_project).
+
+    Kept as the single-field entry point whose name and signature the
+    benchmark's span table traces; from_vector calls back_project directly.
+    """
     if fld.kind != "optical":
         raise ValueError(f"expected an optical field, got {fld.kind!r}")
     values = back_project(fld.values[None], fld.grid, fld.domain)[0]
@@ -403,12 +378,14 @@ def wigner_from_optical(fld: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distribution of mu*q + nu*p from an optical tomogram.
+    """Distribution of mu*q + nu*p from an optical tomogram: the paper's
+    optical -> symplectic relation, applied to one component.
 
     Uses the homogeneity relation M(X, mu, nu) = w(X/r, theta)/r with
-    r = sqrt(mu^2 + nu^2 m^2 w^2) and theta = atan2(nu m w, mu), read between
-    the tomogram's angles by band-limited interpolation on the uniform grid
-    of angle_step.  Returns (x, profile) on the tomogram's quadrature grid.
+    r = sqrt(mu^2 + nu^2 m^2 w^2) and theta = atan2(nu m w, mu) in [0, 2 pi),
+    read between the tomogram's angles by band-limited interpolation of the
+    2 pi-extended series on the uniform grid of angle_step.  Returns
+    (x, profile) on the tomogram's quadrature grid.
     """
     if tom.kind != "optical":
         raise ValueError(f"expected an optical field, got {tom.kind!r}")
@@ -417,7 +394,8 @@ def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarr
     g = tom.grid
     m_omega = g.mass * g.omega
     r = float(np.hypot(mu, nu * m_omega))
-    theta = float(np.arctan2(nu * m_omega, mu)) % np.pi
+    # the second fold maps a tiny negative angle, which rounds up to 2 pi, to 0
+    theta = float(np.arctan2(nu * m_omega, mu)) % (2.0 * np.pi) % (2.0 * np.pi)
     x = tom.domain.x
     thetas = tom.domain.thetas
     angle_step(thetas)
@@ -444,6 +422,9 @@ def husimi_from_wigner(fld: ScalarField) -> ScalarField:
     """Husimi function: Weierstrass (Gaussian) smoothing of the Wigner function
     with the variances of husimi_variances, so the result equals the
     coherent-state expectation divided by 2*pi*hbar.
+
+    Kept as the single-field map to_vector applies per Husimi component; the
+    benchmark's span table traces it by this name and signature.
     """
     if fld.kind != "wigner":
         raise ValueError(f"expected a wigner field, got {fld.kind!r}")

@@ -76,25 +76,6 @@ class SpinorDensity:
         d, _, n, _ = self.blocks.shape
         return np.transpose(self.blocks, (0, 2, 1, 3)).reshape(d * n, d * n)
 
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, grid: PhaseSpaceGrid, spin_dim: int) -> "SpinorDensity":
-        n = grid.n
-        blocks = np.transpose(mat.reshape(spin_dim, n, spin_dim, n), (0, 2, 1, 3))
-        return cls(grid=grid, blocks=np.ascontiguousarray(blocks))
-
-    def positivity_samples(self, n_vectors: int = 100, seed: int = 0) -> float:
-        """Smallest <phi|rho|phi> over randomized normalized test vectors."""
-        rng = np.random.default_rng(seed)
-        d, _, n, _ = self.blocks.shape
-        worst = np.inf
-        mat = self.to_matrix()
-        for _ in range(n_vectors):
-            phi = rng.normal(size=d * n) + 1j * rng.normal(size=d * n)
-            phi /= np.linalg.norm(phi) * np.sqrt(self.grid.dx)
-            val = float(np.real(phi.conj() @ mat @ phi) * self.grid.dx**2)
-            worst = min(worst, val)
-        return worst
-
     def eigen_decomposition(self, tol: float = 1e-12):
         """Probabilities and discrete-normalized spinor fields with p > tol.
 

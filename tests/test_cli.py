@@ -20,8 +20,10 @@ from spintomo import (
     spin_coherent_state,
     to_vector,
 )
-from spintomo.cli import emit_plot_data, load_config, main
+from spintomo.cli import load_config, main
+from spintomo.dynamics import conserved_columns
 from spintomo.errors import ConfigError
+from spintomo.grids import write_csv
 
 
 def read_report(out_dir):
@@ -251,12 +253,7 @@ def trajectories(frame, grid64):
 
 
 class TestEmitPlotData:
-    def test_component_integrals_tidy(self, trajectories, tmp_path):
-        vec, _ = trajectories
-        emit_plot_data(vec, "component-integrals", tmp_path / "ci.csv")
-        lines = (tmp_path / "ci.csv").read_text().splitlines()
-        assert lines[0] == "t,series,value"
-        assert len(lines) == 1 + 9 * len(vec.frames)
+    """Plot data the CLI emits from trajectories."""
 
     def test_component_integrals_constant_under_bz(self, trajectories):
         # the three z-axis weights are stationary for a field along z
@@ -267,22 +264,9 @@ class TestEmitPlotData:
 
     def test_conserved_oracle(self, trajectories, tmp_path):
         _, orc = trajectories
-        emit_plot_data(orc, "conserved", tmp_path / "c.csv")
+        write_csv(tmp_path / "c.csv", conserved_columns(orc))
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert lines[0] == "t,series,value"
         energies = [float(l.split(",")[2]) for l in lines[1:] if ",energy," in l]
         assert len(energies) == 5
         assert max(energies) - min(energies) < 1e-3 * abs(energies[0])
-
-    def test_slice(self, trajectories, tmp_path):
-        vec, _ = trajectories
-        emit_plot_data(vec, "slice", tmp_path / "s.csv")
-        header = (tmp_path / "s.csv").read_text().splitlines()[0]
-        assert header == "t,series,X,value"
-
-    def test_empty_trajectory_rejected(self, trajectories, tmp_path):
-        vec, _ = trajectories
-        empty = type(vec)(times=np.array([]), frames=[], field=vec.field,
-                          scheme=vec.scheme, norm_sums=np.array([]))
-        with pytest.raises(ValueError, match="empty"):
-            emit_plot_data(empty, "component-integrals", tmp_path / "e.csv")

@@ -2,30 +2,45 @@ import numpy as np
 import pytest
 
 from spintomo import (
-    InvalidStateError,
     PhaseSpaceGrid,
     ScalarField,
+    SpinorDensity,
     TomogramDomain,
     UndersampledDomainError,
-    density_from_wigner,
+    VectorDistribution,
+    audit,
+    build_frame,
     field_to_csv,
+    from_vector,
     gaussian_packet,
     husimi_from_wigner,
     load_field,
-    optical_tomogram,
     oscillator_eigenstate,
     random_band_limited_state,
     save_field,
     symplectic_section,
-    wigner_from_density,
+    to_vector,
     wigner_from_optical,
 )
 from spintomo.phase_space import ddx, fourier_upsample2, radon_slices
 
 
-def ground_state_field(grid):
-    psi = oscillator_eigenstate(grid, 0)
-    return ScalarField(grid, np.outer(psi, psi.conj()), "density-matrix")
+@pytest.fixture(scope="module")
+def frame0():
+    """The spin-0 frame: one component with U = D = 1, so the vector API
+    maps a spinless state to its scalar portraits."""
+    return build_frame(0.0, [[0, 0, 1]], [0.0])
+
+
+def portrait(psi, grid, frame0, rep="wigner", dom=None):
+    """Spin-0 portrait of the pure spinless state psi, shape (1, ...)."""
+    return to_vector(SpinorDensity.from_pure(psi[None], grid), frame0, rep, dom).components
+
+
+def optical_field(psi, grid, frame0, dom):
+    """Optical tomogram of psi as a ScalarField, for the single-field maps."""
+    return ScalarField(grid, portrait(psi, grid, frame0, "optical", dom)[0], "optical",
+                       domain=dom)
 
 
 class TestGrid:
@@ -80,47 +95,43 @@ class TestFourierHelpers:
 
 
 class TestWigner:
-    def test_ground_state_gaussian(self, grid128):
-        w = wigner_from_density(ground_state_field(grid128))
+    def test_ground_state_gaussian(self, grid128, frame0):
+        v = to_vector(SpinorDensity.from_pure(oscillator_eigenstate(grid128, 0)[None], grid128),
+                      frame0, "wigner")
+        w = v.components[0]
         q, p = np.meshgrid(grid128.q, grid128.p, indexing="ij")
         exact = np.exp(-q**2 - p**2) / np.pi
-        assert np.max(np.abs(w.values - exact)) < 1e-8
-        assert w.imag_residue < 1e-12
-        assert abs(w.values.sum() * grid128.cell - 1.0) < 1e-8
+        assert np.max(np.abs(w - exact)) < 1e-8
+        assert v.imag_residues[0] < 1e-12
+        assert abs(w.sum() * grid128.cell - 1.0) < 1e-8
 
-    def test_purity_identity(self, grid128, rng):
-        psi = random_band_limited_state(grid128, rng)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
-        purity = 2 * np.pi * grid128.hbar * np.sum(w.values**2) * grid128.cell
+    def test_purity_identity(self, grid128, rng, frame0):
+        w = portrait(random_band_limited_state(grid128, rng), grid128, frame0)[0]
+        purity = 2 * np.pi * grid128.hbar * np.sum(w**2) * grid128.cell
         assert abs(purity - 1.0) < 1e-6
 
-    def test_first_excited_origin_value(self, grid128):
-        psi = oscillator_eigenstate(grid128, 1)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
+    def test_first_excited_origin_value(self, grid128, frame0):
+        w = portrait(oscillator_eigenstate(grid128, 1), grid128, frame0)[0]
         i0 = grid128.n // 2
-        assert abs(w.values[i0, i0] + 1.0 / np.pi) < 1e-6
+        assert abs(w[i0, i0] + 1.0 / np.pi) < 1e-6
 
-    def test_round_trip_ground(self, grid128):
-        fld = ground_state_field(grid128)
-        back = density_from_wigner(wigner_from_density(fld))
+    def test_round_trip_ground(self, grid128, frame0):
+        rho = SpinorDensity.from_pure(oscillator_eigenstate(grid128, 0)[None], grid128)
+        back = from_vector(to_vector(rho, frame0, "wigner"), frame0).blocks[0, 0]
         x, xp = np.meshgrid(grid128.q, grid128.q, indexing="ij")
         exact = np.exp(-(x**2 + xp**2) / 2) / np.sqrt(np.pi)
-        assert np.max(np.abs(back.values - exact)) < 1e-8
+        assert np.max(np.abs(back - exact)) < 1e-8
 
-    def test_round_trip_random_mixture(self, grid128, rng):
-        rho = sum(p * np.outer(v, v.conj()) for p, v in
-                  [(0.5, random_band_limited_state(grid128, rng)),
-                   (0.3, random_band_limited_state(grid128, rng)),
-                   (0.2, random_band_limited_state(grid128, rng))])
-        fld = ScalarField(grid128, rho, "density-matrix")
-        back = density_from_wigner(wigner_from_density(fld))
-        assert np.max(np.abs(back.values - rho)) < 1e-10
+    def test_round_trip_random_mixture(self, grid128, rng, frame0):
+        rho = SpinorDensity.from_mixture(
+            [0.5, 0.3, 0.2], [random_band_limited_state(grid128, rng)[None] for _ in range(3)],
+            grid128)
+        back = from_vector(to_vector(rho, frame0, "wigner"), frame0).blocks[0, 0]
+        assert np.max(np.abs(back - rho.blocks[0, 0])) < 1e-10
 
-    def test_zero_field_maps_to_zero(self, grid64):
-        w = ScalarField(grid64, np.zeros((64, 64)), "wigner")
-        assert np.max(np.abs(density_from_wigner(w).values)) == 0.0
+    def test_zero_field_maps_to_zero(self, grid64, frame0):
+        v = VectorDistribution("wigner", np.zeros((1, 64, 64)), frame0, grid64)
+        assert np.max(np.abs(from_vector(v, frame0).blocks)) == 0.0
 
     def test_linearity(self, grid64, rng):
         psi1 = random_band_limited_state(grid64, rng)
@@ -132,71 +143,61 @@ class TestWigner:
         parts = a * _wigner_of_kernel(k1, grid64) + b * _wigner_of_kernel(k2, grid64)
         assert np.max(np.abs(combo - parts)) < 1e-10
 
-    def test_non_hermitian_rejected(self, grid64, rng):
+    def test_non_hermitian_rejected(self, grid64, rng, frame0):
         bad = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-        with pytest.raises(InvalidStateError):
-            wigner_from_density(ScalarField(grid64, bad, "density-matrix"))
+        v = to_vector(SpinorDensity(grid64, bad[None, None]), frame0, "wigner")
+        assert not audit(v).realness_ok
 
-    def test_unnormalized_rejected(self, grid64):
-        psi = oscillator_eigenstate(grid64, 0)
-        with pytest.raises(InvalidStateError):
-            wigner_from_density(ScalarField(grid64, 2.0 * np.outer(psi, psi.conj()),
-                                            "density-matrix"))
+    def test_unnormalized_rejected(self, grid64, frame0):
+        psi = np.sqrt(2.0) * oscillator_eigenstate(grid64, 0)
+        report = audit(to_vector(SpinorDensity.from_pure(psi[None], grid64), frame0, "wigner"))
+        assert report.normalization_sum == pytest.approx(2.0, abs=1e-8)
+        assert not report.normalization_ok
 
 
 class TestOpticalTomogram:
-    def test_theta_zero_is_position_density(self, grid128):
+    def test_theta_zero_is_position_density(self, grid128, frame0):
         psi = gaussian_packet(grid128, 0.8, 0.5, 0.9)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
         dom = TomogramDomain.optical_default(grid128, 64)
-        tom = optical_tomogram(w, dom)
-        assert np.max(np.abs(tom.values[0] - np.abs(psi)**2)) < 1e-10
+        tom = portrait(psi, grid128, frame0, "optical", dom)[0]
+        assert np.max(np.abs(tom[0] - np.abs(psi)**2)) < 1e-10
 
-    def test_ground_state_theta_independent(self, grid128):
-        w = wigner_from_density(ground_state_field(grid128))
+    def test_ground_state_theta_independent(self, grid128, frame0):
         dom = TomogramDomain.optical_default(grid128, 64)
-        tom = optical_tomogram(w, dom)
+        tom = portrait(oscillator_eigenstate(grid128, 0), grid128, frame0, "optical", dom)[0]
         exact = np.exp(-dom.x**2) / np.sqrt(np.pi)
-        assert np.max(np.abs(tom.values - exact[None, :])) < 1e-8
+        assert np.max(np.abs(tom - exact[None, :])) < 1e-8
 
-    def test_theta_half_pi_is_momentum_density(self, grid128):
+    def test_theta_half_pi_is_momentum_density(self, grid128, frame0):
         psi = gaussian_packet(grid128, 0.8, 0.5, 0.9)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
         dom = TomogramDomain.optical_default(grid128, 64)
-        tom = optical_tomogram(w, dom)
+        tom = portrait(psi, grid128, frame0, "optical", dom)[0]
         phi = np.fft.fftshift(np.fft.fft(psi)) * grid128.dx / np.sqrt(2 * np.pi)
-        assert np.max(np.abs(tom.values[32] - np.abs(phi)**2)) < 1e-10
+        assert np.max(np.abs(tom[32] - np.abs(phi)**2)) < 1e-10
 
-    def test_slices_normalized_and_nonnegative(self, grid128, rng):
-        psi = random_band_limited_state(grid128, rng)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
-        tom = optical_tomogram(w, TomogramDomain.optical_default(grid128, 64))
-        assert np.max(np.abs(tom.slice_integrals() - 1.0)) < 1e-8
-        assert tom.values.min() > -1e-9
+    def test_slices_normalized_and_nonnegative(self, grid128, rng, frame0):
+        dom = TomogramDomain.optical_default(grid128, 64)
+        tom = portrait(random_band_limited_state(grid128, rng), grid128, frame0, "optical", dom)[0]
+        assert np.max(np.abs(np.sum(tom, axis=-1) * dom.dx - 1.0)) < 1e-8
+        assert tom.min() > -1e-9
 
-    def test_mirror_relation_at_pi(self, grid128, rng):
-        psi = random_band_limited_state(grid128, rng)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix")).values[None]
+    def test_mirror_relation_at_pi(self, grid128, rng, frame0):
+        w = portrait(random_band_limited_state(grid128, rng), grid128, frame0)
         x = grid128.q
         s0 = radon_slices(w, grid128, np.array([0.0]), x)[0, 0]
         near_pi = radon_slices(w, grid128, np.array([np.pi * (1 - 1e-12)]), x)[0, 0]
         mirrored = np.roll(s0[::-1], 1)
         assert np.max(np.abs(near_pi - mirrored)) < 1e-6
 
-    def test_brute_force_quadrature_cross_check(self, grid128):
+    def test_brute_force_quadrature_cross_check(self, grid128, frame0):
         # independent oracle: rotate-and-sum quadrature of the Wigner function
         from scipy.interpolate import RegularGridInterpolator
         psi = gaussian_packet(grid128, 0.6, -0.4, 1.1)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
         theta = 0.7
-        tom = optical_tomogram(w, TomogramDomain(
-            kind="optical", x=grid128.q, thetas=np.array([theta])))
-        interp = RegularGridInterpolator((grid128.q, grid128.p), w.values,
+        tom = portrait(psi, grid128, frame0, "optical", TomogramDomain(
+            kind="optical", x=grid128.q, thetas=np.array([theta])))[0]
+        interp = RegularGridInterpolator((grid128.q, grid128.p),
+                                         portrait(psi, grid128, frame0)[0],
                                          bounds_error=False, fill_value=0.0,
                                          method="cubic")
         svals = np.linspace(-10, 10, 4001)
@@ -205,29 +206,27 @@ class TestOpticalTomogram:
             pts = np.stack([big_x * np.cos(theta) - svals * np.sin(theta),
                             big_x * np.sin(theta) + svals * np.cos(theta)], axis=1)
             oracle = np.trapezoid(interp(pts), svals)
-            assert tom.values[0, idx] == pytest.approx(oracle, abs=2e-4)
+            assert tom[0, idx] == pytest.approx(oracle, abs=2e-4)
 
 
 class TestFilteredBackProjection:
-    def test_round_trip_ground(self):
+    def test_round_trip_ground(self, frame0):
         grid = PhaseSpaceGrid.balanced(256)
-        w = wigner_from_density(ground_state_field(grid))
-        tom = optical_tomogram(w, TomogramDomain.optical_default(grid, 128))
+        psi = oscillator_eigenstate(grid, 0)
+        tom = optical_field(psi, grid, frame0, TomogramDomain.optical_default(grid, 128))
         back = wigner_from_optical(tom)
-        assert np.max(np.abs(back.values - w.values)) < 1e-3
+        assert np.max(np.abs(back.values - portrait(psi, grid, frame0)[0])) < 1e-3
 
     def test_zero_tomogram(self, grid64):
         dom = TomogramDomain.optical_default(grid64, 32)
         tom = ScalarField(grid64, np.zeros((32, 64)), "optical", domain=dom)
         assert np.max(np.abs(wigner_from_optical(tom).values)) == 0.0
 
-    def test_displaced_peak_location(self):
+    def test_displaced_peak_location(self, frame0):
         grid = PhaseSpaceGrid.balanced(256)
         psi = gaussian_packet(grid, 2.0, 0.0, np.sqrt(0.5))
-        w = wigner_from_density(ScalarField(grid, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
-        back = wigner_from_optical(optical_tomogram(
-            w, TomogramDomain.optical_default(grid, 128)))
+        back = wigner_from_optical(optical_field(
+            psi, grid, frame0, TomogramDomain.optical_default(grid, 128)))
         i, j = np.unravel_index(np.argmax(back.values), back.values.shape)
         assert abs(grid.q[i] - 2.0) <= grid.dx
         assert abs(grid.p[j]) <= grid.dp
@@ -243,11 +242,11 @@ class TestFilteredBackProjection:
         np.pi * np.arange(32) / 64,                                   # half range
         np.sort(np.random.default_rng(0).uniform(0.0, np.pi, 32)),    # irregular
     ], ids=["half-range", "irregular"])
-    def test_non_uniform_angles_rejected(self, grid64, thetas):
+    def test_non_uniform_angles_rejected(self, grid64, frame0, thetas):
         # forward tomograms take any angles; the inverse and the sections
         # need theta_k = pi k / n_theta
-        w = wigner_from_density(ground_state_field(grid64))
-        tom = optical_tomogram(w, TomogramDomain(kind="optical", x=grid64.q, thetas=thetas))
+        tom = optical_field(oscillator_eigenstate(grid64, 0), grid64, frame0,
+                            TomogramDomain(kind="optical", x=grid64.q, thetas=thetas))
         assert np.all(np.isfinite(tom.values))
         with pytest.raises(UndersampledDomainError):
             wigner_from_optical(tom)
@@ -256,9 +255,19 @@ class TestFilteredBackProjection:
 
 
 @pytest.fixture(scope="module")
-def ground_tomogram(grid128):
-    w = wigner_from_density(ground_state_field(grid128))
-    return optical_tomogram(w, TomogramDomain.optical_default(grid128, 64))
+def ground_tomogram(grid128, frame0):
+    return optical_field(oscillator_eigenstate(grid128, 0), grid128, frame0,
+                         TomogramDomain.optical_default(grid128, 64))
+
+
+# off-centre packet: q0, p0, sigma; its sections are not mirror-symmetric
+PACKET = (1.2, 0.7, 0.8)
+
+
+@pytest.fixture(scope="module")
+def packet_tomogram(grid128, frame0):
+    return optical_field(gaussian_packet(grid128, *PACKET), grid128, frame0,
+                         TomogramDomain.optical_default(grid128, 64))
 
 
 class TestSymplecticSection:
@@ -291,61 +300,66 @@ class TestSymplecticSection:
         with pytest.raises(ValueError):
             symplectic_section(ground_tomogram, 0.0, 0.0)
 
+    @pytest.mark.parametrize("mu, nu", [(-1.0, 0.0), (-1.0, -0.3), (0.5, -0.4), (0.0, -1.0),
+                                        (1.0, -1e-300)])
+    def test_lower_half_plane_off_centre(self, packet_tomogram, grid128, mu, nu):
+        # angles in [pi, 2 pi) read the mirrored half of the extended series;
+        # the closed form is the Gaussian of mu q + nu p for the packet
+        q0, p0, sigma = PACKET
+        mean = mu * q0 + nu * p0
+        var = (mu * sigma)**2 + (nu * grid128.hbar / (2.0 * sigma))**2
+        x, prof = symplectic_section(packet_tomogram, mu, nu)
+        exact = np.exp(-(x - mean)**2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+        assert np.max(np.abs(prof - exact)) < 1e-12
+
 
 class TestHusimi:
-    def test_ground_state(self, grid128):
-        q_fld = husimi_from_wigner(wigner_from_density(ground_state_field(grid128)))
+    def test_ground_state(self, grid128, frame0):
+        h = portrait(oscillator_eigenstate(grid128, 0), grid128, frame0, "husimi")[0]
         q, p = np.meshgrid(grid128.q, grid128.p, indexing="ij")
         exact = np.exp(-(q**2 + p**2) / 2) / (2 * np.pi)
-        assert np.max(np.abs(q_fld.values - exact)) < 1e-8
-        assert abs(q_fld.values.sum() * grid128.cell - 1.0) < 1e-8
+        assert np.max(np.abs(h - exact)) < 1e-8
+        assert abs(h.sum() * grid128.cell - 1.0) < 1e-8
 
-    def test_positivity_for_excited_state(self, grid128):
+    def test_positivity_for_excited_state(self, grid128, frame0):
         psi = oscillator_eigenstate(grid128, 1)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
-        assert w.values.min() < -0.1            # Wigner genuinely negative
-        q_fld = husimi_from_wigner(w)
+        w = portrait(psi, grid128, frame0)[0]
+        assert w.min() < -0.1            # Wigner genuinely negative
+        q_fld = husimi_from_wigner(ScalarField(grid128, w, "wigner"))
         assert q_fld.values.min() >= -1e-10
 
-    def test_vacuum_overlap_of_excited_vanishes(self, grid128):
-        psi = oscillator_eigenstate(grid128, 1)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
-        q_fld = husimi_from_wigner(w)
+    def test_vacuum_overlap_of_excited_vanishes(self, grid128, frame0):
+        h = portrait(oscillator_eigenstate(grid128, 1), grid128, frame0, "husimi")[0]
         i0 = grid128.n // 2
-        assert abs(q_fld.values[i0, i0]) < 1e-8
+        assert abs(h[i0, i0]) < 1e-8
 
-    def test_upper_bound(self, grid128, rng):
-        psi = random_band_limited_state(grid128, rng)
-        w = wigner_from_density(ScalarField(grid128, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
+    def test_upper_bound(self, grid128, rng, frame0):
+        h = portrait(random_band_limited_state(grid128, rng), grid128, frame0, "husimi")[0]
         bound = (1.0 + 1e-6) / (2 * np.pi * grid128.hbar)
-        assert husimi_from_wigner(w).values.max() <= bound
+        assert h.max() <= bound
 
 
 class TestFieldIO:
-    def test_binary_round_trip(self, grid64, tmp_path, rng):
-        psi = random_band_limited_state(grid64, rng)
-        w = wigner_from_density(ScalarField(grid64, np.outer(psi, psi.conj()),
-                                            "density-matrix"))
+    def test_binary_round_trip(self, grid64, tmp_path, rng, frame0):
+        w = ScalarField(grid64, portrait(random_band_limited_state(grid64, rng), grid64,
+                                         frame0)[0], "wigner")
         save_field(w, tmp_path / "field")
         restored = load_field(tmp_path / "field")
         assert np.max(np.abs(restored.values - w.values)) == 0.0
         assert restored.grid == w.grid
         assert restored.kind == "wigner"
 
-    def test_optical_round_trip_with_domain(self, grid64, tmp_path):
+    def test_optical_round_trip_with_domain(self, grid64, tmp_path, frame0):
         dom = TomogramDomain.optical_default(grid64, 32)
-        w = wigner_from_density(ground_state_field(grid64))
-        tom = optical_tomogram(w, dom)
+        tom = optical_field(oscillator_eigenstate(grid64, 0), grid64, frame0, dom)
         save_field(tom, tmp_path / "tom")
         restored = load_field(tmp_path / "tom")
         assert np.max(np.abs(restored.values - tom.values)) == 0.0
         assert np.max(np.abs(restored.domain.thetas - dom.thetas)) == 0.0
 
-    def test_csv_export(self, grid64, tmp_path):
-        w = wigner_from_density(ground_state_field(grid64))
+    def test_csv_export(self, grid64, tmp_path, frame0):
+        w = ScalarField(grid64, portrait(oscillator_eigenstate(grid64, 0), grid64, frame0)[0],
+                        "wigner")
         field_to_csv(w, tmp_path / "w.csv")
         lines = (tmp_path / "w.csv").read_text().splitlines()
         assert lines[0] == "q,p,value"
@@ -353,11 +367,13 @@ class TestFieldIO:
         assert [float(c) for c in lines[1].split(",")] == [grid64.q[0], grid64.p[0],
                                                            w.values[0, 0]]
 
-    def test_csv_export_optical(self, grid64, tmp_path):
+    def test_csv_export_optical(self, grid64, tmp_path, frame0):
         dom = TomogramDomain.optical_default(grid64, 32)
-        tom = optical_tomogram(wigner_from_density(ground_state_field(grid64)), dom)
-        assert abs(tom.integral() - 1.0) < 1e-8
-        field_to_csv(tom, tmp_path / "t.csv")
+        v = to_vector(SpinorDensity.from_pure(oscillator_eigenstate(grid64, 0)[None], grid64),
+                      frame0, "optical", dom)
+        assert abs(v.component_integrals()[0] - 1.0) < 1e-8
+        field_to_csv(ScalarField(grid64, v.components[0], "optical", domain=dom),
+                     tmp_path / "t.csv")
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0] == "theta,X,value"
         assert len(lines) == 1 + 32 * 64

@@ -43,7 +43,7 @@ class TestSpinOperators:
         with pytest.raises(ValueError):
             spin_operators(s)
 
-    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 1.5, 2.0])
     def test_casimir(self, s):
         sx, sy, sz = spin_operators(s)
         total = sx @ sx + sy @ sy + sz @ sz
@@ -207,6 +207,17 @@ class TestRandomFrame:
         assert fr.duality_residual() < 1e-12
         res = fr.projector_residuals()
         assert max(res.values()) < 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: build_frame(0.0, [[0, 0, 1]], [0.0]),
+                                  lambda: random_frame(0.0, seed=5)], ids=["build", "random"])
+def test_spin0_frame_invariants(make):
+    # a spinless state is the spin-0 case: one component with U = D = 1
+    fr = make()
+    assert fr.size == 1
+    assert fr.duality_residual() <= 1e-12
+    assert fr.completeness_residual() <= 1e-12
+    assert max(fr.projector_residuals().values()) <= 1e-12
 
 
 def test_frame_search_failure():
