@@ -194,20 +194,19 @@ def _strang_steps(psis: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
     """Advance an ensemble (k, d, n) by n_sub Strang substeps of size dt."""
     hbar = grid.hbar
     hk = grid.hbar * grid.k_fft
-    static = not (callable(fld.phi) or callable(fld.a_long))
-    if static:
-        half_v = np.exp(-0.5j * dt * fld.e * fld.phi_at(grid.q, t0) / hbar)
+
+    def split_factors(t):  # half potential kick, half Zeeman matrix, kinetic phase
+        half_v = np.exp(-0.5j * dt * fld.e * fld.phi_at(grid.q, t) / hbar)
         half_z = expm(-0.5j * dt * fld.zeeman_matrix() / hbar)
-        kin = np.exp(-1j * dt * (hk - fld.e * fld.a_at(t0) / fld.c_light) ** 2
+        kin = np.exp(-1j * dt * (hk - fld.e * fld.a_at(t) / fld.c_light) ** 2
                      / (2.0 * fld.mass * hbar))
+        return half_v, half_z, kin
+
+    static = not (callable(fld.phi) or callable(fld.a_long))
+    fixed = split_factors(t0) if static else None
     t = t0
     for _ in range(n_sub):
-        if not static:
-            tm = t + 0.5 * dt
-            half_v = np.exp(-0.5j * dt * fld.e * fld.phi_at(grid.q, tm) / hbar)
-            half_z = expm(-0.5j * dt * fld.zeeman_matrix() / hbar)
-            kin = np.exp(-1j * dt * (hk - fld.e * fld.a_at(tm) / fld.c_light) ** 2
-                         / (2.0 * fld.mass * hbar))
+        half_v, half_z, kin = fixed or split_factors(t + 0.5 * dt)
         psis = half_v[None, None, :] * np.einsum("ab,kbn->kan", half_z, psis)
         psis = np.fft.ifft(kin[None, None, :] * np.fft.fft(psis, axis=2), axis=2)
         psis = half_v[None, None, :] * np.einsum("ab,kbn->kan", half_z, psis)
@@ -235,31 +234,23 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
                   t0: float = 0.0) -> Trajectory:
     """Unitary propagation of a spinor density as a pure-state ensemble.
 
-    The density is eigendecomposed once; each significant eigenvector is
-    propagated (Strang splitting by default, RK4 optional) and frames are
-    reassembled every save_every steps.
+    The factors (p_r, psi_r) of rho0 are propagated (Strang splitting by
+    default, RK4 optional) and saved as a factored frame every save_every steps.
     """
     if prop.scheme not in ORACLE_SCHEMES:
         raise SchemeMismatchError(
             f"oracle propagation supports {ORACLE_SCHEMES}, got {prop.scheme!r}")
-    _check_spin_dim(fld, rho0.spin_dim, "state")
+    probs, psis = rho0.factors
+    _check_spin_dim(fld, psis.shape[1], "state")
     grid = rho0.grid
-    probs, fields = rho0.eigen_decomposition()
-    psis = np.stack(fields)
     stepper = _strang_steps if prop.scheme == "split-step-strang" else _rk4_steps
-
-    def assemble(p):
-        blocks = np.einsum("k,kai,kbj->abij", probs, p, p.conj())
-        return SpinorDensity(grid=grid, blocks=blocks)
 
     def energy(p, t):
         return sum(w * expectation(pk, grid, hamiltonian_apply(pk, grid, fld, t))
                    for w, pk in zip(probs, p))
 
     times = [t0]
-    states = [assemble(psis)]
-    energies = [energy(psis, t0)]
-    traces = [states[0].trace()]
+    states = [SpinorDensity.from_mixture(probs, psis, grid)]
     t = t0
     done = 0
     while done < prop.n_steps:
@@ -267,13 +258,12 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
         psis = stepper(psis, grid, fld, t, prop.dt, chunk)
         t += chunk * prop.dt
         done += chunk
-        state = assemble(psis)
         times.append(t)
-        states.append(state)
-        energies.append(energy(psis, t))
-        traces.append(state.trace())
+        states.append(SpinorDensity.from_mixture(probs, psis, grid))
+    energies = [energy(s.factors[1], t) for s, t in zip(states, times)]
     return Trajectory(times=np.asarray(times), states=states,
-                      energies=np.asarray(energies), traces=np.asarray(traces),
+                      energies=np.asarray(energies),
+                      traces=np.asarray([s.trace() for s in states]),
                       field=fld, scheme=prop.scheme)
 
 

@@ -1,16 +1,16 @@
 """Spatial representation transforms on a 1-D grid, applied per component.
 
-Density kernel <-> Wigner by FFT over the skew coordinate (with exact Fourier
+Factored kernel <-> Wigner by FFT over the skew coordinate (with exact Fourier
 interpolation at half-grid points); optical and symplectic tomograms by
 metaplectic rotation of kernel factors; optical -> Wigner by ramp-filtered
 back-projection; Wigner -> Husimi by Gaussian smoothing; plus the
 Fourier-multiplier operators used by the tomographic evolution equations.
-These act on kernel and component stacks for vector_portrait; a spinless
+These act on factor and component stacks for vector_portrait; a spinless
 state is the spin-0 case of that API (one component, U = D = 1), so there is
 no separate scalar density entry point.
 
-Tomograms: a Hermitian kernel K = sum_r lam_r phi_r phi_r^H (signed
-eigen-factors) has the quadrature marginal
+Tomograms: a Hermitian kernel K = sum_r lam_r phi_r phi_r^H (signed factors,
+found by eigh only for Wigner input) has the quadrature marginal
 w(X, theta) = sum_r lam_r |R_theta phi_r|^2(X), where R_theta is the
 fractional-Fourier rotation, applied as chirp / Fresnel / chirp FFT shears.
 The symplectic tomogram of mu q + nu p is the same marginal at X/r, divided
@@ -74,27 +74,28 @@ def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
 # density kernel <-> Wigner
 # ---------------------------------------------------------------------------
 
-def _wigner_of_kernel(rho: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Wigner transform of a (not necessarily unit-trace) Hermitian kernel:
-    the per-component spatial map of to_vector.
-
-    Returns the complex array on the (q, p-ascending) grid; callers take the
-    real part after checking the imaginary residue.
-    """
+def _wigner_of_factors(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """Wigner transforms (c, n, n), complex on the (q, p-ascending) grid, of
+    the kernels K_c = sum_k weights[c, k] a_k a_k^H with amps a_k (k, n): the
+    spatial map of to_vector.  Each a_k is upsampled in 1-D and its Wigner
+    function added to the components that weigh it, one factor at a time;
+    callers take the real part after checking the imaginary residue."""
     n = grid.n
-    fine = fourier_upsample2(fourier_upsample2(rho, axis=0), axis=1)
     i = np.arange(n)[:, None]
     k = np.arange(n)[None, :]
     s = (k + n // 2) % n - n // 2  # signed skew offsets, FFT bin order
     a_idx = (2 * i + s) % (2 * n)
     b_idx = (2 * i - s) % (2 * n)
-    skew = fine[a_idx, b_idx]
-    w = np.fft.fft(skew, axis=1) * (grid.dx / (2.0 * np.pi * grid.hbar))
-    return np.fft.fftshift(w, axes=1)
+    out = np.zeros((len(weights), n, n), dtype=complex)
+    for col, fine in zip(np.transpose(weights), fourier_upsample2(amps)):
+        w = np.fft.fft(fine[a_idx] * fine[b_idx].conj(), axis=1)
+        for c in np.flatnonzero(col):
+            out[c] += col[c] * w
+    return np.fft.fftshift(out, axes=-1) * (grid.dx / (2.0 * np.pi * grid.hbar))
 
 
 def _kernel_of_wigner(w: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Inverse of _wigner_of_kernel (exact on grid-supported states): the
+    """Inverse of _wigner_of_factors (exact on grid-supported states): the
     per-component spatial map of from_vector and of the tomogram routines."""
     n = grid.n
     skew = np.fft.ifft(np.fft.ifftshift(np.asarray(w, dtype=complex), axes=1), axis=1)
@@ -189,31 +190,30 @@ def _rotate(amps: np.ndarray, work: PhaseSpaceGrid, theta: float) -> np.ndarray:
 
 def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid,
                           thetas: np.ndarray, radii: np.ndarray, x: np.ndarray,
-                          kernels: np.ndarray | None) -> np.ndarray:
+                          factors: tuple | None) -> np.ndarray:
     """Distributions over x of r (q cos(theta) + p sin(theta)/(m omega)) for
     each ray (theta, r), shape (..., n_rays, n_x).
 
-    Each Hermitian kernel K = sum_r lam_r phi_r phi_r^H (signed eigen-factors)
-    has the marginal sum_r lam_r |R_theta phi_r|^2(x/r) / r, with R_theta the
-    metaplectic rotation on the working grid.
+    A kernel sum_k weights[c, k] a_k a_k^H (factors; by default the signed
+    eigenpairs of the kernels of w_stack) has the marginal
+    sum_k weights[c, k] |R_theta a_k|^2(x/r) / r, R_theta the metaplectic rotation.
     """
-    lead = w_stack.shape[:-2]
-    if kernels is None:
-        kernels = [_kernel_of_wigner(w, grid)
-                   for w in w_stack.reshape((-1,) + w_stack.shape[-2:])]
-    kernels = np.reshape(kernels, (-1, grid.n, grid.n))
-    lam, vecs = np.linalg.eigh(kernels)
-    scale = np.max(np.abs(lam), axis=-1, keepdims=True)
-    comp, idx = np.nonzero(np.abs(lam) > _FACTOR_RTOL * scale)
-    amps = vecs[comp, :, idx]                                   # (rank, n)
-    weights = np.zeros((len(kernels), len(comp)))
-    weights[comp, np.arange(len(comp))] = lam[comp, idx]
+    if factors is None:
+        kernels = np.stack([_kernel_of_wigner(w, grid)
+                            for w in w_stack.reshape((-1,) + w_stack.shape[-2:])])
+        lam, vecs = np.linalg.eigh(kernels)
+        scale = np.max(np.abs(lam), axis=-1, keepdims=True)
+        comp, idx = np.nonzero(np.abs(lam) > _FACTOR_RTOL * scale)
+        weights = np.zeros((len(kernels), len(comp)))
+        weights[comp, np.arange(len(comp))] = lam[comp, idx]
+        factors = (weights, vecs[comp, :, idx])
+    weights, amps = factors
 
     work = _working_grid(grid)
     if work is not grid:
         amps = amps @ _band_limited_matrix(grid.q, work.q).T
     dilations = {}
-    out = np.empty((len(kernels), len(thetas), len(x)))
+    out = np.empty((len(weights), len(thetas), len(x)))
     for k, (theta, r) in enumerate(zip(thetas, radii)):
         rotated = _rotate(amps, work, theta)
         if not np.array_equal(x / r, work.q):
@@ -221,35 +221,35 @@ def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid,
                 dilations[r] = _band_limited_matrix(work.q, x / r)
             rotated = rotated @ dilations[r].T
         out[:, k] = weights @ np.abs(rotated)**2 / r
-    return out.reshape(lead + out.shape[1:])
+    return out.reshape(w_stack.shape[:-2] + out.shape[1:])
 
 
 def radon_slices(w_stack: np.ndarray, grid: PhaseSpaceGrid,
                  thetas: np.ndarray, x: np.ndarray,
-                 kernels: np.ndarray | None = None) -> np.ndarray:
+                 factors: tuple | None = None) -> np.ndarray:
     """Marginals of Wigner data along X = q cos(theta) + p sin(theta)/(m*omega).
 
     w_stack has shape (..., n, n); returns (..., n_theta, n_x).  A caller
-    that already holds the density kernels of w_stack passes them as
-    kernels (same shape) to skip the Wigner -> kernel map.
+    that holds the kernels of w_stack as factors (weights, amps), in the form
+    of _wigner_of_factors, passes them to skip the kernel map and eigh.
     """
     thetas = np.asarray(thetas, dtype=float)
-    return _quadrature_marginals(w_stack, grid, thetas, np.ones_like(thetas), x, kernels)
+    return _quadrature_marginals(w_stack, grid, thetas, np.ones_like(thetas), x, factors)
 
 
 def symplectic_profiles(w_stack: np.ndarray, grid: PhaseSpaceGrid,
                         mu: np.ndarray, nu: np.ndarray, x: np.ndarray,
-                        kernels: np.ndarray | None = None) -> np.ndarray:
+                        factors: tuple | None = None) -> np.ndarray:
     """Distributions of mu*q + nu*p on the meshed (mu, nu) samples.
 
     Uses mu q + nu p = r X(theta) with r = sqrt(mu^2 + nu^2 m^2 w^2) and
     theta = atan2(nu m w, mu).  Returns shape (..., n_mu, n_nu, n_x);
-    kernels as in radon_slices.
+    factors as in radon_slices.
     """
     mm, nn = np.meshgrid(mu, nu, indexing="ij")
     m_omega = grid.mass * grid.omega
     prof = _quadrature_marginals(w_stack, grid, np.arctan2(nn * m_omega, mm).ravel(),
-                                 np.hypot(mm, nn * m_omega).ravel(), x, kernels)
+                                 np.hypot(mm, nn * m_omega).ravel(), x, factors)
     return prof.reshape(w_stack.shape[:-2] + (len(mu), len(nu), len(x)))
 
 

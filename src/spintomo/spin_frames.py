@@ -156,10 +156,10 @@ def solve_dual_frame(dequantizer) -> np.ndarray:
 class SpinFrame:
     """Projector frame and its dual for spin s.
 
-    dequantizer[j] are the rank-one projectors U_j; quantizer[j] are the dual
-    Hermitian matrices D_j with Tr{U_j D_k} = delta_jk.  The quantizer stores
-    the matrix-of-vectors layout transposed: component l of the vector at
-    matrix slot (j, k) is quantizer[l][j, k].
+    dequantizer[j] are the rank-one projectors U_j = u_j u_j^H (u_j in vectors);
+    quantizer[j] are the dual Hermitian matrices D_j with Tr{U_j D_k} = delta_jk.
+    The quantizer stores the matrix-of-vectors layout transposed: component l
+    of the vector at matrix slot (j, k) is quantizer[l][j, k].
     """
 
     s: float
@@ -170,12 +170,21 @@ class SpinFrame:
     gram: np.ndarray
     # Tr D_j: weights that turn component integrals into the total trace
     quantizer_traces: np.ndarray = field(init=False, repr=False)
+    # u_j: column a of U_j over sqrt(U_j[a, a]), a its largest diagonal entry
+    vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        u = self.dequantizer
+        rows = np.arange(len(u))
+        a = np.argmax(np.einsum("jaa->ja", u).real, axis=1)
+        vectors = u[rows, :, a] / np.sqrt(u[rows, a, a].real)[:, None]
+        if not np.max(np.abs(np.einsum("ja,jb->jab", vectors, vectors.conj()) - u)) <= 1e-12:
+            raise ValueError("dequantizer elements must be rank-one projectors")
+        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "quantizer_traces",
                            np.einsum("jaa->j", self.quantizer).real.copy())
         for arr in (self.directions, self.eigenvalues, self.dequantizer, self.quantizer,
-                    self.gram, self.quantizer_traces):
+                    self.gram, self.quantizer_traces, self.vectors):
             arr.flags.writeable = False
 
     @property

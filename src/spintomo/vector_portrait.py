@@ -2,17 +2,17 @@
 
 A vector distribution collects (2s+1)^2 real components: component j is the
 spatial transform (Wigner, optical, symplectic, or Husimi) of the spin
-contraction sum_kl U_j[l,k] rho_kl(x, x').  Reconstruction inverts the spatial
-map per component and resums with the dual frame.
+contraction Tr_spin(U_j rho), taken on factors (see to_vector).  Reconstruction
+inverts the spatial map per component and resums with the dual frame.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import UnsupportedInverseError
 from .grids import (
@@ -25,7 +25,7 @@ from .grids import (
 )
 from .phase_space import (
     _kernel_of_wigner,
-    _wigner_of_kernel,
+    _wigner_of_factors,
     back_project,
     husimi_from_wigner,
     radon_slices,
@@ -36,58 +36,61 @@ from .spin_frames import SpinFrame
 VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
 
 
-@dataclass(frozen=True)
 class SpinorDensity:
-    """Spin (x) spatial density: blocks[a, b] is the kernel rho_ab(x, x')."""
+    """Spin (x) spatial density sum_r p_r |psi_r><psi_r|.  It holds what it
+    was built from, its factors or its dense blocks rho_ab(x, x'), and
+    computes the other once, on first use."""
 
-    grid: PhaseSpaceGrid
-    blocks: np.ndarray  # (d, d, n, n) complex
-
-    @property
-    def spin_dim(self) -> int:
-        return self.blocks.shape[0]
+    def __init__(self, grid: PhaseSpaceGrid, blocks: np.ndarray):
+        self.grid = grid
+        self.blocks = np.asarray(blocks, dtype=complex)  # (d, d, n, n)
 
     @classmethod
     def from_pure(cls, psi: np.ndarray, grid: PhaseSpaceGrid) -> "SpinorDensity":
         """rho = |psi><psi| for a normalized spinor field psi of shape (d, n)."""
-        psi = np.asarray(psi, dtype=complex)
-        blocks = np.einsum("ai,bj->abij", psi, psi.conj())
-        return cls(grid=grid, blocks=blocks)
+        return cls.from_mixture([1.0], [psi], grid)
 
     @classmethod
     def from_mixture(cls, probs, psis, grid: PhaseSpaceGrid) -> "SpinorDensity":
-        blocks = sum(p * np.einsum("ai,bj->abij", psi, psi.conj())
-                     for p, psi in zip(probs, psis))
-        return cls(grid=grid, blocks=np.asarray(blocks, dtype=complex))
+        """rho = sum_r probs[r] |psis[r]><psis[r]|, kept as these factors."""
+        rho = cls.__new__(cls)
+        rho.grid = grid
+        rho.factors = (np.array(probs, dtype=float), np.array(psis, dtype=complex))
+        return rho
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Dense kernels blocks[a, b] = rho_ab(x, x'), shape (d, d, n, n)."""
+        probs, fields = self.factors
+        return np.einsum("r,rai,rbj->abij", probs, fields, fields.conj())
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(probs (r,), fields (r, d, n)).  From blocks: the eigenpairs with
+        |p| > 1e-12 of one eigensolve, which reads one triangle only, so
+        non-Hermitian blocks raise ValueError."""
+        if not self.hermiticity_residual() <= 1e-12:
+            raise ValueError(f"density is not Hermitian: {self.hermiticity_residual():.3e}")
+        d, _, n, _ = self.blocks.shape
+        evals, evecs = np.linalg.eigh(self.to_matrix())
+        probs = evals * self.grid.dx
+        keep = np.abs(probs) > 1e-12
+        return probs[keep], evecs[:, keep].T.reshape(-1, d, n) / np.sqrt(self.grid.dx)
 
     def trace(self) -> float:
-        return float(np.einsum("aaii->", self.blocks).real * self.grid.dx)
+        if "blocks" in vars(self):
+            return float(np.einsum("aaii->", self.blocks).real * self.grid.dx)
+        probs, fields = self.factors
+        return float(probs @ np.sum(np.abs(fields)**2, axis=(1, 2)) * self.grid.dx)
 
     def hermiticity_residual(self) -> float:
         swapped = np.conj(np.transpose(self.blocks, (1, 0, 3, 2)))
         return float(np.max(np.abs(self.blocks - swapped)))
 
-    def spin_matrix(self) -> np.ndarray:
-        """Reduced spin density matrix (spatial degrees traced out)."""
-        return np.einsum("abii->ab", self.blocks) * self.grid.dx
-
     def to_matrix(self) -> np.ndarray:
         """Flat (d*n, d*n) matrix with row index (a, i)."""
         d, _, n, _ = self.blocks.shape
         return np.transpose(self.blocks, (0, 2, 1, 3)).reshape(d * n, d * n)
-
-    def eigen_decomposition(self, tol: float = 1e-12):
-        """Probabilities and discrete-normalized spinor fields with p > tol.
-
-        Only the eigenpairs above tol are computed (a subset solve); a density
-        of low rank skips most of the full (d n)^2 eigenproblem.
-        """
-        d, _, n, _ = self.blocks.shape
-        evals, evecs = eigh(self.to_matrix(),
-                             subset_by_value=(tol / self.grid.dx, np.inf))
-        fields = [evecs[:, i].reshape(d, n) / np.sqrt(self.grid.dx)
-                  for i in range(len(evals))]
-        return evals * self.grid.dx, fields
 
 
 @dataclass(frozen=True)
@@ -120,21 +123,19 @@ class VectorDistribution:
         return float(self.frame.quantizer_traces @ self.component_integrals())
 
 
-def _spin_contract(rho: SpinorDensity, frame: SpinFrame) -> np.ndarray:
-    """Kernels K_j(x,x') = sum_kl U_j[l,k] rho_kl(x,x'), shape (d^2, n, n)."""
-    return np.einsum("jlk,klxy->jxy", frame.dequantizer, rho.blocks)
-
-
 def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
               dom: TomogramDomain | None = None, time: float = 0.0) -> VectorDistribution:
     """Vector distribution of a spinor density in the chosen representation."""
-    if frame.dim != rho.spin_dim:
+    probs, fields = rho.factors
+    if frame.dim != fields.shape[1]:
         raise ValueError(
-            f"frame dimension {frame.dim} != state spin dimension {rho.spin_dim}")
+            f"frame dimension {frame.dim} != state spin dimension {fields.shape[1]}")
     if representation not in VECTOR_REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
-    kernels = _spin_contract(rho, frame)
-    wigners = np.stack([_wigner_of_kernel(k, rho.grid) for k in kernels])
+    # K_j = Tr_spin(U_j rho) = sum_r p_r phi_jr phi_jr^H with phi_jr = u_j^H psi_r
+    amps = np.einsum("ja,rax->jrx", frame.vectors.conj(), fields).reshape(-1, rho.grid.n)
+    factors = (np.kron(np.eye(frame.size), probs), amps)
+    wigners = _wigner_of_factors(*factors, rho.grid)
     residues = np.max(np.abs(wigners.imag), axis=(1, 2))
     wigners = wigners.real
 
@@ -148,12 +149,12 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     elif representation == "optical":
         if dom is None or dom.kind != "optical":
             raise ValueError("optical representation needs an optical domain")
-        comps = radon_slices(wigners, rho.grid, dom.thetas, dom.x, kernels=kernels)
+        comps = radon_slices(wigners, rho.grid, dom.thetas, dom.x, factors=factors)
     else:
         if dom is None or dom.kind != "symplectic":
             raise ValueError("symplectic representation needs a symplectic domain")
         comps = symplectic_profiles(wigners, rho.grid, dom.mu, dom.nu, dom.x,
-                                    kernels=kernels)
+                                    factors=factors)
 
     return VectorDistribution(
         representation=representation, components=comps, frame=frame,
@@ -172,8 +173,7 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
             f"no inverse map for the {v.representation} representation; "
             "reconstruct through the wigner route instead")
     kernels = np.stack([_kernel_of_wigner(w, v.grid) for w in wigners])
-    blocks = np.einsum("lab,lxy->abxy", frame.quantizer, kernels)
-    return SpinorDensity(grid=v.grid, blocks=blocks)
+    return SpinorDensity(v.grid, np.einsum("lab,lxy->abxy", frame.quantizer, kernels))
 
 
 @dataclass(frozen=True)

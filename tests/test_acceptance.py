@@ -286,7 +286,7 @@ def test_criterion_10_representation_sanity():
 
     v_h = to_vector(rho, FRAME, "husimi")
     husimi_min = float(np.min(v_h.components))
-    spin_weights = FRAME.weights(rho.spin_matrix()).real
+    spin_weights = FRAME.weights(np.einsum("abii->ab", rho.blocks) * grid.dx).real
     husimi_int_err = float(np.max(np.abs(v_h.component_integrals() - spin_weights)))
 
     from spintomo.states import oscillator_eigenstate

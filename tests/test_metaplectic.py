@@ -1,5 +1,5 @@
 """Optical and symplectic portraits by metaplectic rotation of kernel factors,
-checked against the dense characteristic-function ray sums (kept here as the
+from to_vector's carried factors and from Wigner input, checked against the dense characteristic-function ray sums (kept here as the
 independent reference) and against closed-form Gaussian marginals."""
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from spintomo import (
 from spintomo.phase_space import (
     _band_limited_matrix,
     _rotate,
-    _wigner_of_kernel,
+    _wigner_of_factors,
     _working_grid,
     radon_slices,
     symplectic_profiles,
@@ -57,6 +57,11 @@ def dense_ray_profiles(w_stack, grid, a_rows, b_rows, x):
         prof = np.fft.ifft(chi * keep[None, :] * phase_x0, axis=1) / dx
         out[:, r, :] = prof.real
     return out.reshape(lead + (len(a_rows), nx))
+
+
+def pure_factors(psi):
+    """Factor form (weights (1, 1), amps (1, n)) of the kernel psi psi^H."""
+    return np.ones((1, 1)), psi[None]
 
 
 def gaussian_marginal(grid, q0, p0, sigma, theta, r, x):
@@ -125,24 +130,25 @@ def test_portraits_match_dense_reference(n, frame_key, rank):
 def test_wigner_input_matches_kernel_input(grid128):
     rng = np.random.default_rng(3)
     rho = mixture(grid128, FRAMES["paper"], 2, rng, 1.5, (0.65, 0.85))
-    kernel = np.einsum("aaxy->xy", rho.blocks)
-    w = _wigner_of_kernel(kernel, grid128).real[None]
+    # the spin-traced kernel sum_a rho_aa in factor form: weight p_r on psi_ra
+    probs, fields = rho.factors
+    factors = (np.repeat(probs, 3)[None], fields.reshape(-1, grid128.n))
+    w = _wigner_of_factors(*factors, grid128).real
     thetas = np.pi * np.arange(16) / 16
     via_wigner = radon_slices(w, grid128, thetas, grid128.q)
-    via_kernel = radon_slices(w, grid128, thetas, grid128.q, kernels=kernel[None])
+    via_kernel = radon_slices(w, grid128, thetas, grid128.q, factors=factors)
     assert np.max(np.abs(via_wigner - via_kernel)) <= 1e-12
     mu, nu = np.array([0.9, -1.1]), np.array([0.8, 1.2])
     assert np.max(np.abs(symplectic_profiles(w, grid128, mu, nu, grid128.q)
                          - symplectic_profiles(w, grid128, mu, nu, grid128.q,
-                                               kernels=kernel[None]))) <= 1e-12
+                                               factors=factors))) <= 1e-12
 
 
 def test_signed_kernel_matches_dense_reference(grid128):
     # a difference of two packets' kernels has one negative eigenvalue
     psi1 = gaussian_packet(grid128, 0.7, -0.4, 0.8)
     psi2 = gaussian_packet(grid128, -1.0, 0.9, 0.7)
-    kernel = 0.7 * np.outer(psi1, psi1.conj()) - 0.4 * np.outer(psi2, psi2.conj())
-    w = _wigner_of_kernel(kernel, grid128).real[None]
+    w = _wigner_of_factors(np.array([[0.7, -0.4]]), np.stack([psi1, psi2]), grid128).real
     thetas = np.append(np.pi * np.arange(8) / 8, JUST_BELOW_PI)
     got = radon_slices(w, grid128, thetas, grid128.q)
     ref = dense_ray_profiles(w, grid128, np.cos(thetas), np.sin(thetas), grid128.q)
@@ -154,12 +160,11 @@ def test_balanced_n64_oblique_angles(grid64):
     # at oblique angles on n = 64 the reference's band truncation is the
     # larger error: the rotation route is at least as close to the closed form
     q0, p0, sigma = 0.6, -0.8, np.sqrt(0.5)
-    psi = gaussian_packet(grid64, q0, p0, sigma)
-    kernel = np.outer(psi, psi.conj())[None]
-    w = _wigner_of_kernel(kernel[0], grid64).real[None]
+    factors = pure_factors(gaussian_packet(grid64, q0, p0, sigma))
+    w = _wigner_of_factors(*factors, grid64).real
     thetas = np.pi * np.arange(16) / 16
     exact = gaussian_marginal(grid64, q0, p0, sigma, thetas[:, None], 1.0, grid64.q)
-    err_new = np.max(np.abs(radon_slices(w, grid64, thetas, grid64.q, kernels=kernel)[0]
+    err_new = np.max(np.abs(radon_slices(w, grid64, thetas, grid64.q, factors=factors)[0]
                             - exact))
     err_ref = np.max(np.abs(dense_ray_profiles(w, grid64, np.cos(thetas), np.sin(thetas),
                                                grid64.q)[0] - exact))
@@ -173,14 +178,13 @@ def test_balanced_n64_oblique_angles(grid64):
 def test_non_balanced_grids_no_worse_than_dense_route(grid):
     q0, p0, sigma = 0.8, 0.5, 1.0
     m_omega = grid.mass * grid.omega
-    psi = gaussian_packet(grid, q0, p0, sigma)
-    kernel = np.outer(psi, psi.conj())[None]
-    w = _wigner_of_kernel(kernel[0], grid).real[None]
+    factors = pure_factors(gaussian_packet(grid, q0, p0, sigma))
+    w = _wigner_of_factors(*factors, grid).real
     x = grid.q
 
     thetas = np.pi * np.arange(32) / 32
     exact = gaussian_marginal(grid, q0, p0, sigma, thetas[:, None], 1.0, x)
-    err_new = np.max(np.abs(radon_slices(w, grid, thetas, x, kernels=kernel)[0] - exact))
+    err_new = np.max(np.abs(radon_slices(w, grid, thetas, x, factors=factors)[0] - exact))
     err_ref = np.max(np.abs(dense_ray_profiles(w, grid, np.cos(thetas),
                                                np.sin(thetas) / m_omega, x)[0] - exact))
     assert err_new <= err_ref
@@ -190,7 +194,7 @@ def test_non_balanced_grids_no_worse_than_dense_route(grid):
     theta = np.arctan2(nn * m_omega, mm).ravel()[:, None]
     r = np.hypot(mm, nn * m_omega).ravel()[:, None]
     exact = gaussian_marginal(grid, q0, p0, sigma, theta, r, x)
-    got = symplectic_profiles(w, grid, dom.mu, dom.nu, x, kernels=kernel)[0]
+    got = symplectic_profiles(w, grid, dom.mu, dom.nu, x, factors=factors)[0]
     err_new = np.max(np.abs(got.reshape(exact.shape) - exact))
     err_ref = np.max(np.abs(dense_ray_profiles(w, grid, mm.ravel(), nn.ravel(), x)[0]
                             - exact))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,12 @@ SQ2 = np.sqrt(2.0)
 S1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / SQ2
 S1_Y = 1j * np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]) / SQ2
 S1_Z = np.diag([1.0, 0.0, -1.0])
+
+
+def vectors_residual(fr):
+    """max |u_j u_j^H - U_j| over the frame's stored projector vectors."""
+    outer = np.einsum("ja,jb->jab", fr.vectors, fr.vectors.conj())
+    return float(np.max(np.abs(outer - fr.dequantizer)))
 
 
 class TestSpinOperators:
@@ -123,6 +131,7 @@ class TestSpin1Frame:
     def test_projector_invariants(self, frame):
         res = frame.projector_residuals()
         assert max(res.values()) < 1e-12
+        assert vectors_residual(frame) <= 1e-15
 
     def test_quantizer_hermitian(self, frame):
         q = frame.quantizer
@@ -165,6 +174,7 @@ class TestSpin1Frame:
         assert np.max(np.abs(restored.dequantizer - frame.dequantizer)) < 1e-15
         assert np.max(np.abs(restored.quantizer - frame.quantizer)) < 1e-15
         assert restored.duality_residual() < 1e-12
+        assert vectors_residual(restored) <= 1e-15
 
 
 class TestSolveDualFrame:
@@ -203,10 +213,13 @@ class TestRandomFrame:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projector_invariants_random_frames(self, seed):
-        fr = random_frame(1.0, seed=seed)
-        assert fr.duality_residual() < 1e-12
-        res = fr.projector_residuals()
-        assert max(res.values()) < 1e-12
+        for s in (0.0, 0.5, 1.0, 1.5):
+            fr = random_frame(s, seed=seed)
+            assert fr.duality_residual() < 1e-12
+            res = fr.projector_residuals()
+            assert max(res.values()) < 1e-12
+            assert vectors_residual(fr) <= 1e-15
+            assert vectors_residual(SpinFrame.from_json(fr.to_json())) <= 1e-15
 
 
 @pytest.mark.parametrize("make", [lambda: build_frame(0.0, [[0, 0, 1]], [0.0]),
@@ -218,6 +231,7 @@ def test_spin0_frame_invariants(make):
     assert fr.duality_residual() <= 1e-12
     assert fr.completeness_residual() <= 1e-12
     assert max(fr.projector_residuals().values()) <= 1e-12
+    assert vectors_residual(fr) <= 1e-15
 
 
 def test_frame_search_failure():
@@ -240,3 +254,12 @@ def test_gram_matrix_symmetric(frame):
 def test_frame_arrays_immutable(frame):
     with pytest.raises(ValueError):
         frame.dequantizer[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        frame.vectors[0, 0] = 5.0
+
+
+def test_non_rank_one_dequantizer_rejected(frame):
+    mixed = frame.dequantizer.copy()
+    mixed[4] = np.eye(3) / 3
+    with pytest.raises(ValueError, match="rank-one"):
+        dataclasses.replace(frame, dequantizer=mixed)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spintomo import (
     EMFieldConfig,
@@ -23,6 +24,10 @@ from spintomo import (
     to_vector,
     vector_to_csv,
 )
+from spintomo.phase_space import _wigner_of_factors, radon_slices
+from spintomo.residuals import default_domain
+
+REPRESENTATIONS = ("wigner", "husimi", "optical", "symplectic-section")
 
 
 def random_rank2_density(grid, rng):
@@ -43,16 +48,16 @@ class TestSpinorDensity:
         rho = random_rank2_density(grid64, rng)
         assert np.linalg.eigvalsh(rho.to_matrix()).min() * grid64.dx >= -1e-10
 
-    def test_eigen_decomposition_reconstructs(self, grid64, rng):
+    def test_factors_reconstruct(self, grid64, rng):
         rho = random_rank2_density(grid64, rng)
-        probs, fields = rho.eigen_decomposition()
+        probs, fields = SpinorDensity(grid64, rho.blocks).factors
         assert len(probs) == 2
         rebuilt = SpinorDensity.from_mixture(probs, fields, grid64)
         assert np.max(np.abs(rebuilt.blocks - rho.blocks)) < 1e-12
 
     @pytest.mark.parametrize("rank", [1, 3])
-    def test_eigen_decomposition_matches_full_solve(self, grid64, rng, rank):
-        # the subset solve keeps exactly the eigenpairs a full eigh keeps
+    def test_factors_match_full_solve(self, grid64, rng, rank):
+        # a density built from blocks keeps exactly the eigenpairs a full eigh keeps
         psis = [spinor_product_state(grid64, rng.normal(size=3) + 1j * rng.normal(size=3),
                                      random_band_limited_state(grid64, rng))
                 for _ in range(rank)]
@@ -61,16 +66,38 @@ class TestSpinorDensity:
         keep = evals * grid64.dx > 1e-12
         full_probs = evals[keep] * grid64.dx
         full_fields = evecs[:, keep].T.reshape(-1, 3, grid64.n) / np.sqrt(grid64.dx)
-        probs, fields = rho.eigen_decomposition()
+        dense = SpinorDensity(grid64, rho.blocks)
+        probs, fields = dense.factors
         assert len(probs) == rank
         assert np.max(np.abs(probs - full_probs)) < 1e-14
         assemble = "k,kai,kbj->abij"
         expected = np.einsum(assemble, full_probs, full_fields, full_fields.conj())
-        got = np.einsum(assemble, probs, np.stack(fields), np.stack(fields).conj())
+        got = np.einsum(assemble, probs, fields, fields.conj())
         assert np.max(np.abs(got - expected)) < 1e-13
-        oracle = evolve_oracle(rho, EMFieldConfig(phi=(0.0, 0.0, 0.5)),
+        oracle = evolve_oracle(dense, EMFieldConfig(phi=(0.0, 0.0, 0.5)),
                                PropagatorConfig(dt=0.01, n_steps=1))
         assert np.max(np.abs(oracle.states[0].blocks - expected)) < 1e-13
+
+    def test_mixture_keeps_its_factors(self, grid64, rng):
+        probs = rng.dirichlet(np.ones(3))
+        psis = [spin_coherent_state(grid64, rng.normal(size=3), q0=q0) for q0 in (-1, 0, 1)]
+        rho = SpinorDensity.from_mixture(probs, psis, grid64)
+        assert np.array_equal(rho.factors[0], probs)
+        assert np.array_equal(rho.factors[1], np.stack(psis))
+        assert abs(rho.trace() - SpinorDensity(grid64, rho.blocks).trace()) < 1e-14
+
+    def test_non_hermitian_density_rejected(self, rng):
+        # an eigensolver reads one triangle only, so it would factor another state
+        grid = PhaseSpaceGrid.balanced(32)
+        psi = spinor_product_state(grid, [1.0, 1j], gaussian_packet(grid))
+        blocks = SpinorDensity.from_pure(psi, grid).blocks
+        blocks[0, 1] += 4e-3 * rng.normal(size=(32, 32))
+        bad = SpinorDensity(grid, blocks)
+        assert bad.hermiticity_residual() > 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            to_vector(bad, random_frame(0.5, seed=3), "wigner")
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve_oracle(bad, EMFieldConfig(spin=0.5), PropagatorConfig(dt=0.01, n_steps=1))
 
     def test_matrix_round_trip(self, grid64, rng):
         # to_matrix rows and columns are indexed (a, i): spin first, then x
@@ -113,24 +140,24 @@ class TestToVector:
         assert np.max(np.abs(v_mix.components - v_parts)) < 1e-10
 
     def test_spin_marginal_consistency(self, frame, grid128, rng):
-        from spintomo.phase_space import _wigner_of_kernel, radon_slices
         rho = random_rank2_density(grid128, rng)
         dom = TomogramDomain.optical_default(grid128, 32)
         v = to_vector(rho, frame, "optical", dom)
-        traced_kernel = np.einsum("aaxy->xy", rho.blocks)
-        w_scalar = _wigner_of_kernel(traced_kernel, grid128).real
+        # the spin-traced kernel sum_a rho_aa in factor form: weight p_r on psi_ra
+        probs, fields = rho.factors
+        w_scalar = _wigner_of_factors(np.repeat(probs, 3)[None],
+                                      fields.reshape(-1, grid128.n), grid128).real[0]
         scalar_tom = radon_slices(w_scalar[None], grid128, dom.thetas, dom.x)[0]
         assert np.max(np.abs(v.components[:3].sum(axis=0) - scalar_tom)) < 1e-10
 
     def test_product_state_factorizes(self, frame, grid64):
-        from spintomo.phase_space import _wigner_of_kernel
         chi = np.array([0.6, 0.8j, 0.2 + 0.1j])
         chi /= np.linalg.norm(chi)
         psi_space = gaussian_packet(grid64, 0.4, -0.3, 1.1)
         rho = SpinorDensity.from_pure(spinor_product_state(grid64, chi, psi_space), grid64)
         v = to_vector(rho, frame, "wigner")
         spin_weights = frame.weights(np.outer(chi, chi.conj())).real
-        w_scalar = _wigner_of_kernel(np.outer(psi_space, psi_space.conj()), grid64).real
+        w_scalar = _wigner_of_factors(np.ones((1, 1)), psi_space[None], grid64).real[0]
         for j in range(9):
             assert np.max(np.abs(v.components[j] - spin_weights[j] * w_scalar)) < 1e-10
 
@@ -153,6 +180,56 @@ class TestToVector:
         # every (mu, nu) slice of the first three components sums to unity
         sums = v.components[:3].sum(axis=-1) * dom.dx
         assert np.max(np.abs(sums.sum(axis=0) - 1.0)) < 1e-8
+
+
+class TestDensePath:
+    """A density built from blocks factors itself by one eigensolve; a
+    factored one (from_pure, from_mixture, oracle frames) needs none."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        grid = PhaseSpaceGrid.centered(128, 16.0)
+        fr = random_frame(1.5, seed=4)
+        rng = np.random.default_rng(17)
+        psis = [spinor_product_state(grid, rng.normal(size=4) + 1j * rng.normal(size=4),
+                                     gaussian_packet(grid, q0, p0, 0.9))
+                for q0, p0 in ((-1.0, 0.5), (0.3, -0.8), (1.2, 0.2))]
+        rho = SpinorDensity.from_mixture(rng.dirichlet(np.ones(3)), psis, grid)
+        return grid, fr, rho
+
+    @pytest.mark.parametrize("rep", REPRESENTATIONS)
+    def test_to_vector_factored_equals_dense(self, case, rep):
+        grid, fr, rho = case
+        dom = None if rep in ("wigner", "husimi") else default_domain(rep, grid)
+        factored = to_vector(rho, fr, rep, dom)
+        dense = to_vector(SpinorDensity(grid, rho.blocks), fr, rep, dom)
+        assert np.max(np.abs(factored.components - dense.components)) <= 1e-13
+
+    def test_oracle_factored_equals_dense(self, case):
+        grid, _, rho = case
+        fld = EMFieldConfig(phi=(0.0, 0.1, 0.5), b_field=[0.3, 0.0, 1.0], spin=1.5)
+        prop = PropagatorConfig(dt=0.01, n_steps=4, save_every=2)
+        factored = evolve_oracle(rho, fld, prop)
+        dense = evolve_oracle(SpinorDensity(grid, rho.blocks), fld, prop)
+        for a, b in zip(factored.states, dense.states):
+            assert np.max(np.abs(a.blocks - b.blocks)) <= 1e-13
+
+    def test_factored_states_need_no_eigensolve(self, grid64, rng, monkeypatch):
+        fr = random_frame(1.0, seed=7)
+        doms = {rep: None if rep in ("wigner", "husimi") else default_domain(rep, grid64)
+                for rep in REPRESENTATIONS}
+        rho = random_rank2_density(grid64, rng)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve on a factored state")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        traj = evolve_oracle(rho, EMFieldConfig(phi=(0.0, 0.0, 0.5), b_field=[0, 0, 1.0]),
+                             PropagatorConfig(dt=0.01, n_steps=2))
+        for state in (rho, traj.states[-1]):
+            for rep, dom in doms.items():
+                assert to_vector(state, fr, rep, dom).components.shape[0] == 9
 
 
 class TestFromVector:
