@@ -179,6 +179,13 @@ _STATE_SCENARIO = {"roundtrip": {"spin_direction": [1.0, 1.0, 1.0], "q0": 0.5, "
                    "residual": {"spin_direction": [1.0, 0.0, 0.0], "q0": 0.8, "p0": 0.5}}
 
 
+def _checked_seed(seed) -> int:
+    """seed, if it is an integer numpy.random.default_rng accepts."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
+    return seed
+
+
 def load_config(raw: dict, scenario: str) -> dict:
     top_keys = {"scenario", "seed", "grid", "field", "state", "run", "tolerances"}
     for key in raw:
@@ -189,12 +196,9 @@ def load_config(raw: dict, scenario: str) -> dict:
             f"scenario: config says {raw['scenario']!r} but subcommand is {scenario!r}")
     field_defaults = {**_FIELD_DEFAULTS, **_FIELD_SCENARIO.get(scenario, {})}
     state_defaults = {**_STATE_DEFAULTS, **_STATE_SCENARIO.get(scenario, {})}
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed: expected an integer, got {seed!r}")
     cfg = {
         "scenario": scenario,
-        "seed": seed,
+        "seed": _checked_seed(raw.get("seed", 0)),
         "grid": _merge_section(raw.get("grid", {}), _GRID_DEFAULTS, "grid"),
         "field": _merge_section(raw.get("field", {}), field_defaults, "field"),
         "state": _merge_section(raw.get("state", {}), state_defaults, "state"),
@@ -491,7 +495,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         cfg = load_config(raw, args.scenario)
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            cfg["seed"] = _checked_seed(args.seed)
+        if not (np.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
+            raise ConfigError(f"--tolerance-scale: expected a finite number > 0, "
+                              f"got {args.tolerance_scale!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

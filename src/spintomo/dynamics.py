@@ -6,7 +6,12 @@ In that field class a Strang step of the vector Wigner equation is an affine
 symplectic map of (q, p), so evolve_wigner_vector composes the steps between
 two saved frames in closed form and applies the result as three spectral
 shears: dt keeps its meaning as the Strang step, and the cost follows the
-number of saved frames rather than n_steps."""
+number of saved frames rather than n_steps.
+
+The oracle's Strang scheme applies the uniform Zeeman term once per saved
+chunk of m steps and, under a static field, advances a chunk by the m-th power
+of the one-step n x n Strang matrix when that costs no more than stepping (see
+evolve_oracle); otherwise it steps."""
 from __future__ import annotations
 
 import json
@@ -15,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 from .errors import SchemeMismatchError, UnsupportedPotentialError
 from .grids import PhaseSpaceGrid, write_csv
@@ -189,29 +193,40 @@ class Trajectory:
     scheme: str
 
 
+def _is_static(fld: EMFieldConfig) -> bool:
+    return not (callable(fld.phi) or callable(fld.a_long))
+
+
+def _strang_factors(grid: PhaseSpaceGrid, fld: EMFieldConfig, dt: float,
+                    t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Half potential kick and kinetic phase of a Strang step of size dt whose
+    midpoint is t."""
+    half_v = np.exp(-0.5j * dt * fld.e * fld.phi_at(grid.q, t) / grid.hbar)
+    kin = np.exp(-1j * dt * (grid.hbar * grid.k_fft - fld.e * fld.a_at(t) / fld.c_light) ** 2
+                 / (2.0 * fld.mass * grid.hbar))
+    return half_v, kin
+
+
 def _strang_steps(psis: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
                   t0: float, dt: float, n_sub: int) -> np.ndarray:
-    """Advance an ensemble (k, d, n) by n_sub Strang substeps of size dt."""
-    hbar = grid.hbar
-    hk = grid.hbar * grid.k_fft
-
-    def split_factors(t):  # half potential kick, half Zeeman matrix, kinetic phase
-        half_v = np.exp(-0.5j * dt * fld.e * fld.phi_at(grid.q, t) / hbar)
-        half_z = expm(-0.5j * dt * fld.zeeman_matrix() / hbar)
-        kin = np.exp(-1j * dt * (hk - fld.e * fld.a_at(t) / fld.c_light) ** 2
-                     / (2.0 * fld.mass * hbar))
-        return half_v, half_z, kin
-
-    static = not (callable(fld.phi) or callable(fld.a_long))
-    fixed = split_factors(t0) if static else None
+    """Advance the spatial part of an ensemble (k, d, n) by n_sub Strang
+    substeps of size dt."""
+    fixed = _strang_factors(grid, fld, dt, t0) if _is_static(fld) else None
     t = t0
     for _ in range(n_sub):
-        half_v, half_z, kin = fixed or split_factors(t + 0.5 * dt)
-        psis = half_v[None, None, :] * np.einsum("ab,kbn->kan", half_z, psis)
-        psis = np.fft.ifft(kin[None, None, :] * np.fft.fft(psis, axis=2), axis=2)
-        psis = half_v[None, None, :] * np.einsum("ab,kbn->kan", half_z, psis)
+        half_v, kin = fixed or _strang_factors(grid, fld, dt, t + 0.5 * dt)
+        psis = half_v * np.fft.ifft(kin * np.fft.fft(half_v * psis, axis=2), axis=2)
         t += dt
     return psis
+
+
+def _strang_power(grid: PhaseSpaceGrid, fld: EMFieldConfig, dt: float, m: int) -> np.ndarray:
+    """S^m for the one-step Strang matrix S = diag(h) F^-1 diag(kin) F diag(h)
+    of a static field, with h the half potential kick and F the FFT."""
+    half_v, kin = _strang_factors(grid, fld, dt, 0.0)
+    step = half_v[:, None] * np.fft.ifft(kin[:, None] * np.fft.fft(np.diag(half_v), axis=0),
+                                         axis=0)
+    return np.linalg.matrix_power(step, m)
 
 
 def _rk4_steps(psis: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
@@ -236,6 +251,19 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
 
     The factors (p_r, psi_r) of rho0 are propagated (Strang splitting by
     default, RK4 optional) and saved as a factored frame every save_every steps.
+
+    A Strang chunk of m steps factors into a spin part and a spatial part,
+    since the uniform Zeeman term H_s acts on the spin index alone and
+    commutes with the rest of H: the spin part is the one matrix
+    expm(-i m dt H_s / hbar).  For a static field (phi a tuple or None, a_long
+    not callable) every Strang step is the same n x n matrix S, so the
+    spatial part of a chunk is S^m, formed by binary powering once per
+    distinct chunk length and applied as one product.  It is used when those
+    2 ceil(log2 m) n x n products cost no more than n_steps dense steps,
+    2 ceil(log2 m) n <= n_steps, and one n x n product per chunk no more than
+    m FFT steps, n <= m ceil(log2 n).  Otherwise, and for time-dependent
+    fields, the spatial part is stepped.  The scheme is Strang either way,
+    with its O(dt^2) error.
     """
     if prop.scheme not in ORACLE_SCHEMES:
         raise SchemeMismatchError(
@@ -243,7 +271,24 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     probs, psis = rho0.factors
     _check_spin_dim(fld, psis.shape[1], "state")
     grid = rho0.grid
-    stepper = _strang_steps if prop.scheme == "split-step-strang" else _rk4_steps
+    dt = prop.dt
+    m = min(prop.save_every, prop.n_steps)
+    # the size rule of the docstring; (k - 1).bit_length() is ceil(log2 k)
+    powered = (_is_static(fld) and 2 * (m - 1).bit_length() * grid.n <= prop.n_steps
+               and grid.n <= m * (grid.n - 1).bit_length())
+    powers = {}    # chunk length -> S^chunk, at most two lengths
+
+    def advance(psis, t, n_sub):
+        if prop.scheme == "rk4-ode":
+            return _rk4_steps(psis, grid, fld, t, dt, n_sub)
+        if powered:
+            if n_sub not in powers:
+                powers[n_sub] = _strang_power(grid, fld, dt, n_sub)
+            psis = psis @ powers[n_sub].T
+        else:
+            psis = _strang_steps(psis, grid, fld, t, dt, n_sub)
+        spin = expm(-1j * n_sub * dt * fld.zeeman_matrix() / grid.hbar)
+        return np.einsum("ab,kbn->kan", spin, psis)
 
     def energy(p, t):
         return sum(w * expectation(pk, grid, hamiltonian_apply(pk, grid, fld, t))
@@ -255,8 +300,8 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     done = 0
     while done < prop.n_steps:
         chunk = min(prop.save_every, prop.n_steps - done)
-        psis = stepper(psis, grid, fld, t, prop.dt, chunk)
-        t += chunk * prop.dt
+        psis = advance(psis, t, chunk)
+        t += chunk * dt
         done += chunk
         times.append(t)
         states.append(SpinorDensity.from_mixture(probs, psis, grid))
@@ -438,6 +483,8 @@ def fit_precession_frequency(times: np.ndarray, series: np.ndarray,
     bounded minimization over omega seeded by the FFT peak.  Avoids FFT
     leakage bias at short durations.
     """
+    from scipy.optimize import minimize_scalar   # costs every import 0.2 s at module level
+
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
     dt = times[1] - times[0]

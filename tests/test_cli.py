@@ -30,6 +30,15 @@ def read_report(out_dir):
     return json.loads((Path(out_dir) / "report.json").read_text())
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's spintomo."""
+    src = str(Path(spintomo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 class TestConfig:
     def test_defaults_fill_in(self):
         cfg = load_config({}, "precess")
@@ -183,12 +192,24 @@ class TestScenarios:
         ("residual", {"run": {"substeps": 0}}, "run.substeps"),
         ("residual", {"run": {"n_mu": 2}}, "run.n_mu"),
         ("residual", {"run": {"dt_frame": 0.0}}, "run.dt_frame"),
+        ("roundtrip", {"seed": -1}, "seed"),
+        ("audit-frame", {"seed": -3, "run": {"frame": "random"}}, "seed"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, scenario, raw, path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--tolerance-scale", "nan"), ("--tolerance-scale", "inf"),
+        ("--tolerance-scale", "0"), ("--tolerance-scale", "-1")])
+    def test_malformed_flag_exits_2(self, tmp_path, capsys, flag, value):
+        # unchecked, inf would pass every gate and nan, 0 or -1 fail them as physics
+        assert main(["roundtrip", "--out", str(tmp_path / "o"), flag, value]) == 2
+        name = "seed" if flag == "--seed" else flag
+        assert f"config error: {name}:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
     def test_csv_cells_read_back_as_numbers(self, tmp_path):
@@ -230,13 +251,13 @@ class TestScenarios:
         assert ((tmp_path / "a" / "precess_weights.csv").read_bytes()
                 == (tmp_path / "b" / "precess_weights.csv").read_bytes())
 
+    def test_import_leaves_scipy_optimize_out(self):
+        proc = run_python("-c", "import sys, spintomo; print('scipy.optimize' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_module_entry_point(self, tmp_path):
-        src = str(Path(spintomo.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spintomo.cli", "audit-frame", "--out", str(tmp_path / "o")],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_python("-m", "spintomo.cli", "audit-frame", "--out", str(tmp_path / "o"))
         assert proc.returncode == 0, proc.stderr
         assert read_report(tmp_path / "o")["pass"]
 

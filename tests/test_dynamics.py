@@ -58,6 +58,57 @@ def kick_drift_reference(v0, fld, prop):
     return np.stack(frames)
 
 
+def strang_loop_reference(rho0, fld, prop):
+    """The step-by-step Strang loop that evolve_oracle's chunked form replaces:
+    per step a half potential and half Zeeman kick, the kinetic phase, and the
+    two half kicks again, with time-dependent factors taken at each step's
+    midpoint.  Returns the spinor factors of every saved frame, shape
+    (n_frames, k, d, n)."""
+    grid = rho0.grid
+    hbar, dt = grid.hbar, prop.dt
+    hk = hbar * grid.k_fft
+    half_z = expm(-0.5j * dt * fld.zeeman_matrix() / hbar)
+    psis = rho0.factors[1]
+    frames = [psis]
+    t = 0.0
+    done = 0
+    while done < prop.n_steps:
+        chunk = min(prop.save_every, prop.n_steps - done)
+        ts = t
+        for _ in range(chunk):
+            tm = ts + 0.5 * dt
+            half_v = np.exp(-0.5j * dt * fld.e * fld.phi_at(grid.q, tm) / hbar)
+            kin = np.exp(-1j * dt * (hk - fld.e * fld.a_at(tm) / fld.c_light) ** 2
+                         / (2.0 * fld.mass * hbar))
+            psis = half_v * np.einsum("ab,kbn->kan", half_z, psis)
+            psis = np.fft.ifft(kin * np.fft.fft(psis, axis=2), axis=2)
+            psis = half_v * np.einsum("ab,kbn->kan", half_z, psis)
+            ts += dt
+        t += chunk * dt
+        done += chunk
+        frames.append(psis)
+    return np.stack(frames)
+
+
+@pytest.fixture()
+def matrix_powers(monkeypatch):
+    """Counts numpy.linalg.matrix_power calls; refuses them once .refuse is set."""
+    real = np.linalg.matrix_power
+
+    class Calls:
+        count = 0
+        refuse = False
+
+    def counted(a, n):
+        if Calls.refuse:
+            raise AssertionError("the stepped path must not power the Strang matrix")
+        Calls.count += 1
+        return real(a, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    return Calls
+
+
 def packet_vector(frame, grid, direction, q0, p0, sigma):
     chi = spin_eigenvector(1.0, np.asarray(direction) / np.linalg.norm(direction), 1.0)
     psi = spinor_product_state(grid, chi, gaussian_packet(grid, q0, p0, sigma))
@@ -231,6 +282,88 @@ class TestEvolveOracle:
             spinor_product_state(grid64, [1, 0, 0], gaussian_packet(grid64)), grid64)
         traj = evolve_oracle(rho0, fld, PropagatorConfig(dt=0.01, n_steps=50, save_every=50))
         assert abs(traj.traces[-1] - 1.0) < 1e-10
+
+
+class TestChunkedOracle:
+    """evolve_oracle applies the Zeeman factor once per saved chunk and, for a
+    static field on a long enough run, the powered one-step Strang matrix; the
+    step-by-step loop is the reference."""
+
+    @staticmethod
+    def static_case(case, grid):
+        spin = 0.5 if case == "spin-1/2" else 1.0
+        fld = EMFieldConfig(phi=(0.1, 0.2, 0.4), a_long=0.3, e=0.9, c_light=1.3, mass=1.2,
+                            b_field=[0.3, -0.5, 0.7], kappa=0.9, spin=spin)
+        chis = [spin_eigenvector(spin, [1, 0, 1] / np.sqrt(2), spin),
+                spin_eigenvector(spin, [0, 1, 0], -spin)]
+        psis = [spinor_product_state(grid, chi, gaussian_packet(grid, 0.5 - k, 0.3 * k, 0.9))
+                for k, chi in enumerate(chis)]
+        if case == "mixture":
+            return fld, SpinorDensity.from_mixture([0.65, 0.35], psis, grid)
+        return fld, SpinorDensity.from_pure(psis[0], grid)
+
+    @pytest.mark.parametrize("path", ["powered", "stepped"])
+    @pytest.mark.parametrize("case", ["spin-1", "spin-1/2", "mixture", "ragged-chunks"])
+    def test_static_field_matches_step_loop(self, grid64, matrix_powers, case, path):
+        fld, rho0 = self.static_case(case, grid64)
+        # (n_steps, save_every); powering pays from 2 ceil(log2 save_every) n
+        # = 896 (1024) steps on, so the short runs are stepped
+        n_steps, save_every = {("powered", False): (1000, 100), ("powered", True): (1050, 200),
+                               ("stepped", False): (40, 10), ("stepped", True): (45, 10),
+                               }[path, case == "ragged-chunks"]
+        matrix_powers.refuse = path == "stepped"
+        prop = PropagatorConfig(dt=1e-3, n_steps=n_steps, save_every=save_every)
+        traj = evolve_oracle(rho0, fld, prop)
+        lengths = {min(save_every, n_steps - done) for done in range(0, n_steps, save_every)}
+        assert matrix_powers.count == (len(lengths) if path == "powered" else 0)
+        got = np.stack([s.factors[1] for s in traj.states])
+        ref = strang_loop_reference(rho0, fld, prop)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) < 1e-11
+        assert np.allclose(traj.times, prop.dt * np.minimum(
+            np.arange(len(ref)) * save_every, n_steps), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("what", ["phi", "a_long"])
+    def test_time_dependent_field_matches_step_loop(self, grid64, matrix_powers, what):
+        fields = {"phi": {"phi": lambda q, t: 0.5 * q**2 * (1 + 0.1 * np.sin(t)) + 0.2 * q},
+                  "a_long": {"phi": HARMONIC, "a_long": lambda t: 0.4 * np.cos(3 * t)}}
+        fld = EMFieldConfig(b_field=[0.2, 0.4, -0.6], kappa=0.8, spin=1.0, **fields[what])
+        rho0 = SpinorDensity.from_pure(spin_coherent_state(grid64, [1, 1, 0], 1.0, 1.0, 0.4,
+                                                           -0.2), grid64)
+        matrix_powers.refuse = True     # long enough to power, were the field static
+        prop = PropagatorConfig(dt=2e-3, n_steps=700, save_every=20)
+        traj = evolve_oracle(rho0, fld, prop)
+        ref = strang_loop_reference(rho0, fld, prop)
+        assert np.max(np.abs(np.stack([s.factors[1] for s in traj.states]) - ref)) < 1e-13
+
+    def test_size_rule_boundaries(self, grid64, matrix_powers):
+        fld, rho0 = self.static_case("spin-1", grid64)
+        matrix_powers.refuse = True
+        # save_every = 100: forming S^m pays from 2 * 7 * 64 = 896 steps on
+        evolve_oracle(rho0, fld, PropagatorConfig(dt=1e-3, n_steps=895, save_every=100))
+        # one dense product per chunk pays from 64 / 6 steps a chunk on
+        for save_every in (1, 10):
+            evolve_oracle(rho0, fld, PropagatorConfig(dt=1e-3, n_steps=600,
+                                                      save_every=save_every))
+        matrix_powers.refuse = False
+        evolve_oracle(rho0, fld, PropagatorConfig(dt=1e-3, n_steps=896, save_every=100))
+        assert matrix_powers.count == 2     # chunks of 100 and of 96
+        evolve_oracle(rho0, fld, PropagatorConfig(dt=1e-3, n_steps=600, save_every=11))
+        assert matrix_powers.count == 4     # chunks of 11 and of 6
+
+    def test_each_side_of_the_rule_in_the_scenarios(self, grid128, matrix_powers):
+        fld = EMFieldConfig(phi=(0.0, -0.21, 0.62), b_field=[0.4, -0.7, 0.3], kappa=1.3,
+                            spin=1.0)
+        rho0 = SpinorDensity.from_pure(spin_coherent_state(grid128, [0.3, -0.5, 0.8]),
+                                       grid128)
+        matrix_powers.refuse = True     # the benchmark's dynamics job
+        evolve_oracle(rho0, fld, PropagatorConfig(dt=4e-3, n_steps=100, save_every=25))
+        matrix_powers.refuse = False    # the default wavepacket run
+        traj = evolve_oracle(rho0, EMFieldConfig(phi=HARMONIC),
+                             PropagatorConfig(dt=6.2832 / 25000, n_steps=25000,
+                                              save_every=2500))
+        assert matrix_powers.count == 1
+        assert np.max(np.abs(traj.traces - 1.0)) < 1e-10
 
 
 class TestSpinCouplingMatrix:
