@@ -1,10 +1,12 @@
 """Scenario runner: frame audits, precession runs, wavepacket simulations,
 round-trip checks, and residual-convergence studies.
 
-Each run reads one JSON config, writes report.json plus plot-ready CSV tables
-into the output directory, and exits 0 only if every enabled gate passes
-(1: physics gate failure, 2: config error).  Reports carry no timestamps, so
-identical configs and seeds produce byte-identical outputs.
+Each run reads one JSON config object, writes report.json plus plot-ready
+CSV tables into the output directory, and exits 0 only if every enabled gate
+passes (1: physics gate failure, 2: config error).  A scenario accepts only
+the sections and keys it reads (the _DEFAULTS table), each value in its
+default's type, and "seed".  Reports carry no timestamps, so identical
+configs and seeds produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -48,37 +50,59 @@ from .vector_portrait import (
 
 SCENARIOS = ("audit-frame", "precess", "wavepacket", "roundtrip", "residual")
 
-# length <= 0 selects the balanced grid (dp = m*omega*dq)
-_GRID_DEFAULTS = {"n": 128, "length": 0.0, "hbar": 1.0, "mass": 1.0, "omega": 1.0}
-_FIELD_DEFAULTS = {
-    "phi": [0.0, 0.0, 0.0], "a_long": 0.0, "b": [0.0, 0.0, 0.0],
-    "e": 1.0, "c": 1.0, "kappa": 1.0, "m": 1.0, "s": 1.0,
+# The sections and keys each scenario reads, with their defaults; a scenario
+# rejects every other key.  grid.length <= 0 selects the balanced grid
+# (dp = m*omega*dq).
+_DEFAULTS = {
+    "audit-frame": {
+        "run": {"frame": "paper", "spin": 1.0},
+        "tolerances": {"duality": 1e-12, "completeness": 1e-12, "projectors": 1e-12},
+    },
+    "precess": {
+        "grid": {"hbar": 1.0},
+        "field": {"b": [1.0, 0.0, 0.0], "kappa": 1.0},
+        "state": {"spin_direction": [0.0, 0.0, 1.0], "spin_m": 1.0},
+        "run": {"periods": 10.0, "samples_per_period": 64},
+        "tolerances": {"freq_rel_err": 1e-6, "s_matrix_vs_oracle": 1e-8},
+    },
+    "wavepacket": {
+        "grid": {"n": 128, "length": 0.0, "hbar": 1.0, "mass": 1.0, "omega": 1.0},
+        "field": {"phi": [0.0, 0.0, 0.5], "a_long": 0.0, "b": [0.0, 0.0, 0.0],
+                  "e": 1.0, "c": 1.0, "kappa": 1.0, "m": 1.0},
+        "state": {"spin_direction": [0.0, 0.0, 1.0], "spin_m": 1.0,
+                  "q0": 0.0, "p0": 0.0, "sigma": 1.0},
+        "run": {"t_final": 6.2832, "n_steps": 25000, "save_every": 2500,
+                "scheme": "split-step-strang"},
+        "tolerances": {"trace_drift": 1e-10, "energy_rel_drift": 1e-8, "norm_sum_dev": 1e-8},
+    },
+    "roundtrip": {
+        "grid": {"n": 128, "length": 0.0, "hbar": 1.0, "mass": 1.0, "omega": 1.0},
+        "state": {"spin_direction": [1.0, 1.0, 1.0], "spin_m": 1.0,
+                  "q0": 0.5, "p0": 0.3, "sigma": 1.0},
+        "run": {"route": "both", "rank": 2, "n_theta": 128, "optical_n": 256},
+        "tolerances": {"wigner_block_err": 1e-10, "optical_infidelity": 1e-3},
+    },
+    "residual": {
+        "grid": {"n": 128, "length": 0.0, "hbar": 1.0, "mass": 1.0, "omega": 1.0},
+        "field": {"phi": [0.0, 0.2, 0.5], "a_long": 0.0, "b": [0.4, 0.3, 0.5],
+                  "e": 1.0, "c": 1.0, "kappa": 0.8, "m": 1.0},
+        "state": {"spin_direction": [1.0, 0.0, 0.0], "spin_m": 1.0,
+                  "q0": 0.8, "p0": 0.5, "sigma": 1.0},
+        "run": {"representations": ["wigner", "optical", "symplectic-section", "husimi"],
+                "n_theta": 64, "n_mu": 5, "n_nu": 5,
+                "n_frames": 5, "dt_frame": 0.04, "substeps": 8},
+        "tolerances": {"ratio_window": 1.0},
+    },
 }
-_STATE_DEFAULTS = {
-    "spin_direction": [0.0, 0.0, 1.0], "spin_m": 1.0,
-    "q0": 0.0, "p0": 0.0, "sigma": 1.0,
-}
-_RUN_DEFAULTS = {
-    "audit-frame": {"frame": "paper", "spin": 1.0},
-    "precess": {"periods": 10.0, "samples_per_period": 64},
-    "wavepacket": {"t_final": 6.2832, "n_steps": 25000, "save_every": 2500,
-                   "scheme": "split-step-strang"},
-    "roundtrip": {"route": "both", "rank": 2, "n_theta": 128, "optical_n": 256},
-    "residual": {"representations": ["wigner", "optical", "symplectic-section", "husimi"],
-                 "n_theta": 64, "n_mu": 5, "n_nu": 5,
-                 "n_frames": 5, "dt_frame": 0.04, "substeps": 8},
-}
-_TOL_DEFAULTS = {
-    "audit-frame": {"duality": 1e-12, "completeness": 1e-12, "projectors": 1e-12},
-    "precess": {"freq_rel_err": 1e-6, "s_matrix_vs_oracle": 1e-8},
-    "wavepacket": {"trace_drift": 1e-10, "energy_rel_drift": 1e-8, "norm_sum_dev": 1e-8},
-    "roundtrip": {"wigner_block_err": 1e-10, "optical_infidelity": 1e-3},
-    "residual": {"ratio_window": 1.0},
-}
+# field keys -> EMFieldConfig parameters; the spin is the frame's spin 1
+_FIELD_PARAMS = {"phi": "phi", "a_long": "a_long", "b": "b_field", "e": "e", "c": "c_light",
+                 "kappa": "kappa", "m": "mass"}
 
 
-_CHOICES = {"scheme": ORACLE_SCHEMES, "frame": ("paper", "random"),
-            "route": ("wigner", "optical", "both")}
+# the names each string setting takes
+_CHOICES = {"run.scheme": ORACLE_SCHEMES, "run.frame": ("paper", "random"),
+            "run.route": ("wigner", "optical", "both"),
+            "run.representations": VECTOR_REPRESENTATIONS}
 _GRID_SIZES = ("grid.n", "run.optical_n")
 # least counts the scenarios step, mix or sample with; central differences in
 # time, mu and nu need three samples, in theta two (run.n_theta is checked
@@ -86,59 +110,59 @@ _GRID_SIZES = ("grid.n", "run.optical_n")
 _MINIMA = {"run.n_steps": 1, "run.save_every": 1, "run.rank": 1, "run.substeps": 1,
            "run.n_frames": 3, "run.n_mu": 3, "run.n_nu": 3}
 # scales and durations the scenarios divide by or sample over
-_POSITIVE = ("grid.hbar", "grid.mass", "grid.omega", "field.m", "field.c", "run.t_final",
-             "run.periods", "run.samples_per_period", "run.dt_frame")
+_POSITIVE = ("grid.hbar", "grid.mass", "grid.omega", "field.m", "field.c", "state.sigma",
+             "run.t_final", "run.periods", "run.samples_per_period", "run.dt_frame")
 
 
 def _is_finite_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool) and bool(np.isfinite(val))
 
 
-def _merge_section(user: dict, defaults: dict, path: str) -> dict:
-    """Defaults overlaid with user values of the same type: finite numbers,
-    numeric vectors of the default's length, strings."""
+def _typed(val, ref, where: str):
+    """val in the type of its default ref: an integer default takes only an
+    integer, a float default any finite number and a string default one of
+    its names; a list default takes a list of such values, of its length for
+    a vector and non-empty for names."""
+    if isinstance(ref, list):
+        vector = not isinstance(ref[0], str)
+        if not isinstance(val, list) or not val or vector and len(val) != len(ref):
+            shape = f"a list of {len(ref)} finite numbers" if vector else "a non-empty list"
+            raise ConfigError(f"{where}: expected {shape}, got {val!r}")
+        return [_typed(v, ref[0], where) for v in val]
+    if isinstance(ref, str):
+        expected, ok = f"one of {list(_CHOICES[where])}", val in _CHOICES[where]
+    elif isinstance(ref, int):
+        expected, ok = "an integer", isinstance(val, int) and not isinstance(val, bool)
+    else:
+        expected, ok = "a finite number", _is_finite_number(val)
+    if not ok:
+        raise ConfigError(f"{where}: expected {expected}, got {val!r}")
+    return type(ref)(val)
+
+
+def _merge_section(user, defaults: dict, path: str) -> dict:
+    """Defaults overlaid with user values, each in its default's type."""
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: expected an object")
-    for key in user:
+    merged = dict(defaults)
+    for key, val in user.items():
         if key not in defaults:
             raise ConfigError(f"{path}.{key}: unknown key")
-    merged = dict(defaults)
-    merged.update(user)
-    for key, val in merged.items():
-        ref = defaults[key]
-        if _is_finite_number(ref) and not _is_finite_number(val):
-            raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
-        if isinstance(ref, list) and all(map(_is_finite_number, ref)) and not (
-                isinstance(val, list) and len(val) == len(ref)
-                and all(map(_is_finite_number, val))):
-            raise ConfigError(
-                f"{path}.{key}: expected a list of {len(ref)} finite numbers, got {val!r}")
-        if isinstance(ref, str) and not isinstance(val, str):
-            raise ConfigError(f"{path}.{key}: expected a string, got {val!r}")
+        merged[key] = _typed(val, defaults[key], f"{path}.{key}")
     return merged
 
 
 def _present(cfg: dict, paths: tuple) -> list:
-    """(path, value) for each "section.key" path the config holds."""
+    """(path, value) for each "section.key" path the scenario reads."""
     pairs = [(where, where.split(".")) for where in paths]
-    return [(where, cfg[sec][key]) for where, (sec, key) in pairs if key in cfg[sec]]
+    return [(where, cfg[sec][key]) for where, (sec, key) in pairs if key in cfg.get(sec, ())]
 
 
 def _check_values(cfg: dict) -> None:
-    """Enums, grid sizes, counts, scales and spin values that the scenarios
-    would otherwise reject with a traceback."""
+    """Grid sizes, counts, scales and spin values that the scenarios would
+    otherwise reject with a traceback."""
     run = cfg["run"]
-    for key, allowed in _CHOICES.items():
-        if key in run and run[key] not in allowed:
-            raise ConfigError(f"run.{key}: expected one of {list(allowed)}, got {run[key]!r}")
-    reps = run.get("representations", "all")
-    if reps != "all" and not (isinstance(reps, list) and reps
-                              and all(r in VECTOR_REPRESENTATIONS for r in reps)):
-        raise ConfigError(f"run.representations: expected \"all\" or a non-empty list "
-                          f"of {list(VECTOR_REPRESENTATIONS)}, got {reps!r}")
     for where, n in _present(cfg, _GRID_SIZES):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ConfigError(f"{where}: expected an integer, got {n!r}")
         try:
             PhaseSpaceGrid.balanced(n)
         except ValueError as exc:
@@ -152,31 +176,27 @@ def _check_values(cfg: dict) -> None:
     for where, val in _present(cfg, _POSITIVE):
         if val <= 0:
             raise ConfigError(f"{where}: expected a positive number, got {val!r}")
-    if cfg["scenario"] == "precess" and run["periods"] * run["samples_per_period"] < 1:
-        raise ConfigError("run.samples_per_period: periods * samples_per_period must be "
-                          "at least 1, so that the run has two samples")
-    if not np.any(cfg["state"]["spin_direction"]):
-        raise ConfigError("state.spin_direction: expected a nonzero vector")
+    if cfg["scenario"] == "precess":
+        if run["periods"] * run["samples_per_period"] < 1:
+            raise ConfigError("run.samples_per_period: periods * samples_per_period must be "
+                              "at least 1, so that the run has two samples")
+        if not np.any(cfg["field"]["b"]):
+            raise ConfigError("field.b: precession needs a nonzero magnetic field")
     if cfg["scenario"] == "audit-frame":
+        if run["frame"] == "paper" and run["spin"] != 1.0:
+            raise ConfigError(f"run.spin: the paper frame has spin 1, got {run['spin']!r}")
         try:
             projection_values(run["spin"])
         except ValueError as exc:
             raise ConfigError(f"run.spin: {exc}") from exc
-    s, m = cfg["field"]["s"], cfg["state"]["spin_m"]
-    if s != 1.0:
-        raise ConfigError(f"field.s: the scenarios use the spin-1 frame, got {s!r}")
-    allowed_m = projection_values(s)
-    if not np.any(np.abs(allowed_m - m) < 1e-9):
-        raise ConfigError(
-            f"state.spin_m: expected one of {allowed_m.tolist()} for s={s:g}, got {m!r}")
-
-
-# scenario-specific default overrides (a precession run needs a field)
-_FIELD_SCENARIO = {"precess": {"b": [1.0, 0.0, 0.0]},
-                   "wavepacket": {"phi": [0.0, 0.0, 0.5]},
-                   "residual": {"phi": [0.0, 0.2, 0.5], "b": [0.4, 0.3, 0.5], "kappa": 0.8}}
-_STATE_SCENARIO = {"roundtrip": {"spin_direction": [1.0, 1.0, 1.0], "q0": 0.5, "p0": 0.3},
-                   "residual": {"spin_direction": [1.0, 0.0, 0.0], "q0": 0.8, "p0": 0.5}}
+    if "state" in cfg:
+        state = cfg["state"]
+        if not np.any(state["spin_direction"]):
+            raise ConfigError("state.spin_direction: expected a nonzero vector")
+        allowed_m = projection_values(1.0)
+        if not np.any(np.abs(allowed_m - state["spin_m"]) < 1e-9):
+            raise ConfigError(f"state.spin_m: expected one of {allowed_m.tolist()} for the "
+                              f"spin-1 frame, got {state['spin_m']!r}")
 
 
 def _checked_seed(seed) -> int:
@@ -186,46 +206,34 @@ def _checked_seed(seed) -> int:
     return seed
 
 
-def load_config(raw: dict, scenario: str) -> dict:
-    top_keys = {"scenario", "seed", "grid", "field", "state", "run", "tolerances"}
+def load_config(raw, scenario: str) -> dict:
+    """raw (parsed JSON) overlaid on the defaults of what the scenario reads."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: expected a JSON object, got {raw!r}")
+    defaults = _DEFAULTS[scenario]
     for key in raw:
-        if key not in top_keys:
+        if key not in ("scenario", "seed", *defaults):
             raise ConfigError(f"{key}: unknown key")
     if "scenario" in raw and raw["scenario"] != scenario:
         raise ConfigError(
             f"scenario: config says {raw['scenario']!r} but subcommand is {scenario!r}")
-    field_defaults = {**_FIELD_DEFAULTS, **_FIELD_SCENARIO.get(scenario, {})}
-    state_defaults = {**_STATE_DEFAULTS, **_STATE_SCENARIO.get(scenario, {})}
-    cfg = {
-        "scenario": scenario,
-        "seed": _checked_seed(raw.get("seed", 0)),
-        "grid": _merge_section(raw.get("grid", {}), _GRID_DEFAULTS, "grid"),
-        "field": _merge_section(raw.get("field", {}), field_defaults, "field"),
-        "state": _merge_section(raw.get("state", {}), state_defaults, "state"),
-        "run": _merge_section(raw.get("run", {}), _RUN_DEFAULTS[scenario], "run"),
-        "tolerances": _merge_section(raw.get("tolerances", {}), _TOL_DEFAULTS[scenario],
-                                     "tolerances"),
-    }
+    cfg = {"scenario": scenario, "seed": _checked_seed(raw.get("seed", 0))}
+    for section, section_defaults in defaults.items():
+        cfg[section] = _merge_section(raw.get(section, {}), section_defaults, section)
     _check_values(cfg)
     return cfg
 
 
 def _grid_from(cfg: dict, n_override: int | None = None) -> PhaseSpaceGrid:
     g = cfg["grid"]
-    n = int(n_override if n_override is not None else g["n"])
-    if float(g["length"]) <= 0.0:
-        return PhaseSpaceGrid.balanced(n, float(g["hbar"]), float(g["mass"]),
-                                       float(g["omega"]))
-    return PhaseSpaceGrid.centered(n, float(g["length"]), float(g["hbar"]),
-                                   float(g["mass"]), float(g["omega"]))
+    n = g["n"] if n_override is None else n_override
+    if g["length"] <= 0.0:
+        return PhaseSpaceGrid.balanced(n, g["hbar"], g["mass"], g["omega"])
+    return PhaseSpaceGrid.centered(n, g["length"], g["hbar"], g["mass"], g["omega"])
 
 
 def _field_from(cfg: dict) -> EMFieldConfig:
-    f = cfg["field"]
-    return EMFieldConfig(phi=tuple(f["phi"]), a_long=float(f["a_long"]),
-                         b_field=np.asarray(f["b"], dtype=float), e=float(f["e"]),
-                         c_light=float(f["c"]), kappa=float(f["kappa"]),
-                         mass=float(f["m"]), spin=float(f["s"]))
+    return EMFieldConfig(**{_FIELD_PARAMS[key]: val for key, val in cfg["field"].items()})
 
 
 def _gate(value: float, threshold: float, scale: float) -> dict:
@@ -242,7 +250,7 @@ def _run_audit_frame(cfg: dict, out: Path, scale: float) -> dict:
     if run["frame"] == "paper":
         frame = build_spin1_frame()
     else:
-        frame = random_frame(float(run["spin"]), cfg["seed"])
+        frame = random_frame(run["spin"], cfg["seed"])
     tol = cfg["tolerances"]
     proj = frame.projector_residuals()
     gram_det = float(np.linalg.det(frame.gram))
@@ -281,21 +289,19 @@ def _run_audit_frame(cfg: dict, out: Path, scale: float) -> dict:
 
 def _run_precess(cfg: dict, out: Path, scale: float) -> dict:
     field = _field_from(cfg)
-    hbar = float(cfg["grid"]["hbar"])
+    hbar = cfg["grid"]["hbar"]
     tol = cfg["tolerances"]
     run = cfg["run"]
     frame = build_spin1_frame()
     b_norm = float(np.linalg.norm(field.b_field))
-    if b_norm == 0.0:
-        raise ConfigError("field.b: precession needs a nonzero magnetic field")
     omega_expected = field.kappa * b_norm / (field.spin * hbar)
     period = 2.0 * np.pi / omega_expected
     n_samples = int(run["periods"] * run["samples_per_period"]) + 1
     times = np.linspace(0.0, run["periods"] * period, n_samples)
 
-    direction = np.asarray(cfg["state"]["spin_direction"], dtype=float)
+    direction = np.asarray(cfg["state"]["spin_direction"])
     chi = spin_eigenvector(field.spin, direction / np.linalg.norm(direction),
-                           float(cfg["state"]["spin_m"]))
+                           cfg["state"]["spin_m"])
     rho0 = np.outer(chi, chi.conj())
 
     h_s = field.zeeman_matrix()
@@ -340,8 +346,8 @@ def _run_wavepacket(cfg: dict, out: Path, scale: float) -> dict:
     run = cfg["run"]
     rho0 = StateSpec(**cfg["state"]).build(grid, field.spin)
     dt = run["t_final"] / run["n_steps"]
-    prop = PropagatorConfig(dt=dt, n_steps=int(run["n_steps"]),
-                            scheme=run["scheme"], save_every=int(run["save_every"]))
+    prop = PropagatorConfig(dt=dt, n_steps=run["n_steps"], scheme=run["scheme"],
+                            save_every=run["save_every"])
     traj = evolve_oracle(rho0, field, prop)
     frame = build_spin1_frame()
     norm_sums = np.array([
@@ -380,7 +386,7 @@ def _run_roundtrip(cfg: dict, out: Path, scale: float) -> dict:
 
     if run["route"] in ("wigner", "both"):
         grid = _grid_from(cfg)
-        rank = int(run["rank"])
+        rank = run["rank"]
         probs = rng.dirichlet(np.ones(rank))
         psis = []
         for _ in range(rank):
@@ -395,12 +401,12 @@ def _run_roundtrip(cfg: dict, out: Path, scale: float) -> dict:
         gates["wigner_block_err"] = _gate(err, tol["wigner_block_err"], scale)
 
     if run["route"] in ("optical", "both"):
-        grid_o = _grid_from(cfg, n_override=int(run["optical_n"]))
+        grid_o = _grid_from(cfg, n_override=run["optical_n"])
         st = cfg["state"]
         psi = spin_coherent_state(grid_o, st["spin_direction"], 1.0, st["spin_m"],
                                   st["q0"], st["p0"], st["sigma"])
         rho = SpinorDensity.from_pure(psi, grid_o)
-        dom = TomogramDomain.optical_default(grid_o, int(run["n_theta"]))
+        dom = TomogramDomain.optical_default(grid_o, run["n_theta"])
         v = to_vector(rho, frame, "optical", dom)
         rho_back = from_vector(v, frame)
         fid = fidelity_with_pure(rho_back, psi)
@@ -416,19 +422,15 @@ def _run_residual(cfg: dict, out: Path, scale: float) -> dict:
     field = _field_from(cfg)
     frame = build_spin1_frame()
     spec = StateSpec(**cfg["state"])
-    reps = run["representations"]
-    if reps == "all":
-        reps = ["wigner", "optical", "symplectic-section", "husimi"]
+    settings = dict(run)     # the other run keys are residual_convergence's settings
+    reps = settings.pop("representations")
     grid = _grid_from(cfg)
     measurements = {}
     gates = {}
     for rep in reps:
         report = residual_convergence(
-            rep, field, frame, spec, n=grid.n, length=grid.length,
-            n_theta=int(run["n_theta"]), n_mu=int(run["n_mu"]), n_nu=int(run["n_nu"]),
-            n_frames=int(run["n_frames"]), dt_frame=float(run["dt_frame"]),
-            substeps=int(run["substeps"]), hbar=grid.hbar, mass=grid.mass,
-            omega=grid.omega)
+            rep, field, frame, spec, n=grid.n, length=grid.length, hbar=grid.hbar,
+            mass=grid.mass, omega=grid.omega, **settings)
         measurements[rep] = {
             "coarse_max": report.coarse.max_residual,
             "fine_max": report.fine.max_residual,
@@ -503,11 +505,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        report, code = run(cfg, args.out, args.tolerance_scale)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    report, code = run(cfg, args.out, args.tolerance_scale)
     status = "PASS" if report["pass"] else f"FAIL ({report['first_failed_gate']})"
     print(f"{args.scenario}: {status} -> {Path(args.out) / 'report.json'}")
     return code

@@ -194,6 +194,24 @@ class TestScenarios:
         ("residual", {"run": {"dt_frame": 0.0}}, "run.dt_frame"),
         ("roundtrip", {"seed": -1}, "seed"),
         ("audit-frame", {"seed": -3, "run": {"frame": "random"}}, "seed"),
+        ("precess", [], "config"),
+        ("wavepacket", 3, "config"),
+        ("roundtrip", "x", "config"),
+        ("audit-frame", None, "config"),
+        ("wavepacket", {"run": {"n_steps": 10.5}}, "run.n_steps"),
+        ("roundtrip", {"run": {"rank": 1.7}}, "run.rank"),
+        ("residual", {"run": {"n_theta": 64.5}}, "run.n_theta"),
+        ("audit-frame", {"grid": {"n": 64}}, "grid"),
+        ("precess", {"state": {"q0": 1.0}}, "state.q0"),
+        ("precess", {"field": {"phi": [0.0, 0.0, 0.5]}}, "field.phi"),
+        ("roundtrip", {"field": {"b": [0, 0, 5]}}, "field"),
+        ("wavepacket", {"field": {"s": 1.0}}, "field.s"),
+        ("residual", {"field": {"s": 1.0}}, "field.s"),
+        ("residual", {"run": {"representations": "all"}}, "run.representations"),
+        ("audit-frame", {"run": {"spin": 0.5}}, "run.spin"),
+        ("precess", {"field": {"b": [0, 0, 0]}}, "field.b"),
+        ("residual", {"state": {"sigma": 0}}, "state.sigma"),
+        ("roundtrip", {"state": {"sigma": -1.0}}, "state.sigma"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, scenario, raw, path):
         cfg = tmp_path / "cfg.json"
