@@ -182,6 +182,18 @@ def _check_values(cfg: dict) -> None:
                               "at least 1, so that the run has two samples")
         if not np.any(cfg["field"]["b"]):
             raise ConfigError("field.b: precession needs a nonzero magnetic field")
+        if cfg["field"]["kappa"] == 0:
+            raise ConfigError("field.kappa: precession needs a nonzero magnetic moment")
+        omega = _precession_frequency(cfg["field"]["kappa"], cfg["field"]["b"],
+                                      cfg["grid"]["hbar"])
+        if not (np.isfinite(omega) and np.isfinite(run["periods"] * 2.0 * np.pi / omega)):
+            # an overflowing frequency comes from a tiny hbar, a vanishing one
+            # (infinite duration) from a tiny moment
+            key = "grid.hbar" if omega > 1.0 else "field.kappa"
+            raise ConfigError(
+                f"{key}: the precession frequency |kappa| |b| / hbar is {omega!r} for "
+                f"grid.hbar {cfg['grid']['hbar']!r}, field.kappa {cfg['field']['kappa']!r} "
+                f"and field.b {cfg['field']['b']!r}; it and the run's duration must be finite")
     if cfg["scenario"] == "audit-frame":
         if run["frame"] == "paper" and run["spin"] != 1.0:
             raise ConfigError(f"run.spin: the paper frame has spin 1, got {run['spin']!r}")
@@ -197,6 +209,13 @@ def _check_values(cfg: dict) -> None:
         if not np.any(np.abs(allowed_m - state["spin_m"]) < 1e-9):
             raise ConfigError(f"state.spin_m: expected one of {allowed_m.tolist()} for the "
                               f"spin-1 frame, got {state['spin_m']!r}")
+
+
+def _precession_frequency(kappa: float, b, hbar: float, spin: float = 1.0) -> float:
+    """Larmor frequency |kappa| |b| / (s hbar); a negative moment precesses
+    the other way round at the same rate."""
+    with np.errstate(over="ignore"):
+        return abs(kappa) * float(np.linalg.norm(b)) / (spin * hbar)
 
 
 def _checked_seed(seed) -> int:
@@ -293,8 +312,7 @@ def _run_precess(cfg: dict, out: Path, scale: float) -> dict:
     tol = cfg["tolerances"]
     run = cfg["run"]
     frame = build_spin1_frame()
-    b_norm = float(np.linalg.norm(field.b_field))
-    omega_expected = field.kappa * b_norm / (field.spin * hbar)
+    omega_expected = _precession_frequency(field.kappa, field.b_field, hbar, field.spin)
     period = 2.0 * np.pi / omega_expected
     n_samples = int(run["periods"] * run["samples_per_period"]) + 1
     times = np.linspace(0.0, run["periods"] * period, n_samples)

@@ -24,6 +24,7 @@ p-range, and kernel coherences negligible at half-box separation.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .errors import UndersampledDomainError
@@ -272,14 +273,19 @@ def angle_step(thetas: np.ndarray) -> float:
     return np.pi / n
 
 
-def _ramp_kernel_matrix(x_src: np.ndarray, x_dst: np.ndarray, dxs: float) -> np.ndarray:
-    """Matrix of the band-limited ramp kernel h(x_dst - x_src) * dx.
+# angles filtered by one product and interpolated by one sparse product;
+# larger groups save no more time, and their buffers (about 5 n^2 doubles
+# per angle) raise the peak memory
+_ANGLE_GROUP = 8
+
+
+def _ramp_kernel(xi: np.ndarray, dxs: float) -> np.ndarray:
+    """Band-limited ramp kernel h(xi) * dx at the offsets xi.
 
     h(xi) = (1/2 pi) int_{-A}^{A} |eta| e^{i eta xi} d eta with A = pi/dx;
     convolving the samples with h is exact for band-limited projections.
     """
     a = np.pi / dxs
-    xi = x_dst[:, None] - x_src[None, :]
     u = a * xi
     small = np.abs(u) < 1e-3
     u_safe = np.where(small, 1.0, u)
@@ -295,8 +301,14 @@ def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -
 
     Hann window at 80% of the X-Nyquist frequency; Radon inversion dominates
     the error budget (about 1e-3 in max norm for well-resolved states).  The
-    filter and the interpolation weights depend only on the domain, so they
-    are built once and shared by all c tomograms in one loop over angles.
+    filtered projections are evaluated on a 4x padded, 4x upsampled abscissa
+    and read by linear interpolation, zero outside it.  Only the window of
+    fine rows that q cos(theta) + p sin(theta)/(m omega) reaches from the grid
+    corners is computed.  Ramp and taper depend only on the offset of a fine
+    row from a sample (the x grid is uniform), so the filter is a Toeplitz
+    matrix built from one 1-D kernel.  Angles go in groups of _ANGLE_GROUP:
+    one filter product takes all components of a group's angles, and one
+    sparse product, two entries per point and angle, interpolates them.
     Needs at least MIN_ANGLES angles on the uniform grid of angle_step.
     """
     thetas = dom.thetas
@@ -308,6 +320,8 @@ def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -
     x = dom.x
     nx = len(x)
     dxs = dom.dx
+    n_theta = len(thetas)
+    c = len(stack)
 
     # evaluation abscissa: 4x padded range (filtered projections have 1/t^2
     # tails), 4x upsampled so linear interpolation is harmless
@@ -315,7 +329,19 @@ def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -
     up = 4
     n_fine = up * n_pad
     off = (n_pad - nx) // 2
-    x_fine = x[0] - off * dxs + (dxs / up) * np.arange(n_fine)
+    x0_fine = x[0] - off * dxs
+
+    # fine-row positions of q cos(theta) + y sin(theta), y = p/(m omega), as a
+    # q term plus a y term; the rows read lie between the sums of their
+    # extremes, which are the grid corners
+    m_omega = grid.mass * grid.omega
+    q_pos = (grid.q[:, None] * np.cos(thetas) - x0_fine) * (up / dxs)     # (n, n_theta)
+    y_pos = (grid.p[:, None] / m_omega) * np.sin(thetas) * (up / dxs)
+    lo = np.min(q_pos.min(axis=0) + y_pos.min(axis=0))
+    hi = np.max(q_pos.max(axis=0) + y_pos.max(axis=0))
+    k_lo = int(np.clip(np.floor(lo), 0, n_fine - 2))
+    k_hi = int(np.clip(np.floor(hi) + 1, k_lo + 1, n_fine - 1))
+    n_rows = k_hi - k_lo + 1
 
     # Hann taper from 80% of Nyquist as a smooth spectral correction:
     # effective filter |eta| * window = ramp - |eta| * (1 - window).  The
@@ -331,34 +357,58 @@ def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -
         1.0 - np.cos(np.pi * (np.abs(eta[roll]) - eta_cut) / (eta_nyq - eta_cut)))
     taper = fourier_upsample2(fourier_upsample2(np.fft.ifft(taper_loss))).real
 
-    # band-limited ramp applied as its exact real-space kernel; exact for
-    # band-limited slices, so no zero-bin quadrature bias
-    filt = _ramp_kernel_matrix(x, x_fine, dxs)                  # (n_fine, n_x)
-    for l in range(nx):
-        filt[:, l] -= np.roll(taper, up * (off + l))
+    # band-limited ramp applied as its exact real-space kernel (exact for
+    # band-limited slices, so no zero-bin quadrature bias), less the taper.
+    # Entry (k, l) depends on d = k - up * (off + l) alone: evaluate the
+    # kernel once per offset; the window's rows are a Toeplitz view of it.
+    d = np.arange(k_lo - up * (off + nx - 1), k_hi - up * off + 1)
+    kernel = _ramp_kernel(d * (dxs / up), dxs) - taper[d % n_fine]
+    filt = np.ascontiguousarray(sliding_window_view(kernel, n_rows)[::-up].T)  # (n_rows, n_x)
+    # column t * c + j holds sample row (t, j); a group's columns are one slice
+    columns = stack.transpose(2, 1, 0).reshape(nx, n_theta * c)
 
-    m_omega = grid.mass * grid.omega
-    q = grid.q
-    y = grid.p / m_omega
-    n_out = grid.n * grid.n
-    row_ptr = np.arange(0, 2 * n_out + 1, 2)
-
-    w_scaled = np.zeros((n_out, len(stack)))
-    for t, th in enumerate(thetas):
-        # linear interpolation on the fine abscissa (zero outside it) as a
-        # sparse matrix with two entries per output point
-        pos = ((q[:, None] * np.cos(th) + y[None, :] * np.sin(th)).ravel()
-               - x_fine[0]) * (up / dxs)
-        inside = (pos >= 0.0) & (pos <= n_fine - 1)
-        i0 = np.clip(np.floor(pos).astype(int), 0, n_fine - 2)
-        frac = pos - i0
+    # Each group of angles is filtered by one product with all its columns,
+    # then linearly interpolated by one sparse matrix: row (i, j) has weights
+    # at fine rows i0 and i0 + 1 of each angle t, in column
+    # (i0 - k_lo) * group + t; points off the fine abscissa get zero weights.
+    # Filtering all angles in one product instead would allocate and free a
+    # (n_rows, n_theta c) block (13 MB at n = 256, 128 angles, c = 9), after
+    # which the C allocator keeps more heap resident for the rest of the
+    # process.  The buffers are reused from group to group.
+    n = grid.n
+    n_out = n * n
+    group = _ANGLE_GROUP
+    pos_buf = np.empty((n, n, group))
+    row_buf = np.empty((n_out, group))
+    inside_buf = np.empty((n_out, group), dtype=bool)
+    data_buf = np.empty((n_out, group, 2))
+    cols_buf = np.empty((n_out, group, 2), dtype=np.int32)
+    w_scaled = np.zeros((n_out, c))
+    for t0 in range(0, n_theta, group):
+        g = min(group, n_theta - t0)
+        pos = np.add(q_pos[:, None, t0:t0 + g], y_pos[None, :, t0:t0 + g],
+                     out=pos_buf[:, :, :g]).reshape(n_out, g)
+        i0, inside = row_buf[:, :g], inside_buf[:, :g]
+        data, cols = data_buf[:, :g], cols_buf[:, :g]
+        np.clip(np.floor(pos, out=i0), k_lo, k_hi - 1, out=i0)
+        np.greater_equal(pos, 0.0, out=inside)
+        inside &= pos <= n_fine - 1
+        np.subtract(pos, i0, out=data[:, :, 1])
+        data[:, :, 1] *= inside
+        np.subtract(inside, data[:, :, 1], out=data[:, :, 0])
+        i0 -= k_lo
+        i0 *= g
+        i0 += np.arange(g)
+        cols[:, :, 0] = i0
+        np.add(cols[:, :, 0], g, out=cols[:, :, 1])
         interp = sparse.csr_matrix(
-            (np.column_stack([(1.0 - frac) * inside, frac * inside]).ravel(),
-             np.column_stack([i0, i0 + 1]).ravel(), row_ptr),
-            shape=(n_out, n_fine))
-        w_scaled += interp @ (filt @ stack[:, t, :].T)
+            (data.reshape(-1), cols.reshape(-1),
+             np.arange(0, 2 * g * n_out + 1, 2 * g, dtype=np.int32)),
+            shape=(n_out, n_rows * g))
+        filtered = filt @ columns[:, t0 * c:(t0 + g) * c]        # (n_rows, g c)
+        w_scaled += interp @ filtered.reshape(n_rows * g, c)
     w_scaled *= d_theta / (2.0 * np.pi)
-    return w_scaled.T.reshape(len(stack), grid.n, grid.n) / m_omega
+    return w_scaled.T.reshape(c, n, n) / m_omega
 
 
 def wigner_from_optical(fld: ScalarField) -> ScalarField:

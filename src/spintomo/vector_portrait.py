@@ -173,7 +173,7 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
             f"no inverse map for the {v.representation} representation; "
             "reconstruct through the wigner route instead")
     kernels = np.stack([_kernel_of_wigner(w, v.grid) for w in wigners])
-    return SpinorDensity(v.grid, np.einsum("lab,lxy->abxy", frame.quantizer, kernels))
+    return SpinorDensity(v.grid, np.tensordot(frame.quantizer, kernels, axes=(0, 0)))
 
 
 @dataclass(frozen=True)

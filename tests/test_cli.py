@@ -212,6 +212,8 @@ class TestScenarios:
         ("precess", {"field": {"b": [0, 0, 0]}}, "field.b"),
         ("residual", {"state": {"sigma": 0}}, "state.sigma"),
         ("roundtrip", {"state": {"sigma": -1.0}}, "state.sigma"),
+        ("precess", {"field": {"kappa": 0}}, "field.kappa"),
+        ("precess", {"grid": {"hbar": 1e-320}}, "grid.hbar"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, scenario, raw, path):
         cfg = tmp_path / "cfg.json"
@@ -253,6 +255,16 @@ class TestScenarios:
                 for name, cell in zip(names, row.split(","), strict=True):
                     if name not in ("slot", "series", "representation"):
                         float(cell)
+
+    def test_negative_moment_precesses_at_the_same_rate(self, tmp_path):
+        omegas = []
+        for kappa in (1.0, -1.0):
+            cfg = tmp_path / f"kappa{kappa}.json"
+            cfg.write_text(json.dumps({"field": {"kappa": kappa}}))
+            out = tmp_path / f"o{kappa}"
+            assert main(["precess", "--config", str(cfg), "--out", str(out)]) == 0
+            omegas.append(read_report(out)["measurements"]["omega_expected"])
+        assert omegas[0] == omegas[1] == 1.0
 
     def test_tolerance_scale_loosens_gate(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from spintomo import (
     PhaseSpaceGrid,
@@ -10,6 +11,7 @@ from spintomo import (
     VectorDistribution,
     audit,
     build_frame,
+    build_spin1_frame,
     field_to_csv,
     from_vector,
     gaussian_packet,
@@ -17,12 +19,22 @@ from spintomo import (
     load_field,
     oscillator_eigenstate,
     random_band_limited_state,
+    random_frame,
     save_field,
+    spin_coherent_state,
     symplectic_section,
     to_vector,
     wigner_from_optical,
 )
-from spintomo.phase_space import _wigner_of_factors, ddx, fourier_upsample2, radon_slices
+from spintomo.phase_space import (
+    MIN_ANGLES,
+    _wigner_of_factors,
+    angle_step,
+    back_project,
+    ddx,
+    fourier_upsample2,
+    radon_slices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +264,106 @@ class TestFilteredBackProjection:
             wigner_from_optical(tom)
         with pytest.raises(UndersampledDomainError):
             symplectic_section(tom, 1.0, 0.5)
+
+
+def back_project_reference(stack, grid, dom):
+    """back_project as a dense per-angle loop: the full fine-abscissa filter
+    matrix, one filter product and one sparse interpolation per angle.
+    Frozen so that the windowed, grouped back_project can be checked against it."""
+    thetas = dom.thetas
+    d_theta = angle_step(thetas)
+    x = dom.x
+    nx = len(x)
+    dxs = dom.dx
+    n_pad = 4 * nx
+    up = 4
+    n_fine = up * n_pad
+    off = (n_pad - nx) // 2
+    x_fine = x[0] - off * dxs + (dxs / up) * np.arange(n_fine)
+
+    eta = 2.0 * np.pi * np.fft.fftfreq(n_pad, dxs)
+    eta_nyq = np.pi / dxs
+    eta_cut = 0.8 * eta_nyq
+    taper_loss = np.zeros(n_pad)
+    roll = np.abs(eta) > eta_cut
+    taper_loss[roll] = np.abs(eta[roll]) * 0.5 * (
+        1.0 - np.cos(np.pi * (np.abs(eta[roll]) - eta_cut) / (eta_nyq - eta_cut)))
+    taper = fourier_upsample2(fourier_upsample2(np.fft.ifft(taper_loss))).real
+
+    a = np.pi / dxs
+    u = a * (x_fine[:, None] - x[None, :])
+    small = np.abs(u) < 1e-3
+    u_safe = np.where(small, 1.0, u)
+    direct = (a**2 / np.pi) * ((np.cos(u_safe) - 1.0) / u_safe**2 + np.sin(u_safe) / u_safe)
+    filt = np.where(small, (a**2 / np.pi) * (0.5 - u**2 / 8.0), direct) * dxs
+    for l in range(nx):
+        filt[:, l] -= np.roll(taper, up * (off + l))
+
+    m_omega = grid.mass * grid.omega
+    q = grid.q
+    y = grid.p / m_omega
+    n_out = grid.n * grid.n
+    row_ptr = np.arange(0, 2 * n_out + 1, 2)
+    w_scaled = np.zeros((n_out, len(stack)))
+    for t, th in enumerate(thetas):
+        pos = ((q[:, None] * np.cos(th) + y[None, :] * np.sin(th)).ravel()
+               - x_fine[0]) * (up / dxs)
+        inside = (pos >= 0.0) & (pos <= n_fine - 1)
+        i0 = np.clip(np.floor(pos).astype(int), 0, n_fine - 2)
+        frac = pos - i0
+        interp = sparse.csr_matrix(
+            (np.column_stack([(1.0 - frac) * inside, frac * inside]).ravel(),
+             np.column_stack([i0, i0 + 1]).ravel(), row_ptr),
+            shape=(n_out, n_fine))
+        w_scaled += interp @ (filt @ stack[:, t, :].T)
+    w_scaled *= d_theta / (2.0 * np.pi)
+    return w_scaled.T.reshape(len(stack), grid.n, grid.n) / m_omega
+
+
+def _equivalence_case(name):
+    """(grid, domain, frame, state) of one back-projection equivalence case;
+    the states sit off centre so that no symmetry hides an error."""
+    spin1 = (build_spin1_frame(), 1.0)
+    if name == "balanced-64-16":
+        grid, n_theta, (frame, s) = PhaseSpaceGrid.balanced(64), MIN_ANGLES, spin1
+    elif name == "balanced-128-64":
+        grid, n_theta, (frame, s) = PhaseSpaceGrid.balanced(128), 64, spin1
+    elif name == "non-unit":
+        grid = PhaseSpaceGrid.balanced(64, hbar=0.8, mass=1.5, omega=1.3)
+        # 20 angles: the last group of back_project's angle groups is partial
+        n_theta, frame, s = 20, build_frame(0.0, [[0, 0, 1]], [0.0]), 0.0
+    elif name == "centered":
+        grid, n_theta = PhaseSpaceGrid.centered(64, 12.0), 32
+        frame, s = random_frame(1.5, 3), 1.5
+    else:
+        grid, n_theta, (frame, s) = PhaseSpaceGrid.balanced(64), 32, spin1
+    dom = TomogramDomain.optical_default(grid, n_theta)
+    if name == "narrow-x":
+        # a quarter of the q-box: its 4x padded abscissa is narrower than the
+        # grid's diagonal, so some points read zero
+        dom = TomogramDomain(kind="optical", x=grid.q[24:40].copy(), thetas=dom.thetas)
+        assert 2.0 * len(dom.x) * dom.dx < np.hypot(grid.q[-1], grid.p[-1])
+    if s == 0.0:
+        psi = gaussian_packet(grid, 0.6, -0.4, 0.9)[None]
+    else:
+        psi = spin_coherent_state(grid, [1.0, 0.5, 0.3], s, q0=0.6, p0=-0.4, sigma=0.9)
+    return grid, dom, frame, SpinorDensity.from_pure(psi, grid)
+
+
+class TestBackProjectionEquivalence:
+    """The windowed, Toeplitz-filtered, angle-grouped back_project against
+    the dense per-angle loop, on tomograms with 1, 9 and 16 components."""
+
+    @pytest.mark.parametrize("name, n_comp", [
+        ("balanced-64-16", 9), ("balanced-128-64", 9), ("non-unit", 1),
+        ("centered", 16), ("narrow-x", 9)])
+    def test_matches_dense_loop(self, name, n_comp):
+        grid, dom, frame, rho = _equivalence_case(name)
+        stack = to_vector(rho, frame, "optical", dom).components
+        assert stack.shape == (n_comp, len(dom.thetas), len(dom.x))
+        ref = back_project_reference(stack, grid, dom)
+        got = back_project(stack, grid, dom)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.fixture(scope="module")
