@@ -30,7 +30,6 @@ from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain, field_to_csv, lo
 from .phase_space import (
     ddx,
     husimi_from_wigner,
-    symplectic_section,
     wigner_from_optical,
 )
 from .residuals import (

@@ -3,7 +3,8 @@ round-trip checks, and residual-convergence studies.
 
 Each run reads one JSON config object, writes report.json plus plot-ready
 CSV tables into the output directory, and exits 0 only if every enabled gate
-passes (1: physics gate failure, 2: config error).  A scenario accepts only
+passes (1: physics gate failure, 2: config error, or a state or domain the
+optical inversion refuses, UndersampledDomainError).  A scenario accepts only
 the sections and keys it reads (the _DEFAULTS table), each value in its
 default's type, and "seed".  Reports carry no timestamps, so identical
 configs and seeds produce byte-identical outputs.
@@ -27,7 +28,7 @@ from .dynamics import (
     fit_precession_frequency,
     spin_coupling_matrix,
 )
-from .errors import ConfigError
+from .errors import ConfigError, UndersampledDomainError
 from .grids import PhaseSpaceGrid, TomogramDomain, write_csv
 from .phase_space import MIN_ANGLES
 from .residuals import StateSpec, residual_convergence
@@ -93,6 +94,12 @@ _DEFAULTS = {
                 "n_frames": 5, "dt_frame": 0.04, "substeps": 8},
         "tolerances": {"ratio_window": 1.0},
     },
+}
+# roundtrip keys that one route leaves unread; setting them is an error
+_UNREAD_BY_ROUTE = {
+    "wigner": tuple(f"state.{key}" for key in _DEFAULTS["roundtrip"]["state"])
+    + ("run.optical_n", "run.n_theta"),
+    "optical": ("grid.n", "run.rank"),
 }
 # field keys -> EMFieldConfig parameters; the spin is the frame's spin 1
 _FIELD_PARAMS = {"phi": "phi", "a_long": "a_long", "b": "b_field", "e": "e", "c": "c_light",
@@ -169,7 +176,7 @@ def _check_values(cfg: dict) -> None:
             raise ConfigError(f"{where}: {exc}") from exc
     minima = {**_MINIMA, "run.n_theta": 2}
     if run.get("route") in ("optical", "both"):
-        minima["run.n_theta"] = MIN_ANGLES         # filtered back-projection
+        minima["run.n_theta"] = MIN_ANGLES         # the optical inversion
     for where, val in _present(cfg, tuple(minima)):
         if val < minima[where]:
             raise ConfigError(f"{where}: expected at least {minima[where]}, got {val!r}")
@@ -239,6 +246,11 @@ def load_config(raw, scenario: str) -> dict:
     cfg = {"scenario": scenario, "seed": _checked_seed(raw.get("seed", 0))}
     for section, section_defaults in defaults.items():
         cfg[section] = _merge_section(raw.get(section, {}), section_defaults, section)
+    if scenario == "roundtrip":
+        route = cfg["run"]["route"]
+        unread = _present(raw, _UNREAD_BY_ROUTE.get(route, ()))
+        if unread:
+            raise ConfigError(f"{unread[0][0]}: the {route} route does not read this key")
     _check_values(cfg)
     return cfg
 
@@ -523,7 +535,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    report, code = run(cfg, args.out, args.tolerance_scale)
+    try:
+        report, code = run(cfg, args.out, args.tolerance_scale)
+    except UndersampledDomainError as exc:
+        # the config asked for a state or domain that the inversion refuses
+        print(f"undersampled: {exc}", file=sys.stderr)
+        return 2
     status = "PASS" if report["pass"] else f"FAIL ({report['first_failed_gate']})"
     print(f"{args.scenario}: {status} -> {Path(args.out) / 'report.json'}")
     return code

@@ -100,9 +100,10 @@ class PhaseSpaceGrid:
 class TomogramDomain:
     """Sampling domain of a tomogram.
 
-    kind "optical": quadrature grid x plus angles thetas in [0, pi), strictly
-    increasing.  kind "symplectic": quadrature grid x plus 1-D mu and nu arrays
-    whose mesh gives the (mu, nu) samples; (0, 0) is excluded.
+    The quadrature grid x is uniform and strictly increasing.  kind
+    "optical": x plus angles thetas in [0, pi), strictly increasing.  kind
+    "symplectic": x plus 1-D mu and nu arrays whose mesh gives the (mu, nu)
+    samples; (0, 0) is excluded.
     """
 
     kind: str
@@ -114,6 +115,11 @@ class TomogramDomain:
     def __post_init__(self):
         if self.kind not in ("optical", "symplectic"):
             raise ValueError(f"unknown tomogram domain kind {self.kind!r}")
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim != 1 or len(x) < 2 or not x[1] > x[0]:
+            raise ValueError("quadrature grid x must be 1-D and increasing, with 2 points or more")
+        if np.max(np.abs(np.diff(x) - self.dx)) > 1e-9 * self.dx:
+            raise ValueError("quadrature grid x must be uniform")
         if self.kind == "optical":
             th = self.thetas
             if th is None or th.ndim != 1 or len(th) < 1:

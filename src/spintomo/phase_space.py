@@ -2,8 +2,9 @@
 
 Factored kernel <-> Wigner by FFT over the skew coordinate (with exact Fourier
 interpolation at half-grid points); optical and symplectic tomograms by
-metaplectic rotation of kernel factors; optical -> Wigner by ramp-filtered
-back-projection; Wigner -> Husimi by Gaussian smoothing; plus the
+metaplectic rotation of kernel factors; optical -> density matrix by exact
+inversion in the grid oscillator's eigenstates (invert_optical); Wigner ->
+Husimi by Gaussian smoothing; plus the
 Fourier-multiplier operators used by the tomographic evolution equations.
 These act on factor and component stacks for vector_portrait; a spinless
 state is the spin-0 case of that API (one component, U = D = 1), so there is
@@ -19,16 +20,18 @@ and p/(m omega), so the factors are first embedded (by band-limited
 interpolation) in a balanced working grid that covers both; on balanced
 grids that embedding is the identity.  Results are exact to round-off for
 grid-supported states: mass inside the box, momentum content within half the
-p-range, and kernel coherences negligible at half-box separation.
+p-range, and kernel coherences negligible at half-box separation.  The
+optical inversion further needs the state within the first N + 1 oscillator
+levels, N = min(n / 4, n_theta - 1), and refuses a tomogram that those levels
+do not explain.
 """
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy import sparse
 
 from .errors import UndersampledDomainError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
+from .states import oscillator_basis
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +258,28 @@ def symplectic_profiles(w_stack: np.ndarray, grid: PhaseSpaceGrid,
 
 
 # ---------------------------------------------------------------------------
-# filtered back-projection
+# optical -> Wigner: exact inversion in the oscillator basis
 # ---------------------------------------------------------------------------
 
-# fewest tomogram angles back_project accepts
+# fewest angles the CLI samples an optical tomogram with; the inversion
+# resolves oscillator levels 0..n_theta - 1 at most (oscillator_levels)
 MIN_ANGLES = 16
+
+# largest tomogram content, relative to the tomogram's largest value, that the
+# resolved oscillator levels may leave unexplained; beyond it invert_optical
+# refuses the state.  In a roundtrip sweep over packets, grid constants and
+# angle counts, every state accepted at this bound reconstructed to
+# 1 - F <= 5e-6; the infidelity grows about as the square of that share.
+UNEXPLAINED_RTOL = 1e-3
+
+# singular values of a level system below this fraction of its largest are
+# dropped by the least-squares solve
+_LEVEL_RCOND = 1e-10
 
 
 def angle_step(thetas: np.ndarray) -> float:
     """pi / n_theta for the uniform angle grid theta_k = pi k / n_theta, which
-    back-projection, symplectic sections and theta derivatives assume; raises
+    the optical inversion and theta derivatives assume; raises
     UndersampledDomainError for any other grid."""
     n = len(thetas)
     if not np.allclose(thetas, np.pi * np.arange(n) / n, rtol=0.0, atol=1e-12):
@@ -273,193 +288,96 @@ def angle_step(thetas: np.ndarray) -> float:
     return np.pi / n
 
 
-# angles filtered by one product and interpolated by one sparse product;
-# larger groups save no more time, and their buffers (about 5 n^2 doubles
-# per angle) raise the peak memory
-_ANGLE_GROUP = 8
+def _flip_x(values: np.ndarray, axis: int) -> np.ndarray:
+    """X -> -X on a centered grid (index l -> (n - l) mod n): the tomogram at
+    theta + pi, since w(X, theta + pi) = w(-X, theta)."""
+    flipped = np.flip(values, axis=axis)
+    return np.roll(flipped, 1, axis=axis)
 
 
-def _ramp_kernel(xi: np.ndarray, dxs: float) -> np.ndarray:
-    """Band-limited ramp kernel h(xi) * dx at the offsets xi.
+def oscillator_levels(grid: PhaseSpaceGrid, n_theta: int) -> int:
+    """Highest oscillator level N the optical inversion resolves: n / 4, where
+    the product basis psi_m psi_n is still well conditioned on the grid, and
+    below n_theta, so that no harmonic of the 2 pi-extended angle series
+    aliases onto another."""
+    return min(grid.n // 4, n_theta - 1)
 
-    h(xi) = (1/2 pi) int_{-A}^{A} |eta| e^{i eta xi} d eta with A = pi/dx;
-    convolving the samples with h is exact for band-limited projections.
+
+def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -> np.ndarray:
+    """Density matrices (c, N + 1, N + 1) over the grid oscillator's eigenstates
+    psi_0..psi_N (states.oscillator_basis) of optical tomograms (c, n_theta, n_x).
+
+    A kernel sum_mn rho_mn psi_m psi_n has the tomogram
+    w(X, theta) = sum_mn rho_mn e^{-i (m - n) theta} psi_m(X) psi_n(X)
+    (D'Ariano, Macchiavello and Paris, Phys. Rev. A 50, 4298 (1994)).  The
+    angles are extended to [0, 2 pi) with w(X, theta + pi) = w(-X, theta) and
+    Fourier transformed; harmonic -d then holds sum_m rho_{m, m-d} psi_m psi_{m-d},
+    and one least-squares solve per d = 0..N gives the d-th diagonal.  Exact to
+    round-off for kernels within the first N + 1 levels, N = oscillator_levels.
+
+    Raises UndersampledDomainError when the angles are not the uniform grid of
+    angle_step, when x holds N + 1 points or fewer or is not closed under
+    X -> -X (index l -> n_x - l, as on a centered grid), and when the
+    tomogram content the N + 1 levels leave unexplained exceeds UNEXPLAINED_RTOL
+    of the tomogram's largest value.
     """
-    a = np.pi / dxs
-    u = a * xi
-    small = np.abs(u) < 1e-3
-    u_safe = np.where(small, 1.0, u)
-    direct = (a**2 / np.pi) * ((np.cos(u_safe) - 1.0) / u_safe**2
-                               + np.sin(u_safe) / u_safe)
-    taylor = (a**2 / np.pi) * (0.5 - u**2 / 8.0)
-    return np.where(small, taylor, direct) * dxs
-
-
-def back_project(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -> np.ndarray:
-    """Ramp-filtered back-projection of optical tomograms (c, n_theta, n_x)
-    onto Wigner grids (c, n, n).
-
-    Hann window at 80% of the X-Nyquist frequency; Radon inversion dominates
-    the error budget (about 1e-3 in max norm for well-resolved states).  The
-    filtered projections are evaluated on a 4x padded, 4x upsampled abscissa
-    and read by linear interpolation, zero outside it.  Only the window of
-    fine rows that q cos(theta) + p sin(theta)/(m omega) reaches from the grid
-    corners is computed.  Ramp and taper depend only on the offset of a fine
-    row from a sample (the x grid is uniform), so the filter is a Toeplitz
-    matrix built from one 1-D kernel.  Angles go in groups of _ANGLE_GROUP:
-    one filter product takes all components of a group's angles, and one
-    sparse product, two entries per point and angle, interpolates them.
-    Needs at least MIN_ANGLES angles on the uniform grid of angle_step.
-    """
-    thetas = dom.thetas
-    if len(thetas) < MIN_ANGLES:
-        raise UndersampledDomainError(
-            f"filtered back-projection needs >= {MIN_ANGLES} angles, got {len(thetas)}"
-        )
-    d_theta = angle_step(thetas)
+    n_theta = len(dom.thetas)
+    angle_step(dom.thetas)
     x = dom.x
-    nx = len(x)
-    dxs = dom.dx
-    n_theta = len(thetas)
+    n_levels = oscillator_levels(grid, n_theta) + 1
+    if len(x) <= n_levels:
+        raise UndersampledDomainError(
+            f"the optical inversion resolves {n_levels} oscillator levels and needs more "
+            f"than {n_levels} quadrature points, got {len(x)}")
+    if not np.allclose(x[:0:-1], -x[1:], rtol=0.0, atol=1e-9 * dom.dx):
+        raise UndersampledDomainError(
+            "the optical inversion needs quadrature points closed under X -> -X")
+    # harmonics 0..n_theta of the real series; harmonic -d is the conjugate of d
+    extended = np.concatenate([stack, _flip_x(stack, axis=-1)], axis=1)
+    spectrum = np.fft.rfft(extended, axis=1) / (2 * n_theta)
+    basis = oscillator_basis(grid, n_levels, x)
     c = len(stack)
-
-    # evaluation abscissa: 4x padded range (filtered projections have 1/t^2
-    # tails), 4x upsampled so linear interpolation is harmless
-    n_pad = 4 * nx
-    up = 4
-    n_fine = up * n_pad
-    off = (n_pad - nx) // 2
-    x0_fine = x[0] - off * dxs
-
-    # fine-row positions of q cos(theta) + y sin(theta), y = p/(m omega), as a
-    # q term plus a y term; the rows read lie between the sums of their
-    # extremes, which are the grid corners
-    m_omega = grid.mass * grid.omega
-    q_pos = (grid.q[:, None] * np.cos(thetas) - x0_fine) * (up / dxs)     # (n, n_theta)
-    y_pos = (grid.p[:, None] / m_omega) * np.sin(thetas) * (up / dxs)
-    lo = np.min(q_pos.min(axis=0) + y_pos.min(axis=0))
-    hi = np.max(q_pos.max(axis=0) + y_pos.max(axis=0))
-    k_lo = int(np.clip(np.floor(lo), 0, n_fine - 2))
-    k_hi = int(np.clip(np.floor(hi) + 1, k_lo + 1, n_fine - 1))
-    n_rows = k_hi - k_lo + 1
-
-    # Hann taper from 80% of Nyquist as a smooth spectral correction:
-    # effective filter |eta| * window = ramp - |eta| * (1 - window).  The
-    # correction is a periodic convolution on the padded range: its response
-    # to a unit sample at padded index 0, Fourier-upsampled to the fine
-    # abscissa, where sample l sits at index up * (off + l).
-    eta = 2.0 * np.pi * np.fft.fftfreq(n_pad, dxs)
-    eta_nyq = np.pi / dxs
-    eta_cut = 0.8 * eta_nyq
-    taper_loss = np.zeros(n_pad)
-    roll = np.abs(eta) > eta_cut
-    taper_loss[roll] = np.abs(eta[roll]) * 0.5 * (
-        1.0 - np.cos(np.pi * (np.abs(eta[roll]) - eta_cut) / (eta_nyq - eta_cut)))
-    taper = fourier_upsample2(fourier_upsample2(np.fft.ifft(taper_loss))).real
-
-    # band-limited ramp applied as its exact real-space kernel (exact for
-    # band-limited slices, so no zero-bin quadrature bias), less the taper.
-    # Entry (k, l) depends on d = k - up * (off + l) alone: evaluate the
-    # kernel once per offset; the window's rows are a Toeplitz view of it.
-    d = np.arange(k_lo - up * (off + nx - 1), k_hi - up * off + 1)
-    kernel = _ramp_kernel(d * (dxs / up), dxs) - taper[d % n_fine]
-    filt = np.ascontiguousarray(sliding_window_view(kernel, n_rows)[::-up].T)  # (n_rows, n_x)
-    # column t * c + j holds sample row (t, j); a group's columns are one slice
-    columns = stack.transpose(2, 1, 0).reshape(nx, n_theta * c)
-
-    # Each group of angles is filtered by one product with all its columns,
-    # then linearly interpolated by one sparse matrix: row (i, j) has weights
-    # at fine rows i0 and i0 + 1 of each angle t, in column
-    # (i0 - k_lo) * group + t; points off the fine abscissa get zero weights.
-    # Filtering all angles in one product instead would allocate and free a
-    # (n_rows, n_theta c) block (13 MB at n = 256, 128 angles, c = 9), after
-    # which the C allocator keeps more heap resident for the rest of the
-    # process.  The buffers are reused from group to group.
-    n = grid.n
-    n_out = n * n
-    group = _ANGLE_GROUP
-    pos_buf = np.empty((n, n, group))
-    row_buf = np.empty((n_out, group))
-    inside_buf = np.empty((n_out, group), dtype=bool)
-    data_buf = np.empty((n_out, group, 2))
-    cols_buf = np.empty((n_out, group, 2), dtype=np.int32)
-    w_scaled = np.zeros((n_out, c))
-    for t0 in range(0, n_theta, group):
-        g = min(group, n_theta - t0)
-        pos = np.add(q_pos[:, None, t0:t0 + g], y_pos[None, :, t0:t0 + g],
-                     out=pos_buf[:, :, :g]).reshape(n_out, g)
-        i0, inside = row_buf[:, :g], inside_buf[:, :g]
-        data, cols = data_buf[:, :g], cols_buf[:, :g]
-        np.clip(np.floor(pos, out=i0), k_lo, k_hi - 1, out=i0)
-        np.greater_equal(pos, 0.0, out=inside)
-        inside &= pos <= n_fine - 1
-        np.subtract(pos, i0, out=data[:, :, 1])
-        data[:, :, 1] *= inside
-        np.subtract(inside, data[:, :, 1], out=data[:, :, 0])
-        i0 -= k_lo
-        i0 *= g
-        i0 += np.arange(g)
-        cols[:, :, 0] = i0
-        np.add(cols[:, :, 0], g, out=cols[:, :, 1])
-        interp = sparse.csr_matrix(
-            (data.reshape(-1), cols.reshape(-1),
-             np.arange(0, 2 * g * n_out + 1, 2 * g, dtype=np.int32)),
-            shape=(n_out, n_rows * g))
-        filtered = filt @ columns[:, t0 * c:(t0 + g) * c]        # (n_rows, g c)
-        w_scaled += interp @ filtered.reshape(n_rows * g, c)
-    w_scaled *= d_theta / (2.0 * np.pi)
-    return w_scaled.T.reshape(c, n, n) / m_omega
+    levels = np.zeros((c, n_levels, n_levels), dtype=complex)
+    for d in range(n_levels):
+        m = np.arange(d, n_levels)
+        design = basis[m] * basis[m - d]                       # (N + 1 - d, n_x)
+        harmonic = spectrum[:, d].conj()                       # harmonic -d, (c, n_x)
+        sol = np.linalg.lstsq(design.T, np.concatenate([harmonic.real, harmonic.imag]).T,
+                              rcond=_LEVEL_RCOND)[0]
+        rho_d = (sol[:, :c] + 1j * sol[:, c:]).T               # rho_{m, m-d}, (c, N + 1 - d)
+        levels[:, m, m - d] = rho_d
+        levels[:, m - d, m] = rho_d.conj()
+        spectrum[:, d] -= (rho_d @ design).conj()
+    unexplained = float(np.max(np.abs(np.fft.irfft(spectrum, 2 * n_theta, axis=1)),
+                               initial=0.0)) * 2 * n_theta
+    scale = float(np.max(np.abs(stack), initial=0.0))
+    if unexplained > UNEXPLAINED_RTOL * scale:
+        raise UndersampledDomainError(
+            f"{n_levels} oscillator levels ({n_theta} angles, n = {grid.n}) leave "
+            f"{unexplained / scale:.2e} of the tomogram's largest value unexplained, above "
+            f"{UNEXPLAINED_RTOL:g}: the state is not supported by the grid or the angles")
+    return levels
 
 
 def wigner_from_optical(fld: ScalarField) -> ScalarField:
-    """Ramp-filtered back-projection of one optical tomogram (see back_project).
+    """Wigner function of one optical tomogram: invert_optical, then the Wigner
+    transform of the resulting kernel's eigenpairs with |p| > 1e-12.
 
     Kept as the single-field entry point whose name and signature the
-    benchmark's span table traces; from_vector calls back_project directly.
+    benchmark's span table traces; from_vector calls invert_optical directly.
     """
     if fld.kind != "optical":
         raise ValueError(f"expected an optical field, got {fld.kind!r}")
-    values = back_project(fld.values[None], fld.grid, fld.domain)[0]
+    lam, vecs = np.linalg.eigh(invert_optical(fld.values[None], fld.grid, fld.domain)[0])
+    keep = np.abs(lam) > 1e-12
+    amps = vecs[:, keep].T @ oscillator_basis(fld.grid, len(lam))
+    values = _wigner_of_factors(lam[None, keep], amps, fld.grid)[0].real
     return ScalarField(grid=fld.grid, values=values, kind="wigner")
 
 
 # ---------------------------------------------------------------------------
-# symplectic sections and Husimi smoothing
+# Husimi smoothing
 # ---------------------------------------------------------------------------
-
-def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distribution of mu*q + nu*p from an optical tomogram: the paper's
-    optical -> symplectic relation, applied to one component.
-
-    Uses the homogeneity relation M(X, mu, nu) = w(X/r, theta)/r with
-    r = sqrt(mu^2 + nu^2 m^2 w^2) and theta = atan2(nu m w, mu) in [0, 2 pi),
-    read between the tomogram's angles by band-limited interpolation of the
-    2 pi-extended series on the uniform grid of angle_step.  Returns
-    (x, profile) on the tomogram's quadrature grid.
-    """
-    if tom.kind != "optical":
-        raise ValueError(f"expected an optical field, got {tom.kind!r}")
-    if mu == 0.0 and nu == 0.0:
-        raise ValueError("(mu, nu) = (0, 0) does not define a quadrature")
-    g = tom.grid
-    m_omega = g.mass * g.omega
-    r = float(np.hypot(mu, nu * m_omega))
-    # the second fold maps a tiny negative angle, which rounds up to 2 pi, to 0
-    theta = float(np.arctan2(nu * m_omega, mu)) % (2.0 * np.pi) % (2.0 * np.pi)
-    x = tom.domain.x
-    thetas = tom.domain.thetas
-    angle_step(thetas)
-    # slice at theta from the theta series extended over [0, 2 pi) with
-    # w(X, theta + pi) = w(-X, theta)
-    mirrored = np.roll(tom.values[:, ::-1], 1, axis=1)
-    extended = np.concatenate([tom.values, mirrored], axis=0)
-    theta_ext = np.concatenate([thetas, thetas + np.pi])
-    sl = _band_limited_matrix(theta_ext, np.array([theta])) @ extended
-    # targets beyond the quadrature box would wrap periodically; the slice
-    # decays there, so the true value is zero
-    profile = (sl @ _band_limited_matrix(x, x / r).T)[0] / r
-    return x.copy(), profile
-
 
 def husimi_variances(grid: PhaseSpaceGrid) -> tuple[float, float]:
     """Variances hbar/(2 m w) in q and hbar m w / 2 in p of the Gaussian that

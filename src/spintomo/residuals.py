@@ -21,16 +21,10 @@ from .dynamics import (
     spin_coupling_matrix,
 )
 from .grids import PhaseSpaceGrid, TomogramDomain
-from .phase_space import angle_step, ddx, husimi_variances
+from .phase_space import _flip_x, angle_step, ddx, husimi_variances
 from .spin_frames import SpinFrame
 from .states import spin_coherent_state
 from .vector_portrait import SpinorDensity, to_vector
-
-
-def _flip_x(values: np.ndarray, axis: int) -> np.ndarray:
-    """X -> -X on a centered grid (index l -> (n - l) mod n)."""
-    flipped = np.flip(values, axis=axis)
-    return np.roll(flipped, 1, axis=axis)
 
 
 def _theta_derivative(v: np.ndarray, thetas: np.ndarray, x_axis: int) -> np.ndarray:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import eval_hermite
 
 from .grids import PhaseSpaceGrid
 from .spin_frames import spin_eigenvector
@@ -26,13 +25,32 @@ def gaussian_packet(grid: PhaseSpaceGrid, q0: float = 0.0, p0: float = 0.0,
     return normalize_field(psi, grid.dx)
 
 
+def oscillator_basis(grid: PhaseSpaceGrid, n_levels: int, x=None) -> np.ndarray:
+    """The first n_levels eigenstates psi_k of the harmonic oscillator with the
+    grid's m, omega, hbar at the points x (default grid.q), shape (n_levels, n_x).
+
+    Real and normalised over the line, from the three-term recurrence of the
+    Hermite functions, psi_{k+1} = sqrt(2/(k+1)) xi psi_k - sqrt(k/(k+1)) psi_{k-1}
+    with xi = sqrt(m omega / hbar) x, which stays finite at any order where
+    H_k(xi) alone overflows.
+    """
+    x = grid.q if x is None else np.asarray(x, dtype=float)
+    scale = math.sqrt(grid.mass * grid.omega / grid.hbar)
+    xi = scale * x
+    psi = np.empty((n_levels, len(x)))
+    psi[0] = math.sqrt(scale / math.sqrt(math.pi)) * np.exp(-0.5 * xi**2)
+    if n_levels > 1:
+        psi[1] = math.sqrt(2.0) * xi * psi[0]
+    for k in range(1, n_levels - 1):
+        psi[k + 1] = math.sqrt(2.0 / (k + 1)) * xi * psi[k] - math.sqrt(k / (k + 1)) * psi[k - 1]
+    return psi
+
+
 def oscillator_eigenstate(grid: PhaseSpaceGrid, k: int) -> np.ndarray:
     """k-th eigenstate of the harmonic oscillator with the grid's m, omega, hbar."""
     if k < 0:
         raise ValueError("eigenstate index must be non-negative")
-    xi = np.sqrt(grid.mass * grid.omega / grid.hbar) * grid.q
-    psi = eval_hermite(k, xi) * np.exp(-0.5 * xi**2)
-    return normalize_field(psi.astype(complex), grid.dx)
+    return normalize_field(oscillator_basis(grid, k + 1)[k].astype(complex), grid.dx)
 
 
 def random_band_limited_state(grid: PhaseSpaceGrid, rng: np.random.Generator,

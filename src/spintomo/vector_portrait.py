@@ -26,12 +26,13 @@ from .grids import (
 from .phase_space import (
     _kernel_of_wigner,
     _wigner_of_factors,
-    back_project,
     husimi_from_wigner,
+    invert_optical,
     radon_slices,
     symplectic_profiles,
 )
 from .spin_frames import SpinFrame
+from .states import oscillator_basis
 
 VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
 
@@ -163,17 +164,29 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
 
 
 def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
-    """Spinor density from a vector distribution (wigner or optical route)."""
+    """Spinor density from a vector distribution (wigner or optical route).
+
+    Wigner route: each component's kernel by the inverse skew FFT, resummed
+    with the dual frame into dense blocks.  Optical route: each component's
+    density matrix over the oscillator levels psi_0..psi_N (invert_optical),
+    resummed with the dual frame into the (2s+1)(N+1) square matrix of the
+    state in the basis |a> (x) psi_m; its eigenpairs with |p| > 1e-12, as
+    in SpinorDensity.factors, are the state's factors.
+    """
     if v.representation == "wigner":
-        wigners = v.components
-    elif v.representation == "optical":
-        wigners = back_project(v.components, v.grid, v.domain)
-    else:
+        kernels = np.stack([_kernel_of_wigner(w, v.grid) for w in v.components])
+        return SpinorDensity(v.grid, np.tensordot(frame.quantizer, kernels, axes=(0, 0)))
+    if v.representation != "optical":
         raise UnsupportedInverseError(
             f"no inverse map for the {v.representation} representation; "
             "reconstruct through the wigner route instead")
-    kernels = np.stack([_kernel_of_wigner(w, v.grid) for w in wigners])
-    return SpinorDensity(v.grid, np.tensordot(frame.quantizer, kernels, axes=(0, 0)))
+    levels = invert_optical(v.components, v.grid, v.domain)
+    d, n_levels = frame.dim, levels.shape[-1]
+    joint = np.einsum("cab,cmn->ambn", frame.quantizer, levels).reshape(d * n_levels, -1)
+    probs, vecs = np.linalg.eigh(joint)
+    keep = np.abs(probs) > 1e-12
+    fields = vecs[:, keep].T.reshape(-1, d, n_levels) @ oscillator_basis(v.grid, n_levels)
+    return SpinorDensity.from_mixture(probs[keep], fields, v.grid)
 
 
 @dataclass(frozen=True)

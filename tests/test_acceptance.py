@@ -160,10 +160,10 @@ def test_criterion_05_optical_route_reconstruction():
     back = from_vector(to_vector(rho, FRAME, "optical", dom), FRAME)
     fid = fidelity_with_pure(back, psi)
     elapsed = time.perf_counter() - t0
-    ok = fid >= 0.999 and elapsed < 30.0
+    ok = abs(1.0 - fid) <= 1e-13 and elapsed < 30.0
     report(5, "optical route reconstruction (256 pts, 128 angles)", ok,
-           f"fidelity={fid:.6f}", elapsed)
-    assert fid >= 0.999
+           f"1 - fidelity={1.0 - fid:.1e}", elapsed)
+    assert abs(1.0 - fid) <= 1e-13
     assert elapsed < 30.0
 
 

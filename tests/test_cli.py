@@ -214,12 +214,28 @@ class TestScenarios:
         ("roundtrip", {"state": {"sigma": -1.0}}, "state.sigma"),
         ("precess", {"field": {"kappa": 0}}, "field.kappa"),
         ("precess", {"grid": {"hbar": 1e-320}}, "grid.hbar"),
+        ("roundtrip", {"run": {"route": "wigner", "optical_n": 512}, "state": {"q0": 3.0}},
+         "state.q0"),
+        ("roundtrip", {"run": {"route": "wigner", "n_theta": 64}}, "run.n_theta"),
+        ("roundtrip", {"run": {"route": "optical", "rank": 3}}, "run.rank"),
+        ("roundtrip", {"run": {"route": "optical"}, "grid": {"n": 64}}, "grid.n"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, scenario, raw, path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_unsupported_state_exits_2(self, tmp_path, capsys):
+        # the packet holds 4e-3 of its weight above the 65 levels that the
+        # optical inversion resolves at optical_n = 256
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"mass": 4.0}, "state": {"q0": 3.0, "p0": 2.0},
+                                   "run": {"route": "optical"}}))
+        assert main(["roundtrip", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unexplained" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize("flag, value", [

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 from spintomo import (
     PhaseSpaceGrid,
@@ -12,6 +11,7 @@ from spintomo import (
     audit,
     build_frame,
     build_spin1_frame,
+    fidelity_with_pure,
     field_to_csv,
     from_vector,
     gaussian_packet,
@@ -22,17 +22,19 @@ from spintomo import (
     random_frame,
     save_field,
     spin_coherent_state,
-    symplectic_section,
+    spinor_product_state,
     to_vector,
     wigner_from_optical,
 )
 from spintomo.phase_space import (
-    MIN_ANGLES,
+    _band_limited_matrix,
+    _flip_x,
     _wigner_of_factors,
     angle_step,
-    back_project,
     ddx,
     fourier_upsample2,
+    invert_optical,
+    oscillator_levels,
     radon_slices,
 )
 
@@ -87,6 +89,18 @@ class TestTomogramDomain:
     def test_symplectic_origin_rejected(self, grid64):
         with pytest.raises(ValueError):
             TomogramDomain.symplectic_grid(grid64, [0.0, 1.0], [0.0, 1.0])
+
+    def test_non_uniform_x_rejected(self):
+        grid = PhaseSpaceGrid.balanced(32)
+        x = grid.q.copy()
+        x[5:] += 0.3 * grid.dx
+        thetas = TomogramDomain.optical_default(grid, 16).thetas
+        with pytest.raises(ValueError, match="uniform"):
+            TomogramDomain(kind="optical", x=x, thetas=thetas)
+        with pytest.raises(ValueError, match="uniform"):
+            TomogramDomain(kind="symplectic", x=x, mu=np.ones(2), nu=np.ones(2))
+        with pytest.raises(ValueError, match="increasing"):
+            TomogramDomain(kind="optical", x=grid.q[::-1].copy(), thetas=thetas)
 
 
 class TestFourierHelpers:
@@ -222,12 +236,15 @@ class TestOpticalTomogram:
 
 
 class TestFilteredBackProjection:
+    """The optical -> Wigner inverse (invert_optical through
+    wigner_from_optical) on single spinless tomograms."""
+
     def test_round_trip_ground(self, frame0):
         grid = PhaseSpaceGrid.balanced(256)
         psi = oscillator_eigenstate(grid, 0)
         tom = optical_field(psi, grid, frame0, TomogramDomain.optical_default(grid, 128))
         back = wigner_from_optical(tom)
-        assert np.max(np.abs(back.values - portrait(psi, grid, frame0)[0])) < 1e-3
+        assert np.max(np.abs(back.values - portrait(psi, grid, frame0)[0])) < 1e-13
 
     def test_zero_tomogram(self, grid64):
         dom = TomogramDomain.optical_default(grid64, 32)
@@ -243,11 +260,12 @@ class TestFilteredBackProjection:
         assert abs(grid.q[i] - 2.0) <= grid.dx
         assert abs(grid.p[j]) <= grid.dp
 
-    def test_undersampled_domain_rejected(self, grid64):
-        thetas = np.pi * np.arange(8) / 8
-        dom = TomogramDomain(kind="optical", x=grid64.q, thetas=thetas)
-        tom = ScalarField(grid64, np.zeros((8, 64)), "optical", domain=dom)
-        with pytest.raises(UndersampledDomainError):
+    def test_undersampled_domain_rejected(self, grid64, frame0):
+        # 8 angles resolve levels 0..7; a packet displaced by |alpha|^2 = 5
+        # holds a third of its weight above them
+        dom = TomogramDomain.optical_default(grid64, 8)
+        tom = optical_field(gaussian_packet(grid64, 2.0, 2.0, np.sqrt(0.5)), grid64, frame0, dom)
+        with pytest.raises(UndersampledDomainError, match="unexplained"):
             wigner_from_optical(tom)
 
     @pytest.mark.parametrize("thetas", [
@@ -266,104 +284,129 @@ class TestFilteredBackProjection:
             symplectic_section(tom, 1.0, 0.5)
 
 
-def back_project_reference(stack, grid, dom):
-    """back_project as a dense per-angle loop: the full fine-abscissa filter
-    matrix, one filter product and one sparse interpolation per angle.
-    Frozen so that the windowed, grouped back_project can be checked against it."""
-    thetas = dom.thetas
-    d_theta = angle_step(thetas)
-    x = dom.x
-    nx = len(x)
-    dxs = dom.dx
-    n_pad = 4 * nx
-    up = 4
-    n_fine = up * n_pad
-    off = (n_pad - nx) // 2
-    x_fine = x[0] - off * dxs + (dxs / up) * np.arange(n_fine)
-
-    eta = 2.0 * np.pi * np.fft.fftfreq(n_pad, dxs)
-    eta_nyq = np.pi / dxs
-    eta_cut = 0.8 * eta_nyq
-    taper_loss = np.zeros(n_pad)
-    roll = np.abs(eta) > eta_cut
-    taper_loss[roll] = np.abs(eta[roll]) * 0.5 * (
-        1.0 - np.cos(np.pi * (np.abs(eta[roll]) - eta_cut) / (eta_nyq - eta_cut)))
-    taper = fourier_upsample2(fourier_upsample2(np.fft.ifft(taper_loss))).real
-
-    a = np.pi / dxs
-    u = a * (x_fine[:, None] - x[None, :])
-    small = np.abs(u) < 1e-3
-    u_safe = np.where(small, 1.0, u)
-    direct = (a**2 / np.pi) * ((np.cos(u_safe) - 1.0) / u_safe**2 + np.sin(u_safe) / u_safe)
-    filt = np.where(small, (a**2 / np.pi) * (0.5 - u**2 / 8.0), direct) * dxs
-    for l in range(nx):
-        filt[:, l] -= np.roll(taper, up * (off + l))
-
-    m_omega = grid.mass * grid.omega
-    q = grid.q
-    y = grid.p / m_omega
-    n_out = grid.n * grid.n
-    row_ptr = np.arange(0, 2 * n_out + 1, 2)
-    w_scaled = np.zeros((n_out, len(stack)))
-    for t, th in enumerate(thetas):
-        pos = ((q[:, None] * np.cos(th) + y[None, :] * np.sin(th)).ravel()
-               - x_fine[0]) * (up / dxs)
-        inside = (pos >= 0.0) & (pos <= n_fine - 1)
-        i0 = np.clip(np.floor(pos).astype(int), 0, n_fine - 2)
-        frac = pos - i0
-        interp = sparse.csr_matrix(
-            (np.column_stack([(1.0 - frac) * inside, frac * inside]).ravel(),
-             np.column_stack([i0, i0 + 1]).ravel(), row_ptr),
-            shape=(n_out, n_fine))
-        w_scaled += interp @ (filt @ stack[:, t, :].T)
-    w_scaled *= d_theta / (2.0 * np.pi)
-    return w_scaled.T.reshape(len(stack), grid.n, grid.n) / m_omega
+def coherent_spinor(grid, frame, q0, p0):
+    """Spin-coherent state of the frame's spin times the grid oscillator's
+    coherent state at (q0, p0): it lies within the first levels, so every
+    inversion case below is exact to round-off."""
+    sigma = np.sqrt(grid.hbar / (2.0 * grid.mass * grid.omega))
+    if frame.dim == 1:
+        return gaussian_packet(grid, q0, p0, sigma)[None]
+    return spin_coherent_state(grid, [1.0, 0.5, 0.3], frame.s, q0=q0, p0=p0, sigma=sigma)
 
 
-def _equivalence_case(name):
-    """(grid, domain, frame, state) of one back-projection equivalence case;
-    the states sit off centre so that no symmetry hides an error."""
-    spin1 = (build_spin1_frame(), 1.0)
+def _inversion_case(name):
+    """(grid, domain, frame) of one optical inversion case."""
+    spin1 = build_spin1_frame()
     if name == "balanced-64-16":
-        grid, n_theta, (frame, s) = PhaseSpaceGrid.balanced(64), MIN_ANGLES, spin1
+        grid, n_theta, frame = PhaseSpaceGrid.balanced(64), 16, spin1
     elif name == "balanced-128-64":
-        grid, n_theta, (frame, s) = PhaseSpaceGrid.balanced(128), 64, spin1
+        grid, n_theta, frame = PhaseSpaceGrid.balanced(128), 64, spin1
     elif name == "non-unit":
         grid = PhaseSpaceGrid.balanced(64, hbar=0.8, mass=1.5, omega=1.3)
-        # 20 angles: the last group of back_project's angle groups is partial
-        n_theta, frame, s = 20, build_frame(0.0, [[0, 0, 1]], [0.0]), 0.0
-    elif name == "centered":
-        grid, n_theta = PhaseSpaceGrid.centered(64, 12.0), 32
-        frame, s = random_frame(1.5, 3), 1.5
-    else:
-        grid, n_theta, (frame, s) = PhaseSpaceGrid.balanced(64), 32, spin1
-    dom = TomogramDomain.optical_default(grid, n_theta)
-    if name == "narrow-x":
-        # a quarter of the q-box: its 4x padded abscissa is narrower than the
-        # grid's diagonal, so some points read zero
-        dom = TomogramDomain(kind="optical", x=grid.q[24:40].copy(), thetas=dom.thetas)
-        assert 2.0 * len(dom.x) * dom.dx < np.hypot(grid.q[-1], grid.p[-1])
-    if s == 0.0:
-        psi = gaussian_packet(grid, 0.6, -0.4, 0.9)[None]
-    else:
-        psi = spin_coherent_state(grid, [1.0, 0.5, 0.3], s, q0=0.6, p0=-0.4, sigma=0.9)
-    return grid, dom, frame, SpinorDensity.from_pure(psi, grid)
+        n_theta, frame = 20, build_frame(0.0, [[0, 0, 1]], [0.0])
+    else:   # "centered": unbalanced, dp / dx = pi m omega / 2
+        grid, n_theta, frame = PhaseSpaceGrid.centered(64, 16.0), 32, random_frame(1.5, 3)
+    return grid, TomogramDomain.optical_default(grid, n_theta), frame
 
 
-class TestBackProjectionEquivalence:
-    """The windowed, Toeplitz-filtered, angle-grouped back_project against
-    the dense per-angle loop, on tomograms with 1, 9 and 16 components."""
+class TestOpticalInversion:
+    """from_vector on the optical route against the closed-form states, on
+    tomograms with 1, 9 and 16 components; the states sit off centre so that
+    no symmetry hides an error."""
 
     @pytest.mark.parametrize("name, n_comp", [
-        ("balanced-64-16", 9), ("balanced-128-64", 9), ("non-unit", 1),
-        ("centered", 16), ("narrow-x", 9)])
-    def test_matches_dense_loop(self, name, n_comp):
-        grid, dom, frame, rho = _equivalence_case(name)
-        stack = to_vector(rho, frame, "optical", dom).components
-        assert stack.shape == (n_comp, len(dom.thetas), len(dom.x))
-        ref = back_project_reference(stack, grid, dom)
-        got = back_project(stack, grid, dom)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ("balanced-64-16", 9), ("balanced-128-64", 9), ("non-unit", 1), ("centered", 16)])
+    def test_matches_closed_form(self, name, n_comp):
+        grid, dom, frame = _inversion_case(name)
+        psi = coherent_spinor(grid, frame, 0.4, -0.3)
+        rho = SpinorDensity.from_pure(psi, grid)
+        v = to_vector(rho, frame, "optical", dom)
+        assert v.components.shape == (n_comp, len(dom.thetas), len(dom.x))
+        back = from_vector(v, frame)
+        assert np.max(np.abs(back.blocks - rho.blocks)) <= 1e-12 * np.max(np.abs(rho.blocks))
+        assert 1.0 - fidelity_with_pure(back, psi) <= 1e-13
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 1.5])
+    def test_round_trip_any_spin(self, grid128, rng, s):
+        frame = build_frame(0.0, [[0, 0, 1]], [0.0]) if s == 0.0 else random_frame(s, 11)
+        d = frame.dim
+        psis = [spinor_product_state(grid128, rng.normal(size=d) + 1j * rng.normal(size=d),
+                                     random_band_limited_state(grid128, rng)) for _ in range(2)]
+        rho = SpinorDensity.from_mixture([0.7, 0.3], psis, grid128)
+        dom = TomogramDomain.optical_default(grid128, 64)
+        back = from_vector(to_vector(rho, frame, "optical", dom), frame)
+        assert np.max(np.abs(back.blocks - rho.blocks)) <= 1e-12 * np.max(np.abs(rho.blocks))
+        assert back.trace() == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n, n_theta, levels", [
+        (64, 16, 15), (64, 32, 16), (128, 64, 32), (256, 128, 64), (256, 16, 15)])
+    def test_level_count_rule(self, n, n_theta, levels):
+        # n / 4 keeps the product basis well conditioned; below n_theta no
+        # harmonic of the extended angle series aliases onto another
+        grid = PhaseSpaceGrid.balanced(n)
+        assert oscillator_levels(grid, n_theta) == levels
+        dom = TomogramDomain.optical_default(grid, n_theta)
+        stack = np.zeros((2, n_theta, n))
+        assert invert_optical(stack, grid, dom).shape == (2, levels + 1, levels + 1)
+
+    def test_narrow_domain_rejected(self, frame):
+        # 16 quadrature points cannot determine the 17 levels of n = 64
+        grid = PhaseSpaceGrid.balanced(64)
+        dom = TomogramDomain(kind="optical", x=grid.q[24:40].copy(),
+                             thetas=TomogramDomain.optical_default(grid, 32).thetas)
+        v = to_vector(SpinorDensity.from_pure(coherent_spinor(grid, frame, 0.4, -0.3), grid),
+                      frame, "optical", dom)
+        with pytest.raises(UndersampledDomainError, match="quadrature points"):
+            from_vector(v, frame)
+
+    def test_asymmetric_domain_rejected(self, frame):
+        # the angles extend to [0, 2 pi) by w(X, theta + pi) = w(-X, theta)
+        grid = PhaseSpaceGrid.balanced(64)
+        dom = TomogramDomain(kind="optical", x=grid.q + 0.5 * grid.dx,
+                             thetas=TomogramDomain.optical_default(grid, 32).thetas)
+        v = to_vector(SpinorDensity.from_pure(coherent_spinor(grid, frame, 0.4, -0.3), grid),
+                      frame, "optical", dom)
+        with pytest.raises(UndersampledDomainError, match="X -> -X"):
+            from_vector(v, frame)
+
+    def test_unsupported_state_rejected(self, frame):
+        # m = 4 squeezes the grid oscillator 2.8x against this packet, whose
+        # weight above level 64 is 4e-3
+        grid = PhaseSpaceGrid.balanced(256, mass=4.0)
+        psi = spin_coherent_state(grid, [1, 1, 1], q0=3.0, p0=2.0, sigma=1.0)
+        v = to_vector(SpinorDensity.from_pure(psi, grid), frame, "optical",
+                      TomogramDomain.optical_default(grid, 128))
+        with pytest.raises(UndersampledDomainError, match="unexplained"):
+            from_vector(v, frame)
+
+
+def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distribution of mu*q + nu*p from an optical tomogram: the paper's
+    optical -> symplectic relation, applied to one component, as the
+    closed-form cross-check of symplectic_profiles.
+
+    Uses the homogeneity relation M(X, mu, nu) = w(X/r, theta)/r with
+    r = sqrt(mu^2 + nu^2 m^2 w^2) and theta = atan2(nu m w, mu) in [0, 2 pi),
+    read between the tomogram's angles by band-limited interpolation of the
+    2 pi-extended series on the uniform grid of angle_step.  Returns
+    (x, profile) on the tomogram's quadrature grid.
+    """
+    if mu == 0.0 and nu == 0.0:
+        raise ValueError("(mu, nu) = (0, 0) does not define a quadrature")
+    g = tom.grid
+    m_omega = g.mass * g.omega
+    r = float(np.hypot(mu, nu * m_omega))
+    # the second fold maps a tiny negative angle, which rounds up to 2 pi, to 0
+    theta = float(np.arctan2(nu * m_omega, mu)) % (2.0 * np.pi) % (2.0 * np.pi)
+    x = tom.domain.x
+    thetas = tom.domain.thetas
+    angle_step(thetas)
+    extended = np.concatenate([tom.values, _flip_x(tom.values, axis=1)], axis=0)
+    sl = _band_limited_matrix(np.concatenate([thetas, thetas + np.pi]), np.array([theta]))
+    # targets beyond the quadrature box would wrap periodically; the slice
+    # decays there, so the true value is zero
+    profile = (sl @ extended @ _band_limited_matrix(x, x / r).T)[0] / r
+    return x.copy(), profile
 
 
 @pytest.fixture(scope="module")

@@ -249,7 +249,7 @@ class TestFromVector:
         rho = SpinorDensity.from_pure(psi, grid128)
         v = to_vector(rho, frame, "optical", TomogramDomain.optical_default(grid128, 64))
         back = from_vector(v, frame)
-        assert fidelity_with_pure(back, psi) > 0.999
+        assert abs(1.0 - fidelity_with_pure(back, psi)) <= 1e-13
 
     def test_zero_distribution(self, frame, grid64):
         rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
