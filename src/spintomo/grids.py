@@ -118,15 +118,15 @@ class TomogramDomain:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 1 or len(x) < 2 or not x[1] > x[0]:
             raise ValueError("quadrature grid x must be 1-D and increasing, with 2 points or more")
-        if np.max(np.abs(np.diff(x) - self.dx)) > 1e-9 * self.dx:
+        if not np.max(np.abs(np.diff(x) - self.dx)) <= 1e-9 * self.dx:
             raise ValueError("quadrature grid x must be uniform")
         if self.kind == "optical":
             th = self.thetas
             if th is None or th.ndim != 1 or len(th) < 1:
                 raise ValueError("optical domain needs a 1-D theta grid")
-            if np.any(np.diff(th) <= 0):
+            if not np.all(np.diff(th) > 0):
                 raise ValueError("theta grid must be strictly increasing")
-            if th[0] < 0 or th[-1] >= np.pi:
+            if not (th[0] >= 0 and th[-1] < np.pi):
                 raise ValueError("theta grid must lie in [0, pi)")
         else:
             if self.mu is None or self.nu is None:

@@ -22,12 +22,13 @@ grids that embedding is the identity.  Results are exact to round-off for
 grid-supported states: mass inside the box, momentum content within half the
 p-range, and kernel coherences negligible at half-box separation.  The
 optical inversion further needs the state within the first N + 1 oscillator
-levels, N = min(n / 4, n_theta - 1), and refuses a tomogram that those levels
+levels, N = min(n / 2, n_theta - 1), and refuses a tomogram that those levels
 do not explain.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lstsq
 
 from .errors import UndersampledDomainError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
@@ -61,7 +62,10 @@ def fourier_upsample2(a: np.ndarray, axis: int = -1) -> np.ndarray:
     padded[sl(half, half + 1)] = 0.5 * spec[sl(half, half + 1)]
     padded[sl(2 * n - half, 2 * n - half + 1)] = 0.5 * spec[sl(half, half + 1)]
     padded[sl(2 * n - half + 1, 2 * n)] = spec[sl(half + 1, n)]
-    return 2.0 * np.fft.ifft(padded, axis=axis)
+    del spec
+    out = np.fft.ifft(padded, axis=axis)
+    out *= 2.0
+    return out
 
 
 def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
@@ -268,12 +272,12 @@ MIN_ANGLES = 16
 # largest tomogram content, relative to the tomogram's largest value, that the
 # resolved oscillator levels may leave unexplained; beyond it invert_optical
 # refuses the state.  In a roundtrip sweep over packets, grid constants and
-# angle counts, every state accepted at this bound reconstructed to
-# 1 - F <= 5e-6; the infidelity grows about as the square of that share.
-UNEXPLAINED_RTOL = 1e-3
+# angle counts, accepted states reconstructed to a trace distance within 90
+# times their unexplained share, so at most 1.4e-5 at this bound.
+UNEXPLAINED_RTOL = 1e-6
 
-# singular values of a level system below this fraction of its largest are
-# dropped by the least-squares solve
+# a level system whose singular values fall below this fraction of its largest
+# is not determined by the quadrature points; invert_optical refuses it
 _LEVEL_RCOND = 1e-10
 
 
@@ -296,11 +300,12 @@ def _flip_x(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def oscillator_levels(grid: PhaseSpaceGrid, n_theta: int) -> int:
-    """Highest oscillator level N the optical inversion resolves: n / 4, where
-    the product basis psi_m psi_n is still well conditioned on the grid, and
-    below n_theta, so that no harmonic of the 2 pi-extended angle series
-    aliases onto another."""
-    return min(grid.n // 4, n_theta - 1)
+    """Highest oscillator level N the optical inversion resolves: n / 2, below
+    which the products psi_m psi_n, sampled at half the grid spacing, stay well
+    conditioned on a balanced grid (smallest singular value above 0.03 of the
+    largest for n <= 512), and below n_theta, so that no harmonic of the
+    2 pi-extended angle series aliases onto another."""
+    return min(grid.n // 2, n_theta - 1)
 
 
 def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -> np.ndarray:
@@ -312,46 +317,53 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain)
     (D'Ariano, Macchiavello and Paris, Phys. Rev. A 50, 4298 (1994)).  The
     angles are extended to [0, 2 pi) with w(X, theta + pi) = w(-X, theta) and
     Fourier transformed; harmonic -d then holds sum_m rho_{m, m-d} psi_m psi_{m-d},
-    and one least-squares solve per d = 0..N gives the d-th diagonal.  Exact to
-    round-off for kernels within the first N + 1 levels, N = oscillator_levels.
+    of parity (-1)^d in X.  The products oscillate twice as fast as the levels,
+    so each harmonic is resampled at half the spacing by band-limited
+    interpolation, and one least-squares solve over X >= 0 per d = 0..N gives
+    the d-th diagonal.  Exact to round-off for kernels within the first N + 1
+    levels, N = oscillator_levels, whose tomograms are band-limited on x.
 
     Raises UndersampledDomainError when the angles are not the uniform grid of
-    angle_step, when x holds N + 1 points or fewer or is not closed under
-    X -> -X (index l -> n_x - l, as on a centered grid), and when the
-    tomogram content the N + 1 levels leave unexplained exceeds UNEXPLAINED_RTOL
-    of the tomogram's largest value.
+    angle_step, when x is not closed under X -> -X (index l -> n_x - l, as on
+    a centered grid) or its points do not determine the N + 1 levels, and when
+    the tomogram content those levels leave unexplained at the half-spaced
+    points exceeds UNEXPLAINED_RTOL of the tomogram's largest value.
     """
     n_theta = len(dom.thetas)
     angle_step(dom.thetas)
     x = dom.x
-    n_levels = oscillator_levels(grid, n_theta) + 1
-    if len(x) <= n_levels:
-        raise UndersampledDomainError(
-            f"the optical inversion resolves {n_levels} oscillator levels and needs more "
-            f"than {n_levels} quadrature points, got {len(x)}")
     if not np.allclose(x[:0:-1], -x[1:], rtol=0.0, atol=1e-9 * dom.dx):
         raise UndersampledDomainError(
             "the optical inversion needs quadrature points closed under X -> -X")
-    # harmonics 0..n_theta of the real series; harmonic -d is the conjugate of d
-    extended = np.concatenate([stack, _flip_x(stack, axis=-1)], axis=1)
-    spectrum = np.fft.rfft(extended, axis=1) / (2 * n_theta)
-    basis = oscillator_basis(grid, n_levels, x)
+    n_levels = oscillator_levels(grid, n_theta) + 1
+    basis = oscillator_basis(grid, n_levels, x[0] + 0.5 * dom.dx * np.arange(2 * len(x)))
+    # harmonics 0..n_theta of the real series, at the half-spaced points;
+    # harmonic -d is the conjugate of d
+    spectrum = np.fft.rfft(np.concatenate([stack, _flip_x(stack, axis=-1)], axis=1), axis=1)
+    spectrum /= 2 * n_theta
+    spectrum = fourier_upsample2(spectrum, axis=-1)
+    half = slice(len(x), None)                                 # X >= 0
     c = len(stack)
     levels = np.zeros((c, n_levels, n_levels), dtype=complex)
     for d in range(n_levels):
         m = np.arange(d, n_levels)
-        design = basis[m] * basis[m - d]                       # (N + 1 - d, n_x)
-        harmonic = spectrum[:, d].conj()                       # harmonic -d, (c, n_x)
-        sol = np.linalg.lstsq(design.T, np.concatenate([harmonic.real, harmonic.imag]).T,
-                              rcond=_LEVEL_RCOND)[0]
+        design = basis[m] * basis[m - d]                       # (N + 1 - d, 2 n_x)
+        harmonic = spectrum[:, d, half].conj()                 # harmonic -d, (c, n_x)
+        sol, _, rank, _ = lstsq(design[:, half].T,
+                                np.concatenate([harmonic.real, harmonic.imag]).T,
+                                cond=_LEVEL_RCOND, lapack_driver="gelsy", check_finite=False)
+        if rank < len(m):
+            raise UndersampledDomainError(
+                f"{len(x)} quadrature points from {x[0]:g} to {x[-1]:g} do not determine "
+                f"the {n_levels} oscillator levels of n = {grid.n} and {n_theta} angles")
         rho_d = (sol[:, :c] + 1j * sol[:, c:]).T               # rho_{m, m-d}, (c, N + 1 - d)
         levels[:, m, m - d] = rho_d
         levels[:, m - d, m] = rho_d.conj()
         spectrum[:, d] -= (rho_d @ design).conj()
-    unexplained = float(np.max(np.abs(np.fft.irfft(spectrum, 2 * n_theta, axis=1)),
-                               initial=0.0)) * 2 * n_theta
+    residual = np.fft.irfft(spectrum, 2 * n_theta, axis=1)
+    unexplained = max(residual.max(initial=0.0), -residual.min(initial=0.0)) * 2 * n_theta
     scale = float(np.max(np.abs(stack), initial=0.0))
-    if unexplained > UNEXPLAINED_RTOL * scale:
+    if not unexplained <= UNEXPLAINED_RTOL * scale:           # a NaN fails too
         raise UndersampledDomainError(
             f"{n_levels} oscillator levels ({n_theta} angles, n = {grid.n}) leave "
             f"{unexplained / scale:.2e} of the tomogram's largest value unexplained, above "
@@ -359,19 +371,30 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain)
     return levels
 
 
+def _level_factors(matrix: np.ndarray, dim: int, grid: PhaseSpaceGrid) -> tuple:
+    """Factors (probs (r,), fields (r, dim, n)) of a density matrix over the
+    basis |a> (x) psi_m, a < dim, m <= N (row index a (N + 1) + m): its
+    eigenpairs with |p| > 1e-12, as in SpinorDensity.factors, with each
+    eigenvector summed over the oscillator levels on the grid."""
+    probs, vecs = np.linalg.eigh(matrix)
+    keep = np.abs(probs) > 1e-12
+    n_levels = len(matrix) // dim
+    fields = vecs[:, keep].T.reshape(-1, dim, n_levels) @ oscillator_basis(grid, n_levels)
+    return probs[keep], fields
+
+
 def wigner_from_optical(fld: ScalarField) -> ScalarField:
     """Wigner function of one optical tomogram: invert_optical, then the Wigner
-    transform of the resulting kernel's eigenpairs with |p| > 1e-12.
+    transform of the resulting kernel's factors (_level_factors).
 
     Kept as the single-field entry point whose name and signature the
     benchmark's span table traces; from_vector calls invert_optical directly.
     """
     if fld.kind != "optical":
         raise ValueError(f"expected an optical field, got {fld.kind!r}")
-    lam, vecs = np.linalg.eigh(invert_optical(fld.values[None], fld.grid, fld.domain)[0])
-    keep = np.abs(lam) > 1e-12
-    amps = vecs[:, keep].T @ oscillator_basis(fld.grid, len(lam))
-    values = _wigner_of_factors(lam[None, keep], amps, fld.grid)[0].real
+    levels = invert_optical(fld.values[None], fld.grid, fld.domain)[0]
+    probs, fields = _level_factors(levels, 1, fld.grid)
+    values = _wigner_of_factors(probs[None], fields[:, 0], fld.grid)[0].real
     return ScalarField(grid=fld.grid, values=values, kind="wigner")
 
 

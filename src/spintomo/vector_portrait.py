@@ -25,6 +25,7 @@ from .grids import (
 )
 from .phase_space import (
     _kernel_of_wigner,
+    _level_factors,
     _wigner_of_factors,
     husimi_from_wigner,
     invert_optical,
@@ -32,7 +33,6 @@ from .phase_space import (
     symplectic_profiles,
 )
 from .spin_frames import SpinFrame
-from .states import oscillator_basis
 
 VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
 
@@ -170,8 +170,8 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
     with the dual frame into dense blocks.  Optical route: each component's
     density matrix over the oscillator levels psi_0..psi_N (invert_optical),
     resummed with the dual frame into the (2s+1)(N+1) square matrix of the
-    state in the basis |a> (x) psi_m; its eigenpairs with |p| > 1e-12, as
-    in SpinorDensity.factors, are the state's factors.
+    state in the basis |a> (x) psi_m, whose eigenpairs with |p| > 1e-12
+    (phase_space._level_factors) are the state's factors.
     """
     if v.representation == "wigner":
         kernels = np.stack([_kernel_of_wigner(w, v.grid) for w in v.components])
@@ -183,10 +183,7 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
     levels = invert_optical(v.components, v.grid, v.domain)
     d, n_levels = frame.dim, levels.shape[-1]
     joint = np.einsum("cab,cmn->ambn", frame.quantizer, levels).reshape(d * n_levels, -1)
-    probs, vecs = np.linalg.eigh(joint)
-    keep = np.abs(probs) > 1e-12
-    fields = vecs[:, keep].T.reshape(-1, d, n_levels) @ oscillator_basis(v.grid, n_levels)
-    return SpinorDensity.from_mixture(probs[keep], fields, v.grid)
+    return SpinorDensity.from_mixture(*_level_factors(joint, d, v.grid), v.grid)
 
 
 @dataclass(frozen=True)

@@ -228,8 +228,8 @@ class TestScenarios:
         assert not (tmp_path / "o" / "report.json").exists()
 
     def test_unsupported_state_exits_2(self, tmp_path, capsys):
-        # the packet holds 4e-3 of its weight above the 65 levels that the
-        # optical inversion resolves at optical_n = 256
+        # the packet holds 3e-7 of its weight above the 128 levels that the
+        # optical inversion resolves at optical_n = 256 and 128 angles
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": {"mass": 4.0}, "state": {"q0": 3.0, "p0": 2.0},
                                    "run": {"route": "optical"}}))
