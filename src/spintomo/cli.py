@@ -441,7 +441,8 @@ def _run_roundtrip(cfg: dict, out: Path, scale: float) -> dict:
         rho_back = from_vector(v, frame)
         fid = fidelity_with_pure(rho_back, psi)
         measurements["optical_fidelity"] = fid
-        gates["optical_infidelity"] = _gate(1.0 - fid, tol["optical_infidelity"], scale)
+        # two-sided: a reconstruction whose overlap exceeds 1 is as wrong as one below it
+        gates["optical_infidelity"] = _gate(abs(1.0 - fid), tol["optical_infidelity"], scale)
 
     return {"measurements": measurements, "gates": gates}
 

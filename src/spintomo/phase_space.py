@@ -24,11 +24,25 @@ p-range, and kernel coherences negligible at half-box separation.  The
 optical inversion further needs the state within the first N + 1 oscillator
 levels, N = min(n / 2, n_theta - 1), and refuses a tomogram that those levels
 do not explain.
+
+Plans: what depends only on the sampling (grid, x and the angles or the
+(mu, nu) mesh) is built once per domain, on first use, into a _Plan: the
+working-grid embedding, the march of the rays in ascending theta (each ray
+rotated from the one before by the angle step, whose shear factors equal
+steps share), the dilation to x / r per distinct r, and the inversion's
+oscillator basis and per-diagonal least-squares solvers.  Plans are found by
+the identity of the domain's arrays and dropped when one of those arrays is
+freed, so a plan lives as long as its TomogramDomain; an array changed in
+place gets a new plan.
 """
 from __future__ import annotations
 
+import weakref
+from functools import cached_property
+
 import numpy as np
-from scipy.linalg import lstsq
+from scipy.linalg import qr
+from scipy.linalg.lapack import dtrtri
 
 from .errors import UndersampledDomainError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
@@ -173,38 +187,169 @@ def _working_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
     return work
 
 
-def _rotate(amps: np.ndarray, work: PhaseSpaceGrid, theta: float) -> np.ndarray:
-    """Fractional-Fourier rotation of amplitudes (..., N) on the balanced grid
-    work: afterwards |amps|^2 is the marginal of q cos(theta) + p sin(theta)/(m omega).
+def _shear_factors(work: PhaseSpaceGrid, theta: float) -> tuple:
+    """(n_sub, chirp, fresnel): the rotation by theta on the balanced grid work
+    as n_sub equal sub-rotations t of at most pi/4 (none for theta = 0).
 
-    Each sub-rotation t is three shears (Ozaktas et al., IEEE TSP 1996): the
+    Each sub-rotation is three shears (Ozaktas et al., IEEE TSP 1996): the
     chirp exp(-i tan(t/2) m omega q^2 / 2 hbar), the Fresnel factor
     exp(-i sin(t) hbar k^2 / 2 m omega), and the chirp again.  The chirp
     stretches the momentum band by sqrt(1 + tan^2(t/2)), which diverges as
     t -> pi; sub-rotations of at most pi/4 keep content within 0.92 of the
     box half-width inside the band.
     """
+    n_sub = int(np.ceil(abs(theta) / (0.25 * np.pi)))
+    if n_sub == 0:
+        return 0, None, None
+    t = theta / n_sub
     m_omega = work.mass * work.omega
     half_q2 = 0.5 * m_omega * work.q**2 / work.hbar
     half_k2 = 0.5 * work.hbar * work.k_fft**2 / m_omega
-    n_sub = int(np.ceil(abs(theta) / (0.25 * np.pi)))
+    return n_sub, np.exp(-1j * np.tan(0.5 * t) * half_q2), np.exp(-1j * np.sin(t) * half_k2)
+
+
+def _shear(amps: np.ndarray, factors: tuple) -> np.ndarray:
+    """Apply the sub-rotations of _shear_factors to amplitudes (..., N)."""
+    n_sub, chirp, fresnel = factors
     for _ in range(n_sub):
-        t = theta / n_sub
-        chirp = np.exp(-1j * np.tan(0.5 * t) * half_q2)
-        fresnel = np.exp(-1j * np.sin(t) * half_k2)
         amps = chirp * np.fft.ifft(fresnel * np.fft.fft(chirp * amps, axis=-1), axis=-1)
     return amps
 
 
-def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid,
-                          thetas: np.ndarray, radii: np.ndarray, x: np.ndarray,
+def _rotate(amps: np.ndarray, work: PhaseSpaceGrid, theta: float) -> np.ndarray:
+    """Fractional-Fourier rotation of amplitudes (..., N) on the balanced grid
+    work: afterwards |amps|^2 is the marginal of q cos(theta) + p sin(theta)/(m omega).
+
+    The rotation of one ray from theta = 0, in sub-rotations of at most pi/4
+    (_shear_factors).  Tomograms do not call it per ray: their plan marches
+    from ray to ray in angle steps (_Plan.march), which compose to the same
+    rotation to round-off.
+    """
+    return _shear(amps, _shear_factors(work, theta))
+
+
+# ---------------------------------------------------------------------------
+# sampling plans: the operators that depend only on a tomogram's sampling
+# ---------------------------------------------------------------------------
+
+# the plans in use, keyed by the grid and the ids of the sample arrays (x, then
+# thetas or mu and nu): radon_slices and symplectic_profiles receive a
+# domain's arrays, not the domain.  A plan leaves the table when one of its
+# arrays is freed, so it lives as long as the domain that holds those arrays.
+_PLANS: dict[tuple, "_Plan"] = {}
+
+
+def _plan(grid: PhaseSpaceGrid, x, *axes) -> "_Plan":
+    """The plan of grid with quadrature points x and angles (thetas,) or
+    (mu, nu): built on first use, reused while those arrays live unchanged."""
+    arrays = tuple(np.asarray(a, dtype=float) for a in (x, *axes))
+    key = (grid, *map(id, arrays))
+    plan = _PLANS.get(key)
+    if plan is None or not all(map(np.array_equal, arrays, plan.samples)):
+        plan = _PLANS[key] = _Plan(grid, arrays,
+                                   lambda _ref, pop=_PLANS.pop: pop(key, None))
+    return plan
+
+
+class _Plan:
+    """Operators that depend only on the sampling of tomograms on grid: the
+    quadrature points x and the angles (thetas,) or the (mu, nu) mesh.  Each
+    part is built on first use; calls on the same domain reuse it.  on_free
+    runs when one of the sampled arrays is freed."""
+
+    def __init__(self, grid: PhaseSpaceGrid, arrays: tuple, on_free):
+        self.grid = grid
+        self.work = _working_grid(grid)
+        self.samples = tuple(a.copy() for a in arrays)
+        self._refs = [weakref.ref(a, on_free) for a in arrays]
+
+    @cached_property
+    def embed(self) -> np.ndarray | None:
+        """Transposed embedding of grid amplitudes in the working grid, or None
+        when the grid is its own working grid."""
+        if self.work is self.grid:
+            return None
+        return _band_limited_matrix(self.grid.q, self.work.q).T
+
+    @cached_property
+    def march(self) -> list:
+        """The rays (theta, r) in ascending theta, as (index, shear, dilation, r).
+
+        shear turns the amplitudes of the ray before (of theta = 0 for the
+        first) to this ray's angle, in one sub-rotation per pi/4 of the step;
+        steps of equal size share their factors.  dilation is the transposed
+        band-limited map from the working grid to x / r, None where x / r is
+        the working grid, one per distinct r.
+        """
+        x, *axes = self.samples
+        if len(axes) == 1:
+            thetas, radii = axes[0], np.ones(len(axes[0]))
+        else:
+            mm, nn = np.meshgrid(*axes, indexing="ij")
+            m_omega = self.grid.mass * self.grid.omega
+            thetas = np.arctan2(nn * m_omega, mm).ravel()
+            radii = np.hypot(mm, nn * m_omega).ravel()
+        q = self.work.q
+        order = np.argsort(thetas, kind="stable")
+        shears, dilations, march = {}, {}, []
+        for k, step in zip(order, np.diff(thetas[order], prepend=0.0)):
+            if step not in shears:
+                shears[step] = _shear_factors(self.work, step)
+            r = radii[k]
+            if r not in dilations:
+                dilations[r] = (None if np.array_equal(x / r, q)
+                                else _band_limited_matrix(q, x / r).T)
+            march.append((k, shears[step], dilations[r], r))
+        return march
+
+    @cached_property
+    def inversion(self) -> tuple | str:
+        """invert_optical's sampling-only part on an optical domain: (basis,
+        solvers), or the message that refuses the domain.
+
+        basis holds the oscillator levels 0..N at the half-spaced points
+        _half_points keeps, solvers[d] the least-squares solution operator
+        (N + 1 - d, n_x) of diagonal d over X >= 0, from a column-pivoted QR of
+        its design.  A design of numerical rank below its column count (R's
+        diagonal below _LEVEL_RCOND of its first entry) leaves its levels
+        undetermined.
+        """
+        x, thetas = self.samples
+        grid, n_theta = self.grid, len(thetas)
+        n_levels = oscillator_levels(grid, n_theta) + 1
+        dx = float(x[1] - x[0])
+        basis = oscillator_basis(grid, n_levels, x[0] + 0.5 * dx * _half_points(len(x)))
+        half = slice(1, None)                                      # X >= 0
+        # the solvers are views of one array: freed as many separate blocks,
+        # they left the heap fragmented and later work 10-20 MB more resident
+        stacked = np.empty((n_levels * (n_levels + 1) // 2, len(x)))
+        solvers = []
+        for d in range(n_levels):
+            design = (basis[d:, half] * basis[:n_levels - d, half]).T  # (n_x, N + 1 - d)
+            q, r, perm = qr(design, mode="economic", pivoting=True, check_finite=False)
+            diag = np.abs(np.diag(r))
+            if np.count_nonzero(diag > _LEVEL_RCOND * diag[0]) < n_levels - d:
+                return (f"{len(x)} quadrature points from {x[0]:g} to {x[-1]:g} do not "
+                        f"determine the {n_levels} oscillator levels of n = {grid.n} "
+                        f"and {n_theta} angles")
+            start = len(stacked) - (n_levels - d) * (n_levels - d + 1) // 2
+            solver = stacked[start:start + n_levels - d]
+            solver[perm] = dtrtri(r)[0] @ q.T
+            solvers.append(solver)
+        return basis, solvers
+
+
+def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan,
                           factors: tuple | None) -> np.ndarray:
     """Distributions over x of r (q cos(theta) + p sin(theta)/(m omega)) for
-    each ray (theta, r), shape (..., n_rays, n_x).
+    each ray (theta, r) of plan, shape (..., n_rays, n_x).
 
     A kernel sum_k weights[c, k] a_k a_k^H (factors; by default the signed
     eigenpairs of the kernels of w_stack) has the marginal
-    sum_k weights[c, k] |R_theta a_k|^2(x/r) / r, R_theta the metaplectic rotation.
+    sum_k weights[c, k] |R_theta a_k|^2(x/r) / r, R_theta the metaplectic
+    rotation.  The rays are visited in ascending theta, each rotated from the
+    one before by plan.march, so a ray costs one sub-rotation per pi/4 of its
+    angle step instead of per pi/4 of its angle.
     """
     if factors is None:
         kernels = np.stack([_kernel_of_wigner(w, grid)
@@ -217,18 +362,18 @@ def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid,
         factors = (weights, vecs[comp, :, idx])
     weights, amps = factors
 
-    work = _working_grid(grid)
-    if work is not grid:
-        amps = amps @ _band_limited_matrix(grid.q, work.q).T
-    dilations = {}
-    out = np.empty((len(weights), len(thetas), len(x)))
-    for k, (theta, r) in enumerate(zip(thetas, radii)):
-        rotated = _rotate(amps, work, theta)
-        if not np.array_equal(x / r, work.q):
-            if r not in dilations:
-                dilations[r] = _band_limited_matrix(work.q, x / r)
-            rotated = rotated @ dilations[r].T
-        out[:, k] = weights @ np.abs(rotated)**2 / r
+    if plan.embed is not None:
+        amps = amps @ plan.embed
+    n_amps = len(amps)
+    out = np.empty((len(weights), len(plan.march), len(plan.samples[0])))
+    for k, shear, dilation, r in plan.march:
+        amps = _shear(amps, shear)
+        if dilation is None:
+            density = np.abs(amps)**2
+        else:
+            parts = np.concatenate([amps.real, amps.imag]) @ dilation
+            density = parts[:n_amps]**2 + parts[n_amps:]**2
+        out[:, k] = weights @ density / r
     return out.reshape(w_stack.shape[:-2] + out.shape[1:])
 
 
@@ -241,8 +386,7 @@ def radon_slices(w_stack: np.ndarray, grid: PhaseSpaceGrid,
     that holds the kernels of w_stack as factors (weights, amps), in the form
     of _wigner_of_factors, passes them to skip the kernel map and eigh.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    return _quadrature_marginals(w_stack, grid, thetas, np.ones_like(thetas), x, factors)
+    return _quadrature_marginals(w_stack, grid, _plan(grid, x, thetas), factors)
 
 
 def symplectic_profiles(w_stack: np.ndarray, grid: PhaseSpaceGrid,
@@ -254,10 +398,7 @@ def symplectic_profiles(w_stack: np.ndarray, grid: PhaseSpaceGrid,
     theta = atan2(nu m w, mu).  Returns shape (..., n_mu, n_nu, n_x);
     factors as in radon_slices.
     """
-    mm, nn = np.meshgrid(mu, nu, indexing="ij")
-    m_omega = grid.mass * grid.omega
-    prof = _quadrature_marginals(w_stack, grid, np.arctan2(nn * m_omega, mm).ravel(),
-                                 np.hypot(mm, nn * m_omega).ravel(), x, factors)
+    prof = _quadrature_marginals(w_stack, grid, _plan(grid, x, mu, nu), factors)
     return prof.reshape(w_stack.shape[:-2] + (len(mu), len(nu), len(x)))
 
 
@@ -299,6 +440,14 @@ def _flip_x(values: np.ndarray, axis: int) -> np.ndarray:
     return np.roll(flipped, 1, axis=axis)
 
 
+def _half_points(n_x: int) -> np.ndarray:
+    """Indices, among the 2 n_x points at half the spacing of a centered x,
+    of -L/2 and of X >= 0.  Harmonic d of the extended tomogram, and each
+    product psi_m psi_(m-d), has parity (-1)^d, so the other points, the
+    mirrors of X > 0, repeat these values; -L/2 has no mirror among them."""
+    return np.r_[0, n_x:2 * n_x]
+
+
 def oscillator_levels(grid: PhaseSpaceGrid, n_theta: int) -> int:
     """Highest oscillator level N the optical inversion resolves: n / 2, below
     which the products psi_m psi_n, sampled at half the grid spacing, stay well
@@ -320,14 +469,16 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain)
     of parity (-1)^d in X.  The products oscillate twice as fast as the levels,
     so each harmonic is resampled at half the spacing by band-limited
     interpolation, and one least-squares solve over X >= 0 per d = 0..N gives
-    the d-th diagonal.  Exact to round-off for kernels within the first N + 1
-    levels, N = oscillator_levels, whose tomograms are band-limited on x.
+    the d-th diagonal; the solvers depend on the domain only and come from its
+    plan (_Plan.inversion).  Exact to round-off for kernels within the first
+    N + 1 levels, N = oscillator_levels, whose tomograms are band-limited on x.
 
     Raises UndersampledDomainError when the angles are not the uniform grid of
     angle_step, when x is not closed under X -> -X (index l -> n_x - l, as on
-    a centered grid) or its points do not determine the N + 1 levels, and when
-    the tomogram content those levels leave unexplained at the half-spaced
-    points exceeds UNEXPLAINED_RTOL of the tomogram's largest value.
+    a centered grid) or its points do not determine the N + 1 levels (found
+    once per domain, raised on every call), and when the tomogram content those
+    levels leave unexplained at the half-spaced points exceeds UNEXPLAINED_RTOL
+    of the tomogram's largest value, or is not finite.
     """
     n_theta = len(dom.thetas)
     angle_step(dom.thetas)
@@ -335,33 +486,35 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain)
     if not np.allclose(x[:0:-1], -x[1:], rtol=0.0, atol=1e-9 * dom.dx):
         raise UndersampledDomainError(
             "the optical inversion needs quadrature points closed under X -> -X")
-    n_levels = oscillator_levels(grid, n_theta) + 1
-    basis = oscillator_basis(grid, n_levels, x[0] + 0.5 * dom.dx * np.arange(2 * len(x)))
-    # harmonics 0..n_theta of the real series, at the half-spaced points;
-    # harmonic -d is the conjugate of d
-    spectrum = np.fft.rfft(np.concatenate([stack, _flip_x(stack, axis=-1)], axis=1), axis=1)
-    spectrum /= 2 * n_theta
-    spectrum = fourier_upsample2(spectrum, axis=-1)
-    half = slice(len(x), None)                                 # X >= 0
+    inversion = _plan(grid, x, dom.thetas).inversion
+    if isinstance(inversion, str):
+        raise UndersampledDomainError(inversion)
+    basis, solvers = inversion
+    n_levels = len(basis)
+    # harmonics 0..n_theta of the real series at the half-spaced points that
+    # _half_points keeps; harmonic -d is the conjugate of d.  One component at
+    # a time, which bounds the transforms' scratch memory.
     c = len(stack)
+    keep = _half_points(len(x))
+    spectrum = np.empty((c, n_theta + 1, len(keep)), dtype=complex)
+    for comp, tomogram in zip(spectrum, stack):
+        harmonics = np.fft.rfft(np.concatenate([tomogram, _flip_x(tomogram, axis=-1)]), axis=0)
+        harmonics /= 2 * n_theta
+        comp[:] = fourier_upsample2(harmonics, axis=-1)[:, keep]
+    half = slice(1, None)                                      # X >= 0
     levels = np.zeros((c, n_levels, n_levels), dtype=complex)
-    for d in range(n_levels):
+    for d, solver in enumerate(solvers):
         m = np.arange(d, n_levels)
-        design = basis[m] * basis[m - d]                       # (N + 1 - d, 2 n_x)
         harmonic = spectrum[:, d, half].conj()                 # harmonic -d, (c, n_x)
-        sol, _, rank, _ = lstsq(design[:, half].T,
-                                np.concatenate([harmonic.real, harmonic.imag]).T,
-                                cond=_LEVEL_RCOND, lapack_driver="gelsy", check_finite=False)
-        if rank < len(m):
-            raise UndersampledDomainError(
-                f"{len(x)} quadrature points from {x[0]:g} to {x[-1]:g} do not determine "
-                f"the {n_levels} oscillator levels of n = {grid.n} and {n_theta} angles")
+        sol = solver @ np.concatenate([harmonic.real, harmonic.imag]).T
         rho_d = (sol[:, :c] + 1j * sol[:, c:]).T               # rho_{m, m-d}, (c, N + 1 - d)
         levels[:, m, m - d] = rho_d
         levels[:, m - d, m] = rho_d.conj()
-        spectrum[:, d] -= (rho_d @ design).conj()
-    residual = np.fft.irfft(spectrum, 2 * n_theta, axis=1)
-    unexplained = max(residual.max(initial=0.0), -residual.min(initial=0.0)) * 2 * n_theta
+        explained = np.concatenate([rho_d.real, rho_d.imag]) @ (basis[d:] * basis[:n_levels - d])
+        spectrum[:, d] -= explained[:c] - 1j * explained[c:]
+    # largest |residual| per component (a NaN propagates)
+    unexplained = np.max([np.max(np.abs(np.fft.irfft(comp, 2 * n_theta, axis=0)), initial=0.0)
+                          for comp in spectrum], initial=0.0) * 2 * n_theta
     scale = float(np.max(np.abs(stack), initial=0.0))
     if not unexplained <= UNEXPLAINED_RTOL * scale:           # a NaN fails too
         raise UndersampledDomainError(

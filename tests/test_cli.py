@@ -227,6 +227,15 @@ class TestScenarios:
         assert f"config error: {path}:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_optical_fidelity_above_one_exits_1(self, tmp_path, monkeypatch):
+        # the optical gate reads |1 - F|: an overlap above 1 fails as one below it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {"route": "optical"}}))
+        monkeypatch.setattr(spintomo.cli, "fidelity_with_pure", lambda rho, psi: 1.01)
+        assert main(["roundtrip", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        gate = read_report(tmp_path / "o")["gates"]["optical_infidelity"]
+        assert gate["value"] == pytest.approx(0.01) and not gate["pass"]
+
     def test_unsupported_state_exits_2(self, tmp_path, capsys):
         # the packet holds 3e-7 of its weight above the 128 levels that the
         # optical inversion resolves at optical_n = 256 and 128 angles

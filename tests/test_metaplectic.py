@@ -1,6 +1,11 @@
 """Optical and symplectic portraits by metaplectic rotation of kernel factors,
-from to_vector's carried factors and from Wigner input, checked against the dense characteristic-function ray sums (kept here as the
-independent reference) and against closed-form Gaussian marginals."""
+from to_vector's carried factors and from Wigner input, checked against the
+dense characteristic-function ray sums (kept here as the independent
+reference) and against closed-form Gaussian marginals; and the per-domain
+plans that march the rotation from ray to ray."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,10 +15,12 @@ from spintomo import (
     TomogramDomain,
     build_spin1_frame,
     gaussian_packet,
+    from_vector,
     random_frame,
     spinor_product_state,
     to_vector,
 )
+from spintomo import phase_space
 from spintomo.phase_space import (
     _band_limited_matrix,
     _rotate,
@@ -247,3 +254,94 @@ def test_band_limited_matrix_complex_stack(rng):
     assert np.max(np.abs(_band_limited_matrix(x, x) - np.eye(n))) < 1e-14
     outside = _band_limited_matrix(x, np.array([x[0] - 0.1, x[0] + period]))
     assert np.all(outside == 0.0)
+
+
+def per_ray_marginals(factors, grid, thetas, radii, x):
+    """Marginals of the factored kernels, each ray rotated from theta = 0 by
+    _rotate on its own: the reference for the plan's march."""
+    weights, amps = factors
+    work = _working_grid(grid)
+    if work is not grid:
+        amps = amps @ _band_limited_matrix(grid.q, work.q).T
+    out = np.empty((len(weights), len(thetas), len(x)))
+    for k, (theta, r) in enumerate(zip(thetas, radii)):
+        rotated = _rotate(amps, work, theta) @ _band_limited_matrix(work.q, x / r).T
+        out[:, k] = weights @ np.abs(rotated)**2 / r
+    return out
+
+
+@pytest.mark.parametrize("grid", [PhaseSpaceGrid.balanced(128),
+                                  PhaseSpaceGrid.centered(64, 20.0, mass=2.0)],
+                         ids=["balanced-128", "n64-L20-m2"])
+def test_march_matches_per_ray_rotation(grid):
+    rng = np.random.default_rng(8)
+    rho = mixture(grid, FRAMES["random-1.0"], 2, rng, 1.0, (0.65, 0.85))
+    probs, fields = rho.factors
+    factors = (np.repeat(probs, 3)[None], fields.reshape(-1, grid.n))
+    w = np.zeros((1, grid.n, grid.n))     # unused when factors are given
+    m_omega = grid.mass * grid.omega
+
+    # uniform optical angles over [0, pi): every step is pi / 64
+    thetas = np.pi * np.arange(64) / 64
+    got = radon_slices(w, grid, thetas, grid.q, factors=factors)
+    ref = per_ray_marginals(factors, grid, thetas, np.ones(64), grid.q)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+    # unsorted, non-uniform symplectic angles in (-pi, pi]; the march starts
+    # with a step of more than pi / 4 from theta = 0 to the smallest angle
+    mu, nu = np.array([0.9, -1.1, 0.3, -0.2]), np.array([-0.8, 1.2, -0.1, 0.5])
+    mm, nn = np.meshgrid(mu, nu, indexing="ij")
+    ray_thetas = np.arctan2(nn * m_omega, mm).ravel()
+    assert np.min(ray_thetas) < -0.25 * np.pi
+    assert not np.all(np.diff(ray_thetas) > 0)
+    got = symplectic_profiles(w, grid, mu, nu, grid.q, factors=factors)
+    ref = per_ray_marginals(factors, grid, ray_thetas, np.hypot(mm, nn * m_omega).ravel(),
+                            grid.q)
+    assert np.max(np.abs(got.reshape(ref.shape) - ref)) <= 1e-13
+
+
+def test_plan_reuse_is_bit_identical(grid64):
+    frame = FRAMES["random-1.5"]
+    rho = mixture(grid64, frame, 2, np.random.default_rng(4), 0.5,
+                  (np.sqrt(0.5), np.sqrt(0.5)))
+    for rep in ("optical", "symplectic-section"):
+        dom = default_domain(rep, grid64)
+        axes = (dom.thetas,) if rep == "optical" else (dom.mu, dom.nu)
+        first = to_vector(rho, frame, rep, dom).components
+        plan = phase_space._plan(grid64, dom.x, *axes)
+        assert "march" in vars(plan)          # built by the first call
+        second = to_vector(rho, frame, rep, dom).components
+        assert np.array_equal(first, second)
+        assert phase_space._plan(grid64, dom.x, *axes) is plan
+    dom = default_domain("optical", grid64)
+    v = to_vector(rho, frame, "optical", dom)
+    assert np.array_equal(from_vector(v, frame).factors[1], from_vector(v, frame).factors[1])
+
+
+def test_plan_dies_with_its_domain(grid64):
+    frame = FRAMES["paper"]
+    rho = mixture(grid64, frame, 1, np.random.default_rng(5), 0.5,
+                  (np.sqrt(0.5), np.sqrt(0.5)))
+    opt = TomogramDomain.optical_default(grid64, 32)
+    sym = default_domain("symplectic-section", grid64)
+    from_vector(to_vector(rho, frame, "optical", opt), frame)
+    to_vector(rho, frame, "symplectic-section", sym)
+    plans = [weakref.ref(phase_space._plan(grid64, opt.x, opt.thetas)),
+             weakref.ref(phase_space._plan(grid64, sym.x, sym.mu, sym.nu))]
+    assert "inversion" in vars(plans[0]()) and "march" in vars(plans[1]())
+    del opt, sym
+    gc.collect()
+    assert [ref() for ref in plans] == [None, None]
+
+
+def test_plan_follows_in_place_changes(grid64):
+    # a plan keyed by array identity must not serve arrays changed in place
+    psi = gaussian_packet(grid64, 0.3, -0.2, np.sqrt(0.5))
+    factors = pure_factors(psi)
+    w = _wigner_of_factors(*factors, grid64).real
+    thetas, x = np.pi * np.arange(16) / 16, grid64.q
+    radon_slices(w, grid64, thetas, x, factors=factors)
+    thetas[:] = thetas[::-1].copy()
+    got = radon_slices(w, grid64, thetas, x, factors=factors)
+    fresh = radon_slices(w, grid64, thetas.copy(), x, factors=factors)
+    assert np.array_equal(got, fresh)

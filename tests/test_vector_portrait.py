@@ -10,6 +10,7 @@ from spintomo import (
     TomogramDomain,
     UnsupportedInverseError,
     audit,
+    build_spin1_frame,
     evolve_oracle,
     fidelity_with_pure,
     from_vector,
@@ -30,12 +31,23 @@ from spintomo.residuals import default_domain
 REPRESENTATIONS = ("wigner", "husimi", "optical", "symplectic-section")
 
 
-def random_rank2_density(grid, rng):
+def rank2_density(grid, rng):
+    """Mixture of two spin-1 product states whose spatial parts are random
+    superpositions of the first six oscillator levels."""
     probs = rng.dirichlet(np.ones(2))
     psis = [spinor_product_state(grid, rng.normal(size=3) + 1j * rng.normal(size=3),
                                  random_band_limited_state(grid, rng))
             for _ in range(2)]
     return SpinorDensity.from_mixture(probs, psis, grid)
+
+
+def random_rank2_density(grid, rng):
+    """rank2_density, checked to be grid-supported: its Wigner portrait passes
+    the audit.  It does on balanced(128), with imaginary residues near 1e-17;
+    on balanced(64) six levels reach the band edge (test_six_levels_flagged_on_n64)."""
+    rho = rank2_density(grid, rng)
+    assert audit(to_vector(rho, build_spin1_frame(), "wigner")).passed
+    return rho
 
 
 class TestSpinorDensity:
@@ -44,15 +56,15 @@ class TestSpinorDensity:
         assert abs(rho.trace() - 1.0) < 1e-10
         assert rho.hermiticity_residual() < 1e-12
 
-    def test_positive_semidefinite(self, grid64, rng):
-        rho = random_rank2_density(grid64, rng)
-        assert np.linalg.eigvalsh(rho.to_matrix()).min() * grid64.dx >= -1e-10
+    def test_positive_semidefinite(self, grid128, rng):
+        rho = random_rank2_density(grid128, rng)
+        assert np.linalg.eigvalsh(rho.to_matrix()).min() * grid128.dx >= -1e-10
 
-    def test_factors_reconstruct(self, grid64, rng):
-        rho = random_rank2_density(grid64, rng)
-        probs, fields = SpinorDensity(grid64, rho.blocks).factors
+    def test_factors_reconstruct(self, grid128, rng):
+        rho = random_rank2_density(grid128, rng)
+        probs, fields = SpinorDensity(grid128, rho.blocks).factors
         assert len(probs) == 2
-        rebuilt = SpinorDensity.from_mixture(probs, fields, grid64)
+        rebuilt = SpinorDensity.from_mixture(probs, fields, grid128)
         assert np.max(np.abs(rebuilt.blocks - rho.blocks)) < 1e-12
 
     @pytest.mark.parametrize("rank", [1, 3])
@@ -99,10 +111,10 @@ class TestSpinorDensity:
         with pytest.raises(ValueError, match="not Hermitian"):
             evolve_oracle(bad, EMFieldConfig(spin=0.5), PropagatorConfig(dt=0.01, n_steps=1))
 
-    def test_matrix_round_trip(self, grid64, rng):
+    def test_matrix_round_trip(self, grid128, rng):
         # to_matrix rows and columns are indexed (a, i): spin first, then x
-        rho = random_rank2_density(grid64, rng)
-        back = np.transpose(rho.to_matrix().reshape(3, 64, 3, 64), (0, 2, 1, 3))
+        rho = random_rank2_density(grid128, rng)
+        back = np.transpose(rho.to_matrix().reshape(3, 128, 3, 128), (0, 2, 1, 3))
         assert np.max(np.abs(back - rho.blocks)) == 0.0
 
 
@@ -129,11 +141,11 @@ class TestToVector:
         v = to_vector(random_rank2_density(grid128, rng), frame, "wigner")
         assert np.max(v.imag_residues) < 1e-12
 
-    def test_linearity(self, frame, grid64, rng):
-        rho1 = random_rank2_density(grid64, rng)
-        rho2 = random_rank2_density(grid64, rng)
+    def test_linearity(self, frame, grid128, rng):
+        rho1 = random_rank2_density(grid128, rng)
+        rho2 = random_rank2_density(grid128, rng)
         lam = rng.uniform(0.2, 0.8)
-        mix = SpinorDensity(grid64, lam * rho1.blocks + (1 - lam) * rho2.blocks)
+        mix = SpinorDensity(grid128, lam * rho1.blocks + (1 - lam) * rho2.blocks)
         v_mix = to_vector(mix, frame, "wigner")
         v_parts = (lam * to_vector(rho1, frame, "wigner").components
                    + (1 - lam) * to_vector(rho2, frame, "wigner").components)
@@ -214,11 +226,11 @@ class TestDensePath:
         for a, b in zip(factored.states, dense.states):
             assert np.max(np.abs(a.blocks - b.blocks)) <= 1e-13
 
-    def test_factored_states_need_no_eigensolve(self, grid64, rng, monkeypatch):
+    def test_factored_states_need_no_eigensolve(self, grid128, rng, monkeypatch):
         fr = random_frame(1.0, seed=7)
-        doms = {rep: None if rep in ("wigner", "husimi") else default_domain(rep, grid64)
+        doms = {rep: None if rep in ("wigner", "husimi") else default_domain(rep, grid128)
                 for rep in REPRESENTATIONS}
-        rho = random_rank2_density(grid64, rng)
+        rho = random_rank2_density(grid128, rng)
 
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolve on a factored state")
@@ -312,8 +324,17 @@ class TestAudit:
     def test_optical_audit_fields(self, frame, grid128, rng):
         dom = TomogramDomain.optical_default(grid128, 32)
         rep = audit(to_vector(random_rank2_density(grid128, rng), frame, "optical", dom))
-        assert rep.integral_bounds_ok
+        assert rep.integral_bounds_ok and rep.passed
         assert rep.as_dict()["passed"] == rep.passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_six_levels_flagged_on_n64(self, frame, grid64, seed):
+        # six oscillator levels reach the band edge of balanced(64): the
+        # Wigner transform's imaginary residue is ~1e-8, and the audit says so
+        rho = rank2_density(grid64, np.random.default_rng(seed))
+        rep = audit(to_vector(rho, frame, "wigner"))
+        assert np.max(rep.imag_residues) > 1e-9
+        assert not rep.realness_ok and not rep.passed
 
 
 class TestSerialization:
