@@ -6,7 +6,10 @@ In that field class a Strang step of the vector Wigner equation is an affine
 symplectic map of (q, p), so evolve_wigner_vector composes the steps between
 two saved frames in closed form and applies the result as three spectral
 shears: dt keeps its meaning as the Strang step, and the cost follows the
-number of saved frames rather than n_steps.
+number of saved frames rather than n_steps.  The components stay real: the
+shears run on rfft bins, the spin coupling mixes the component stack as one
+matrix product, and each frame's imag_residues carry the imaginary part that
+complex shears would have left at the Nyquist bin.
 
 The oracle's Strang scheme applies the uniform Zeeman term once per saved
 chunk of m steps and, under a static field, advances a chunk by the m-th power
@@ -397,9 +400,19 @@ def _max_steps(step: np.ndarray, n: int, aspect: float) -> int:
     return lo
 
 
-def _shear(w: np.ndarray, axis: int, phase: np.ndarray) -> np.ndarray:
-    """Band-limited shift along axis by phase / k, one shift per line."""
-    return np.fft.ifft(np.exp(1j * phase) * np.fft.fft(w, axis=axis), axis=axis)
+def _shear(w: np.ndarray, axis: int, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Band-limited shift of a real stack (c, n, n) along axis 1 or 2 by
+    phase / k, one shift per line, with phase on the rfftfreq bins of that axis.
+
+    Returns the real shifted stack and, per component, the largest imaginary
+    part that the complex shift would have left: at the Nyquist bin X_N (grid
+    sizes are even) the shift keeps cos(phi_N) X_N and drops
+    |sin(phi_N) X_N| / n.
+    """
+    n = w.shape[axis]
+    spec = np.fft.rfft(w, axis=axis)
+    nyq = np.take(spec, -1, axis=axis).real * np.sin(np.take(phase, -1, axis=axis - 1))
+    return np.fft.irfft(np.exp(1j * phase) * spec, n, axis=axis), np.max(np.abs(nyq), axis=1) / n
 
 
 def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
@@ -417,7 +430,17 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     their offsets, in as many sub-maps as keep the p-shears within
     _P_SHEAR_CAP.  The cost therefore grows with the number of saved frames,
     not with n_steps.  The spin coupling dw/dt = S w is applied as an exact
-    matrix exponential (it commutes with the drift).
+    matrix exponential (it commutes with the drift), one matrix product over
+    the component stack.
+
+    The components stay real: each shear runs on rfft bins and keeps the real
+    part of what a complex shift would give.  The part it drops lives at the
+    Nyquist bin, and a frame's imag_residues carry it: they start from
+    v0.imag_residues, add each shear's largest dropped part per component,
+    and pass through each spin mixing expm(S tau) as |expm(S tau)| r.  To
+    first order in the band-edge content this bounds the imaginary part that
+    complex shears would carry.  The residues stay at round-off for states the
+    grid supports and flag band-edge content otherwise.
     """
     if prop.scheme != WIGNER_SCHEME:
         raise SchemeMismatchError(
@@ -430,41 +453,46 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     dt = prop.dt
     q = grid.q
     p = grid.p
-    kq = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
-    kp = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dp)
+    kq = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dx)
+    kp = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dp)
     step = _strang_step(fld, dt)
     max_steps = _max_steps(step, min(prop.save_every, prop.n_steps), grid.dx / grid.dp)
     s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
 
-    w = v0.components.astype(complex)
+    w = np.array(v0.components, dtype=float)
+    res = (np.zeros(len(w)) if v0.imag_residues is None
+           else np.array(v0.imag_residues, dtype=float))
 
-    def run_chunk(w, n_sub):
+    def run_chunk(w, res, n_sub):
         k = -(-n_sub // max_steps)
         m, r = divmod(n_sub, k)
         for steps in [m + 1] * r + [m] * (k - r):
             # w(M z) for M = p-shear . q-shear . p-shear, translation in the offsets
             (a1, b, cq), (_, d1, cp) = _power(step, steps)[:2]
             alpha, gamma = d1 / b, a1 / b
-            w = _shear(w, 2, np.outer(alpha * q + (cp - alpha * cq), kp))
-            w = _shear(w, 1, np.outer(kq, b * p + cq))
-            w = _shear(w, 2, np.outer(gamma * q, kp))
-        return np.einsum("jk,kqp->jqp", expm(s_mat * (n_sub * dt)), w)
+            for axis, phase in ((2, np.outer(alpha * q + (cp - alpha * cq), kp)),
+                                (1, np.outer(kq, b * p + cq)),
+                                (2, np.outer(gamma * q, kp))):
+                w, dropped = _shear(w, axis, phase)
+                res = res + dropped
+        mix = expm(s_mat * (n_sub * dt))
+        return (mix @ w.reshape(len(w), -1)).reshape(w.shape), np.abs(mix) @ res
 
-    def frame_of(w, t):
+    def frame_of(w, res, t):
         return VectorDistribution(
-            representation="wigner", components=w.real, frame=v0.frame,
-            grid=grid, time=t, imag_residues=np.max(np.abs(w.imag), axis=(1, 2)))
+            representation="wigner", components=w, frame=v0.frame,
+            grid=grid, time=t, imag_residues=res)
 
     times = [v0.time]
-    frames = [frame_of(w, v0.time)]
+    frames = [frame_of(w, res, v0.time)]
     t = v0.time
     done = 0
     while done < prop.n_steps:
         chunk = min(prop.save_every, prop.n_steps - done)
-        w = run_chunk(w, chunk)
+        w, res = run_chunk(w, res, chunk)
         t += chunk * dt
         done += chunk
-        frames.append(frame_of(w, t))
+        frames.append(frame_of(w, res, t))
         times.append(t)
     norm_sums = np.asarray([f.normalization_sum() for f in frames])
     return VectorTrajectory(times=np.asarray(times), frames=frames, field=fld,

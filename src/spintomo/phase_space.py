@@ -83,13 +83,17 @@ def fourier_upsample2(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
-    """Spectral derivative along one axis."""
+    """Spectral derivative of a real array along one axis, on rfft bins.
+
+    Complex input raises TypeError (rfft would drop its imaginary part).
+    """
+    if np.iscomplexobj(values):
+        raise TypeError("ddx takes real values")
     n = values.shape[axis]
-    k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, dx)
     shape = [1] * values.ndim
-    shape[axis] = n
-    out = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
-    return out.real if np.isrealobj(values) else out
+    shape[axis] = len(k)
+    return np.fft.irfft(1j * k.reshape(shape) * np.fft.rfft(values, axis=axis), n, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +571,19 @@ def husimi_from_wigner(fld: ScalarField) -> ScalarField:
     with the variances of husimi_variances, so the result equals the
     coherent-state expectation divided by 2*pi*hbar.
 
-    Kept as the single-field map to_vector applies per Husimi component; the
-    benchmark's span table traces it by this name and signature.
+    The values must be real (complex values raise TypeError); the smoothing
+    runs on the rfft2 half-plane.  Kept as the single-field map to_vector
+    applies per Husimi component; the benchmark's span table traces it by
+    this name and signature.
     """
     if fld.kind != "wigner":
         raise ValueError(f"expected a wigner field, got {fld.kind!r}")
+    if np.iscomplexobj(fld.values):
+        raise TypeError("husimi_from_wigner takes a real Wigner function")
     g = fld.grid
     var_q, var_p = husimi_variances(g)
     kq = 2.0 * np.pi * np.fft.fftfreq(g.n, g.dx)
-    kp = 2.0 * np.pi * np.fft.fftfreq(g.n, g.dp)
+    kp = 2.0 * np.pi * np.fft.rfftfreq(g.n, g.dp)
     mult = np.exp(-0.5 * var_q * kq[:, None] ** 2 - 0.5 * var_p * kp[None, :] ** 2)
-    smooth = np.fft.ifft2(mult * np.fft.fft2(fld.values)).real
+    smooth = np.fft.irfft2(mult * np.fft.rfft2(fld.values), fld.values.shape)
     return ScalarField(grid=g, values=smooth, kind="husimi")

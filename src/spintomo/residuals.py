@@ -204,7 +204,7 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
     times = []
     for k in range(1, len(vals) - 1):
         lhs = (vals[k + 1] - vals[k - 1]) / (2.0 * dt)
-        rhs = gen(vals[k]) + np.einsum("jk,k...->j...", s_mat, vals[k])
+        rhs = gen(vals[k]) + (s_mat @ vals[k].reshape(len(s_mat), -1)).reshape(vals[k].shape)
         res = _interior(lhs - rhs, representation)
         per_frame.append(float(np.max(np.abs(res))))
         sq_sum += float(np.sum(res**2) * cell)

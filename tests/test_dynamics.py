@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,6 +11,7 @@ from spintomo import (
     SchemeMismatchError,
     SpinorDensity,
     UnsupportedPotentialError,
+    audit,
     evolve_oracle,
     evolve_wigner_vector,
     export_trajectory,
@@ -23,7 +26,7 @@ from spintomo import (
     spinor_product_state,
     to_vector,
 )
-from spintomo.dynamics import _max_steps, _strang_step
+from spintomo.dynamics import _max_steps, _power, _shear, _strang_step
 
 HARMONIC = (0.0, 0.0, 0.5)     # e*phi = q^2/2 for e = 1
 
@@ -53,6 +56,40 @@ def kick_drift_reference(v0, fld, prop):
             kick = half_kick if i == chunk - 1 else full_kick
             w = np.fft.ifft(kick[None] * np.fft.fft(w, axis=2), axis=2)
         w = np.einsum("jk,kqp->jqp", expm(s_mat * (chunk * dt)), w)
+        frames.append(w)
+        done += chunk
+    return np.stack(frames)
+
+
+def complex_shear_reference(v0, fld, prop):
+    """The composed map as complex shears: the sub-maps of evolve_wigner_vector,
+    each shear a complex fft/ifft pair, so the imaginary part that a shear
+    leaves at the Nyquist bin is carried along.  Returns the complex frames,
+    shape (n_frames, 9, n, n)."""
+    grid = v0.grid
+    kq = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
+    kp = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dp)
+    step = _strang_step(fld, prop.dt)
+    max_steps = _max_steps(step, min(prop.save_every, prop.n_steps), grid.dx / grid.dp)
+    s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
+
+    def shear(w, axis, phase):
+        return np.fft.ifft(np.exp(1j * phase) * np.fft.fft(w, axis=axis), axis=axis)
+
+    w = v0.components.astype(complex)
+    frames = [w]
+    done = 0
+    while done < prop.n_steps:
+        chunk = min(prop.save_every, prop.n_steps - done)
+        k = -(-chunk // max_steps)
+        m, r = divmod(chunk, k)
+        for steps in [m + 1] * r + [m] * (k - r):
+            (a1, b, cq), (_, d1, cp) = _power(step, steps)[:2]
+            alpha, gamma = d1 / b, a1 / b
+            w = shear(w, 2, np.outer(alpha * grid.q + (cp - alpha * cq), kp))
+            w = shear(w, 1, np.outer(kq, b * grid.p + cq))
+            w = shear(w, 2, np.outer(gamma * grid.q, kp))
+        w = np.einsum("jk,kqp->jqp", expm(s_mat * (chunk * prop.dt)), w)
         frames.append(w)
         done += chunk
     return np.stack(frames)
@@ -477,31 +514,39 @@ class TestComposedStrangMap:
     """evolve_wigner_vector composes the Strang steps between saved frames in
     closed form; the step-by-step loop is the reference."""
 
-    @pytest.mark.parametrize("case", ["workload", "units", "ragged-chunks", "full-period"])
-    def test_matches_kick_drift_loop(self, frame, grid128, case):
+    @staticmethod
+    def composed_case(case, frame, grid):
+        """(v0, fld, prop) of a named case on grid."""
         if case == "workload":       # the benchmark's dynamics jobs
             fld = EMFieldConfig(phi=(0.0, -0.21, 0.62), b_field=[0.4, -0.7, 0.3],
                                 kappa=1.3, spin=1.0)
-            v0, _ = packet_vector(frame, grid128, [0.3, -0.5, 0.8], 1.2, -0.9, 2**-0.5)
+            v0, _ = packet_vector(frame, grid, [0.3, -0.5, 0.8], 1.2, -0.9, 2**-0.5)
             prop = PropagatorConfig(dt=4e-3, n_steps=100, scheme="wigner-spectral",
                                     save_every=25)
         elif case == "units":        # a_long, mass, e and c_light all != 1
             fld = EMFieldConfig(phi=(0.3, 0.25, 0.35), a_long=0.6, e=0.8, c_light=1.7,
                                 mass=1.6, b_field=[0.2, 0.5, -0.4], kappa=0.7, spin=1.0)
-            v0, _ = packet_vector(frame, grid128, [1, 1, 0], -0.6, 0.4, 0.8)
+            v0, _ = packet_vector(frame, grid, [1, 1, 0], -0.6, 0.4, 0.8)
             prop = PropagatorConfig(dt=0.01, n_steps=120, scheme="wigner-spectral",
                                     save_every=40)
         elif case == "ragged-chunks":  # save_every does not divide n_steps
             fld = EMFieldConfig(phi=(0.0, 0.1, 0.5), b_field=[0, 0.6, 0], spin=1.0)
-            v0, _ = packet_vector(frame, grid128, [0, 0, 1], 0.5, 0.2, 0.9)
+            v0, _ = packet_vector(frame, grid, [0, 0, 1], 0.5, 0.2, 0.9)
             prop = PropagatorConfig(dt=0.01, n_steps=90, scheme="wigner-spectral",
                                     save_every=25)
         else:                        # a whole oscillator period in one chunk
             fld = EMFieldConfig(phi=HARMONIC, spin=1.0)
-            v0, _ = packet_vector(frame, grid128, [1, 0, 0], 1.0, 0.5, 1.0)
+            v0, _ = packet_vector(frame, grid, [1, 0, 0], 1.0, 0.5, 1.0)
             n = 200
             prop = PropagatorConfig(dt=2 * np.pi / n, n_steps=n, scheme="wigner-spectral",
                                     save_every=n)
+        return v0, fld, prop
+
+    @pytest.mark.parametrize("case", ["workload", "units", "ragged-chunks", "full-period"])
+    def test_matches_kick_drift_loop(self, frame, grid128, case):
+        v0, fld, prop = self.composed_case(case, frame, grid128)
+        if case == "full-period":
+            n = prop.n_steps
             max_steps = _max_steps(_strang_step(fld, prop.dt), n, grid128.dx / grid128.dp)
             assert -(-n // max_steps) >= 8
         traj = evolve_wigner_vector(v0, fld, prop)
@@ -511,6 +556,61 @@ class TestComposedStrangMap:
         assert np.max(np.abs(got - ref.real)) < 1e-11
         assert np.allclose(traj.times, v0.time + prop.dt * np.minimum(
             np.arange(len(ref)) * prop.save_every, prop.n_steps), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["workload", "units"])
+    def test_real_shears_match_complex_shears(self, frame, grid128, case):
+        # on a supported state the rfft shears drop nothing but round-off
+        v0, fld, prop = self.composed_case(case, frame, grid128)
+        traj = evolve_wigner_vector(v0, fld, prop)
+        ref = complex_shear_reference(v0, fld, prop)
+        got = np.stack([f.components for f in traj.frames])
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - ref.real)) < 1e-14
+        assert max(np.max(f.imag_residues) for f in traj.frames) <= 1e-14
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_shear_drops_the_imaginary_part(self, rng, axis):
+        # a full-band real stack: the rfft shear returns the real part of the
+        # complex shear and reports the largest imaginary part per component
+        n = 32
+        w = rng.normal(size=(3, n, n))
+        k = 2.0 * np.pi * np.fft.fftfreq(n)
+        coef = rng.uniform(-2.0, 2.0, size=n)
+
+        def phase(k):
+            return np.outer(coef, k) if axis == 2 else np.outer(k, coef)
+
+        ref = np.fft.ifft(np.exp(1j * phase(k)) * np.fft.fft(w, axis=axis), axis=axis)
+        got, dropped = _shear(w, axis, phase(2.0 * np.pi * np.fft.rfftfreq(n)))
+        assert np.max(np.abs(got - ref.real)) < 1e-14
+        assert np.allclose(dropped, np.max(np.abs(ref.imag), axis=(1, 2)), rtol=1e-12, atol=0)
+
+    def test_residues_follow_the_spin_mixing(self, frame, grid128):
+        # a residue seeded in one component spreads as |expm(S tau)| r
+        v0, fld, prop = self.composed_case("workload", frame, grid128)
+        seed = np.zeros(len(v0.components))
+        seed[4] = 1e-6
+        traj = evolve_wigner_vector(dataclasses.replace(v0, imag_residues=seed), fld, prop)
+        s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, fld.spin, grid128.hbar)
+        expected = seed
+        for f in traj.frames[1:]:
+            expected = np.abs(expm(s_mat * prop.dt * prop.save_every)) @ expected
+            assert np.allclose(f.imag_residues, expected, rtol=1e-9, atol=1e-14)
+        assert np.count_nonzero(traj.frames[-1].imag_residues > 1e-9) > 1
+
+    def test_band_edge_content_reported(self, frame, grid128):
+        # a packet too narrow for balanced(64): its band-edge content is what
+        # the complex shears leave in the imaginary part, and the residues
+        # track it within a small factor
+        _, fld, prop = self.composed_case("workload", frame, grid128)
+        grid = PhaseSpaceGrid.balanced(64)
+        v0, _ = packet_vector(frame, grid, [0.3, -0.5, 0.8], 0.0, 2.0, 0.25)
+        traj = evolve_wigner_vector(v0, fld, prop)
+        ref = complex_shear_reference(v0, fld, prop)
+        for f, rf in zip(traj.frames[1:], ref[1:]):
+            got, im = np.max(f.imag_residues), np.max(np.abs(rf.imag))
+            assert got > 1e-6 and not audit(f).realness_ok
+            assert 0.5 * im <= got <= 4.0 * im
 
     def test_uniform_force_matches_closed_form(self, frame, grid128):
         # with c2 = 0 the Strang step is exact: the packet falls freely

@@ -33,6 +33,7 @@ from spintomo.phase_space import (
     angle_step,
     ddx,
     fourier_upsample2,
+    husimi_variances,
     invert_optical,
     oscillator_levels,
     radon_slices,
@@ -128,6 +129,26 @@ class TestFourierHelpers:
         f = np.exp(-grid64.q**2)
         df = ddx(f, grid64.dx)
         assert np.max(np.abs(df + 2 * grid64.q * f)) < 1e-10
+
+    @pytest.mark.parametrize("n", [64, 63])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_ddx_gaussian_along_axis(self, rng, n, axis):
+        # even lengths have a Nyquist bin, odd ones do not
+        x = np.linspace(-8.0, 8.0, n, endpoint=False)
+        shape = [2, 3, 4, 5]
+        shape[axis] = n
+        along = [1] * 4
+        along[axis] = n
+        x = x.reshape(along)
+        values = rng.normal(size=[1 if i == axis else m for i, m in enumerate(shape)]) \
+            * np.exp(-x**2)
+        df = ddx(values, 16.0 / n, axis=axis)
+        assert df.shape == values.shape and df.dtype == np.float64
+        assert np.max(np.abs(df + 2 * x * values)) < 1e-12
+
+    def test_ddx_complex_rejected(self, grid64):
+        with pytest.raises(TypeError, match="real"):
+            ddx(np.exp(-grid64.q**2) * (1 + 1j), grid64.dx)
 
 
 class TestWigner:
@@ -527,6 +548,24 @@ class TestHusimi:
         assert w.min() < -0.1            # Wigner genuinely negative
         q_fld = husimi_from_wigner(ScalarField(grid128, w, "wigner"))
         assert q_fld.values.min() >= -1e-10
+
+    def test_stack_matches_complex_reference(self, grid128, frame):
+        # the rfft2 half-plane against the full complex fft2 smoothing, on the
+        # 9 components of a spin-1 packet
+        psi = spin_coherent_state(grid128, [0.3, -0.5, 0.8], q0=0.7, p0=-0.4)
+        rho = SpinorDensity.from_pure(psi, grid128)
+        w = to_vector(rho, frame, "wigner").components
+        var_q, var_p = husimi_variances(grid128)
+        kq = 2.0 * np.pi * np.fft.fftfreq(grid128.n, grid128.dx)
+        kp = 2.0 * np.pi * np.fft.fftfreq(grid128.n, grid128.dp)
+        mult = np.exp(-0.5 * var_q * kq[:, None] ** 2 - 0.5 * var_p * kp[None, :] ** 2)
+        ref = np.fft.ifft2(mult * np.fft.fft2(w)).real
+        got = np.stack([husimi_from_wigner(ScalarField(grid128, c, "wigner")).values
+                        for c in w])
+        assert np.max(np.abs(got - ref)) < 1e-15
+        assert np.array_equal(to_vector(rho, frame, "husimi").components, got)
+        with pytest.raises(TypeError, match="real"):
+            husimi_from_wigner(ScalarField(grid128, w[0] + 0j, "wigner"))
 
     def test_vacuum_overlap_of_excited_vanishes(self, grid128, frame0):
         h = portrait(oscillator_eigenstate(grid128, 1), grid128, frame0, "husimi")[0]

@@ -12,6 +12,7 @@ from spintomo import (
     audit,
     build_spin1_frame,
     evolve_oracle,
+    evolve_wigner_vector,
     fidelity_with_pure,
     from_vector,
     gaussian_packet,
@@ -335,6 +336,17 @@ class TestAudit:
         rep = audit(to_vector(rho, frame, "wigner"))
         assert np.max(rep.imag_residues) > 1e-9
         assert not rep.realness_ok and not rep.passed
+
+    def test_six_levels_stay_flagged_under_evolution(self, frame, grid64):
+        # frame 0 of a vector trajectory carries the state's residue, and the
+        # later frames keep the flag
+        rho = rank2_density(grid64, np.random.default_rng(0))
+        v0 = to_vector(rho, frame, "wigner")
+        traj = evolve_wigner_vector(v0, EMFieldConfig(phi=(0.0, 0.0, 0.5), spin=1.0),
+                                    PropagatorConfig(dt=0.01, n_steps=20,
+                                                     scheme="wigner-spectral", save_every=10))
+        assert np.array_equal(traj.frames[0].imag_residues, v0.imag_residues)
+        assert not any(audit(f).realness_ok for f in traj.frames)
 
 
 class TestSerialization:
