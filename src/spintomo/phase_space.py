@@ -10,6 +10,16 @@ These act on factor and component stacks for vector_portrait; a spinless
 state is the spin-0 case of that API (one component, U = D = 1), so there is
 no separate scalar density entry point.
 
+Real Wigner maps: a Hermitian kernel's skew correlation C(q, s) is Hermitian
+in the offset s, so both directions transform only the half spectrum
+s = 0..n/2.  Factor -> Wigner (_wigner_of_factors) is one hfft per factor
+into a float64 stack; Wigner -> kernel (_kernel_of_wigner) takes a real stack
+(complex input raises TypeError), runs rfft over p and fills one triangle of
+each kernel, the other being its conjugate.  The one offset without a
+partner, n/2, pairs points half a box apart; the imaginary part it gives the
+Wigner function vanishes for grid-supported states and is read in closed
+form from those coherences (_imag_residues).
+
 Tomograms: a Hermitian kernel K = sum_r lam_r phi_r phi_r^H (signed factors,
 found by eigh only for Wigner input) has the quadrature marginal
 w(X, theta) = sum_r lam_r |R_theta phi_r|^2(X), where R_theta is the
@@ -101,38 +111,84 @@ def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _wigner_of_factors(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Wigner transforms (c, n, n), complex on the (q, p-ascending) grid, of
-    the kernels K_c = sum_k weights[c, k] a_k a_k^H with amps a_k (k, n): the
-    spatial map of to_vector.  Each a_k is upsampled in 1-D and its Wigner
-    function added to the components that weigh it, one factor at a time;
-    callers take the real part after checking the imaginary residue."""
-    n = grid.n
+    """Wigner functions (c, n, n), float64 on the (q, p-ascending) grid, of the
+    kernels K_c = sum_k weights[c, k] a_k a_k^H with amps a_k (k, n): the
+    spatial map of to_vector.
+
+    Each a_k is upsampled in 1-D to f.  Its correlation C(i, s) =
+    f(2i + s) f*(2i - s) is Hermitian in the offset, C(i, -s) = conj C(i, s),
+    so one Hermitian FFT (hfft) of the offsets s = 0..n/2 gives its Wigner
+    function, with the p-axis fftshift folded into a sign (-1)^s.  Factors are
+    taken one at a time and added to the components that weigh them.  The
+    offset n/2 has no partner (it is -n/2 modulo n): hfft reads only its real
+    part, and _imag_residues reads the imaginary part it leaves out.
+    """
+    n, half = grid.n, grid.n // 2
     i = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    s = (k + n // 2) % n - n // 2  # signed skew offsets, FFT bin order
+    s = np.arange(half + 1)
     a_idx = (2 * i + s) % (2 * n)
     b_idx = (2 * i - s) % (2 * n)
-    out = np.zeros((len(weights), n, n), dtype=complex)
+    sign = (-1.0) ** s * (grid.dx / (2.0 * np.pi * grid.hbar))
+    out = np.zeros((len(weights), n, n))
     for col, fine in zip(np.transpose(weights), fourier_upsample2(amps)):
-        w = np.fft.fft(fine[a_idx] * fine[b_idx].conj(), axis=1)
+        corr = fine[a_idx] * fine.conj()[b_idx]
+        corr *= sign
+        w = np.fft.hfft(corr, n, axis=1)
         for c in np.flatnonzero(col):
             out[c] += col[c] * w
-    return np.fft.fftshift(out, axes=-1) * (grid.dx / (2.0 * np.pi * grid.hbar))
+    return out
+
+
+def _imag_residues(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """Largest |Im W_c| per component of the Wigner functions that
+    _wigner_of_factors makes real, in closed form.
+
+    Only the unpaired offset -n/2 of the correlation contributes an imaginary
+    part: Im W_c(q_i, p_m) = +-(-1)^m dx / (2 pi hbar) Im K_c(q_i + L/4, q_i - L/4),
+    the components' coherence at half-box separation (L = n dx, positions
+    taken round the box).  It vanishes for grid-supported states.
+    """
+    n = grid.n
+    i = np.arange(n)
+    fine = fourier_upsample2(amps)
+    coherence = fine[:, (2 * i + n // 2) % (2 * n)] * fine[:, (2 * i - n // 2) % (2 * n)].conj()
+    return np.max(np.abs(weights @ coherence.imag), axis=1) * (grid.dx / (2.0 * np.pi * grid.hbar))
 
 
 def _kernel_of_wigner(w: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """Inverse of _wigner_of_factors (exact on grid-supported states): the
-    per-component spatial map of from_vector and of the tomogram routines."""
-    n = grid.n
-    skew = np.fft.ifft(np.fft.ifftshift(np.asarray(w, dtype=complex), axes=1), axis=1)
-    skew *= 2.0 * np.pi * grid.hbar / grid.dx
-    centers_fine = fourier_upsample2(skew, axis=0)
-    a = np.arange(n)[:, None]
-    b = np.arange(n)[None, :]
-    d = a - b
-    # signed offset representative; wrapped offsets shift the midpoint by L/2
-    s = (d + n // 2) % n - n // 2
-    return centers_fine[(2 * a - s) % (2 * n), d % n]
+    Hermitian kernels (..., n, n) of a real Wigner stack (..., n, n), the
+    spatial map of from_vector and of the tomogram routines.  Complex input
+    raises TypeError.
+
+    The skew spectrum C(i, s) of a real Wigner function is Hermitian in the
+    offset, so only the offsets s = 0..n/2 - 1 and -n/2 are transformed (rfft
+    over p, the ifftshift folded into (-1)^s).  The pair (a, b) reads offset
+    s at the centre 2a - s on the half grid: a grid point for even s, and for
+    odd s a half-grid point, where those columns are upsampled in q.  These
+    give the pairs whose offset a - b is 0..n/2 - 1 modulo n, and the pairs
+    at half-box separation (offset n/2, which has no partner) with a > b; the
+    other triangle is their conjugate.
+    """
+    if np.iscomplexobj(w):
+        raise TypeError("_kernel_of_wigner takes real Wigner functions")
+    n, half = grid.n, grid.n // 2
+    skew = np.fft.rfft(w, axis=-1).conj()
+    skew *= (-1.0) ** np.arange(half + 1) * (2.0 * np.pi * grid.hbar / (grid.dx * n))
+    # odd offsets: row j now holds the centre j + 1/2
+    skew[..., 1::2] = fourier_upsample2(skew[..., 1::2], axis=-2)[..., 1::2, :]
+    idx = np.arange(n)
+    d = idx[:, None] - idx[None, :]
+    a, b = np.nonzero((d % n < half) | (d == half))
+    k = (a - b) % n
+    s = np.where(k < half, k, -half)
+    src = ((a + (-s) // 2) % n) * (half + 1) + k       # row of centre 2a - s
+    lead = w.shape[:-2]
+    vals = skew.reshape(lead + (-1,))[..., src]
+    kern = np.empty(lead + (n * n,), dtype=complex)
+    kern[..., a * n + b] = vals
+    kern[..., b * n + a] = vals.conj()
+    return kern.reshape(w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +412,7 @@ def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan
     angle step instead of per pi/4 of its angle.
     """
     if factors is None:
-        kernels = np.stack([_kernel_of_wigner(w, grid)
-                            for w in w_stack.reshape((-1,) + w_stack.shape[-2:])])
+        kernels = _kernel_of_wigner(w_stack.reshape((-1,) + w_stack.shape[-2:]), grid)
         lam, vecs = np.linalg.eigh(kernels)
         scale = np.max(np.abs(lam), axis=-1, keepdims=True)
         comp, idx = np.nonzero(np.abs(lam) > _FACTOR_RTOL * scale)
@@ -551,7 +606,7 @@ def wigner_from_optical(fld: ScalarField) -> ScalarField:
         raise ValueError(f"expected an optical field, got {fld.kind!r}")
     levels = invert_optical(fld.values[None], fld.grid, fld.domain)[0]
     probs, fields = _level_factors(levels, 1, fld.grid)
-    values = _wigner_of_factors(probs[None], fields[:, 0], fld.grid)[0].real
+    values = _wigner_of_factors(probs[None], fields[:, 0], fld.grid)[0]
     return ScalarField(grid=fld.grid, values=values, kind="wigner")
 
 

@@ -24,6 +24,7 @@ from .grids import (
     write_csv,
 )
 from .phase_space import (
+    _imag_residues,
     _kernel_of_wigner,
     _level_factors,
     _wigner_of_factors,
@@ -126,7 +127,15 @@ class VectorDistribution:
 
 def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
               dom: TomogramDomain | None = None, time: float = 0.0) -> VectorDistribution:
-    """Vector distribution of a spinor density in the chosen representation."""
+    """Vector distribution of a spinor density in the chosen representation.
+
+    imag_residues holds, per component j, the largest imaginary part that the
+    real Wigner transform of K_j = Tr_spin(U_j rho) leaves out
+    (phase_space._imag_residues), whatever the representation: dx / (2 pi hbar)
+    times the largest |Im K_j(q + L/4, q - L/4)|, the component's coherence at
+    half-box separation (L the box length).  It is round-off (about 1e-18) for
+    grid-supported states; the audit's realness check fails above 1e-12.
+    """
     probs, fields = rho.factors
     if frame.dim != fields.shape[1]:
         raise ValueError(
@@ -137,8 +146,7 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     amps = np.einsum("ja,rax->jrx", frame.vectors.conj(), fields).reshape(-1, rho.grid.n)
     factors = (np.kron(np.eye(frame.size), probs), amps)
     wigners = _wigner_of_factors(*factors, rho.grid)
-    residues = np.max(np.abs(wigners.imag), axis=(1, 2))
-    wigners = wigners.real
+    residues = _imag_residues(*factors, rho.grid)
 
     if representation == "wigner":
         comps = wigners
@@ -174,7 +182,7 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
     (phase_space._level_factors) are the state's factors.
     """
     if v.representation == "wigner":
-        kernels = np.stack([_kernel_of_wigner(w, v.grid) for w in v.components])
+        kernels = _kernel_of_wigner(v.components, v.grid)
         return SpinorDensity(v.grid, np.tensordot(frame.quantizer, kernels, axes=(0, 0)))
     if v.representation != "optical":
         raise UnsupportedInverseError(
@@ -267,7 +275,8 @@ def audit(v: VectorDistribution) -> AuditReport:
 
 
 def save_vector(v: VectorDistribution, directory: str | Path, basename: str = "vector") -> None:
-    """Metadata JSON plus one binary field per component."""
+    """Metadata JSON plus one binary field per component; each component's
+    sidecar records its imaginary residue (0.0 when v carries none)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -281,7 +290,9 @@ def save_vector(v: VectorDistribution, directory: str | Path, basename: str = "v
         meta["domain"] = v.domain.describe()
     (directory / f"{basename}.json").write_text(json.dumps(meta, sort_keys=True))
     for j, comp in enumerate(v.components):
-        save_field(ScalarField(v.grid, comp, v.representation, domain=v.domain),
+        residue = 0.0 if v.imag_residues is None else float(v.imag_residues[j])
+        save_field(ScalarField(v.grid, comp, v.representation, domain=v.domain,
+                               imag_residue=residue),
                    directory / f"{basename}_w{j + 1}")
 
 

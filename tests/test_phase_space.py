@@ -29,6 +29,7 @@ from spintomo import (
 from spintomo.phase_space import (
     _band_limited_matrix,
     _flip_x,
+    _kernel_of_wigner,
     _wigner_of_factors,
     angle_step,
     ddx,
@@ -210,6 +211,137 @@ class TestWigner:
         report = audit(to_vector(SpinorDensity.from_pure(psi[None], grid64), frame0, "wigner"))
         assert report.normalization_sum == pytest.approx(2.0, abs=1e-8)
         assert not report.normalization_ok
+
+
+def complex_wigner_reference(weights, amps, grid):
+    """The factor -> Wigner map as a complex FFT over all n skew offsets, with
+    the fftshift and the scale applied last: the map that _wigner_of_factors
+    computes on the Hermitian half spectrum.  Returns complex (c, n, n); its
+    imaginary part is what _imag_residues reads in closed form."""
+    n = grid.n
+    i = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    s = (k + n // 2) % n - n // 2
+    a_idx = (2 * i + s) % (2 * n)
+    b_idx = (2 * i - s) % (2 * n)
+    out = np.zeros((len(weights), n, n), dtype=complex)
+    for col, fine in zip(np.transpose(weights), fourier_upsample2(amps)):
+        w = np.fft.fft(fine[a_idx] * fine[b_idx].conj(), axis=1)
+        for c in np.flatnonzero(col):
+            out[c] += col[c] * w
+    return np.fft.fftshift(out, axes=-1) * (grid.dx / (2.0 * np.pi * grid.hbar))
+
+
+def complex_kernel_reference(w, grid):
+    """One component's Wigner -> kernel map as a complex inverse FFT over all
+    n offsets, every column upsampled in the centre: the per-component map
+    that _kernel_of_wigner computes as one batched half-spectrum map."""
+    n = grid.n
+    skew = np.fft.ifft(np.fft.ifftshift(np.asarray(w, dtype=complex), axes=1), axis=1)
+    skew *= 2.0 * np.pi * grid.hbar / grid.dx
+    centers_fine = fourier_upsample2(skew, axis=0)
+    a = np.arange(n)[:, None]
+    b = np.arange(n)[None, :]
+    d = a - b
+    s = (d + n // 2) % n - n // 2
+    return centers_fine[(2 * a - s) % (2 * n), d % n]
+
+
+def spin_case(s):
+    """A frame of spin s: the spin-0 frame, the paper frame at s = 1, seeded
+    random frames otherwise."""
+    if s == 0:
+        return build_frame(0.0, [[0, 0, 1]], [0.0])
+    if s == 1:
+        return build_spin1_frame()
+    return random_frame(s, seed=7)
+
+
+def portrait_factors(rho, frame):
+    """(weights, amps) of the spin-contracted kernels, as to_vector forms them."""
+    probs, fields = rho.factors
+    amps = np.einsum("ja,rax->jrx", frame.vectors.conj(), fields).reshape(-1, rho.grid.n)
+    return np.kron(np.eye(frame.size), probs), amps
+
+
+def packet_mixture(grid, dim, rng):
+    """Mixture of two random spinors times Gaussian packets narrow enough
+    (sigma 0.5-0.6) that the coherence at half-box separation is below
+    round-off on balanced(64) and up."""
+    psis = [spinor_product_state(grid, rng.normal(size=dim) + 1j * rng.normal(size=dim),
+                                 gaussian_packet(grid, *rng.uniform(-1, 1, 2),
+                                                 sigma=rng.uniform(0.5, 0.6)))
+            for _ in range(2)]
+    return SpinorDensity.from_mixture(rng.dirichlet(np.ones(2)), psis, grid)
+
+
+def six_level_mixture(grid, dim, rng):
+    """Mixture of two random spinors times superpositions of the first six
+    oscillator levels; at dim 3 the rank2_density of test_vector_portrait.
+    On balanced(64) these levels reach the band edge, and the imaginary
+    residues are near 1e-8."""
+    probs = rng.dirichlet(np.ones(2))
+    psis = [spinor_product_state(grid, rng.normal(size=dim) + 1j * rng.normal(size=dim),
+                                 random_band_limited_state(grid, rng))
+            for _ in range(2)]
+    return SpinorDensity.from_mixture(probs, psis, grid)
+
+
+SPINS = [0, 0.5, 1, 1.5]
+
+
+class TestRealWignerMaps:
+    """The real factor -> Wigner and Wigner -> kernel maps against the complex
+    maps they replace, for frames of spin 0 to 3/2."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("s", SPINS)
+    def test_stack_matches_complex_reference(self, s, n):
+        grid = PhaseSpaceGrid.balanced(n)
+        frame = spin_case(s)
+        rho = packet_mixture(grid, frame.dim, np.random.default_rng(n))
+        factors = portrait_factors(rho, frame)
+        w = _wigner_of_factors(*factors, grid)
+        ref = complex_wigner_reference(*factors, grid)
+        assert w.dtype == np.float64 and w.shape == (frame.size, n, n)
+        assert np.max(np.abs(w - ref.real)) <= 1e-15
+        assert np.array_equal(w.real, w)
+        v = to_vector(rho, frame, "wigner")
+        assert np.array_equal(v.components, w)
+        assert np.max(v.imag_residues) <= 1e-15
+        assert np.max(np.abs(ref.imag)) <= 1e-15
+
+    @pytest.mark.parametrize("s", SPINS)
+    def test_residues_match_reference_on_six_levels(self, s):
+        grid = PhaseSpaceGrid.balanced(64)
+        frame = spin_case(s)
+        rho = six_level_mixture(grid, frame.dim, np.random.default_rng(0))
+        v = to_vector(rho, frame, "wigner")
+        ref = complex_wigner_reference(*portrait_factors(rho, frame), grid)
+        expected = np.max(np.abs(ref.imag), axis=(1, 2))
+        assert np.max(expected) > 1e-9
+        # atol: the reference's FFT leaves about 1e-17 of round-off in Im W
+        assert np.allclose(v.imag_residues, expected, rtol=1e-9, atol=1e-16)
+        assert np.max(np.abs(v.components - ref.real)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("s", SPINS)
+    def test_batched_kernels_match_reference(self, s, n):
+        grid = PhaseSpaceGrid.balanced(n)
+        frame = spin_case(s)
+        rho = packet_mixture(grid, frame.dim, np.random.default_rng(n + 1))
+        w = to_vector(rho, frame, "wigner").components
+        kernels = _kernel_of_wigner(w, grid)
+        ref = np.stack([complex_kernel_reference(c, grid) for c in w])
+        assert kernels.shape == (frame.size, n, n)
+        assert np.max(np.abs(kernels - ref)) <= 1e-15
+        assert np.all(kernels == kernels.conj().swapaxes(-1, -2))
+        assert np.array_equal(_kernel_of_wigner(w[0], grid), kernels[0])
+
+    def test_kernels_of_complex_input_rejected(self, grid64):
+        w = np.zeros((2, 64, 64))
+        with pytest.raises(TypeError, match="real"):
+            _kernel_of_wigner(w + 0j, grid64)
 
 
 class TestOpticalTomogram:

@@ -365,6 +365,15 @@ class TestSerialization:
             assert back.kind == rep
             assert np.array_equal(back.values, v.components[8])
 
+    def test_save_vector_keeps_imag_residues(self, frame, grid64, tmp_path):
+        # the six-level state fails the realness check on balanced(64); its
+        # saved components must say so
+        v = to_vector(rank2_density(grid64, np.random.default_rng(0)), frame, "wigner")
+        assert np.max(v.imag_residues) > 1e-9
+        save_vector(v, tmp_path, "vec")
+        saved = [load_field(tmp_path / f"vec_w{j + 1}").imag_residue for j in range(9)]
+        assert saved == [float(r) for r in v.imag_residues]
+
     def test_csv_export(self, frame, grid64, tmp_path):
         rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
         dom = TomogramDomain.optical_default(grid64, 32)
