@@ -3,11 +3,11 @@ round-trip checks, and residual-convergence studies.
 
 Each run reads one JSON config object, writes report.json plus plot-ready
 CSV tables into the output directory, and exits 0 only if every enabled gate
-passes (1: physics gate failure, 2: config error, or a state or domain the
-optical inversion refuses, UndersampledDomainError).  A scenario accepts only
-the sections and keys it reads (the _DEFAULTS table), each value in its
-default's type, and "seed".  Reports carry no timestamps, so identical
-configs and seeds produce byte-identical outputs.
+passes (1: physics gate failure, 2: config error, or a state or domain that
+the grid or the optical inversion cannot hold, UndersampledDomainError).  A
+scenario accepts only the sections and keys it reads (the _DEFAULTS table),
+each value in its default's type, and "seed".  Reports carry no timestamps,
+so identical configs and seeds produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from .spin_frames import (
 )
 from .states import random_band_limited_state, spin_coherent_state, spinor_product_state
 from .vector_portrait import (
+    REALNESS_BOUND,
     VECTOR_REPRESENTATIONS,
     SpinorDensity,
     audit,
@@ -424,6 +425,13 @@ def _run_roundtrip(cfg: dict, out: Path, scale: float) -> dict:
             psis.append(spinor_product_state(grid, chi, random_band_limited_state(grid, rng)))
         rho = SpinorDensity.from_mixture(probs, psis, grid)
         v = to_vector(rho, frame, "wigner")
+        # the real Wigner map drops the coherence at half-box separation that
+        # the residue measures: past the realness bound the grid is too small
+        residue = float(np.max(v.imag_residues))
+        if residue > REALNESS_BOUND:
+            raise UndersampledDomainError(
+                f"n = {grid.n} does not hold the roundtrip state: its largest imaginary "
+                f"residue {residue:.2e} exceeds the realness bound {REALNESS_BOUND:g}")
         rho_back = from_vector(v, frame)
         err = float(np.max(np.abs(rho.blocks - rho_back.blocks)))
         measurements["wigner_block_err"] = err

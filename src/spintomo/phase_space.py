@@ -51,7 +51,7 @@ import weakref
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import LinAlgError, cholesky, eigh, qr
 from scipy.linalg.lapack import dtrtri
 
 from .errors import UndersampledDomainError
@@ -405,7 +405,8 @@ def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan
     each ray (theta, r) of plan, shape (..., n_rays, n_x).
 
     A kernel sum_k weights[c, k] a_k a_k^H (factors; by default the signed
-    eigenpairs of the kernels of w_stack) has the marginal
+    eigenpairs of the kernels of w_stack, which otherwise gives only the
+    leading shape) has the marginal
     sum_k weights[c, k] |R_theta a_k|^2(x/r) / r, R_theta the metaplectic
     rotation.  The rays are visited in ascending theta, each rotated from the
     one before by plan.march, so a ray costs one sub-rotation per pi/4 of its
@@ -442,8 +443,9 @@ def radon_slices(w_stack: np.ndarray, grid: PhaseSpaceGrid,
     """Marginals of Wigner data along X = q cos(theta) + p sin(theta)/(m*omega).
 
     w_stack has shape (..., n, n); returns (..., n_theta, n_x).  A caller
-    that holds the kernels of w_stack as factors (weights, amps), in the form
-    of _wigner_of_factors, passes them to skip the kernel map and eigh.
+    that holds the kernels as factors (weights, amps), in the form of
+    _wigner_of_factors, passes them to skip the kernel map and eigh; w_stack
+    is then read for its leading shape only, so a (c, 0, 0) array will do.
     """
     return _quadrature_marginals(w_stack, grid, _plan(grid, x, thetas), factors)
 
@@ -455,7 +457,8 @@ def symplectic_profiles(w_stack: np.ndarray, grid: PhaseSpaceGrid,
 
     Uses mu q + nu p = r X(theta) with r = sqrt(mu^2 + nu^2 m^2 w^2) and
     theta = atan2(nu m w, mu).  Returns shape (..., n_mu, n_nu, n_x);
-    factors as in radon_slices.
+    factors as in radon_slices: with them given, w_stack is read for its
+    leading shape only.
     """
     prof = _quadrature_marginals(w_stack, grid, _plan(grid, x, mu, nu), factors)
     return prof.reshape(w_stack.shape[:-2] + (len(mu), len(nu), len(x)))
@@ -475,6 +478,10 @@ MIN_ANGLES = 16
 # angle counts, accepted states reconstructed to a trace distance within 90
 # times their unexplained share, so at most 1.4e-5 at this bound.
 UNEXPLAINED_RTOL = 1e-6
+
+# eigenvalues of a reconstructed density matrix up to this size are dropped
+# from its factors (_level_factors)
+_EIGEN_CUTOFF = 1e-12
 
 # a level system whose singular values fall below this fraction of its largest
 # is not determined by the quadrature points; invert_optical refuses it
@@ -586,13 +593,29 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain)
 def _level_factors(matrix: np.ndarray, dim: int, grid: PhaseSpaceGrid) -> tuple:
     """Factors (probs (r,), fields (r, dim, n)) of a density matrix over the
     basis |a> (x) psi_m, a < dim, m <= N (row index a (N + 1) + m): its
-    eigenpairs with |p| > 1e-12, as in SpinorDensity.factors, with each
-    eigenvector summed over the oscillator levels on the grid."""
-    probs, vecs = np.linalg.eigh(matrix)
-    keep = np.abs(probs) > 1e-12
+    eigenpairs with |p| > 1e-12, as in SpinorDensity.factors, in ascending p,
+    with each eigenvector summed over the oscillator levels on the grid.
+
+    Only those eigenpairs are solved for, by LAPACK's selected-eigenpair
+    driver (heevx): the ones with p > 1e-12, and those with p < -1e-12 only
+    when a Cholesky factorisation of matrix + 1e-12 I fails, which proves
+    that one exists.  A density matrix keeps its few nonzero eigenpairs, so
+    this skips the full decomposition and its back-transformation.
+    """
+    probs, vecs = eigh(matrix, subset_by_value=(_EIGEN_CUTOFF, np.inf), driver="evx",
+                       check_finite=False)
+    shifted = np.array(matrix, order="F")          # potrf factorises it in place
+    shifted.flat[::len(matrix) + 1] += _EIGEN_CUTOFF
+    try:
+        cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError:
+        below = np.nextafter(-_EIGEN_CUTOFF, -np.inf)      # the interval is (lo, hi]
+        neg, neg_vecs = eigh(matrix, subset_by_value=(-np.inf, below), driver="evx",
+                             check_finite=False)
+        probs, vecs = np.concatenate([neg, probs]), np.hstack([neg_vecs, vecs])
     n_levels = len(matrix) // dim
-    fields = vecs[:, keep].T.reshape(-1, dim, n_levels) @ oscillator_basis(grid, n_levels)
-    return probs[keep], fields
+    fields = vecs.T.reshape(-1, dim, n_levels) @ oscillator_basis(grid, n_levels)
+    return probs, fields
 
 
 def wigner_from_optical(fld: ScalarField) -> ScalarField:

@@ -37,6 +37,9 @@ from .spin_frames import SpinFrame
 
 VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
 
+# largest imaginary residue the audit accepts as round-off (realness_ok)
+REALNESS_BOUND = 1e-12
+
 
 class SpinorDensity:
     """Spin (x) spatial density sum_r p_r |psi_r><psi_r|.  It holds what it
@@ -135,6 +138,10 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     times the largest |Im K_j(q + L/4, q - L/4)|, the component's coherence at
     half-box separation (L the box length).  It is round-off (about 1e-18) for
     grid-supported states; the audit's realness check fails above 1e-12.
+
+    Each representation is computed from the factors phi_jr directly: the
+    Wigner stack (_wigner_of_factors) is built only for the Wigner and Husimi
+    representations, and the tomograms rotate the factors themselves.
     """
     probs, fields = rho.factors
     if frame.dim != fields.shape[1]:
@@ -145,24 +152,24 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     # K_j = Tr_spin(U_j rho) = sum_r p_r phi_jr phi_jr^H with phi_jr = u_j^H psi_r
     amps = np.einsum("ja,rax->jrx", frame.vectors.conj(), fields).reshape(-1, rho.grid.n)
     factors = (np.kron(np.eye(frame.size), probs), amps)
-    wigners = _wigner_of_factors(*factors, rho.grid)
     residues = _imag_residues(*factors, rho.grid)
 
-    if representation == "wigner":
-        comps = wigners
-    elif representation == "husimi":
-        comps = np.stack([
-            husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values
-            for w in wigners
-        ])
+    # the tomograms rotate the factors: their Wigner-stack argument carries
+    # only the component count
+    shape_only = np.empty((frame.size, 0, 0))
+    if representation in ("wigner", "husimi"):
+        comps = _wigner_of_factors(*factors, rho.grid)
+        if representation == "husimi":
+            comps = np.stack([husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values
+                              for w in comps])
     elif representation == "optical":
         if dom is None or dom.kind != "optical":
             raise ValueError("optical representation needs an optical domain")
-        comps = radon_slices(wigners, rho.grid, dom.thetas, dom.x, factors=factors)
+        comps = radon_slices(shape_only, rho.grid, dom.thetas, dom.x, factors=factors)
     else:
         if dom is None or dom.kind != "symplectic":
             raise ValueError("symplectic representation needs a symplectic domain")
-        comps = symplectic_profiles(wigners, rho.grid, dom.mu, dom.nu, dom.x,
+        comps = symplectic_profiles(shape_only, rho.grid, dom.mu, dom.nu, dom.x,
                                     factors=factors)
 
     return VectorDistribution(
@@ -190,7 +197,8 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
             "reconstruct through the wigner route instead")
     levels = invert_optical(v.components, v.grid, v.domain)
     d, n_levels = frame.dim, levels.shape[-1]
-    joint = np.einsum("cab,cmn->ambn", frame.quantizer, levels).reshape(d * n_levels, -1)
+    joint = np.tensordot(frame.quantizer, levels, axes=(0, 0))     # (a, b, m, n)
+    joint = joint.transpose(0, 2, 1, 3).reshape(d * n_levels, -1)
     return SpinorDensity.from_mixture(*_level_factors(joint, d, v.grid), v.grid)
 
 
@@ -253,7 +261,7 @@ def audit(v: VectorDistribution) -> AuditReport:
     else:
         nonneg = bool(np.all(mins >= -1e-9))
     bounds_ok = bool(np.all(integrals >= -1e-9) and np.all(integrals <= 1.0 + 1e-9))
-    realness_ok = bool(np.all(residues <= 1e-12))
+    realness_ok = bool(np.all(residues <= REALNESS_BOUND))
     upper_ok = bool(np.all(maxs <= 1.0 + 1e-6))
     if not upper_ok:
         notes.append("pointwise values exceed 1: recorded only, densities may legitimately do so")

@@ -247,6 +247,23 @@ class TestScenarios:
         assert "unexplained" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_grid_too_small_for_the_state_exits_2(self, tmp_path, capsys):
+        # on n = 64 the rank-2 state's coherence at half-box separation leaves
+        # an imaginary residue of 3.2e-8, which the real Wigner map drops
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 64}, "run": {"route": "wigner"}}))
+        argv = ["roundtrip", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "n = 64" in err and "3.23e-08" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_default_roundtrip_passes_byte_identically(self, tmp_path):
+        for copy in ("a", "b"):
+            assert main(["roundtrip", "--out", str(tmp_path / copy), "--seed", "0"]) == 0
+        assert ((tmp_path / "a" / "report.json").read_bytes()
+                == (tmp_path / "b" / "report.json").read_bytes())
+
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "-1"), ("--tolerance-scale", "nan"), ("--tolerance-scale", "inf"),
         ("--tolerance-scale", "0"), ("--tolerance-scale", "-1")])

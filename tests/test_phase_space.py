@@ -26,10 +26,12 @@ from spintomo import (
     to_vector,
     wigner_from_optical,
 )
+from spintomo import phase_space
 from spintomo.phase_space import (
     _band_limited_matrix,
     _flip_x,
     _kernel_of_wigner,
+    _level_factors,
     _wigner_of_factors,
     angle_step,
     ddx,
@@ -576,6 +578,75 @@ class TestOpticalInversion:
         back = from_vector(to_vector(SpinorDensity.from_pure(supported, grid), frame,
                                      "optical", dom), frame)
         assert abs(1.0 - fidelity_with_pure(back, supported)) <= 1e-12
+
+
+def level_matrix(dim, n_levels, probs, rng):
+    """Hermitian matrix over |a> (x) psi_m with the eigenvalues probs and zero
+    elsewhere.  The eigenvectors are random, with level weights falling as
+    exp(-m / 4) like those of a reconstructed packet, and orthonormalised."""
+    shape = (len(probs), dim, n_levels)
+    raw = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.exp(-np.arange(n_levels) / 8)
+    vecs, _ = np.linalg.qr(raw.reshape(len(probs), -1).T)
+    return (vecs * probs) @ vecs.conj().T
+
+
+def factor_blocks(probs, fields):
+    """Dense blocks (dim, dim, n, n) of the factors (probs, fields)."""
+    return np.einsum("r,rai,rbj->abij", probs, fields, fields.conj())
+
+
+class TestLevelFactors:
+    """_level_factors solves only for the eigenpairs it keeps; its factors give
+    the blocks of the full numpy.linalg.eigh decomposition it replaced."""
+
+    N_LEVELS = 64
+
+    def check(self, matrix, dim, grid, monkeypatch, solves):
+        evals, evecs = np.linalg.eigh(matrix)
+        keep = np.abs(evals) > 1e-12
+        basis = oscillator_basis(grid, self.N_LEVELS)
+        ref = factor_blocks(evals[keep],
+                            evecs[:, keep].T.reshape(-1, dim, self.N_LEVELS) @ basis)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full eigendecomposition")
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["subset_by_value"])
+            return eigh(*args, **kwargs)
+
+        eigh = phase_space.eigh
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(phase_space, "eigh", counted)
+        probs, fields = _level_factors(matrix, dim, grid)
+        assert len(calls) == solves
+        assert np.all(np.diff(probs) >= 0)
+        np.testing.assert_allclose(probs, evals[keep], rtol=0, atol=1e-15)
+        assert fields.shape == (int(np.sum(keep)), dim, grid.n)
+        # two LAPACK solvers agree to a few round-offs: up to 3e-15 of the
+        # largest block entry over 20 seeds of these cases
+        assert np.max(np.abs(factor_blocks(probs, fields) - ref)) <= 5e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5], ids=["D128", "D192", "D256"])
+    def test_positive_semidefinite(self, grid128, rng, monkeypatch, s, rank):
+        # no eigenvalue is below -1e-12, so the negative side is never solved
+        dim = int(2 * s + 1)
+        matrix = level_matrix(dim, self.N_LEVELS, rng.dirichlet(np.ones(rank)), rng)
+        self.check(matrix, dim, grid128, monkeypatch, solves=1)
+
+    def test_degenerate_pair(self, grid128, rng, monkeypatch):
+        matrix = level_matrix(3, self.N_LEVELS, np.array([0.4, 0.4, 0.2]), rng)
+        self.check(matrix, 3, grid128, monkeypatch, solves=1)
+
+    def test_indefinite(self, grid128, rng, monkeypatch):
+        # +-1e-10 are kept, +-1e-13 dropped; the Cholesky factorisation of
+        # matrix + 1e-12 I fails, so the negative side is solved too
+        probs = np.array([0.7, 0.3, 1e-10, -1e-10, 1e-13, -1e-13])
+        matrix = level_matrix(2, self.N_LEVELS, probs, rng)
+        self.check(matrix, 2, grid128, monkeypatch, solves=2)
 
 
 def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,8 @@ from spintomo import (
     to_vector,
     vector_to_csv,
 )
-from spintomo.phase_space import _wigner_of_factors, radon_slices
+from spintomo import vector_portrait
+from spintomo.phase_space import _wigner_of_factors, radon_slices, symplectic_profiles
 from spintomo.residuals import default_domain
 
 REPRESENTATIONS = ("wigner", "husimi", "optical", "symplectic-section")
@@ -193,6 +194,37 @@ class TestToVector:
         # every (mu, nu) slice of the first three components sums to unity
         sums = v.components[:3].sum(axis=-1) * dom.dx
         assert np.max(np.abs(sums.sum(axis=0) - 1.0)) < 1e-8
+
+
+class TestTomogramsFromFactors:
+    """Optical and symplectic portraits rotate the state's factors and build
+    no Wigner stack; they match the Wigner-input tomogram maps."""
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_match_wigner_input_maps(self, grid128, rng, monkeypatch, s):
+        fr = build_spin1_frame() if s == 1.0 else random_frame(s, seed=9)
+        d = fr.dim
+        psis = [spinor_product_state(grid128, rng.normal(size=d) + 1j * rng.normal(size=d),
+                                     gaussian_packet(grid128, *rng.uniform(-1, 1, 2), 0.8))
+                for _ in range(2)]
+        rho = SpinorDensity.from_mixture(rng.dirichlet(np.ones(2)), psis, grid128)
+        wigner = to_vector(rho, fr, "wigner")
+        opt = TomogramDomain.optical_default(grid128, 32)
+        sym = default_domain("symplectic-section", grid128)
+        expected = {
+            "optical": (opt, radon_slices(wigner.components, grid128, opt.thetas, opt.x)),
+            "symplectic-section": (sym, symplectic_profiles(wigner.components, grid128,
+                                                            sym.mu, sym.nu, sym.x)),
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Wigner stack built for a tomogram")
+
+        monkeypatch.setattr(vector_portrait, "_wigner_of_factors", refuse)
+        for rep, (dom, tomograms) in expected.items():
+            v = to_vector(rho, fr, rep, dom)
+            assert np.max(np.abs(v.components - tomograms)) <= 1e-12
+            assert np.array_equal(v.imag_residues, wigner.imag_residues)
 
 
 class TestDensePath:
