@@ -103,7 +103,9 @@ def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
     k = 2.0 * np.pi * np.fft.rfftfreq(n, dx)
     shape = [1] * values.ndim
     shape[axis] = len(k)
-    return np.fft.irfft(1j * k.reshape(shape) * np.fft.rfft(values, axis=axis), n, axis=axis)
+    spec = np.fft.rfft(values, axis=axis)
+    spec *= 1j * k.reshape(shape)
+    return np.fft.irfft(spec, n, axis=axis)
 
 
 # ---------------------------------------------------------------------------

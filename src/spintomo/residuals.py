@@ -48,9 +48,16 @@ def _rates(grid: PhaseSpaceGrid, fld: EMFieldConfig) -> tuple[np.ndarray, np.nda
 def wigner_generator(grid: PhaseSpaceGrid, fld: EMFieldConfig):
     """Liouville drift of the vector Wigner function: d_t w = -(L z).grad w."""
     rate_q, rate_p = _rates(grid, fld)
+    neg_rate_q = -rate_q
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return -rate_q * ddx(v, grid.dx, axis=1) - rate_p * ddx(v, grid.dp, axis=2)
+        # accumulated in the d_q array as (-r_q * d_q v) - r_p * d_p v
+        out = ddx(v, grid.dx, axis=1)
+        out *= neg_rate_q
+        d_p = ddx(v, grid.dp, axis=2)
+        d_p *= rate_p
+        out -= d_p
+        return out
 
     return apply
 
@@ -60,14 +67,23 @@ def husimi_generator(grid: PhaseSpaceGrid, fld: EMFieldConfig):
     (G_01 S_pp + G_10 S_qq) d_q d_p, where S = diag(S_qq, S_pp) is the
     covariance of the Gaussian that smooths Wigner into Husimi."""
     rate_q, rate_p = _rates(grid, fld)
+    neg_rate_q = -rate_q
     g = fld.phase_flow()[:2, :2]
     var_q, var_p = husimi_variances(grid)
     diffusion = g[0, 1] * var_p + g[1, 0] * var_q
 
     def apply(v: np.ndarray) -> np.ndarray:
-        dq = ddx(v, grid.dx, axis=1)
-        return (-rate_q * dq - rate_p * ddx(v, grid.dp, axis=2)
-                - diffusion * ddx(dq, grid.dp, axis=2))
+        # accumulated in the d_q array as ((-r_q * d_q v) - r_p * d_p v)
+        # - D * d_q d_p v, so d_q d_p v is taken before d_q v is scaled
+        out = ddx(v, grid.dx, axis=1)
+        d_qp = ddx(out, grid.dp, axis=2)
+        d_qp *= diffusion
+        out *= neg_rate_q
+        d_p = ddx(v, grid.dp, axis=2)
+        d_p *= rate_p
+        out -= d_p
+        out -= d_qp
+        return out
 
     return apply
 
@@ -176,7 +192,14 @@ def default_domain(representation: str, grid: PhaseSpaceGrid,
 
 def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
                    frame: SpinFrame, dom: TomogramDomain | None = None) -> ResidualReport:
-    """Residuals d_t v - (M + S) v at interior frames of a uniform trajectory."""
+    """Residuals d_t v - (M + S) v at interior frames of a uniform trajectory.
+
+    The central difference at frame k reads frames k - 1, k and k + 1 only,
+    so at most these three portraits are held: frame k + 1 is taken once the
+    drift of frame k is formed, and the residual is formed in place in the
+    array of frame k - 1, which is not read again.  to_vector runs once per
+    frame, in frame order.
+    """
     if len(traj.states) < 3:
         raise ValueError("residual check needs at least 3 frames")
     dts = np.diff(traj.times)
@@ -188,8 +211,6 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
         dom = default_domain(representation, grid)
 
     gen = representation_generator(representation, grid, dom, fld)
-    vals = [to_vector(s, frame, representation, dom).components
-            for s in traj.states]
     s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
 
     if representation in ("wigner", "husimi"):
@@ -199,16 +220,28 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
     else:
         cell = dom.dx * (dom.mu[1] - dom.mu[0]) * (dom.nu[1] - dom.nu[0])
 
+    def portrait(k: int) -> np.ndarray:
+        return to_vector(traj.states[k], frame, representation, dom).components
+
     per_frame = []
     sq_sum = 0.0
     times = []
-    for k in range(1, len(vals) - 1):
-        lhs = (vals[k + 1] - vals[k - 1]) / (2.0 * dt)
-        rhs = gen(vals[k]) + (s_mat @ vals[k].reshape(len(s_mat), -1)).reshape(vals[k].shape)
-        res = _interior(lhs - rhs, representation)
+    prev, cur = portrait(0), portrait(1)
+    for k in range(1, len(traj.states) - 1):
+        rhs = gen(cur)
+        rhs += (s_mat @ cur.reshape(len(s_mat), -1)).reshape(cur.shape)
+        nxt = portrait(k + 1)
+        # frame k - 1 is read for the last time: its array takes the residual
+        res = np.subtract(nxt, prev, out=prev)
+        res /= 2.0 * dt
+        res -= rhs
+        del rhs
+        res = _interior(res, representation)
         per_frame.append(float(np.max(np.abs(res))))
         sq_sum += float(np.sum(res**2) * cell)
         times.append(traj.times[k])
+        del res
+        prev, cur = cur, nxt
     per_frame = np.asarray(per_frame)
     return ResidualReport(
         representation=representation,

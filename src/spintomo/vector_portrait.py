@@ -141,7 +141,9 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
 
     Each representation is computed from the factors phi_jr directly: the
     Wigner stack (_wigner_of_factors) is built only for the Wigner and Husimi
-    representations, and the tomograms rotate the factors themselves.
+    representations, and the tomograms rotate the factors themselves.  Husimi
+    components are smoothed one at a time into the Wigner stack they came
+    from, so no second stack is held.
     """
     probs, fields = rho.factors
     if frame.dim != fields.shape[1]:
@@ -160,8 +162,8 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     if representation in ("wigner", "husimi"):
         comps = _wigner_of_factors(*factors, rho.grid)
         if representation == "husimi":
-            comps = np.stack([husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values
-                              for w in comps])
+            for j, w in enumerate(comps):
+                comps[j] = husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values
     elif representation == "optical":
         if dom is None or dom.kind != "optical":
             raise ValueError("optical representation needs an optical domain")
@@ -312,7 +314,16 @@ def vector_to_csv(v: VectorDistribution, path: str | Path) -> None:
 
 
 def fidelity_with_pure(rho: SpinorDensity, psi: np.ndarray) -> float:
-    """<psi|rho|psi> / Tr rho for a normalized pure spinor field psi."""
+    """<psi|rho|psi> / Tr rho for a normalized pure spinor field psi.
+
+    A density that holds no dense blocks is read from its factors,
+    sum_r p_r |<psi|psi_r>|^2, and builds none.
+    """
     g = rho.grid
-    val = np.einsum("ai,abij,bj->", psi.conj(), rho.blocks, psi) * g.dx**2
-    return float(val.real / rho.trace())
+    if "blocks" in vars(rho):
+        val = (np.einsum("ai,abij,bj->", psi.conj(), rho.blocks, psi) * g.dx**2).real
+    else:
+        probs, fields = rho.factors
+        overlaps = np.einsum("ai,rai->r", psi.conj(), fields) * g.dx
+        val = probs @ np.abs(overlaps)**2
+    return float(val / rho.trace())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,10 @@ from spintomo import (
     spinor_product_state,
     to_vector,
 )
-from spintomo.residuals import optical_generator, representation_generator
+from spintomo import residuals
+from spintomo.dynamics import spin_coupling_matrix
+from spintomo.phase_space import angle_step, husimi_variances
+from spintomo.residuals import default_domain, optical_generator, representation_generator
 
 FIELD = EMFieldConfig(phi=(0.0, 0.2, 0.5), b_field=[0.4, 0.3, 0.5], kappa=0.8, spin=1.0)
 SPEC = StateSpec(spin_direction=(1, 0, 0), spin_m=1.0, q0=0.8, p0=0.5, sigma=1.0)
@@ -170,3 +175,127 @@ class TestConvergence:
         report = residual_convergence(rep, fld, frame, SPEC, n=128, length=grid.length,
                                       hbar=0.8, mass=1.5, omega=1.3)
         assert 3.0 <= report.ratio_max <= 5.0
+
+
+def _ddx_reference(values, dx, axis=-1):
+    """ddx with its spectrum multiplied out of place."""
+    n = values.shape[axis]
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, dx)
+    shape = [1] * values.ndim
+    shape[axis] = len(k)
+    return np.fft.irfft(1j * k.reshape(shape) * np.fft.rfft(values, axis=axis), n, axis=axis)
+
+
+def _residual_check_reference(traj, fld, representation, frame):
+    """residual_check with every frame's portrait held in a list and every
+    operator term in its own temporary: the reference that the three-frame,
+    in-place residual_check must match bit for bit.  The optical and
+    symplectic generators are the module's, applied with residuals.ddx
+    patched to _ddx_reference by the caller."""
+    dt = float(traj.times[1] - traj.times[0])
+    grid = traj.states[0].grid
+    dom = default_domain(representation, grid)
+    rate_q, rate_p = residuals._rates(grid, fld)
+    if representation == "wigner":
+        def gen(v):
+            return (-rate_q * _ddx_reference(v, grid.dx, axis=1)
+                    - rate_p * _ddx_reference(v, grid.dp, axis=2))
+    elif representation == "husimi":
+        g = fld.phase_flow()[:2, :2]
+        var_q, var_p = husimi_variances(grid)
+        diffusion = g[0, 1] * var_p + g[1, 0] * var_q
+
+        def gen(v):
+            dq = _ddx_reference(v, grid.dx, axis=1)
+            return (-rate_q * dq - rate_p * _ddx_reference(v, grid.dp, axis=2)
+                    - diffusion * _ddx_reference(dq, grid.dp, axis=2))
+    else:
+        gen = representation_generator(representation, grid, dom, fld)
+    vals = [to_vector(s, frame, representation, dom).components for s in traj.states]
+    s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
+    if representation in ("wigner", "husimi"):
+        cell = grid.cell
+    elif representation == "optical":
+        cell = dom.dx * angle_step(dom.thetas)
+    else:
+        cell = dom.dx * (dom.mu[1] - dom.mu[0]) * (dom.nu[1] - dom.nu[0])
+    per_frame = []
+    sq_sum = 0.0
+    for k in range(1, len(vals) - 1):
+        lhs = (vals[k + 1] - vals[k - 1]) / (2.0 * dt)
+        rhs = gen(vals[k]) + (s_mat @ vals[k].reshape(len(s_mat), -1)).reshape(vals[k].shape)
+        res = residuals._interior(lhs - rhs, representation)
+        per_frame.append(float(np.max(np.abs(res))))
+        sq_sum += float(np.sum(res**2) * cell)
+    return np.asarray(per_frame), max(per_frame), float(np.sqrt(sq_sum / len(per_frame)))
+
+
+NON_UNIT = dict(hbar=0.8, mass=1.5, omega=1.3)
+NON_UNIT_FIELD = EMFieldConfig(phi=(0.0, 0.2, 0.5), a_long=0.3, b_field=[0.4, 0.3, 0.5],
+                               kappa=0.8, mass=0.7, spin=1.0)
+
+
+class TestInPlaceResiduals:
+    @pytest.mark.parametrize("n, constants", [(64, {}), (128, {}), (128, NON_UNIT)],
+                             ids=["64", "128", "128-non-unit"])
+    @pytest.mark.parametrize("rep", ["wigner", "optical", "symplectic-section", "husimi"])
+    def test_bit_identical_to_reference(self, frame, monkeypatch, n, constants, rep):
+        # five frames: the three-frame window slides over three interior frames
+        grid = PhaseSpaceGrid.balanced(n, **constants)
+        fld = NON_UNIT_FIELD if constants else FIELD
+        traj = short_trajectory(grid, fld, n_frames=5)
+        report = residual_check(traj, fld, rep, frame)
+        with monkeypatch.context() as patched:
+            patched.setattr(residuals, "ddx", _ddx_reference)
+            per_frame, max_res, l2_res = _residual_check_reference(traj, fld, rep, frame)
+        assert report.per_frame_max.tolist() == per_frame.tolist()
+        assert report.max_residual == max_res
+        assert report.l2_residual == l2_res
+
+    def test_husimi_portrait_is_smoothed_wigner_portrait(self, frame, grid128):
+        rho = SPEC.build(grid128, 1.0)
+        w = to_vector(rho, frame, "wigner").components
+        smoothed = np.stack([husimi_from_wigner(ScalarField(grid128, c, "wigner")).values
+                             for c in w])
+        assert np.array_equal(to_vector(rho, frame, "husimi").components, smoothed)
+
+
+def traced_peak(fn, *args):
+    """Bytes allocated above the starting level at the peak of fn(*args);
+    numpy reports its buffers to tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Peaks counted in stacks: one (9, n, n) float64 portrait."""
+
+    @pytest.fixture(scope="class")
+    def trajectory(self):
+        return short_trajectory(PhaseSpaceGrid.balanced(128), FIELD, n_frames=5)
+
+    @pytest.mark.parametrize("rep", ["wigner", "husimi"])
+    def test_residual_check_holds_three_frames(self, frame, trajectory, rep):
+        # three portraits, the drift and the operator scratch: about 5.2
+        # stacks (Wigner) and 6.2 (Husimi); all five frames and one
+        # temporary per operator term took 11.4 and 12.4
+        stack = 9 * 128 * 128 * 8
+        residual_check(trajectory, FIELD, rep, frame)
+        assert traced_peak(residual_check, trajectory, FIELD, rep, frame) <= 7 * stack
+
+    def test_husimi_smoothed_in_place(self, frame, trajectory):
+        # the Wigner stack and one component's smoothing: about 1.7 stacks;
+        # a second, stacked Husimi array took 3.0
+        stack = 9 * 128 * 128 * 8
+        rho = trajectory.states[0]
+        to_vector(rho, frame, "husimi")
+        assert traced_peak(to_vector, rho, frame, "husimi") <= 2 * stack

@@ -296,6 +296,21 @@ class TestFromVector:
         back = from_vector(v, frame)
         assert abs(1.0 - fidelity_with_pure(back, psi)) <= 1e-13
 
+    def test_fidelity_from_factors(self, grid128, rng):
+        # a rank-3 mixture read from its factors and from its dense blocks;
+        # the factor form builds no blocks
+        probs = rng.dirichlet(np.ones(3))
+        psis = [spinor_product_state(grid128, rng.normal(size=3) + 1j * rng.normal(size=3),
+                                     random_band_limited_state(grid128, rng))
+                for _ in range(3)]
+        psi = psis[0]
+        factored = SpinorDensity.from_mixture(probs, psis, grid128)
+        dense = SpinorDensity(grid128, SpinorDensity.from_mixture(probs, psis, grid128).blocks)
+        fid = fidelity_with_pure(factored, psi)
+        assert "blocks" not in vars(factored)
+        assert abs(fid - fidelity_with_pure(dense, psi)) <= 1e-15
+        assert probs[0] <= fid <= 1.0
+
     def test_zero_distribution(self, frame, grid64):
         rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
         v = to_vector(rho, frame, "wigner")
