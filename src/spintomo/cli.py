@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .dynamics import (
     ORACLE_SCHEMES,
@@ -320,6 +319,8 @@ def _run_audit_frame(cfg: dict, out: Path, scale: float) -> dict:
 
 
 def _run_precess(cfg: dict, out: Path, scale: float) -> dict:
+    from scipy.linalg import expm   # costs every import 0.28 s at module level
+
     field = _field_from(cfg)
     hbar = cfg["grid"]["hbar"]
     tol = cfg["tolerances"]

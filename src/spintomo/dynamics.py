@@ -5,11 +5,13 @@ potentials with uniform fields.
 In that field class a Strang step of the vector Wigner equation is an affine
 symplectic map of (q, p), so evolve_wigner_vector composes the steps between
 two saved frames in closed form and applies the result as three spectral
-shears: dt keeps its meaning as the Strang step, and the cost follows the
-number of saved frames rather than n_steps.  The components stay real: the
-shears run on rfft bins, the spin coupling mixes the component stack as one
-matrix product, and each frame's imag_residues carry the imaginary part that
-complex shears would have left at the Nyquist bin.
+shears: dt keeps its meaning as the Strang step.  The shears move only the
+R independent phase-space functions of the component stack (one for a
+product state, at most (2s+1)^2), and the spin coupling mixes their
+coefficients, so the cost follows saved frames times R rather than n_steps.
+The components stay real: the shears run on rfft bins, and each frame's
+imag_residues carry the imaginary part that complex shears would have left
+at the Nyquist bin, per component.
 
 The oracle's Strang scheme applies the uniform Zeeman term once per saved
 chunk of m steps and, under a static field, advances a chunk by the m-th power
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import SchemeMismatchError, UnsupportedPotentialError
 from .grids import PhaseSpaceGrid, write_csv
@@ -258,13 +259,14 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     A Strang chunk of m steps factors into a spin part and a spatial part,
     since the uniform Zeeman term H_s acts on the spin index alone and
     commutes with the rest of H: the spin part is the one matrix
-    expm(-i m dt H_s / hbar).  For a static field (phi a tuple or None, a_long
-    not callable) every Strang step is the same n x n matrix S, so the
-    spatial part of a chunk is S^m, formed by binary powering once per
-    distinct chunk length and applied as one product.  It is used when those
-    2 ceil(log2 m) n x n products cost no more than n_steps dense steps,
-    2 ceil(log2 m) n <= n_steps, and one n x n product per chunk no more than
-    m FFT steps, n <= m ceil(log2 n).  Otherwise, and for time-dependent
+    expm(-i m dt H_s / hbar), formed from the eigenpairs of the Hermitian H_s.
+    For a static field (phi a tuple or None, a_long not callable) every
+    Strang step is the same n x n matrix S, so the spatial part of a chunk
+    is S^m, formed by binary powering once per distinct chunk length and
+    applied as one product.  It is used when those 2 ceil(log2 m) n x n
+    products cost no more than n_steps dense steps, 2 ceil(log2 m) n <=
+    n_steps, and one n x n product per chunk no more than m FFT steps,
+    n <= m ceil(log2 n).  Otherwise, and for time-dependent
     fields, the spatial part is stepped.  The scheme is Strang either way,
     with its O(dt^2) error.
     """
@@ -280,6 +282,7 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     powered = (_is_static(fld) and 2 * (m - 1).bit_length() * grid.n <= prop.n_steps
                and grid.n <= m * (grid.n - 1).bit_length())
     powers = {}    # chunk length -> S^chunk, at most two lengths
+    zeeman, zeeman_basis = np.linalg.eigh(fld.zeeman_matrix())
 
     def advance(psis, t, n_sub):
         if prop.scheme == "rk4-ode":
@@ -290,7 +293,8 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
             psis = psis @ powers[n_sub].T
         else:
             psis = _strang_steps(psis, grid, fld, t, dt, n_sub)
-        spin = expm(-1j * n_sub * dt * fld.zeeman_matrix() / grid.hbar)
+        spin = (zeeman_basis * np.exp(-1j * n_sub * dt * zeeman / grid.hbar)) \
+            @ zeeman_basis.conj().T
         return np.einsum("ab,kbn->kan", spin, psis)
 
     def energy(p, t):
@@ -400,19 +404,44 @@ def _max_steps(step: np.ndarray, n: int, aspect: float) -> int:
     return lo
 
 
+# Singular values of a component stack below this share of the largest are
+# dropped when evolve_wigner_vector factors it.  A product state's (9, n^2)
+# stack has rank 1, and its other singular values are round-off of the
+# Wigner transform: 2e-16 to 5e-16 of the first for packets on balanced(128),
+# 1.2e-15 for a packet at the band edge of balanced(64).
+_RANK_RTOL = 1e-14
+
+
+def _factor(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) with w = A @ B over its components: A (c, R) has orthonormal
+    columns, the left singular vectors of the (c, n^2) stack whose singular
+    values exceed _RANK_RTOL of the largest, and B = A^T w (R, n, n).
+
+    The singular vectors come from the SVD of the c x c factor of a QR of the
+    (n^2, c) transpose, which resolves singular values down to round-off of
+    the largest; the Gram matrix w w^T would lose those below ~1e-8 of it.
+    """
+    flat = w.reshape(len(w), -1)
+    u, sv, _ = np.linalg.svd(np.linalg.qr(flat.T, mode="r").T)
+    a = u[:, sv > _RANK_RTOL * sv[0]]
+    return a, (a.T @ flat).reshape((a.shape[1],) + w.shape[1:])
+
+
 def _shear(w: np.ndarray, axis: int, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Band-limited shift of a real stack (c, n, n) along axis 1 or 2 by
     phase / k, one shift per line, with phase on the rfftfreq bins of that axis.
 
-    Returns the real shifted stack and, per component, the largest imaginary
-    part that the complex shift would have left: at the Nyquist bin X_N (grid
-    sizes are even) the shift keeps cos(phi_N) X_N and drops
-    |sin(phi_N) X_N| / n.
+    Returns the real shifted stack and, per row and line (c, n), the signed
+    part that the shift drops: at the Nyquist bin X_N (grid sizes are even)
+    it keeps cos(phi_N) X_N, and a complex shift would also leave an imaginary
+    part of +-sin(phi_N) X_N / n at every point of the line.  The dropped
+    part is linear in w, so a combination of rows drops that combination of
+    theirs.
     """
     n = w.shape[axis]
     spec = np.fft.rfft(w, axis=axis)
     nyq = np.take(spec, -1, axis=axis).real * np.sin(np.take(phase, -1, axis=axis - 1))
-    return np.fft.irfft(np.exp(1j * phase) * spec, n, axis=axis), np.max(np.abs(nyq), axis=1) / n
+    return np.fft.irfft(np.exp(1j * phase) * spec, n, axis=axis), nyq / n
 
 
 def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
@@ -428,19 +457,27 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     one map w(z) -> w(M z).  M is applied as three spectral shears (Paeth
     1986): a p-shear, a q-shear, a p-shear, with the translation folded into
     their offsets, in as many sub-maps as keep the p-shears within
-    _P_SHEAR_CAP.  The cost therefore grows with the number of saved frames,
-    not with n_steps.  The spin coupling dw/dt = S w is applied as an exact
-    matrix exponential (it commutes with the drift), one matrix product over
-    the component stack.
+    _P_SHEAR_CAP.
+
+    The drift acts on phase space alone and the spin coupling dw/dt = S w on
+    the component index alone, and the two commute.  So v0's (c, n, n) stack
+    is factored once as w = A B (see _factor): B holds the R <= c phase-space
+    functions it is built from (1 for a product state, R for a mixture of R
+    product states) and is what the shears move, while the spin coupling, an
+    exact matrix exponential, mixes the (c, R) matrix A.  A frame is formed as
+    (expm(S tau) A) B.  The cost therefore grows with the number of saved
+    frames times R, not with n_steps or c.
 
     The components stay real: each shear runs on rfft bins and keeps the real
     part of what a complex shift would give.  The part it drops lives at the
     Nyquist bin, and a frame's imag_residues carry it: they start from
-    v0.imag_residues, add each shear's largest dropped part per component,
-    and pass through each spin mixing expm(S tau) as |expm(S tau)| r.  To
-    first order in the band-edge content this bounds the imaginary part that
-    complex shears would carry.  The residues stay at round-off for states the
-    grid supports and flag band-edge content otherwise.
+    v0.imag_residues, add each shear's largest dropped part per component
+    (A combines the rows' dropped parts line by line, as the shear is
+    linear), and pass through each spin mixing expm(S tau) as
+    |expm(S tau)| r.  To first order in the band-edge content this bounds the
+    imaginary part that complex shears would carry.  The residues stay at
+    round-off for states the grid supports and flag band-edge content
+    otherwise.
     """
     if prop.scheme != WIGNER_SCHEME:
         raise SchemeMismatchError(
@@ -448,6 +485,7 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     if v0.representation != "wigner":
         raise ValueError("initial distribution must be in the wigner representation")
     _check_spin_dim(fld, v0.frame.dim, "frame")
+    from scipy.linalg import expm   # costs every import 0.28 s at module level
 
     grid = v0.grid
     dt = prop.dt
@@ -462,8 +500,9 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     w = np.array(v0.components, dtype=float)
     res = (np.zeros(len(w)) if v0.imag_residues is None
            else np.array(v0.imag_residues, dtype=float))
+    mixing, rows = _factor(w)      # w = mixing @ rows; the shears move only rows
 
-    def run_chunk(w, res, n_sub):
+    def run_chunk(mixing, rows, res, n_sub):
         k = -(-n_sub // max_steps)
         m, r = divmod(n_sub, k)
         for steps in [m + 1] * r + [m] * (k - r):
@@ -473,10 +512,10 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
             for axis, phase in ((2, np.outer(alpha * q + (cp - alpha * cq), kp)),
                                 (1, np.outer(kq, b * p + cq)),
                                 (2, np.outer(gamma * q, kp))):
-                w, dropped = _shear(w, axis, phase)
-                res = res + dropped
+                rows, dropped = _shear(rows, axis, phase)
+                res = res + np.max(np.abs(mixing @ dropped), axis=1)
         mix = expm(s_mat * (n_sub * dt))
-        return (mix @ w.reshape(len(w), -1)).reshape(w.shape), np.abs(mix) @ res
+        return mix @ mixing, rows, np.abs(mix) @ res
 
     def frame_of(w, res, t):
         return VectorDistribution(
@@ -489,10 +528,10 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     done = 0
     while done < prop.n_steps:
         chunk = min(prop.save_every, prop.n_steps - done)
-        w, res = run_chunk(w, res, chunk)
+        mixing, rows, res = run_chunk(mixing, rows, res, chunk)
         t += chunk * dt
         done += chunk
-        frames.append(frame_of(w, res, t))
+        frames.append(frame_of(np.tensordot(mixing, rows, 1), res, t))
         times.append(t)
     norm_sums = np.asarray([f.normalization_sum() for f in frames])
     return VectorTrajectory(times=np.asarray(times), frames=frames, field=fld,

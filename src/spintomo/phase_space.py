@@ -51,8 +51,6 @@ import weakref
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, qr
-from scipy.linalg.lapack import dtrtri
 
 from .errors import UndersampledDomainError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
@@ -376,6 +374,9 @@ class _Plan:
         diagonal below _LEVEL_RCOND of its first entry) leaves its levels
         undetermined.
         """
+        from scipy.linalg import qr   # costs every import 0.28 s at module level
+        from scipy.linalg.lapack import dtrtri
+
         x, thetas = self.samples
         grid, n_theta = self.grid, len(thetas)
         n_levels = oscillator_levels(grid, n_theta) + 1
@@ -604,6 +605,8 @@ def _level_factors(matrix: np.ndarray, dim: int, grid: PhaseSpaceGrid) -> tuple:
     that one exists.  A density matrix keeps its few nonzero eigenpairs, so
     this skips the full decomposition and its back-transformation.
     """
+    from scipy.linalg import LinAlgError, cholesky, eigh   # as in _Plan.inversion
+
     probs, vecs = eigh(matrix, subset_by_value=(_EIGEN_CUTOFF, np.inf), driver="evx",
                        check_finite=False)
     shifted = np.array(matrix, order="F")          # potrf factorises it in place

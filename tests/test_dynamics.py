@@ -10,6 +10,7 @@ from spintomo import (
     PropagatorConfig,
     SchemeMismatchError,
     SpinorDensity,
+    StateSpec,
     UnsupportedPotentialError,
     audit,
     evolve_oracle,
@@ -19,6 +20,7 @@ from spintomo import (
     gaussian_packet,
     hamiltonian_apply,
     oscillator_eigenstate,
+    random_frame,
     spin_coherent_state,
     spin_coupling_matrix,
     spin_eigenvector,
@@ -26,6 +28,7 @@ from spintomo import (
     spinor_product_state,
     to_vector,
 )
+from spintomo import dynamics
 from spintomo.dynamics import _max_steps, _power, _shear, _strang_step
 
 HARMONIC = (0.0, 0.0, 0.5)     # e*phi = q^2/2 for e = 1
@@ -93,6 +96,52 @@ def complex_shear_reference(v0, fld, prop):
         frames.append(w)
         done += chunk
     return np.stack(frames)
+
+
+def nine_row_reference(v0, fld, prop):
+    """evolve_wigner_vector as it was before it factored the component stack:
+    every component is sheared, and each shear adds its per-component largest
+    dropped Nyquist part to the residues.  Returns the frames (n_frames, c, n, n)
+    and their imag_residues (n_frames, c)."""
+    grid = v0.grid
+    dt = prop.dt
+    kq = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dx)
+    kp = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dp)
+    step = _strang_step(fld, dt)
+    max_steps = _max_steps(step, min(prop.save_every, prop.n_steps), grid.dx / grid.dp)
+    s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
+
+    def shear(w, axis, phase):
+        n = w.shape[axis]
+        spec = np.fft.rfft(w, axis=axis)
+        nyq = np.take(spec, -1, axis=axis).real * np.sin(np.take(phase, -1, axis=axis - 1))
+        return (np.fft.irfft(np.exp(1j * phase) * spec, n, axis=axis),
+                np.max(np.abs(nyq), axis=1) / n)
+
+    w = np.array(v0.components, dtype=float)
+    res = (np.zeros(len(w)) if v0.imag_residues is None
+           else np.array(v0.imag_residues, dtype=float))
+    frames, residues = [w], [res]
+    done = 0
+    while done < prop.n_steps:
+        chunk = min(prop.save_every, prop.n_steps - done)
+        k = -(-chunk // max_steps)
+        m, r = divmod(chunk, k)
+        for steps in [m + 1] * r + [m] * (k - r):
+            (a1, b, cq), (_, d1, cp) = _power(step, steps)[:2]
+            alpha, gamma = d1 / b, a1 / b
+            for axis, phase in ((2, np.outer(alpha * grid.q + (cp - alpha * cq), kp)),
+                                (1, np.outer(kq, b * grid.p + cq)),
+                                (2, np.outer(gamma * grid.q, kp))):
+                w, dropped = shear(w, axis, phase)
+                res = res + dropped
+        mix = expm(s_mat * (chunk * dt))
+        w = (mix @ w.reshape(len(w), -1)).reshape(w.shape)
+        res = np.abs(mix) @ res
+        frames.append(w)
+        residues.append(res)
+        done += chunk
+    return np.stack(frames), np.stack(residues)
 
 
 def strang_loop_reference(rho0, fld, prop):
@@ -423,20 +472,23 @@ class TestSpinCouplingMatrix:
             s = spin_coupling_matrix(frame, b, 0.9, 1.0)
             assert np.max(np.abs(left @ s)) < 1e-13
 
-    def test_matches_matrix_exponential_oracle(self, frame):
-        kappa, b, s_spin = 0.7, 2.0, 1.0
+    @pytest.mark.parametrize("s_spin", [0.5, 1.0, 1.5])
+    def test_matches_matrix_exponential_oracle(self, frame, s_spin):
+        # the paper frame at spin 1, random frames at spins 1/2 and 3/2
+        fr = frame if s_spin == 1.0 else random_frame(s_spin, seed=3)
+        kappa, b = 0.7, 2.0
         sx, _, _ = spin_operators(s_spin)
         h_s = -(kappa / s_spin) * b * sx
-        chi = np.array([1.0, 0, 0], dtype=complex)
+        chi = np.eye(fr.dim, dtype=complex)[0]
         rho0 = np.outer(chi, chi.conj())
-        s_mat = spin_coupling_matrix(frame, [b, 0, 0], kappa, s_spin)
+        s_mat = spin_coupling_matrix(fr, [b, 0, 0], kappa, s_spin)
         period = 2 * np.pi / (kappa * b)
         times = np.linspace(0.0, 10 * period, 257)
         evals, evecs = np.linalg.eigh(h_s)
-        w0 = frame.weights(rho0).real
+        w0 = fr.weights(rho0).real
         for t in times:
             u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-            w_oracle = frame.weights(u @ rho0 @ u.conj().T).real
+            w_oracle = fr.weights(u @ rho0 @ u.conj().T).real
             w_direct = expm(s_mat * t) @ w0
             assert np.max(np.abs(w_direct - w_oracle)) < 1e-8
 
@@ -481,6 +533,23 @@ class TestEvolveWignerVector:
         v_oracle = to_vector(traj_o.states[-1], frame, "wigner")
         assert np.max(np.abs(traj_w.frames[-1].components
                              - v_oracle.components)) < 1e-5
+
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_matches_oracle_at_spin(self, s):
+        # a random frame, the residual scenario's default field and packet
+        # with m = s; both schemes carry an O(dt^2) Strang error (2e-7 here)
+        grid = PhaseSpaceGrid.balanced(64)
+        fr = random_frame(s, seed=3)
+        fld = EMFieldConfig(phi=(0.0, 0.2, 0.5), b_field=[0.4, 0.3, 0.5], kappa=0.8, spin=s)
+        rho0 = StateSpec(spin_direction=(1.0, 0.0, 0.0), spin_m=s, q0=0.8, p0=0.5).build(grid, s)
+        traj_w = evolve_wigner_vector(to_vector(rho0, fr, "wigner"), fld, PropagatorConfig(
+            dt=1e-3, n_steps=400, scheme="wigner-spectral", save_every=100))
+        traj_o = evolve_oracle(rho0, fld, PropagatorConfig(dt=1e-3, n_steps=400,
+                                                           save_every=100))
+        assert len(traj_w.frames) == len(traj_o.states) == 5
+        err = max(np.max(np.abs(f.components - to_vector(state, fr, "wigner").components))
+                  for f, state in zip(traj_w.frames, traj_o.states))
+        assert err < 1e-6
 
     def test_non_quadratic_rejected(self, frame, grid64):
         psi = spin_coherent_state(grid64, [0, 0, 1])
@@ -571,7 +640,10 @@ class TestComposedStrangMap:
     @pytest.mark.parametrize("axis", [1, 2])
     def test_shear_drops_the_imaginary_part(self, rng, axis):
         # a full-band real stack: the rfft shear returns the real part of the
-        # complex shear and reports the largest imaginary part per component
+        # complex shear and, per component and line, the imaginary part it
+        # drops, the largest imaginary part the complex shear leaves on that
+        # line; atol is the round-off of the complex shear on this unit-scale
+        # stack (1.6e-16 measured), so lines dropping 1e-4 are still checked
         n = 32
         w = rng.normal(size=(3, n, n))
         k = 2.0 * np.pi * np.fft.fftfreq(n)
@@ -583,7 +655,9 @@ class TestComposedStrangMap:
         ref = np.fft.ifft(np.exp(1j * phase(k)) * np.fft.fft(w, axis=axis), axis=axis)
         got, dropped = _shear(w, axis, phase(2.0 * np.pi * np.fft.rfftfreq(n)))
         assert np.max(np.abs(got - ref.real)) < 1e-14
-        assert np.allclose(dropped, np.max(np.abs(ref.imag), axis=(1, 2)), rtol=1e-12, atol=0)
+        assert dropped.shape == (3, n)
+        np.testing.assert_allclose(np.abs(dropped), np.max(np.abs(ref.imag), axis=axis),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_residues_follow_the_spin_mixing(self, frame, grid128):
         # a residue seeded in one component spreads as |expm(S tau)| r
@@ -653,6 +727,72 @@ class TestComposedStrangMap:
             step = _strang_step(fld, 2.0 / n)
             counts.append(-(-n // _max_steps(step, n, grid64.dx / grid64.dp)))
         assert counts[0] == counts[1] >= 2
+
+
+class TestFactoredEvolution:
+    """evolve_wigner_vector shears the independent phase-space functions of the
+    component stack, not its components; the nine-row evolution is the
+    reference."""
+
+    @staticmethod
+    def state_case(case, frame, grid):
+        """(v0, fld, prop, rank) of a named case on grid."""
+        if case in ("workload", "units", "ragged-chunks", "full-period"):
+            return TestComposedStrangMap.composed_case(case, frame, grid) + (1,)
+        _, fld, prop = TestComposedStrangMap.composed_case("workload", frame, grid)
+        if case == "band-edge":      # too narrow for balanced(64)
+            v0, _ = packet_vector(frame, PhaseSpaceGrid.balanced(64), [0.3, -0.5, 0.8],
+                                  0.0, 2.0, 0.25)
+            return v0, fld, prop, 1
+        packets = [gaussian_packet(grid, q0, p0, 0.9)
+                   for q0, p0 in ((-1.0, 0.5), (0.8, -0.3), (0.2, 1.0))]
+        if case == "mixture":        # three product states
+            chis = [spin_eigenvector(1.0, d / np.linalg.norm(d), 1.0)
+                    for d in np.array([[1, 0, 0], [0, 1, 1], [1, -1, 0.5]])]
+            rho = SpinorDensity.from_mixture(
+                [0.5, 0.3, 0.2], [spinor_product_state(grid, chi, phi)
+                                  for chi, phi in zip(chis, packets)], grid)
+            return to_vector(rho, frame, "wigner"), fld, prop, 3
+        # an entangled pure spinor: each spin level carries its own packet
+        psi = np.stack(packets) * np.array([0.6, 0.5 - 0.3j, 0.2 + 0.5j])[:, None]
+        psi /= np.sqrt(np.sum(np.abs(psi)**2) * grid.dx)
+        return to_vector(SpinorDensity.from_pure(psi, grid), frame, "wigner"), fld, prop, 9
+
+    @pytest.mark.parametrize("case", ["workload", "units", "ragged-chunks", "full-period",
+                                      "band-edge", "mixture", "entangled"])
+    def test_matches_nine_row_evolution(self, frame, grid128, monkeypatch, case):
+        v0, fld, prop, rank = self.state_case(case, frame, grid128)
+        rows = []
+
+        def counted(w, axis, phase):
+            rows.append(len(w))
+            return _shear(w, axis, phase)
+
+        monkeypatch.setattr(dynamics, "_shear", counted)
+        traj = evolve_wigner_vector(v0, fld, prop)
+        assert rows and set(rows) == {rank}
+        ref, ref_res = nine_row_reference(v0, fld, prop)
+        got = np.stack([f.components for f in traj.frames])
+        got_res = np.stack([f.imag_residues for f in traj.frames])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        # residues that carry band-edge content agree closely; those built
+        # from round-off (up to 2.6e-12 over the full period's 42 shears)
+        # differ by round-off of the Nyquist bins, 8e-18 at most
+        big = ref_res > 1e-9
+        assert np.all(np.abs(got_res - ref_res)[big] <= 1e-12 * ref_res[big])
+        assert np.all(np.abs(got_res - ref_res)[~big] <= 1e-15)
+
+    def test_zero_portrait(self, frame, grid64):
+        v0, fld, prop = TestComposedStrangMap.composed_case("workload", frame, grid64)
+        zero = dataclasses.replace(v0, components=np.zeros_like(v0.components),
+                                   imag_residues=np.zeros(len(v0.components)))
+        traj = evolve_wigner_vector(zero, fld, prop)
+        assert len(traj.frames) == 5
+        for f in traj.frames:
+            assert f.components.shape == v0.components.shape
+            assert not np.any(f.components)
+            assert not np.any(f.imag_residues)
 
 
 class TestFrequencyFit:

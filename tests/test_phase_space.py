@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spintomo import (
     PhaseSpaceGrid,
@@ -617,9 +618,9 @@ class TestLevelFactors:
             calls.append(kwargs["subset_by_value"])
             return eigh(*args, **kwargs)
 
-        eigh = phase_space.eigh
+        eigh = scipy.linalg.eigh        # _level_factors imports it when called
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(phase_space, "eigh", counted)
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
         probs, fields = _level_factors(matrix, dim, grid)
         assert len(calls) == solves
         assert np.all(np.diff(probs) >= 0)
