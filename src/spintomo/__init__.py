@@ -12,7 +12,6 @@ from .dynamics import (
     VectorTrajectory,
     evolve_oracle,
     evolve_wigner_vector,
-    export_trajectory,
     fit_precession_frequency,
     hamiltonian_apply,
     spin_coupling_matrix,
@@ -26,7 +25,7 @@ from .errors import (
     UnsupportedInverseError,
     UnsupportedPotentialError,
 )
-from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain, field_to_csv, load_field, save_field
+from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
 from .phase_space import (
     ddx,
     husimi_from_wigner,
@@ -64,9 +63,7 @@ from .vector_portrait import (
     audit,
     fidelity_with_pure,
     from_vector,
-    save_vector,
     to_vector,
-    vector_to_csv,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,13 +22,12 @@ from .dynamics import (
     ORACLE_SCHEMES,
     EMFieldConfig,
     PropagatorConfig,
-    conserved_columns,
     evolve_oracle,
     fit_precession_frequency,
     spin_coupling_matrix,
 )
 from .errors import ConfigError, UndersampledDomainError
-from .grids import PhaseSpaceGrid, TomogramDomain, write_csv
+from .grids import PhaseSpaceGrid, TomogramDomain, tidy_columns, write_csv
 from .phase_space import MIN_ANGLES
 from .residuals import StateSpec, residual_convergence
 from .spin_frames import (
@@ -353,9 +352,8 @@ def _run_precess(cfg: dict, out: Path, scale: float) -> dict:
     omega_fit = fit_precession_frequency(times, series)
     rel_err = abs(omega_fit - omega_expected) / omega_expected
 
-    t, series = np.meshgrid(times, [f"w{j + 1}" for j in range(frame.size)], indexing="ij")
     write_csv(out / "precess_weights.csv",
-              {"t": t.ravel(), "series": series.ravel(), "value": weights.ravel()})
+              tidy_columns(times, {f"w{j + 1}": w for j, w in enumerate(weights.T)}))
 
     measurements = {
         "omega_expected": omega_expected,
@@ -386,9 +384,9 @@ def _run_wavepacket(cfg: dict, out: Path, scale: float) -> dict:
         to_vector(s, frame, "wigner").normalization_sum() for s in traj.states
     ])
 
-    write_csv(out / "conserved.csv", conserved_columns(traj))
-    write_csv(out / "norm_sums.csv", {"t": traj.times, "series": ["norm_sum"] * len(norm_sums),
-                                      "value": norm_sums})
+    write_csv(out / "conserved.csv",
+              tidy_columns(traj.times, {"trace": traj.traces, "energy": traj.energies}))
+    write_csv(out / "norm_sums.csv", tidy_columns(traj.times, {"norm_sum": norm_sums}))
 
     trace_drift = float(np.max(np.abs(traj.traces - 1.0)))
     e0 = traj.energies[0]

@@ -19,16 +19,14 @@ of the one-step n x n Strang matrix when that costs no more than stepping (see
 evolve_oracle); otherwise it steps."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemeMismatchError, UnsupportedPotentialError
-from .grids import PhaseSpaceGrid, write_csv
+from .grids import PhaseSpaceGrid
 from .spin_frames import SpinFrame, projection_values, spin_operators
-from .vector_portrait import SpinorDensity, VectorDistribution, save_vector
+from .vector_portrait import SpinorDensity, VectorDistribution
 
 ORACLE_SCHEMES = ("split-step-strang", "rk4-ode")
 WIGNER_SCHEME = "wigner-spectral"
@@ -117,15 +115,6 @@ class EMFieldConfig:
         bx, by, bz = self.b_field
         return -(self.kappa / self.spin) * (bx * sx + by * sy + bz * sz)
 
-    def describe(self) -> dict:
-        return {
-            "phi": list(self.phi_coeffs()) if self.is_quadratic else "callable",
-            "a_long": self.a_at(0.0) if not callable(self.a_long) else "callable",
-            "b_field": self.b_field.tolist(),
-            "e": self.e, "c_light": self.c_light, "kappa": self.kappa,
-            "mass": self.mass, "spin": self.spin,
-        }
-
 
 def _check_spin_dim(fld: EMFieldConfig, dim: int, what: str) -> None:
     """Raise unless the field's spin s has the spin dimension 2s+1 of what."""
@@ -193,8 +182,6 @@ class Trajectory:
     states: list
     energies: np.ndarray
     traces: np.ndarray
-    field: EMFieldConfig
-    scheme: str
 
 
 def _is_static(fld: EMFieldConfig) -> bool:
@@ -315,8 +302,7 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     energies = [energy(s.factors[1], t) for s, t in zip(states, times)]
     return Trajectory(times=np.asarray(times), states=states,
                       energies=np.asarray(energies),
-                      traces=np.asarray([s.trace() for s in states]),
-                      field=fld, scheme=prop.scheme)
+                      traces=np.asarray([s.trace() for s in states]))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +313,6 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
 class VectorTrajectory:
     times: np.ndarray
     frames: list
-    field: EMFieldConfig
-    scheme: str
     norm_sums: np.ndarray
 
 
@@ -534,12 +518,11 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
         frames.append(frame_of(np.tensordot(mixing, rows, 1), res, t))
         times.append(t)
     norm_sums = np.asarray([f.normalization_sum() for f in frames])
-    return VectorTrajectory(times=np.asarray(times), frames=frames, field=fld,
-                            scheme=prop.scheme, norm_sums=norm_sums)
+    return VectorTrajectory(times=np.asarray(times), frames=frames, norm_sums=norm_sums)
 
 
 # ---------------------------------------------------------------------------
-# frequency extraction and export
+# frequency extraction
 # ---------------------------------------------------------------------------
 
 def fit_precession_frequency(times: np.ndarray, series: np.ndarray,
@@ -573,37 +556,3 @@ def fit_precession_frequency(times: np.ndarray, series: np.ndarray,
     res = minimize_scalar(ssr, bounds=(0.5 * guess, 1.5 * guess), method="bounded",
                           options={"xatol": 1e-14})
     return float(res.x)
-
-
-def conserved_columns(traj: Trajectory | VectorTrajectory) -> dict:
-    """Tidy t, series, value columns of a trajectory's conserved quantities:
-    trace and energy of an oracle trajectory, the normalization sum of a
-    vector trajectory."""
-    if isinstance(traj, VectorTrajectory):
-        series = {"norm_sum": traj.norm_sums}
-    else:
-        series = {"trace": traj.traces, "energy": traj.energies}
-    return {"t": np.repeat(traj.times, len(series)),
-            "series": np.tile(list(series), len(traj.times)),
-            "value": np.column_stack(list(series.values())).ravel()}
-
-
-def export_trajectory(traj: Trajectory | VectorTrajectory, directory: str | Path,
-                      write_frames: bool = False) -> None:
-    """Manifest JSON, the conserved-quantity CSV (see conserved_columns), and
-    optionally the frames of a vector trajectory."""
-    if write_frames and not isinstance(traj, VectorTrajectory):
-        raise ValueError("only vector trajectories have frames to write")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "times": traj.times.tolist(),
-        "scheme": traj.scheme,
-        "field": traj.field.describe(),
-        "n_frames": len(traj.times),
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    write_csv(directory / "conserved.csv", conserved_columns(traj))
-    if write_frames:
-        for i, f in enumerate(traj.frames):
-            save_vector(f, directory / f"frame_{i:04d}")

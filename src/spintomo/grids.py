@@ -1,8 +1,8 @@
 """Phase-space grids, tomogram domains, the per-component field container
-with its file I/O, and the package's one CSV writer."""
+of the single-field maps, and the package's one CSV writer with its one
+tidy-table builder."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,18 +83,6 @@ class PhaseSpaceGrid:
     def cell(self) -> float:
         return self.dx * self.dp
 
-    def describe(self) -> dict:
-        return {
-            "n": self.n, "dx": self.dx, "x0": self.x0,
-            "hbar": self.hbar, "mass": self.mass, "omega": self.omega,
-        }
-
-    @staticmethod
-    def from_description(d: dict) -> "PhaseSpaceGrid":
-        return PhaseSpaceGrid(n=int(d["n"]), dx=float(d["dx"]), x0=float(d["x0"]),
-                              hbar=float(d["hbar"]), mass=float(d["mass"]),
-                              omega=float(d["omega"]))
-
 
 @dataclass(frozen=True)
 class TomogramDomain:
@@ -103,7 +91,9 @@ class TomogramDomain:
     The quadrature grid x is uniform and strictly increasing.  kind
     "optical": x plus angles thetas in [0, pi), strictly increasing.  kind
     "symplectic": x plus 1-D mu and nu arrays whose mesh gives the (mu, nu)
-    samples; (0, 0) is excluded.
+    samples; (0, 0) is excluded.  Every sample array is stored as a float
+    ndarray (a float ndarray argument itself, not a copy), 1-D and finite;
+    anything else raises ValueError.
     """
 
     kind: str
@@ -115,7 +105,10 @@ class TomogramDomain:
     def __post_init__(self):
         if self.kind not in ("optical", "symplectic"):
             raise ValueError(f"unknown tomogram domain kind {self.kind!r}")
-        x = np.asarray(self.x, dtype=float)
+        for name in ("x", "thetas", "mu", "nu"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        x = self.x
         if x.ndim != 1 or len(x) < 2 or not x[1] > x[0]:
             raise ValueError("quadrature grid x must be 1-D and increasing, with 2 points or more")
         if not np.max(np.abs(np.diff(x) - self.dx)) <= 1e-9 * self.dx:
@@ -131,6 +124,9 @@ class TomogramDomain:
         else:
             if self.mu is None or self.nu is None:
                 raise ValueError("symplectic domain needs mu and nu arrays")
+            for name, vals in (("mu", self.mu), ("nu", self.nu)):
+                if vals.ndim != 1 or not np.all(np.isfinite(vals)):
+                    raise ValueError(f"symplectic {name} samples must be 1-D and finite")
             mm, nn = np.meshgrid(self.mu, self.nu, indexing="ij")
             if np.any((mm == 0) & (nn == 0)):
                 raise ValueError("symplectic samples must avoid (mu, nu) = (0, 0)")
@@ -148,76 +144,25 @@ class TomogramDomain:
 
     @classmethod
     def symplectic_grid(cls, grid: PhaseSpaceGrid, mu, nu) -> "TomogramDomain":
-        return cls(kind="symplectic", x=grid.q.copy(),
-                   mu=np.asarray(mu, dtype=float), nu=np.asarray(nu, dtype=float))
-
-    def describe(self) -> dict:
-        d = {"kind": self.kind, "x": self.x.tolist()}
-        if self.thetas is not None:
-            d["thetas"] = self.thetas.tolist()
-        if self.mu is not None:
-            d["mu"] = self.mu.tolist()
-            d["nu"] = self.nu.tolist()
-        return d
+        return cls(kind="symplectic", x=grid.q.copy(), mu=mu, nu=nu)
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Array of field values tagged with its grid, kind, and optional domain.
-
-    Kept as the container of one vector component for save_field, load_field
-    and field_to_csv, and as the argument of the single-field maps.  Shapes by
-    kind: wigner/husimi are (n, n); optical is (n_theta, n_x);
-    symplectic-section is (n_mu, n_nu, n_x).
+    """Array of field values tagged with its grid, kind, and optional domain:
+    the argument and result of the single-field maps wigner_from_optical and
+    husimi_from_wigner.  Shapes by kind: wigner/husimi are (n, n); optical is
+    (n_theta, n_x); symplectic-section is (n_mu, n_nu, n_x).
     """
 
     grid: PhaseSpaceGrid
     values: np.ndarray
     kind: str
     domain: TomogramDomain | None = None
-    imag_residue: float = 0.0
 
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
-
-
-def save_field(fld: ScalarField, basename: str | Path) -> None:
-    """Write values as little-endian float64 (row-major) plus a JSON sidecar."""
-    base = Path(basename)
-    data = np.ascontiguousarray(fld.values.real, dtype="<f8")
-    data.tofile(base.with_suffix(".bin"))
-    meta = {
-        "kind": fld.kind,
-        "shape": list(fld.values.shape),
-        "dtype": "<f8",
-        "order": "C",
-        "grid": fld.grid.describe(),
-        "imag_residue": fld.imag_residue,
-    }
-    if fld.domain is not None:
-        meta["domain"] = fld.domain.describe()
-    base.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=1))
-
-
-def load_field(basename: str | Path) -> ScalarField:
-    base = Path(basename)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    shape = tuple(meta["shape"])
-    values = np.fromfile(base.with_suffix(".bin"), dtype="<f8").reshape(shape)
-    grid = PhaseSpaceGrid.from_description(meta["grid"])
-    domain = None
-    if "domain" in meta:
-        d = meta["domain"]
-        domain = TomogramDomain(
-            kind=d["kind"],
-            x=np.asarray(d["x"], dtype=float),
-            thetas=np.asarray(d["thetas"], dtype=float) if "thetas" in d else None,
-            mu=np.asarray(d["mu"], dtype=float) if "mu" in d else None,
-            nu=np.asarray(d["nu"], dtype=float) if "nu" in d else None,
-        )
-    return ScalarField(grid=grid, values=values, kind=meta["kind"], domain=domain,
-                       imag_residue=float(meta.get("imag_residue", 0.0)))
 
 
 def write_csv(path: str | Path, columns: dict) -> None:
@@ -236,20 +181,10 @@ def write_csv(path: str | Path, columns: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _coordinate_columns(kind: str, grid: PhaseSpaceGrid,
-                        domain: TomogramDomain | None) -> dict:
-    """Coordinate columns of a field kind, raveled in the C order of its values."""
-    if kind in ("wigner", "husimi"):
-        axes = {"q": grid.q, "p": grid.p}
-    elif kind == "optical":
-        axes = {"theta": domain.thetas, "X": domain.x}
-    else:
-        axes = {"mu": domain.mu, "nu": domain.nu, "X": domain.x}
-    mesh = np.meshgrid(*axes.values(), indexing="ij")
-    return {name: m.ravel() for name, m in zip(axes, mesh)}
-
-
-def field_to_csv(fld: ScalarField, path: str | Path) -> None:
-    """Plot-ready CSV: coordinate columns followed by the value column."""
-    write_csv(path, {**_coordinate_columns(fld.kind, fld.grid, fld.domain),
-                     "value": fld.values.real.ravel()})
+def tidy_columns(times, series: dict) -> dict:
+    """Long-format t, series, value columns for write_csv, one row per time
+    and series: time-major, the series in the order of series, which maps
+    each name to its 1-D column over times."""
+    return {"t": np.repeat(times, len(series)),
+            "series": np.tile(list(series), len(times)),
+            "value": np.column_stack(list(series.values())).ravel()}

@@ -276,18 +276,6 @@ def _shear(amps: np.ndarray, factors: tuple) -> np.ndarray:
     return amps
 
 
-def _rotate(amps: np.ndarray, work: PhaseSpaceGrid, theta: float) -> np.ndarray:
-    """Fractional-Fourier rotation of amplitudes (..., N) on the balanced grid
-    work: afterwards |amps|^2 is the marginal of q cos(theta) + p sin(theta)/(m omega).
-
-    The rotation of one ray from theta = 0, in sub-rotations of at most pi/4
-    (_shear_factors).  Tomograms do not call it per ray: their plan marches
-    from ray to ray in angle steps (_Plan.march), which compose to the same
-    rotation to round-off.
-    """
-    return _shear(amps, _shear_factors(work, theta))
-
-
 # ---------------------------------------------------------------------------
 # sampling plans: the operators that depend only on a tomogram's sampling
 # ---------------------------------------------------------------------------

@@ -168,16 +168,6 @@ class ResidualReport:
     l2_residual: float
     meta: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "representation": self.representation,
-            "times": self.times.tolist(),
-            "per_frame_max": self.per_frame_max.tolist(),
-            "max_residual": self.max_residual,
-            "l2_residual": self.l2_residual,
-            "meta": self.meta,
-        }
-
 
 def default_domain(representation: str, grid: PhaseSpaceGrid,
                    n_theta: int | None = None,
@@ -286,16 +276,6 @@ class ConvergenceReport:
     @property
     def order_max(self) -> float:
         return float(np.log2(self.ratio_max))
-
-    def as_dict(self) -> dict:
-        return {
-            "representation": self.representation,
-            "coarse": self.coarse.as_dict(),
-            "fine": self.fine.as_dict(),
-            "ratio_max": self.ratio_max,
-            "ratio_l2": self.ratio_l2,
-            "order_max": self.order_max,
-        }
 
 
 def residual_convergence(representation: str, fld: EMFieldConfig, frame: SpinFrame,

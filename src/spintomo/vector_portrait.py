@@ -7,22 +7,13 @@ inverts the spatial map per component and resums with the dual frame.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import UnsupportedInverseError
-from .grids import (
-    PhaseSpaceGrid,
-    ScalarField,
-    TomogramDomain,
-    _coordinate_columns,
-    save_field,
-    write_csv,
-)
+from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
 from .phase_space import (
     _imag_residues,
     _kernel_of_wigner,
@@ -282,35 +273,6 @@ def audit(v: VectorDistribution) -> AuditReport:
         pointwise_upper_ok=upper_ok,
         notes=tuple(notes),
     )
-
-
-def save_vector(v: VectorDistribution, directory: str | Path, basename: str = "vector") -> None:
-    """Metadata JSON plus one binary field per component; each component's
-    sidecar records its imaginary residue (0.0 when v carries none)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "representation": v.representation,
-        "time": v.time,
-        "grid": v.grid.describe(),
-        "n_components": int(v.components.shape[0]),
-        "frame": json.loads(v.frame.to_json()),
-    }
-    if v.domain is not None:
-        meta["domain"] = v.domain.describe()
-    (directory / f"{basename}.json").write_text(json.dumps(meta, sort_keys=True))
-    for j, comp in enumerate(v.components):
-        residue = 0.0 if v.imag_residues is None else float(v.imag_residues[j])
-        save_field(ScalarField(v.grid, comp, v.representation, domain=v.domain,
-                               imag_residue=residue),
-                   directory / f"{basename}_w{j + 1}")
-
-
-def vector_to_csv(v: VectorDistribution, path: str | Path) -> None:
-    """CSV with coordinate columns and one column per component."""
-    columns = _coordinate_columns(v.representation, v.grid, v.domain)
-    columns.update((f"w{j + 1}", comp.ravel()) for j, comp in enumerate(v.components))
-    write_csv(path, columns)
 
 
 def fidelity_with_pure(rho: SpinorDensity, psi: np.ndarray) -> float:

@@ -21,9 +21,8 @@ from spintomo import (
     to_vector,
 )
 from spintomo.cli import load_config, main
-from spintomo.dynamics import conserved_columns
 from spintomo.errors import ConfigError
-from spintomo.grids import write_csv
+from spintomo.grids import tidy_columns, write_csv
 
 
 def read_report(out_dir):
@@ -359,9 +358,11 @@ class TestEmitPlotData:
 
     def test_conserved_oracle(self, trajectories, tmp_path):
         _, orc = trajectories
-        write_csv(tmp_path / "c.csv", conserved_columns(orc))
+        write_csv(tmp_path / "c.csv",
+                  tidy_columns(orc.times, {"trace": orc.traces, "energy": orc.energies}))
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert lines[0] == "t,series,value"
+        assert [row.split(",")[1] for row in lines[1:]] == ["trace", "energy"] * 5
         energies = [float(l.split(",")[2]) for l in lines[1:] if ",energy," in l]
         assert len(energies) == 5
         assert max(energies) - min(energies) < 1e-3 * abs(energies[0])

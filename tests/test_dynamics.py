@@ -15,7 +15,6 @@ from spintomo import (
     audit,
     evolve_oracle,
     evolve_wigner_vector,
-    export_trajectory,
     fit_precession_frequency,
     gaussian_packet,
     hamiltonian_apply,
@@ -801,30 +800,3 @@ class TestFrequencyFit:
         omega = 1.37
         y = 0.4 + 0.5 * np.cos(omega * t) + 0.1 * np.cos(2 * omega * t + 0.3)
         assert abs(fit_precession_frequency(t, y) - omega) / omega < 1e-9
-
-
-class TestExport:
-    def test_vector_trajectory_export(self, frame, grid64, tmp_path):
-        psi = spin_coherent_state(grid64, [1, 0, 0])
-        v0 = to_vector(SpinorDensity.from_pure(psi, grid64), frame, "wigner")
-        traj = evolve_wigner_vector(v0, EMFieldConfig(phi=HARMONIC),
-                                    PropagatorConfig(dt=0.01, n_steps=4,
-                                                     scheme="wigner-spectral",
-                                                     save_every=2))
-        export_trajectory(traj, tmp_path, write_frames=True)
-        assert (tmp_path / "manifest.json").exists()
-        conserved = (tmp_path / "conserved.csv").read_text().splitlines()
-        assert conserved[0] == "t,series,value"
-        assert conserved[1:] == [f"{t!r},norm_sum,{v!r}"
-                                 for t, v in zip(traj.times.tolist(), traj.norm_sums.tolist())]
-        assert (tmp_path / "frame_0000" / "vector.json").exists()
-
-    def test_oracle_trajectory_export(self, grid64, tmp_path):
-        rho0 = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
-        traj = evolve_oracle(rho0, EMFieldConfig(phi=HARMONIC),
-                             PropagatorConfig(dt=0.01, n_steps=4, save_every=2))
-        export_trajectory(traj, tmp_path)
-        assert (tmp_path / "manifest.json").exists()
-        conserved = (tmp_path / "conserved.csv").read_text().splitlines()
-        assert conserved[0] == "t,series,value"
-        assert [row.split(",")[1] for row in conserved[1:]] == ["trace", "energy"] * 3

@@ -23,7 +23,8 @@ from spintomo import (
 from spintomo import phase_space
 from spintomo.phase_space import (
     _band_limited_matrix,
-    _rotate,
+    _shear,
+    _shear_factors,
     _wigner_of_factors,
     _working_grid,
     radon_slices,
@@ -223,15 +224,27 @@ def test_working_grid():
         assert PhaseSpaceGrid.balanced(work.n // 2, mass=work.mass).length < span
 
 
+def rotate(amps, work, theta):
+    """Fractional-Fourier rotation of amplitudes (..., N) on the balanced grid
+    work: afterwards |amps|^2 is the marginal of q cos(theta) + p sin(theta)/(m omega).
+
+    The rotation of one ray from theta = 0, in sub-rotations of at most pi/4
+    (_shear_factors).  Tomograms do not rotate ray by ray: their plan marches
+    from ray to ray in angle steps (_Plan.march), which must compose to this
+    rotation to round-off.
+    """
+    return _shear(amps, _shear_factors(work, theta))
+
+
 def test_rotation_quarter_turn_is_momentum_density(grid128):
     psi = gaussian_packet(grid128, 0.9, -0.6, 0.8)
-    rotated = _rotate(psi, grid128, np.pi / 2)
+    rotated = rotate(psi, grid128, np.pi / 2)
     phi = np.fft.fftshift(np.fft.fft(psi)) * grid128.dx / np.sqrt(2 * np.pi)
     assert np.max(np.abs(np.abs(rotated)**2 - np.abs(phi)**2)) < 1e-13
     # rotations compose, and the half turn is the parity q -> -q
-    twice = _rotate(_rotate(psi, grid128, 1.1), grid128, -0.4)
-    assert np.max(np.abs(np.abs(twice)**2 - np.abs(_rotate(psi, grid128, 0.7))**2)) < 1e-13
-    half = np.abs(_rotate(psi, grid128, np.pi))**2
+    twice = rotate(rotate(psi, grid128, 1.1), grid128, -0.4)
+    assert np.max(np.abs(np.abs(twice)**2 - np.abs(rotate(psi, grid128, 0.7))**2)) < 1e-13
+    half = np.abs(rotate(psi, grid128, np.pi))**2
     assert np.max(np.abs(half - np.roll(np.abs(psi[::-1])**2, 1))) < 1e-13
 
 
@@ -258,14 +271,14 @@ def test_band_limited_matrix_complex_stack(rng):
 
 def per_ray_marginals(factors, grid, thetas, radii, x):
     """Marginals of the factored kernels, each ray rotated from theta = 0 by
-    _rotate on its own: the reference for the plan's march."""
+    rotate on its own: the reference for the plan's march."""
     weights, amps = factors
     work = _working_grid(grid)
     if work is not grid:
         amps = amps @ _band_limited_matrix(grid.q, work.q).T
     out = np.empty((len(weights), len(thetas), len(x)))
     for k, (theta, r) in enumerate(zip(thetas, radii)):
-        rotated = _rotate(amps, work, theta) @ _band_limited_matrix(work.q, x / r).T
+        rotated = rotate(amps, work, theta) @ _band_limited_matrix(work.q, x / r).T
         out[:, k] = weights @ np.abs(rotated)**2 / r
     return out
 

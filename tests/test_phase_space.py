@@ -13,15 +13,12 @@ from spintomo import (
     build_frame,
     build_spin1_frame,
     fidelity_with_pure,
-    field_to_csv,
     from_vector,
     gaussian_packet,
     husimi_from_wigner,
-    load_field,
     oscillator_eigenstate,
     random_band_limited_state,
     random_frame,
-    save_field,
     spin_coherent_state,
     spinor_product_state,
     to_vector,
@@ -116,6 +113,37 @@ class TestTomogramDomain:
         bad[3] = np.nan
         with pytest.raises(ValueError, match="theta"):
             TomogramDomain(kind="optical", x=grid.q, thetas=bad)
+
+    @pytest.mark.parametrize("kind, samples, error", [
+        ("optical", {"thetas": [0.0, 0.5]}, None),
+        ("optical", {"x": PhaseSpaceGrid.balanced(64).q.tolist()}, None),
+        ("symplectic", {"mu": [[0.9, 1.1]]}, "1-D"),
+        ("symplectic", {"mu": [np.nan]}, "finite"),
+        ("symplectic", {"mu": [np.inf]}, "finite"),
+    ], ids=["list-thetas", "list-x", "2d-mu", "nan-mu", "inf-mu"])
+    def test_sample_arrays_stored_as_checked_floats(self, grid64, frame0, kind, samples, error):
+        # sample arrays are 1-D finite float ndarrays once the domain exists:
+        # a float ndarray is kept as given and a list converted, so one plan
+        # serves every call on the domain; anything else is refused before a
+        # transform reads it
+        axes = {"optical": {"thetas": np.pi * np.arange(32) / 32},
+                "symplectic": {"mu": [0.9, 1.1], "nu": [0.8, 1.0]}}[kind]
+        samples = {"x": grid64.q, **axes, **samples}
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                TomogramDomain(kind=kind, **samples)
+            return
+        dom = TomogramDomain(kind=kind, **samples)
+        for name, given in samples.items():
+            stored = getattr(dom, name)
+            assert isinstance(stored, np.ndarray) and stored.dtype == float
+            assert stored is given or not isinstance(given, np.ndarray)
+        tom = portrait(oscillator_eigenstate(grid64, 0), grid64, frame0, "optical", dom)[0]
+        plan = phase_space._plan(grid64, dom.x, dom.thetas)
+        assert "march" in vars(plan)          # built by the portrait
+        assert np.array_equal(
+            portrait(oscillator_eigenstate(grid64, 0), grid64, frame0, "optical", dom)[0], tom)
+        assert phase_space._plan(grid64, dom.x, dom.thetas) is plan
 
 
 class TestFourierHelpers:
@@ -354,11 +382,14 @@ class TestOpticalTomogram:
         tom = portrait(psi, grid128, frame0, "optical", dom)[0]
         assert np.max(np.abs(tom[0] - np.abs(psi)**2)) < 1e-10
 
-    def test_ground_state_theta_independent(self, grid128, frame0):
-        dom = TomogramDomain.optical_default(grid128, 64)
-        tom = portrait(oscillator_eigenstate(grid128, 0), grid128, frame0, "optical", dom)[0]
-        exact = np.exp(-dom.x**2) / np.sqrt(np.pi)
-        assert np.max(np.abs(tom - exact[None, :])) < 1e-8
+    def test_ground_state_theta_independent(self, grid64, grid128, frame0):
+        for grid, n_theta in ((grid128, 64), (grid64, 32)):
+            dom = TomogramDomain.optical_default(grid, n_theta)
+            v = to_vector(SpinorDensity.from_pure(oscillator_eigenstate(grid, 0)[None], grid),
+                          frame0, "optical", dom)
+            exact = np.exp(-dom.x**2) / np.sqrt(np.pi)
+            assert np.max(np.abs(v.components[0] - exact[None, :])) < 1e-8
+            assert abs(v.component_integrals()[0] - 1.0) < 1e-8
 
     def test_theta_half_pi_is_momentum_density(self, grid128, frame0):
         psi = gaussian_packet(grid128, 0.8, 0.5, 0.9)
@@ -780,43 +811,3 @@ class TestHusimi:
         h = portrait(random_band_limited_state(grid128, rng), grid128, frame0, "husimi")[0]
         bound = (1.0 + 1e-6) / (2 * np.pi * grid128.hbar)
         assert h.max() <= bound
-
-
-class TestFieldIO:
-    def test_binary_round_trip(self, grid64, tmp_path, rng, frame0):
-        w = ScalarField(grid64, portrait(random_band_limited_state(grid64, rng), grid64,
-                                         frame0)[0], "wigner")
-        save_field(w, tmp_path / "field")
-        restored = load_field(tmp_path / "field")
-        assert np.max(np.abs(restored.values - w.values)) == 0.0
-        assert restored.grid == w.grid
-        assert restored.kind == "wigner"
-
-    def test_optical_round_trip_with_domain(self, grid64, tmp_path, frame0):
-        dom = TomogramDomain.optical_default(grid64, 32)
-        tom = optical_field(oscillator_eigenstate(grid64, 0), grid64, frame0, dom)
-        save_field(tom, tmp_path / "tom")
-        restored = load_field(tmp_path / "tom")
-        assert np.max(np.abs(restored.values - tom.values)) == 0.0
-        assert np.max(np.abs(restored.domain.thetas - dom.thetas)) == 0.0
-
-    def test_csv_export(self, grid64, tmp_path, frame0):
-        w = ScalarField(grid64, portrait(oscillator_eigenstate(grid64, 0), grid64, frame0)[0],
-                        "wigner")
-        field_to_csv(w, tmp_path / "w.csv")
-        lines = (tmp_path / "w.csv").read_text().splitlines()
-        assert lines[0] == "q,p,value"
-        assert len(lines) == 1 + 64 * 64
-        assert [float(c) for c in lines[1].split(",")] == [grid64.q[0], grid64.p[0],
-                                                           w.values[0, 0]]
-
-    def test_csv_export_optical(self, grid64, tmp_path, frame0):
-        dom = TomogramDomain.optical_default(grid64, 32)
-        v = to_vector(SpinorDensity.from_pure(oscillator_eigenstate(grid64, 0)[None], grid64),
-                      frame0, "optical", dom)
-        assert abs(v.component_integrals()[0] - 1.0) < 1e-8
-        field_to_csv(ScalarField(grid64, v.components[0], "optical", domain=dom),
-                     tmp_path / "t.csv")
-        lines = (tmp_path / "t.csv").read_text().splitlines()
-        assert lines[0] == "theta,X,value"
-        assert len(lines) == 1 + 32 * 64

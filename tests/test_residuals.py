@@ -16,6 +16,7 @@ from spintomo import (
     evolve_oracle,
     husimi_from_wigner,
     oscillator_eigenstate,
+    random_frame,
     residual_check,
     residual_convergence,
     spin_eigenvector,
@@ -29,6 +30,7 @@ from spintomo.residuals import default_domain, optical_generator, representation
 
 FIELD = EMFieldConfig(phi=(0.0, 0.2, 0.5), b_field=[0.4, 0.3, 0.5], kappa=0.8, spin=1.0)
 SPEC = StateSpec(spin_direction=(1, 0, 0), spin_m=1.0, q0=0.8, p0=0.5, sigma=1.0)
+REPS = ["wigner", "optical", "symplectic-section", "husimi"]
 
 
 def short_trajectory(grid, fld, n_frames=3, dt_frame=0.02, substeps=5):
@@ -48,8 +50,7 @@ class TestResidualCheck:
             spinor_product_state(grid, chi, oscillator_eigenstate(grid, 0)), grid)
         from spintomo.dynamics import Trajectory
         traj = Trajectory(times=np.array([0.0, 0.01, 0.02]), states=[rho, rho, rho],
-                          energies=np.zeros(3), traces=np.ones(3), field=fld,
-                          scheme="split-step-strang")
+                          energies=np.zeros(3), traces=np.ones(3))
         report = residual_check(traj, fld, "wigner", frame)
         assert report.max_residual < 1e-12
 
@@ -88,8 +89,7 @@ class TestResidualCheck:
         assert len(report.per_frame_max) == 2
         assert report.max_residual >= report.per_frame_max.min()
         assert report.l2_residual > 0
-        d = report.as_dict()
-        assert d["meta"]["n"] == 64
+        assert report.meta["n"] == 64
 
     def test_gauge_constant_invisible(self, frame):
         grid = PhaseSpaceGrid.balanced(64)
@@ -164,16 +164,28 @@ class TestConvergence:
         assert 3.0 <= report.ratio_max <= 5.0
         assert report.coarse.max_residual < 0.05
 
-    @pytest.mark.parametrize("rep", ["wigner", "optical", "symplectic-section", "husimi"])
-    def test_second_order_at_non_unit_constants(self, frame, rep):
-        # hbar, grid mass and omega differ from 1 and from the field mass, so
-        # a drift that mixes up the grid's m omega and the field's m, or that
-        # assumes unit constants, stops converging
-        fld = EMFieldConfig(phi=(0.0, 0.2, 0.5), b_field=[0.4, 0.3, 0.5], kappa=0.8,
-                            mass=0.7, spin=1.0)
-        grid = PhaseSpaceGrid.balanced(128, hbar=0.8, mass=1.5, omega=1.3)
-        report = residual_convergence(rep, fld, frame, SPEC, n=128, length=grid.length,
-                                      hbar=0.8, mass=1.5, omega=1.3)
+    @pytest.mark.parametrize("rep, s", [(rep, 1.0) for rep in REPS]
+                             + [(rep, s) for s in (0.5, 1.5) for rep in REPS],
+                             ids=REPS + [f"{rep}-spin-{s}" for s in (0.5, 1.5) for rep in REPS])
+    def test_second_order_at_non_unit_constants(self, frame, rep, s):
+        if s == 1.0:
+            # hbar, grid mass and omega differ from 1 and from the field mass,
+            # so a drift that mixes up the grid's m omega and the field's m,
+            # or that assumes unit constants, stops converging
+            fld = EMFieldConfig(phi=(0.0, 0.2, 0.5), b_field=[0.4, 0.3, 0.5], kappa=0.8,
+                                mass=0.7, spin=1.0)
+            grid = PhaseSpaceGrid.balanced(128, hbar=0.8, mass=1.5, omega=1.3)
+            report = residual_convergence(rep, fld, frame, SPEC, n=128, length=grid.length,
+                                          hbar=0.8, mass=1.5, omega=1.3)
+        else:
+            # the evolution equations at other spins: the residual scenario's
+            # field and packet with m = s, on a random frame of spin s
+            fld = EMFieldConfig(phi=(0.0, 0.2, 0.5), b_field=[0.4, 0.3, 0.5], kappa=0.8,
+                                spin=s)
+            spec = StateSpec(spin_direction=(1, 0, 0), spin_m=s, q0=0.8, p0=0.5, sigma=1.0)
+            report = residual_convergence(rep, fld, random_frame(s, 0), spec, n=64,
+                                          length=PhaseSpaceGrid.balanced(64).length,
+                                          n_theta=32)
         assert 3.0 <= report.ratio_max <= 5.0
 
 

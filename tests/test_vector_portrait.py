@@ -16,15 +16,12 @@ from spintomo import (
     fidelity_with_pure,
     from_vector,
     gaussian_packet,
-    load_field,
     oscillator_eigenstate,
     random_band_limited_state,
     random_frame,
-    save_vector,
     spin_coherent_state,
     spinor_product_state,
     to_vector,
-    vector_to_csv,
 )
 from spintomo import vector_portrait
 from spintomo.phase_space import _wigner_of_factors, radon_slices, symplectic_profiles
@@ -400,40 +397,3 @@ class TestAudit:
                                                      scheme="wigner-spectral", save_every=10))
         assert np.array_equal(traj.frames[0].imag_residues, v0.imag_residues)
         assert not any(audit(f).realness_ok for f in traj.frames)
-
-
-class TestSerialization:
-    def test_save_vector_files(self, frame, grid64, tmp_path):
-        rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
-        for rep, dom in (("wigner", None), ("husimi", None),
-                         ("optical", TomogramDomain.optical_default(grid64, 32)),
-                         ("symplectic-section", TomogramDomain.symplectic_grid(
-                             grid64, [0.9, 1.1], [0.8, 1.0]))):
-            v = to_vector(rho, frame, rep, dom)
-            save_vector(v, tmp_path / rep, "vec")
-            assert (tmp_path / rep / "vec.json").exists()
-            assert (tmp_path / rep / "vec_w1.bin").exists()
-            assert (tmp_path / rep / "vec_w9.json").exists()
-            back = load_field(tmp_path / rep / "vec_w9")
-            assert back.kind == rep
-            assert np.array_equal(back.values, v.components[8])
-
-    def test_save_vector_keeps_imag_residues(self, frame, grid64, tmp_path):
-        # the six-level state fails the realness check on balanced(64); its
-        # saved components must say so
-        v = to_vector(rank2_density(grid64, np.random.default_rng(0)), frame, "wigner")
-        assert np.max(v.imag_residues) > 1e-9
-        save_vector(v, tmp_path, "vec")
-        saved = [load_field(tmp_path / f"vec_w{j + 1}").imag_residue for j in range(9)]
-        assert saved == [float(r) for r in v.imag_residues]
-
-    def test_csv_export(self, frame, grid64, tmp_path):
-        rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
-        dom = TomogramDomain.optical_default(grid64, 32)
-        v = to_vector(rho, frame, "optical", dom)
-        vector_to_csv(v, tmp_path / "v.csv")
-        lines = (tmp_path / "v.csv").read_text().splitlines()
-        assert lines[0].startswith("theta,X,w1")
-        assert len(lines) == 1 + 32 * 64
-        assert [float(c) for c in lines[1].split(",")] == [
-            dom.thetas[0], dom.x[0], *v.components[:, 0, 0]]
