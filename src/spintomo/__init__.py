@@ -23,7 +23,6 @@ from .errors import (
     SchemeMismatchError,
     UndersampledDomainError,
     UnsupportedInverseError,
-    UnsupportedPotentialError,
 )
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
 from .phase_space import (

@@ -14,17 +14,18 @@ imag_residues carry the imaginary part that complex shears would have left
 at the Nyquist bin, per component.
 
 The oracle's Strang scheme applies the uniform Zeeman term once per saved
-chunk of m steps and, under a static field, advances a chunk by the m-th power
-of the one-step n x n Strang matrix when that costs no more than stepping (see
-evolve_oracle); otherwise it steps."""
+chunk of m steps and advances a chunk by the m-th power of the one-step n x n
+Strang matrix when that costs no more than stepping (see evolve_oracle);
+otherwise it steps with the tomogram rotation's chirp-Fresnel-chirp sandwich."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import SchemeMismatchError, UnsupportedPotentialError
+from .errors import SchemeMismatchError
 from .grids import PhaseSpaceGrid
+from .phase_space import _shear as _sandwich    # chirp . F^-1 fresnel F . chirp steps
 from .spin_frames import SpinFrame, projection_values, spin_operators
 from .vector_portrait import SpinorDensity, VectorDistribution
 
@@ -32,22 +33,36 @@ ORACLE_SCHEMES = ("split-step-strang", "rk4-ode")
 WIGNER_SCHEME = "wigner-spectral"
 
 
+def _finite(val, shape: tuple, name: str) -> np.ndarray:
+    """val as a finite float array of the given shape; ValueError otherwise."""
+    try:
+        arr = np.asarray(val, dtype=float)
+        if arr.shape == shape and np.all(np.isfinite(arr)):
+            return arr
+    except (TypeError, ValueError):
+        pass
+    what = f"{shape[0]} finite numbers" if shape else "a finite number"
+    raise ValueError(f"{name} must be {what}, got {val!r}")
+
+
 @dataclass(frozen=True)
 class EMFieldConfig:
     """Electromagnetic environment of a charged particle with a magnetic moment.
 
-    phi is either a (c0, c1, c2) tuple for c0 + c1 q + c2 q^2 or a callable
-    phi(q, t); a_long is the uniform longitudinal vector potential component
-    (float or callable of t); b_field is the uniform magnetic field 3-vector.
+    The fields are static: phi holds the coefficients (c0, c1, c2) of
+    c0 + c1 q + c2 q^2 (default the zero potential), a_long is the uniform
+    longitudinal vector potential component and b_field the uniform magnetic
+    field 3-vector.  In this class the evolution operators truncate exactly.
     The transverse vector-potential slopes implied by b_field are
     dA_y/dq = B_z and dA_z/dq = -B_y; a longitudinal-only grid carries no
     orbital coupling for them, so b_field enters through the magnetic-moment
     term alone.  B_x has no A(q)-only representation and is treated the same
-    way.  mass and c_light must be positive.
+    way.  Every number must be finite, and mass and c_light positive;
+    anything else raises ValueError.
     """
 
-    phi: object = None
-    a_long: object = 0.0
+    phi: tuple = (0.0, 0.0, 0.0)
+    a_long: float = 0.0
     b_field: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
     e: float = 1.0
     c_light: float = 1.0
@@ -56,56 +71,29 @@ class EMFieldConfig:
     spin: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "b_field", np.asarray(self.b_field, dtype=float))
-        if self.b_field.shape != (3,) or not np.all(np.isfinite(self.b_field)):
-            raise ValueError("b_field must be a finite 3-vector")
+        object.__setattr__(self, "phi", tuple(_finite(self.phi, (3,), "phi").tolist()))
+        object.__setattr__(self, "a_long", float(_finite(self.a_long, (), "a_long")))
+        object.__setattr__(self, "b_field", _finite(self.b_field, (3,), "b_field"))
         for name in ("e", "c_light", "kappa", "mass", "spin"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            _finite(getattr(self, name), (), name)
         for name in ("mass", "c_light"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def is_quadratic(self) -> bool:
-        return self.phi is None or isinstance(self.phi, (tuple, list))
-
-    def phi_coeffs(self) -> tuple[float, float, float]:
-        if self.phi is None:
-            return (0.0, 0.0, 0.0)
-        if not self.is_quadratic:
-            raise UnsupportedPotentialError(
-                "potential is a general callable; only quadratic potentials "
-                "truncate the evolution operators exactly")
-        c = tuple(float(v) for v in self.phi)
-        if len(c) != 3:
-            raise ValueError("quadratic potential needs exactly (c0, c1, c2)")
-        return c
-
-    def phi_at(self, q: np.ndarray, t: float = 0.0):
-        if self.phi is None:
-            return np.zeros_like(q)
-        if callable(self.phi):
-            return self.phi(q, t)
-        c0, c1, c2 = self.phi_coeffs()
+    def phi_at(self, q: np.ndarray) -> np.ndarray:
+        c0, c1, c2 = self.phi
         return c0 + c1 * q + c2 * q * q
-
-    def a_at(self, t: float = 0.0) -> float:
-        return float(self.a_long(t)) if callable(self.a_long) else float(self.a_long)
 
     def phase_flow(self) -> np.ndarray:
         """Affine generator L of the classical flow, d(q, p, 1)/dt = L (q, p, 1):
         dq/dt = (p - eA/c)/m and dp/dt = -e phi'(q) = -e (c1 + 2 c2 q).
 
         The Strang step and the Wigner, Husimi, optical and symplectic drifts
-        are all images of this flow.  Raises UnsupportedPotentialError for a
-        callable phi or a_long, where no such flow exists.
+        are all images of this flow.
         """
-        _, c1, c2 = self.phi_coeffs()
-        if callable(self.a_long):
-            raise UnsupportedPotentialError("the phase-space flow needs a static a_long")
+        _, c1, c2 = self.phi
         m, e, c = self.mass, self.e, self.c_light
-        return np.array([[0.0, 1.0 / m, -e * self.a_at() / (m * c)],
+        return np.array([[0.0, 1.0 / m, -e * self.a_long / (m * c)],
                          [-2.0 * e * c2, 0.0, -e * c1],
                          [0.0, 0.0, 0.0]])
 
@@ -132,10 +120,12 @@ class PropagatorConfig:
     save_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.n_steps < 1 or self.save_every < 1:
-            raise ValueError("n_steps and save_every must be >= 1")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        for name in ("n_steps", "save_every"):
+            val = getattr(self, name)
+            if not isinstance(val, (int, np.integer)) or val < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
 
 
 def spin_coupling_matrix(frame: SpinFrame, b_field, kappa: float, s: float,
@@ -154,8 +144,7 @@ def spin_coupling_matrix(frame: SpinFrame, b_field, kappa: float, s: float,
 # Hamiltonian action and the exact-oracle propagator
 # ---------------------------------------------------------------------------
 
-def hamiltonian_apply(psi: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
-                      t: float = 0.0) -> np.ndarray:
+def hamiltonian_apply(psi: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig) -> np.ndarray:
     """H psi for a spinor field psi of shape (2s+1, n).
 
     Kinetic term (p - eA/c)^2 / 2m evaluated spectrally, scalar potential
@@ -163,9 +152,9 @@ def hamiltonian_apply(psi: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
     """
     psi = np.asarray(psi, dtype=complex)
     hk = grid.hbar * grid.k_fft
-    kin_diag = (hk - fld.e * fld.a_at(t) / fld.c_light) ** 2 / (2.0 * fld.mass)
+    kin_diag = (hk - fld.e * fld.a_long / fld.c_light) ** 2 / (2.0 * fld.mass)
     out = np.fft.ifft(kin_diag[None, :] * np.fft.fft(psi, axis=1), axis=1)
-    out += fld.e * fld.phi_at(grid.q, t)[None, :] * psi
+    out += fld.e * fld.phi_at(grid.q)[None, :] * psi
     out += fld.zeeman_matrix() @ psi
     return out
 
@@ -184,55 +173,26 @@ class Trajectory:
     traces: np.ndarray
 
 
-def _is_static(fld: EMFieldConfig) -> bool:
-    return not (callable(fld.phi) or callable(fld.a_long))
-
-
-def _strang_factors(grid: PhaseSpaceGrid, fld: EMFieldConfig, dt: float,
-                    t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Half potential kick and kinetic phase of a Strang step of size dt whose
-    midpoint is t."""
-    half_v = np.exp(-0.5j * dt * fld.e * fld.phi_at(grid.q, t) / grid.hbar)
-    kin = np.exp(-1j * dt * (grid.hbar * grid.k_fft - fld.e * fld.a_at(t) / fld.c_light) ** 2
+def _strang_factors(grid: PhaseSpaceGrid, fld: EMFieldConfig,
+                    dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Half potential kick and kinetic phase of a Strang step of size dt."""
+    half_v = np.exp(-0.5j * dt * fld.e * fld.phi_at(grid.q) / grid.hbar)
+    kin = np.exp(-1j * dt * (grid.hbar * grid.k_fft - fld.e * fld.a_long / fld.c_light) ** 2
                  / (2.0 * fld.mass * grid.hbar))
     return half_v, kin
 
 
-def _strang_steps(psis: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
-                  t0: float, dt: float, n_sub: int) -> np.ndarray:
-    """Advance the spatial part of an ensemble (k, d, n) by n_sub Strang
-    substeps of size dt."""
-    fixed = _strang_factors(grid, fld, dt, t0) if _is_static(fld) else None
-    t = t0
-    for _ in range(n_sub):
-        half_v, kin = fixed or _strang_factors(grid, fld, dt, t + 0.5 * dt)
-        psis = half_v * np.fft.ifft(kin * np.fft.fft(half_v * psis, axis=2), axis=2)
-        t += dt
-    return psis
-
-
-def _strang_power(grid: PhaseSpaceGrid, fld: EMFieldConfig, dt: float, m: int) -> np.ndarray:
-    """S^m for the one-step Strang matrix S = diag(h) F^-1 diag(kin) F diag(h)
-    of a static field, with h the half potential kick and F the FFT."""
-    half_v, kin = _strang_factors(grid, fld, dt, 0.0)
-    step = half_v[:, None] * np.fft.ifft(kin[:, None] * np.fft.fft(np.diag(half_v), axis=0),
-                                         axis=0)
-    return np.linalg.matrix_power(step, m)
-
-
 def _rk4_steps(psis: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
-               t0: float, dt: float, n_sub: int) -> np.ndarray:
-    def deriv(p, t):
-        return np.stack([hamiltonian_apply(pk, grid, fld, t) for pk in p]) / (1j * grid.hbar)
+               dt: float, n_sub: int) -> np.ndarray:
+    def deriv(p):
+        return np.stack([hamiltonian_apply(pk, grid, fld) for pk in p]) / (1j * grid.hbar)
 
-    t = t0
     for _ in range(n_sub):
-        k1 = deriv(psis, t)
-        k2 = deriv(psis + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = deriv(psis + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = deriv(psis + dt * k3, t + dt)
+        k1 = deriv(psis)
+        k2 = deriv(psis + 0.5 * dt * k1)
+        k3 = deriv(psis + 0.5 * dt * k2)
+        k4 = deriv(psis + dt * k3)
         psis = psis + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
     return psis
 
 
@@ -247,15 +207,16 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     since the uniform Zeeman term H_s acts on the spin index alone and
     commutes with the rest of H: the spin part is the one matrix
     expm(-i m dt H_s / hbar), formed from the eigenpairs of the Hermitian H_s.
-    For a static field (phi a tuple or None, a_long not callable) every
-    Strang step is the same n x n matrix S, so the spatial part of a chunk
-    is S^m, formed by binary powering once per distinct chunk length and
-    applied as one product.  It is used when those 2 ceil(log2 m) n x n
-    products cost no more than n_steps dense steps, 2 ceil(log2 m) n <=
-    n_steps, and one n x n product per chunk no more than m FFT steps,
-    n <= m ceil(log2 n).  Otherwise, and for time-dependent
-    fields, the spatial part is stepped.  The scheme is Strang either way,
-    with its O(dt^2) error.
+    Each Strang step of the spatial part is the sandwich S = diag(h) F^-1
+    diag(kin) F diag(h) of the half potential kick h, kinetic phase kin and
+    FFT F: phase_space._shear with h as chirp and kin as Fresnel factor.  A
+    chunk is stepped, or is S^m (S the sandwich of the identity), formed by
+    binary powering once per distinct chunk length and applied as one
+    product.  Powering is used when those 2 ceil(log2 m) n x n products
+    cost no more than n_steps dense steps, 2 ceil(log2 m) n <= n_steps, and
+    one n x n product per chunk no more than m FFT steps,
+    n <= m ceil(log2 n).  The scheme is Strang either way, with its O(dt^2)
+    error.
     """
     if prop.scheme not in ORACLE_SCHEMES:
         raise SchemeMismatchError(
@@ -266,26 +227,29 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     dt = prop.dt
     m = min(prop.save_every, prop.n_steps)
     # the size rule of the docstring; (k - 1).bit_length() is ceil(log2 k)
-    powered = (_is_static(fld) and 2 * (m - 1).bit_length() * grid.n <= prop.n_steps
+    powered = (2 * (m - 1).bit_length() * grid.n <= prop.n_steps
                and grid.n <= m * (grid.n - 1).bit_length())
+    half_v, kin = _strang_factors(grid, fld, dt)
     powers = {}    # chunk length -> S^chunk, at most two lengths
     zeeman, zeeman_basis = np.linalg.eigh(fld.zeeman_matrix())
 
-    def advance(psis, t, n_sub):
+    def advance(psis, n_sub):
         if prop.scheme == "rk4-ode":
-            return _rk4_steps(psis, grid, fld, t, dt, n_sub)
+            return _rk4_steps(psis, grid, fld, dt, n_sub)
         if powered:
             if n_sub not in powers:
-                powers[n_sub] = _strang_power(grid, fld, dt, n_sub)
+                # the sandwich maps each row of the identity to a column of S
+                step = _sandwich(np.eye(grid.n), (1, half_v, kin)).T
+                powers[n_sub] = np.linalg.matrix_power(step, n_sub)
             psis = psis @ powers[n_sub].T
         else:
-            psis = _strang_steps(psis, grid, fld, t, dt, n_sub)
+            psis = _sandwich(psis, (n_sub, half_v, kin))
         spin = (zeeman_basis * np.exp(-1j * n_sub * dt * zeeman / grid.hbar)) \
             @ zeeman_basis.conj().T
         return np.einsum("ab,kbn->kan", spin, psis)
 
-    def energy(p, t):
-        return sum(w * expectation(pk, grid, hamiltonian_apply(pk, grid, fld, t))
+    def energy(p):
+        return sum(w * expectation(pk, grid, hamiltonian_apply(pk, grid, fld))
                    for w, pk in zip(probs, p))
 
     times = [t0]
@@ -294,12 +258,12 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     done = 0
     while done < prop.n_steps:
         chunk = min(prop.save_every, prop.n_steps - done)
-        psis = advance(psis, t, chunk)
+        psis = advance(psis, chunk)
         t += chunk * dt
         done += chunk
         times.append(t)
         states.append(SpinorDensity.from_mixture(probs, psis, grid))
-    energies = [energy(s.factors[1], t) for s, t in zip(states, times)]
+    energies = [energy(s.factors[1]) for s in states]
     return Trajectory(times=np.asarray(times), states=states,
                       energies=np.asarray(energies),
                       traces=np.asarray([s.trace() for s in states]))
@@ -434,8 +398,8 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     uniform fields.
 
     The drift is -(L z).grad w with z = (q, p, 1) and L = fld.phase_flow()
-    (the operator series truncates at first derivatives for this field class;
-    other fields raise UnsupportedPotentialError).  prop.dt is the Strang step
+    (the operator series truncates at first derivatives for this field
+    class, the only one EMFieldConfig holds).  prop.dt is the Strang step
     kick(dt/2) drift(dt) kick(dt/2); each step is an affine symplectic map of
     (q, p), so the steps between two saved frames compose in closed form to
     one map w(z) -> w(M z).  M is applied as three spectral shears (Paeth

@@ -17,10 +17,6 @@ class SchemeMismatchError(ValueError):
     """Propagation scheme not applicable to the requested operation."""
 
 
-class UnsupportedPotentialError(ValueError):
-    """Field outside the exactly-truncating class (quadratic potential, uniform fields)."""
-
-
 class UnsupportedInverseError(ValueError):
     """Requested inverse map is ill-posed by design (e.g. Husimi deconvolution)."""
 

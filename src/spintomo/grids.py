@@ -15,6 +15,12 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_positive(**scales) -> None:
+    for name, val in scales.items():
+        if not (np.isfinite(val) and val > 0):
+            raise ValueError(f"{name} must be finite and positive, got {val!r}")
+
+
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
     """Uniform 1-D position grid with its FFT-conjugate momentum grid.
@@ -28,6 +34,9 @@ class PhaseSpaceGrid:
     state is grid-supported: mass inside the box in q, and momentum content
     within half the p-range (the transforms Fourier-interpolate at half-grid
     points).
+
+    x0 must be finite, and dx, hbar, mass and omega finite and positive;
+    anything else raises ValueError.
     """
 
     n: int
@@ -40,8 +49,9 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         if not _is_power_of_two(self.n) or self.n < 32:
             raise ValueError(f"grid size must be a power of two >= 32, got {self.n}")
-        if self.dx <= 0 or self.hbar <= 0 or self.mass <= 0 or self.omega <= 0:
-            raise ValueError("dx, hbar, mass, omega must all be positive")
+        _check_positive(dx=self.dx, hbar=self.hbar, mass=self.mass, omega=self.omega)
+        if not np.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0!r}")
 
     @classmethod
     def centered(cls, n: int, length: float, hbar: float = 1.0,
@@ -54,6 +64,7 @@ class PhaseSpaceGrid:
                  omega: float = 1.0) -> "PhaseSpaceGrid":
         """Centered grid with dp = m*omega*dq, so quadrature rays at any angle
         stay inside the supported frequency band."""
+        _check_positive(hbar=hbar, mass=mass, omega=omega)
         length = float(np.sqrt(2.0 * np.pi * hbar * n / (mass * omega)))
         return cls.centered(n, length, hbar, mass, omega)
 

@@ -269,7 +269,9 @@ def _shear_factors(work: PhaseSpaceGrid, theta: float) -> tuple:
 
 
 def _shear(amps: np.ndarray, factors: tuple) -> np.ndarray:
-    """Apply the sub-rotations of _shear_factors to amplitudes (..., N)."""
+    """Apply the sandwich chirp . F^-1 fresnel F . chirp n_sub times along the
+    last axis of amplitudes (..., N): the sub-rotations of _shear_factors, and
+    the Strang steps of dynamics.evolve_oracle."""
     n_sub, chirp, fresnel = factors
     for _ in range(n_sub):
         amps = chirp * np.fft.ifft(fresnel * np.fft.fft(chirp * amps, axis=-1), axis=-1)

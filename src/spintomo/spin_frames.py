@@ -78,7 +78,7 @@ def _unit_direction(n) -> np.ndarray:
     if n.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {n.shape}")
     norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"direction must be unit length, |n| = {norm!r}")
     return n / norm
 

@@ -17,9 +17,24 @@ def normalize_field(psi: np.ndarray, dx: float) -> np.ndarray:
     return psi / norm
 
 
+def _unit(vec, dtype, what: str) -> np.ndarray:
+    """vec / |vec|; a zero or non-finite vec raises ValueError before the division."""
+    vec = np.asarray(vec, dtype=dtype)
+    norm = np.linalg.norm(vec)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"{what} must be nonzero and finite, got {vec!r}")
+    return vec / norm
+
+
 def gaussian_packet(grid: PhaseSpaceGrid, q0: float = 0.0, p0: float = 0.0,
                     sigma: float = 1.0) -> np.ndarray:
-    """Normalized Gaussian wavepacket exp(-(q-q0)^2/(4 sigma^2) + i p0 q / hbar)."""
+    """Normalized Gaussian wavepacket exp(-(q-q0)^2/(4 sigma^2) + i p0 q / hbar).
+
+    q0 and p0 must be finite and sigma finite and positive; anything else
+    raises ValueError."""
+    if not (math.isfinite(q0) and math.isfinite(p0) and 0.0 < sigma < math.inf):
+        raise ValueError("a packet needs finite q0 and p0 and a finite positive sigma, "
+                         f"got q0={q0!r}, p0={p0!r}, sigma={sigma!r}")
     q = grid.q
     psi = np.exp(-((q - q0) ** 2) / (4.0 * sigma**2) + 1j * p0 * q / grid.hbar)
     return normalize_field(psi, grid.dx)
@@ -63,18 +78,18 @@ def random_band_limited_state(grid: PhaseSpaceGrid, rng: np.random.Generator,
 
 def spinor_product_state(grid: PhaseSpaceGrid, spin_vector: np.ndarray,
                          spatial: np.ndarray) -> np.ndarray:
-    """Pure spinor field chi (x) psi, shape (2s+1, n)."""
-    chi = np.asarray(spin_vector, dtype=complex)
-    chi = chi / np.linalg.norm(chi)
+    """Pure spinor field chi (x) psi, shape (2s+1, n), chi the normalized
+    spin_vector (nonzero and finite, else ValueError)."""
+    chi = _unit(spin_vector, complex, "spin vector")
     return np.outer(chi, spatial).astype(complex)
 
 
 def spin_coherent_state(grid: PhaseSpaceGrid, direction, s: float = 1.0,
                         m: float | None = None, q0: float = 0.0, p0: float = 0.0,
                         sigma: float = 1.0) -> np.ndarray:
-    """Spin eigenstate along a direction, tensored with a Gaussian packet."""
+    """Spin eigenstate along a direction (nonzero and finite, else
+    ValueError), tensored with a Gaussian packet."""
     if m is None:
         m = s
-    chi = spin_eigenvector(s, np.asarray(direction, dtype=float) /
-                           np.linalg.norm(direction), m)
+    chi = spin_eigenvector(s, _unit(direction, float, "spin direction"), m)
     return spinor_product_state(grid, chi, gaussian_packet(grid, q0, p0, sigma))

@@ -127,8 +127,12 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     real Wigner transform of K_j = Tr_spin(U_j rho) leaves out
     (phase_space._imag_residues), whatever the representation: dx / (2 pi hbar)
     times the largest |Im K_j(q + L/4, q - L/4)|, the component's coherence at
-    half-box separation (L the box length).  It is round-off (about 1e-18) for
-    grid-supported states; the audit's realness check fails above 1e-12.
+    half-box separation (L the box length); the audit's realness check fails
+    above 1e-12.  It is round-off (about 1e-18) only where those coherences
+    are real, as for a packet at rest: a Gaussian packet of width sigma and
+    momentum p0 reads about exp(-L^2 / (32 sigma^2)) |sin(p0 L / (2 hbar))|
+    there, so on balanced(128) (q0, p0, sigma) = (1, 0.5, 1) gives 1.2e-13
+    and (1, 0.5, 1.1) gives 8.8e-12.
 
     Each representation is computed from the factors phi_jr directly: the
     Wigner stack (_wigner_of_factors) is built only for the Wigner and Husimi

@@ -53,7 +53,7 @@ def moyal_runs():
     t0 = time.perf_counter()
 
     # free-particle shear
-    fld_free = EMFieldConfig(phi=None, spin=1.0)
+    fld_free = EMFieldConfig(spin=1.0)
     psi_a = spinor_product_state(grid, chi_x, gaussian_packet(grid, -1.0, 1.5, 1.0))
     v0_a = to_vector(SpinorDensity.from_pure(psi_a, grid), FRAME, "wigner")
     runs["free"] = (v0_a, evolve_wigner_vector(

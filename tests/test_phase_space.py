@@ -70,6 +70,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             PhaseSpaceGrid.centered(16, 16.0)
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: PhaseSpaceGrid.balanced(128, hbar=np.nan), id="balanced-hbar-nan"),
+        pytest.param(lambda: PhaseSpaceGrid.balanced(128, mass=0.0), id="balanced-mass-0"),
+        pytest.param(lambda: PhaseSpaceGrid.balanced(128, omega=-1.0), id="balanced-omega-neg"),
+        pytest.param(lambda: PhaseSpaceGrid.centered(128, np.inf), id="centered-length-inf"),
+        pytest.param(lambda: PhaseSpaceGrid.centered(128, np.nan), id="centered-length-nan"),
+        pytest.param(lambda: PhaseSpaceGrid(128, 0.1, np.inf), id="x0-inf"),
+        pytest.param(lambda: PhaseSpaceGrid(128, 0.1, -6.4, mass=np.inf), id="mass-inf"),
+        pytest.param(lambda: PhaseSpaceGrid(128, 0.1, -6.4, omega=np.nan), id="omega-nan"),
+        pytest.param(lambda: PhaseSpaceGrid(128, 0.1, -6.4, hbar=-np.inf), id="hbar-neg-inf"),
+    ])
+    def test_non_finite_or_non_positive_refused(self, make):
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
+
     def test_balanced_spacing(self):
         g = PhaseSpaceGrid.balanced(64, mass=2.0, omega=1.5)
         assert g.dp == pytest.approx(2.0 * 1.5 * g.dx, rel=1e-12)

@@ -12,7 +12,6 @@ from spintomo import (
     StateSpec,
     TomogramDomain,
     UndersampledDomainError,
-    UnsupportedPotentialError,
     evolve_oracle,
     husimi_from_wigner,
     oscillator_eigenstate,
@@ -58,7 +57,7 @@ class TestResidualCheck:
         # a constant wavefunction is a zero-momentum eigenstate of the free
         # Hamiltonian on the periodic grid; the residual vanishes identically
         grid = PhaseSpaceGrid.balanced(64)
-        fld = EMFieldConfig(phi=None, spin=1.0)
+        fld = EMFieldConfig(spin=1.0)
         psi_flat = np.ones(grid.n, dtype=complex)
         psi_flat /= np.sqrt(np.sum(np.abs(psi_flat)**2) * grid.dx)
         chi = spin_eigenvector(1.0, [1, 0, 0], 1.0)
@@ -73,13 +72,6 @@ class TestResidualCheck:
                              PropagatorConfig(dt=0.01, n_steps=1, save_every=1))
         with pytest.raises(ValueError, match="3 frames"):
             residual_check(traj, FIELD, "wigner", frame)
-
-    def test_non_quadratic_field_rejected(self, frame):
-        grid = PhaseSpaceGrid.balanced(64)
-        fld = EMFieldConfig(phi=lambda q, t: np.cos(q), spin=1.0)
-        traj = short_trajectory(grid, FIELD)
-        with pytest.raises(UnsupportedPotentialError):
-            residual_check(traj, fld, "wigner", frame)
 
     def test_report_fields(self, frame):
         grid = PhaseSpaceGrid.balanced(64)

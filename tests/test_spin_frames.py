@@ -99,6 +99,8 @@ class TestEigenprojector:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             eigenprojector(1.0, [0, 0, 2.0], 1.0)
+        with pytest.raises(ValueError, match="unit length"):
+            spin_eigenvector(1.0, [0, np.nan, 1.0], 1.0)
 
     def test_phase_convention(self):
         v = spin_eigenvector(1.0, [1, 0, 0], 1.0)

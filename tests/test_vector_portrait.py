@@ -117,6 +117,27 @@ class TestSpinorDensity:
         assert np.max(np.abs(back - rho.blocks)) == 0.0
 
 
+class TestStateInputs:
+    """Degenerate inputs raise ValueError before any arithmetic can warn."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma": 0.0}, {"sigma": np.nan}, {"sigma": -1.0}, {"sigma": np.inf},
+        {"q0": np.nan}, {"p0": np.inf}])
+    def test_gaussian_packet(self, grid64, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_packet(grid64, **kwargs)
+
+    @pytest.mark.parametrize("chi", [[0, 0, 0], [1, np.nan, 0], [np.inf, 0, 0]])
+    def test_spinor_product_state(self, grid64, chi):
+        with pytest.raises(ValueError, match="spin vector"):
+            spinor_product_state(grid64, chi, gaussian_packet(grid64))
+
+    @pytest.mark.parametrize("direction", [[0, 0, 0], [0, np.nan, 1], [0, 0, -np.inf]])
+    def test_spin_coherent_state(self, grid64, direction):
+        with pytest.raises(ValueError, match="spin direction"):
+            spin_coherent_state(grid64, direction)
+
+
 class TestToVector:
     def test_pure_z_state_optical_integrals(self, frame, grid128):
         psi = spinor_product_state(grid128, [1, 0, 0], oscillator_eigenstate(grid128, 0))
