@@ -22,6 +22,7 @@ from .dynamics import (
     ORACLE_SCHEMES,
     EMFieldConfig,
     PropagatorConfig,
+    _strang_factors,
     evolve_oracle,
     fit_precession_frequency,
     spin_coupling_matrix,
@@ -207,6 +208,8 @@ def _check_values(cfg: dict) -> None:
             projection_values(run["spin"])
         except ValueError as exc:
             raise ConfigError(f"run.spin: {exc}") from exc
+    if "phi" in cfg.get("field", ()):
+        _check_strang_factors(cfg)
     if "state" in cfg:
         state = cfg["state"]
         if not np.any(state["spin_direction"]):
@@ -215,6 +218,44 @@ def _check_values(cfg: dict) -> None:
         if not np.any(np.abs(allowed_m - state["spin_m"]) < 1e-9):
             raise ConfigError(f"state.spin_m: expected one of {allowed_m.tolist()} for the "
                               f"spin-1 frame, got {state['spin_m']!r}")
+
+
+def _check_strang_factors(cfg: dict) -> None:
+    """Refuse a field whose potential energy e phi(q) or Strang factors
+    overflow on a grid and step the scenario runs: the half kick
+    exp(-i dt e phi(q) / 2 hbar) (field.phi) and the kinetic phase
+    dt (hbar k - e a_long / c)^2 / (2 m hbar) (field.a_long, with e, c and m).
+    The run would carry NaN states and fail instead."""
+    run = cfg["run"]
+    grid = _grid_from(cfg)
+    if cfg["scenario"] == "wavepacket":
+        levels = [(grid, run["t_final"] / run["n_steps"])]
+    else:
+        # the residual study's two levels: dt on n points, and dt / 2 on 2n
+        # points in the same box for the phase-space representations
+        dt = run["dt_frame"] / run["substeps"]
+        fine = grid
+        if {"wigner", "husimi"} & set(run["representations"]):
+            fine = PhaseSpaceGrid.centered(2 * grid.n, grid.length, grid.hbar, grid.mass,
+                                           grid.omega)
+        levels = [(grid, dt), (fine, dt / 2)]
+    fld = _field_from(cfg)
+    for g, dt in levels:
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = fld.e * fld.phi_at(g.q)
+            kick, kinetic = _strang_factors(g, fld, dt)
+        if not (np.all(np.isfinite(energy)) and np.all(np.isfinite(kick))):
+            raise ConfigError(
+                f"field.phi: the potential energy e phi(q) or the Strang half-kick phase "
+                f"dt e phi(q) / (2 hbar) overflows on the grid (|q| up to "
+                f"{np.max(np.abs(g.q)):g}) for field.phi {list(fld.phi)!r} and field.e "
+                f"{fld.e!r}")
+        if not np.all(np.isfinite(kinetic)):
+            raise ConfigError(
+                f"field.a_long: the Strang kinetic phase dt (hbar k - e a_long / c)^2 / "
+                f"(2 m hbar) overflows on the grid (|hbar k| up to "
+                f"{np.max(np.abs(g.hbar * g.k_fft)):g}) for field.a_long {fld.a_long!r}, "
+                f"field.e {fld.e!r}, field.c {fld.c_light!r} and field.m {fld.mass!r}")
 
 
 def _precession_frequency(kappa: float, b, hbar: float, spin: float = 1.0) -> float:

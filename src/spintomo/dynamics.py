@@ -27,7 +27,7 @@ from .errors import SchemeMismatchError
 from .grids import PhaseSpaceGrid
 from .phase_space import _shear as _sandwich    # chirp . F^-1 fresnel F . chirp steps
 from .spin_frames import SpinFrame, projection_values, spin_operators
-from .vector_portrait import SpinorDensity, VectorDistribution
+from .vector_portrait import _RANK_RTOL, SpinorDensity, VectorDistribution
 
 ORACLE_SCHEMES = ("split-step-strang", "rk4-ode")
 WIGNER_SCHEME = "wigner-spectral"
@@ -352,14 +352,6 @@ def _max_steps(step: np.ndarray, n: int, aspect: float) -> int:
     return lo
 
 
-# Singular values of a component stack below this share of the largest are
-# dropped when evolve_wigner_vector factors it.  A product state's (9, n^2)
-# stack has rank 1, and its other singular values are round-off of the
-# Wigner transform: 2e-16 to 5e-16 of the first for packets on balanced(128),
-# 1.2e-15 for a packet at the band edge of balanced(64).
-_RANK_RTOL = 1e-14
-
-
 def _factor(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with w = A @ B over its components: A (c, R) has orthonormal
     columns, the left singular vectors of the (c, n^2) stack whose singular
@@ -375,9 +367,10 @@ def _factor(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, (a.T @ flat).reshape((a.shape[1],) + w.shape[1:])
 
 
-def _shear(w: np.ndarray, axis: int, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shear(w: np.ndarray, axis: int, turn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Band-limited shift of a real stack (c, n, n) along axis 1 or 2 by
-    phase / k, one shift per line, with phase on the rfftfreq bins of that axis.
+    phase / k, one shift per line, given turn = exp(i phase) on the rfftfreq
+    bins of that axis.
 
     Returns the real shifted stack and, per row and line (c, n), the signed
     part that the shift drops: at the Nyquist bin X_N (grid sizes are even)
@@ -388,8 +381,8 @@ def _shear(w: np.ndarray, axis: int, phase: np.ndarray) -> tuple[np.ndarray, np.
     """
     n = w.shape[axis]
     spec = np.fft.rfft(w, axis=axis)
-    nyq = np.take(spec, -1, axis=axis).real * np.sin(np.take(phase, -1, axis=axis - 1))
-    return np.fft.irfft(np.exp(1j * phase) * spec, n, axis=axis), nyq / n
+    nyq = np.take(spec, -1, axis=axis).real * np.take(turn, -1, axis=axis - 1).imag
+    return np.fft.irfft(turn * spec, n, axis=axis), nyq / n
 
 
 def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
@@ -405,7 +398,8 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     one map w(z) -> w(M z).  M is applied as three spectral shears (Paeth
     1986): a p-shear, a q-shear, a p-shear, with the translation folded into
     their offsets, in as many sub-maps as keep the p-shears within
-    _P_SHEAR_CAP.
+    _P_SHEAR_CAP.  A sub-map and its three phase tables exp(i phase) depend
+    only on its number of steps, so they are built once per distinct length.
 
     The drift acts on phase space alone and the spin coupling dw/dt = S w on
     the component index alone, and the two commute.  So v0's (c, n, n) stack
@@ -450,17 +444,25 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
            else np.array(v0.imag_residues, dtype=float))
     mixing, rows = _factor(w)      # w = mixing @ rows; the shears move only rows
 
+    shears = {}    # sub-map length -> its three shears (axis, exp(i phase))
+
+    def shears_of(steps):
+        if steps not in shears:
+            # w(M z) for M = p-shear . q-shear . p-shear, translation in the offsets
+            (a1, b, cq), (_, d1, cp) = _power(step, steps)[:2]
+            alpha, gamma = d1 / b, a1 / b
+            shears[steps] = [(axis, np.exp(1j * phase)) for axis, phase in (
+                (2, np.outer(alpha * q + (cp - alpha * cq), kp)),
+                (1, np.outer(kq, b * p + cq)),
+                (2, np.outer(gamma * q, kp)))]
+        return shears[steps]
+
     def run_chunk(mixing, rows, res, n_sub):
         k = -(-n_sub // max_steps)
         m, r = divmod(n_sub, k)
         for steps in [m + 1] * r + [m] * (k - r):
-            # w(M z) for M = p-shear . q-shear . p-shear, translation in the offsets
-            (a1, b, cq), (_, d1, cp) = _power(step, steps)[:2]
-            alpha, gamma = d1 / b, a1 / b
-            for axis, phase in ((2, np.outer(alpha * q + (cp - alpha * cq), kp)),
-                                (1, np.outer(kq, b * p + cq)),
-                                (2, np.outer(gamma * q, kp))):
-                rows, dropped = _shear(rows, axis, phase)
+            for axis, turn in shears_of(steps):
+                rows, dropped = _shear(rows, axis, turn)
                 res = res + np.max(np.abs(mixing @ dropped), axis=1)
         mix = expm(s_mat * (n_sub * dt))
         return mix @ mixing, rows, np.abs(mix) @ res

@@ -13,9 +13,11 @@ no separate scalar density entry point.
 Real Wigner maps: a Hermitian kernel's skew correlation C(q, s) is Hermitian
 in the offset s, so both directions transform only the half spectrum
 s = 0..n/2.  Factor -> Wigner (_wigner_of_factors) is one hfft per factor
-into a float64 stack; Wigner -> kernel (_kernel_of_wigner) takes a real stack
-(complex input raises TypeError), runs rfft over p and fills one triangle of
-each kernel, the other being its conjugate.  The one offset without a
+into a float64 stack, and a linear smoothing of the result (the Husimi map)
+runs on whichever are fewer, factors or components.  Wigner -> kernel
+(_kernel_of_wigner) takes a real stack (complex input raises TypeError), runs
+rfft over p and fills one triangle of each kernel, the other being its
+conjugate.  The one offset without a
 partner, n/2, pairs points half a box apart; the imaginary part it gives the
 Wigner function vanishes for grid-supported states and is read in closed
 form from those coherences (_imag_residues).
@@ -24,6 +26,9 @@ Tomograms: a Hermitian kernel K = sum_r lam_r phi_r phi_r^H (signed factors,
 found by eigh only for Wigner input) has the quadrature marginal
 w(X, theta) = sum_r lam_r |R_theta phi_r|^2(X), where R_theta is the
 fractional-Fourier rotation, applied as chirp / Fresnel / chirp FFT shears.
+Rotation is linear, so where the factors are combinations of fewer functions
+(a spinor state's Schmidt functions, see vector_portrait.to_vector) only
+those functions are rotated, and a small matrix forms the factors at each ray.
 The symplectic tomogram of mu q + nu p is the same marginal at X/r, divided
 by r = |(mu, nu m omega)|.  Rotations need equal, origin-centred ranges in q
 and p/(m omega), so the factors are first embedded (by band-limited
@@ -110,7 +115,8 @@ def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
 # density kernel <-> Wigner
 # ---------------------------------------------------------------------------
 
-def _wigner_of_factors(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+def _wigner_of_factors(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGrid,
+                       smooth=None) -> np.ndarray:
     """Wigner functions (c, n, n), float64 on the (q, p-ascending) grid, of the
     kernels K_c = sum_k weights[c, k] a_k a_k^H with amps a_k (k, n): the
     spatial map of to_vector.
@@ -119,9 +125,12 @@ def _wigner_of_factors(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGr
     f(2i + s) f*(2i - s) is Hermitian in the offset, C(i, -s) = conj C(i, s),
     so one Hermitian FFT (hfft) of the offsets s = 0..n/2 gives its Wigner
     function, with the p-axis fftshift folded into a sign (-1)^s.  Factors are
-    taken one at a time and added to the components that weigh them.  The
-    offset n/2 has no partner (it is -n/2 modulo n): hfft reads only its real
-    part, and _imag_residues reads the imaginary part it leaves out.
+    taken one at a time and added to the components that weigh them.  smooth,
+    a linear map of one real (n, n) function (the Husimi smoothing), runs on
+    whichever are fewer: each factor's function before it is added, or each
+    component at the end.  The offset n/2 has no partner (it is -n/2 modulo
+    n): hfft reads only its real part, and _imag_residues reads the imaginary
+    part it leaves out.
     """
     n, half = grid.n, grid.n // 2
     i = np.arange(n)[:, None]
@@ -130,12 +139,18 @@ def _wigner_of_factors(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGr
     b_idx = (2 * i - s) % (2 * n)
     sign = (-1.0) ** s * (grid.dx / (2.0 * np.pi * grid.hbar))
     out = np.zeros((len(weights), n, n))
+    per_factor = smooth is not None and len(amps) < len(weights)
     for col, fine in zip(np.transpose(weights), fourier_upsample2(amps)):
         corr = fine[a_idx] * fine.conj()[b_idx]
         corr *= sign
         w = np.fft.hfft(corr, n, axis=1)
+        if per_factor:
+            w = smooth(w)
         for c in np.flatnonzero(col):
             out[c] += col[c] * w
+    if smooth is not None and not per_factor:
+        for c, w in enumerate(out):
+            out[c] = smooth(w)
     return out
 
 
@@ -397,12 +412,15 @@ def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan
     """Distributions over x of r (q cos(theta) + p sin(theta)/(m omega)) for
     each ray (theta, r) of plan, shape (..., n_rays, n_x).
 
-    A kernel sum_k weights[c, k] a_k a_k^H (factors; by default the signed
-    eigenpairs of the kernels of w_stack, which otherwise gives only the
-    leading shape) has the marginal
-    sum_k weights[c, k] |R_theta a_k|^2(x/r) / r, R_theta the metaplectic
-    rotation.  The rays are visited in ascending theta, each rotated from the
-    one before by plan.march, so a ray costs one sub-rotation per pi/4 of its
+    factors is (weights, amps) or (weights, amps, mix), the kernels
+    sum_k weights[c, k] a_k a_k^H whose rows a are amps, or mix @ amps when
+    mix (k, m) is given and not None; by default the signed eigenpairs of the
+    kernels of w_stack, which otherwise gives only the leading shape.  Such a
+    kernel has the marginal sum_k weights[c, k] |R_theta a_k|^2(x/r) / r,
+    R_theta the metaplectic rotation.  Rotation and dilation are linear, so
+    they act on the m amps alone, and mix forms the rows from them at each
+    ray.  The rays are visited in ascending theta, each rotated from the one
+    before by plan.march, so a ray costs one sub-rotation per pi/4 of its
     angle step instead of per pi/4 of its angle.
     """
     if factors is None:
@@ -413,7 +431,7 @@ def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan
         weights = np.zeros((len(kernels), len(comp)))
         weights[comp, np.arange(len(comp))] = lam[comp, idx]
         factors = (weights, vecs[comp, :, idx])
-    weights, amps = factors
+    weights, amps, mix = (*factors, None)[:3]
 
     if plan.embed is not None:
         amps = amps @ plan.embed
@@ -421,12 +439,13 @@ def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan
     out = np.empty((len(weights), len(plan.march), len(plan.samples[0])))
     for k, shear, dilation, r in plan.march:
         amps = _shear(amps, shear)
-        if dilation is None:
-            density = np.abs(amps)**2
-        else:
+        rows = amps
+        if dilation is not None:
             parts = np.concatenate([amps.real, amps.imag]) @ dilation
-            density = parts[:n_amps]**2 + parts[n_amps:]**2
-        out[:, k] = weights @ density / r
+            rows = parts[:n_amps] + 1j * parts[n_amps:]
+        if mix is not None:
+            rows = mix @ rows
+        out[:, k] = weights @ (rows.real**2 + rows.imag**2) / r
     return out.reshape(w_stack.shape[:-2] + out.shape[1:])
 
 
@@ -436,9 +455,11 @@ def radon_slices(w_stack: np.ndarray, grid: PhaseSpaceGrid,
     """Marginals of Wigner data along X = q cos(theta) + p sin(theta)/(m*omega).
 
     w_stack has shape (..., n, n); returns (..., n_theta, n_x).  A caller
-    that holds the kernels as factors (weights, amps), in the form of
-    _wigner_of_factors, passes them to skip the kernel map and eigh; w_stack
-    is then read for its leading shape only, so a (c, 0, 0) array will do.
+    that holds the kernels as factors passes them to skip the kernel map and
+    eigh: (weights, amps), in the form of _wigner_of_factors, or
+    (weights, amps, mix) for the factors mix @ amps, of which only the amps
+    are rotated (_quadrature_marginals).  w_stack is then read for its
+    leading shape only, so a (c, 0, 0) array will do.
     """
     return _quadrature_marginals(w_stack, grid, _plan(grid, x, thetas), factors)
 

@@ -31,6 +31,14 @@ VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
 # largest imaginary residue the audit accepts as round-off (realness_ok)
 REALNESS_BOUND = 1e-12
 
+# Singular values below this share of the largest are round-off and dropped
+# where a state or a stack is split into rank-one terms (to_vector's Schmidt
+# pairs, dynamics._factor).  A product state's Wigner stack has rank 1, and its
+# other singular values are round-off of the transform: 2e-16 to 5e-16 of the
+# first for packets on balanced(128), 1.2e-15 for a packet at the band edge of
+# balanced(64).
+_RANK_RTOL = 1e-14
+
 
 class SpinorDensity:
     """Spin (x) spatial density sum_r p_r |psi_r><psi_r|.  It holds what it
@@ -119,6 +127,41 @@ class VectorDistribution:
         return float(self.frame.quantizer_traces @ self.component_integrals())
 
 
+def _spin_contracted(probs: np.ndarray, fields: np.ndarray, frame: SpinFrame) -> tuple:
+    """Factors (weights (c, l), amps (m, n), mix (l, m) or None) of the
+    component kernels K_j = Tr_spin(U_j rho) of rho = sum_r p_r |psi_r><psi_r|:
+    K_j = sum_l weights[j, l] a_l a_l^H with rows a = mix @ amps (amps
+    themselves when mix is None).
+
+    One SVD splits each psi_r (d, n) into Schmidt pairs,
+    psi_r = sum_k s_rk chi_rk (x) phi_rk, keeping the k_r singular values above
+    _RANK_RTOL of the largest; amps are the phi_rk, m = sum_r k_r of them.
+    With c_jrk = s_rk u_j^H chi_rk, element r adds
+    p_r sum_kk' c_jrk c*_jrk' phi_rk phi_rk'^H to K_j.  A product element
+    (k_r = 1) is one row phi_r1 of weight p_r |c_jr1|^2 in every component;
+    any other is its (2s+1)^2 rows u_j^H psi_r = sum_k c_jrk phi_rk, each of
+    weight p_r in its own component.  So l <= (2s+1)^2 r, and l = r for a
+    mixture of product states (mix None).
+    """
+    chis, svals, funcs = np.linalg.svd(fields, full_matrices=False)
+    keep = svals > _RANK_RTOL * svals[:, :1]
+    coeffs = np.einsum("ja,rak->rjk", frame.vectors.conj(), chis) * svals[:, None, :]
+    ranks = np.sum(keep, axis=1)
+    n_rows = np.where(ranks > 1, frame.size, ranks)
+    weights = np.zeros((frame.size, np.sum(n_rows)))
+    mix = np.zeros((np.sum(n_rows), np.sum(ranks)), dtype=complex)
+    row = col = 0
+    for p, cf, k, n_row in zip(probs, coeffs, ranks, n_rows):
+        if k == 1:          # a product element: the one row phi_r1
+            weights[:, row] = p * np.abs(cf[:, 0])**2
+            mix[row, col] = 1.0
+        elif k > 1:         # the rows u_j^H psi_r
+            weights[:, row:row + n_row] = p * np.eye(frame.size)
+            mix[row:row + n_row, col:col + k] = cf[:, :k]
+        row, col = row + n_row, col + k
+    return weights, funcs[keep], None if np.all(ranks <= 1) else mix
+
+
 def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
               dom: TomogramDomain | None = None, time: float = 0.0) -> VectorDistribution:
     """Vector distribution of a spinor density in the chosen representation.
@@ -134,11 +177,17 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     there, so on balanced(128) (q0, p0, sigma) = (1, 0.5, 1) gives 1.2e-13
     and (1, 0.5, 1.1) gives 8.8e-12.
 
-    Each representation is computed from the factors phi_jr directly: the
-    Wigner stack (_wigner_of_factors) is built only for the Wigner and Husimi
-    representations, and the tomograms rotate the factors themselves.  Husimi
-    components are smoothed one at a time into the Wigner stack they came
-    from, so no second stack is held.
+    Every representation reads the factors of _spin_contracted: the Schmidt
+    functions phi_rk of the elements psi_r, from one SVD each, and the rows
+    they form.  A product element is one row, phi_r1, weighted into all
+    (2s+1)^2 components, where the spin-contracted amplitudes u_j^H psi_r
+    would be (2s+1)^2 rows; only an element of Schmidt rank above 1 is
+    expanded into those amplitudes.  The tomograms rotate and dilate the
+    Schmidt functions alone and form the rows at each ray (radon_slices).
+    The Wigner map transforms each row once and weighs it into the
+    components; the Husimi smoothing runs on whichever are fewer, rows or
+    components (_wigner_of_factors).  No Wigner stack is built for the
+    tomograms.  A state with non-finite values raises ValueError.
     """
     probs, fields = rho.factors
     if frame.dim != fields.shape[1]:
@@ -146,28 +195,31 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
             f"frame dimension {frame.dim} != state spin dimension {fields.shape[1]}")
     if representation not in VECTOR_REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
-    # K_j = Tr_spin(U_j rho) = sum_r p_r phi_jr phi_jr^H with phi_jr = u_j^H psi_r
-    amps = np.einsum("ja,rax->jrx", frame.vectors.conj(), fields).reshape(-1, rho.grid.n)
-    factors = (np.kron(np.eye(frame.size), probs), amps)
-    residues = _imag_residues(*factors, rho.grid)
+    if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(fields))):
+        raise ValueError("the state has non-finite values")
+    weights, amps, mix = _spin_contracted(probs, fields, frame)
+    rows = amps if mix is None else mix @ amps
+    residues = _imag_residues(weights, rows, rho.grid)
 
     # the tomograms rotate the factors: their Wigner-stack argument carries
     # only the component count
     shape_only = np.empty((frame.size, 0, 0))
-    if representation in ("wigner", "husimi"):
-        comps = _wigner_of_factors(*factors, rho.grid)
-        if representation == "husimi":
-            for j, w in enumerate(comps):
-                comps[j] = husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values
+    if representation == "wigner":
+        comps = _wigner_of_factors(weights, rows, rho.grid)
+    elif representation == "husimi":
+        comps = _wigner_of_factors(
+            weights, rows, rho.grid,
+            lambda w: husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values)
     elif representation == "optical":
         if dom is None or dom.kind != "optical":
             raise ValueError("optical representation needs an optical domain")
-        comps = radon_slices(shape_only, rho.grid, dom.thetas, dom.x, factors=factors)
+        comps = radon_slices(shape_only, rho.grid, dom.thetas, dom.x,
+                             factors=(weights, amps, mix))
     else:
         if dom is None or dom.kind != "symplectic":
             raise ValueError("symplectic representation needs a symplectic domain")
         comps = symplectic_profiles(shape_only, rho.grid, dom.mu, dom.nu, dom.x,
-                                    factors=factors)
+                                    factors=(weights, amps, mix))
 
     return VectorDistribution(
         representation=representation, components=comps, frame=frame,

@@ -257,6 +257,29 @@ class TestScenarios:
         assert "n = 64" in err and "3.23e-08" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("scenario", ["wavepacket", "residual"])
+    @pytest.mark.parametrize("raw, path", [
+        ({"field": {"phi": [0.0, 0.0, 1e308]}}, "field.phi"),               # phi(q)
+        ({"field": {"phi": [1e300, 0.0, 0.0], "e": 1e10}}, "field.phi"),     # e phi(q)
+        ({"field": {"phi": [1e20, 0.0, 0.0]}, "grid": {"hbar": 1e-300}}, "field.phi"),
+        ({"field": {"a_long": 1e200}}, "field.a_long"),                     # kinetic phase
+    ], ids=["phi", "e-phi", "kick", "a_long"])
+    def test_overflowing_strang_factor_exits_2(self, tmp_path, capsys, scenario, raw, path):
+        # refused before the run, which would carry NaN states: with phi it
+        # failed a physics gate with exit 1 (wavepacket: FAIL (trace_drift))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        with np.errstate(all="raise"):
+            code = main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_large_finite_potential_accepted(self):
+        # the largest default-grid potential stays finite, as does its kick
+        for scenario in ("wavepacket", "residual"):
+            load_config({"field": {"phi": [0.0, 0.0, 1e300]}}, scenario)
+
     def test_default_roundtrip_passes_byte_identically(self, tmp_path):
         for copy in ("a", "b"):
             assert main(["roundtrip", "--out", str(tmp_path / copy), "--seed", "0"]) == 0

@@ -631,7 +631,7 @@ class TestComposedStrangMap:
             return np.outer(coef, k) if axis == 2 else np.outer(k, coef)
 
         ref = np.fft.ifft(np.exp(1j * phase(k)) * np.fft.fft(w, axis=axis), axis=axis)
-        got, dropped = _shear(w, axis, phase(2.0 * np.pi * np.fft.rfftfreq(n)))
+        got, dropped = _shear(w, axis, np.exp(1j * phase(2.0 * np.pi * np.fft.rfftfreq(n))))
         assert np.max(np.abs(got - ref.real)) < 1e-14
         assert dropped.shape == (3, n)
         np.testing.assert_allclose(np.abs(dropped), np.max(np.abs(ref.imag), axis=axis),
@@ -742,9 +742,9 @@ class TestFactoredEvolution:
         v0, fld, prop, rank = self.state_case(case, frame, grid128)
         rows = []
 
-        def counted(w, axis, phase):
+        def counted(w, axis, turn):
             rows.append(len(w))
-            return _shear(w, axis, phase)
+            return _shear(w, axis, turn)
 
         monkeypatch.setattr(dynamics, "_shear", counted)
         traj = evolve_wigner_vector(v0, fld, prop)

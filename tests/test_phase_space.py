@@ -352,8 +352,10 @@ class TestRealWignerMaps:
         assert w.dtype == np.float64 and w.shape == (frame.size, n, n)
         assert np.max(np.abs(w - ref.real)) <= 1e-15
         assert np.array_equal(w.real, w)
+        # to_vector weighs one Schmidt function per product element instead
+        # of the (2s+1)^2 spin-contracted rows: the same map up to round-off
         v = to_vector(rho, frame, "wigner")
-        assert np.array_equal(v.components, w)
+        assert np.max(np.abs(v.components - w)) <= 1e-15
         assert np.max(v.imag_residues) <= 1e-15
         assert np.max(np.abs(ref.imag)) <= 1e-15
 
@@ -813,7 +815,8 @@ class TestHusimi:
         got = np.stack([husimi_from_wigner(ScalarField(grid128, c, "wigner")).values
                         for c in w])
         assert np.max(np.abs(got - ref)) < 1e-15
-        assert np.array_equal(to_vector(rho, frame, "husimi").components, got)
+        # to_vector smooths the state's one Schmidt function before weighing it
+        assert np.max(np.abs(to_vector(rho, frame, "husimi").components - got)) < 1e-15
         with pytest.raises(TypeError, match="real"):
             husimi_from_wigner(ScalarField(grid128, w[0] + 0j, "wigner"))
 

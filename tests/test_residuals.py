@@ -261,7 +261,9 @@ class TestInPlaceResiduals:
         w = to_vector(rho, frame, "wigner").components
         smoothed = np.stack([husimi_from_wigner(ScalarField(grid128, c, "wigner")).values
                              for c in w])
-        assert np.array_equal(to_vector(rho, frame, "husimi").components, smoothed)
+        # to_vector smooths the product state's one Schmidt function, then
+        # weighs it into the nine components: the same map up to round-off
+        assert np.max(np.abs(to_vector(rho, frame, "husimi").components - smoothed)) <= 1e-15
 
 
 def traced_peak(fn, *args):

@@ -6,6 +6,7 @@ from spintomo import (
     EMFieldConfig,
     PhaseSpaceGrid,
     PropagatorConfig,
+    ScalarField,
     SpinorDensity,
     TomogramDomain,
     UnsupportedInverseError,
@@ -16,6 +17,7 @@ from spintomo import (
     fidelity_with_pure,
     from_vector,
     gaussian_packet,
+    husimi_from_wigner,
     oscillator_eigenstate,
     random_band_limited_state,
     random_frame,
@@ -24,7 +26,12 @@ from spintomo import (
     to_vector,
 )
 from spintomo import vector_portrait
-from spintomo.phase_space import _wigner_of_factors, radon_slices, symplectic_profiles
+from spintomo.phase_space import (
+    _kernel_of_wigner,
+    _wigner_of_factors,
+    radon_slices,
+    symplectic_profiles,
+)
 from spintomo.residuals import default_domain
 
 REPRESENTATIONS = ("wigner", "husimi", "optical", "symplectic-section")
@@ -199,6 +206,16 @@ class TestToVector:
         with pytest.raises(ValueError, match="dimension"):
             to_vector(rho, fr_half, "wigner")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, frame, grid64, bad):
+        psi = spin_coherent_state(grid64, [0, 0, 1])
+        psi[1, 7] = bad
+        for rho in (SpinorDensity.from_pure(psi, grid64),
+                    SpinorDensity.from_mixture([bad], [spin_coherent_state(grid64, [0, 0, 1])],
+                                               grid64)):
+            with pytest.raises(ValueError, match="non-finite"):
+                to_vector(rho, frame, "wigner")
+
     def test_optical_requires_domain(self, frame, grid64):
         rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
         with pytest.raises(ValueError, match="domain"):
@@ -299,6 +316,95 @@ class TestDensePath:
         for state in (rho, traj.states[-1]):
             for rep, dom in doms.items():
                 assert to_vector(state, fr, rep, dom).components.shape[0] == 9
+
+
+def entangled_spinor(grid, dim, rng):
+    """Normalized spinor whose 2s+1 rows are independent random_band_limited_state
+    fields with random complex amplitudes: Schmidt rank 2s+1."""
+    psi = np.stack([random_band_limited_state(grid, rng) for _ in range(dim)])
+    psi *= (rng.normal(size=dim) + 1j * rng.normal(size=dim))[:, None]
+    return psi / np.sqrt(np.sum(np.abs(psi)**2) * grid.dx)
+
+
+class TestSchmidtRank:
+    """Elements of Schmidt rank above 1, which no product state exercises:
+    each portrait against the Wigner-input maps and the dense path."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return PhaseSpaceGrid.balanced(128)
+
+    @staticmethod
+    def references(rho, fr, grid):
+        """Each representation from the kernels K_j = Tr_spin(U_j rho) alone:
+        the Wigner stack checked by its inverse map, the tomograms and the
+        Husimi function by the Wigner-input maps."""
+        wigner = to_vector(rho, fr, "wigner").components
+        kernels = np.einsum("ja,abxy,jb->jxy", fr.vectors.conj(), rho.blocks, fr.vectors)
+        assert np.max(np.abs(_kernel_of_wigner(wigner, grid) - kernels)) <= 1e-13
+        opt = TomogramDomain.optical_default(grid, 32)
+        sym = default_domain("symplectic-section", grid)
+        return {
+            "wigner": (None, wigner),
+            "husimi": (None, np.stack([husimi_from_wigner(ScalarField(grid, w, "wigner")).values
+                                       for w in wigner])),
+            "optical": (opt, radon_slices(wigner, grid, opt.thetas, opt.x)),
+            "symplectic-section": (sym, symplectic_profiles(wigner, grid, sym.mu, sym.nu,
+                                                            sym.x)),
+        }
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_entangled_mixture_matches_references(self, grid, s, rank):
+        fr = build_spin1_frame() if s == 1.0 else random_frame(s, seed=11)
+        rng = np.random.default_rng([int(2 * s), rank])
+        rho = SpinorDensity.from_mixture(
+            rng.dirichlet(np.ones(rank)),
+            [entangled_spinor(grid, fr.dim, rng) for _ in range(rank)], grid)
+        _, amps, mix = vector_portrait._spin_contracted(*rho.factors, fr)
+        assert len(amps) == fr.dim * rank and mix is not None
+        dense = SpinorDensity(grid, rho.blocks)
+        for rep, (dom, ref) in self.references(rho, fr, grid).items():
+            for state in (rho, dense):
+                got = to_vector(state, fr, rep, dom).components
+                assert np.max(np.abs(got - ref)) <= 1e-13, rep
+
+    def test_small_schmidt_value_kept(self, grid, rng):
+        # chi1 (x) phi1 + 1e-9 chi2 (x) phi2: the second Schmidt value is 1e-9
+        # of the first, far above the rank cut, and its cross terms with the
+        # first pair move the portraits by about 1e-10
+        fr = build_spin1_frame()
+        chis = np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))[0]
+        phi1 = random_band_limited_state(grid, rng)
+        phi2 = random_band_limited_state(grid, rng)
+        phi2 -= phi1 * np.sum(phi1.conj() * phi2) * grid.dx
+        phi2 /= np.sqrt(np.sum(np.abs(phi2)**2) * grid.dx)
+        lead = np.outer(chis[:, 0], phi1)
+        psi = lead + 1e-9 * np.outer(chis[:, 1], phi2)
+        other = spinor_product_state(grid, rng.normal(size=3) + 1j * rng.normal(size=3),
+                                     gaussian_packet(grid, 0.5, -0.3, 0.8))
+        probs = [0.6, 0.4]
+        rho = SpinorDensity.from_mixture(probs, [psi, other], grid)
+        _, amps, _ = vector_portrait._spin_contracted(*rho.factors, fr)
+        assert len(amps) == 3            # two Schmidt pairs, then one
+        cut = SpinorDensity.from_mixture(probs, [lead, other], grid)
+        for rep, (dom, ref) in self.references(rho, fr, grid).items():
+            got = to_vector(rho, fr, rep, dom).components
+            assert np.max(np.abs(got - ref)) <= 1e-13, rep
+            assert np.max(np.abs(to_vector(cut, fr, rep, dom).components - ref)) > 1e-11, rep
+
+    @pytest.mark.parametrize("rep", REPRESENTATIONS)
+    def test_zero_elements_add_nothing(self, grid64, rep):
+        # a zero element has Schmidt rank 0; a zero density has no elements
+        fr = build_spin1_frame()
+        dom = None if rep in ("wigner", "husimi") else default_domain(rep, grid64)
+        psi = spin_coherent_state(grid64, [0.3, 0.2, 1.0], q0=0.4)
+        alone = to_vector(SpinorDensity.from_pure(psi, grid64), fr, rep, dom).components
+        padded = SpinorDensity.from_mixture([1.0, 0.5], [psi, np.zeros_like(psi)], grid64)
+        assert np.array_equal(to_vector(padded, fr, rep, dom).components, alone)
+        zero = SpinorDensity(grid64, np.zeros((3, 3, 64, 64)))
+        v = to_vector(zero, fr, rep, dom)
+        assert v.components.shape == alone.shape and not np.any(v.components)
 
 
 class TestFromVector:
