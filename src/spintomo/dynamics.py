@@ -6,9 +6,10 @@ In that field class a Strang step of the vector Wigner equation is an affine
 symplectic map of (q, p), so evolve_wigner_vector composes the steps between
 two saved frames in closed form and applies the result as three spectral
 shears: dt keeps its meaning as the Strang step.  The shears move only the
-R independent phase-space functions of the component stack (one for a
-product state, at most (2s+1)^2), and the spin coupling mixes their
-coefficients, so the cost follows saved frames times R rather than n_steps.
+R phase-space functions that the portrait's components are formed from, its
+factors (one for a product state, at most (2s+1)^2), and the spin coupling
+mixes their coefficients, so the cost follows saved frames times R rather
+than n_steps.
 The components stay real: the shears run on rfft bins, and each frame's
 imag_residues carry the imaginary part that complex shears would have left
 at the Nyquist bin, per component.
@@ -27,7 +28,7 @@ from .errors import SchemeMismatchError
 from .grids import PhaseSpaceGrid
 from .phase_space import _shear as _sandwich    # chirp . F^-1 fresnel F . chirp steps
 from .spin_frames import SpinFrame, projection_values, spin_operators
-from .vector_portrait import _RANK_RTOL, SpinorDensity, VectorDistribution
+from .vector_portrait import SpinorDensity, VectorDistribution
 
 ORACLE_SCHEMES = ("split-step-strang", "rk4-ode")
 WIGNER_SCHEME = "wigner-spectral"
@@ -352,21 +353,6 @@ def _max_steps(step: np.ndarray, n: int, aspect: float) -> int:
     return lo
 
 
-def _factor(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with w = A @ B over its components: A (c, R) has orthonormal
-    columns, the left singular vectors of the (c, n^2) stack whose singular
-    values exceed _RANK_RTOL of the largest, and B = A^T w (R, n, n).
-
-    The singular vectors come from the SVD of the c x c factor of a QR of the
-    (n^2, c) transpose, which resolves singular values down to round-off of
-    the largest; the Gram matrix w w^T would lose those below ~1e-8 of it.
-    """
-    flat = w.reshape(len(w), -1)
-    u, sv, _ = np.linalg.svd(np.linalg.qr(flat.T, mode="r").T)
-    a = u[:, sv > _RANK_RTOL * sv[0]]
-    return a, (a.T @ flat).reshape((a.shape[1],) + w.shape[1:])
-
-
 def _shear(w: np.ndarray, axis: int, turn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Band-limited shift of a real stack (c, n, n) along axis 1 or 2 by
     phase / k, one shift per line, given turn = exp(i phase) on the rfftfreq
@@ -402,13 +388,15 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     only on its number of steps, so they are built once per distinct length.
 
     The drift acts on phase space alone and the spin coupling dw/dt = S w on
-    the component index alone, and the two commute.  So v0's (c, n, n) stack
-    is factored once as w = A B (see _factor): B holds the R <= c phase-space
-    functions it is built from (1 for a product state, R for a mixture of R
-    product states) and is what the shears move, while the spin coupling, an
-    exact matrix exponential, mixes the (c, R) matrix A.  A frame is formed as
-    (expm(S tau) A) B.  The cost therefore grows with the number of saved
-    frames times R, not with n_steps or c.
+    the component index alone, and the two commute.  So the evolution reads
+    v0's factors w = A B (VectorDistribution.mixing and .functions, kept by
+    to_vector): B holds the R phase-space functions the components are
+    formed from (1 for a product state, R for a mixture of R < c product
+    states, the c components themselves otherwise) and is what the shears
+    move, while the spin coupling, an exact matrix exponential, mixes the
+    (c, R) matrix A.  A saved frame keeps its factors (expm(S tau) A, B(tau))
+    and forms its components as their product.  The cost therefore grows
+    with the number of saved frames times R, not with n_steps or c.
 
     The components stay real: each shear runs on rfft bins and keeps the real
     part of what a complex shift would give.  The part it drops lives at the
@@ -439,10 +427,9 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     max_steps = _max_steps(step, min(prop.save_every, prop.n_steps), grid.dx / grid.dp)
     s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
 
-    w = np.array(v0.components, dtype=float)
-    res = (np.zeros(len(w)) if v0.imag_residues is None
+    res = (np.zeros(len(v0.components)) if v0.imag_residues is None
            else np.array(v0.imag_residues, dtype=float))
-    mixing, rows = _factor(w)      # w = mixing @ rows; the shears move only rows
+    mixing, rows = v0.mixing, v0.functions     # the shears move only rows
 
     shears = {}    # sub-map length -> its three shears (axis, exp(i phase))
 
@@ -467,13 +454,13 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
         mix = expm(s_mat * (n_sub * dt))
         return mix @ mixing, rows, np.abs(mix) @ res
 
-    def frame_of(w, res, t):
+    def frame_of(w, mixing, rows, res, t):
         return VectorDistribution(
             representation="wigner", components=w, frame=v0.frame,
-            grid=grid, time=t, imag_residues=res)
+            grid=grid, time=t, imag_residues=res, factors=(mixing, rows))
 
     times = [v0.time]
-    frames = [frame_of(w, res, v0.time)]
+    frames = [frame_of(np.array(v0.components, dtype=float), mixing, rows, res, v0.time)]
     t = v0.time
     done = 0
     while done < prop.n_steps:
@@ -481,7 +468,7 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
         mixing, rows, res = run_chunk(mixing, rows, res, chunk)
         t += chunk * dt
         done += chunk
-        frames.append(frame_of(np.tensordot(mixing, rows, 1), res, t))
+        frames.append(frame_of(np.tensordot(mixing, rows, 1), mixing, rows, res, t))
         times.append(t)
     norm_sums = np.asarray([f.normalization_sum() for f in frames])
     return VectorTrajectory(times=np.asarray(times), frames=frames, norm_sums=norm_sums)

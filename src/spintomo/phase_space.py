@@ -12,9 +12,9 @@ no separate scalar density entry point.
 
 Real Wigner maps: a Hermitian kernel's skew correlation C(q, s) is Hermitian
 in the offset s, so both directions transform only the half spectrum
-s = 0..n/2.  Factor -> Wigner (_wigner_of_factors) is one hfft per factor
-into a float64 stack, and a linear smoothing of the result (the Husimi map)
-runs on whichever are fewer, factors or components.  Wigner -> kernel
+s = 0..n/2.  Factor -> Wigner (_wigner_of_factors) is one hfft per factor,
+upsampled once by the caller, into a float64 stack, and a linear smoothing of
+each result (the Husimi map) follows.  Wigner -> kernel
 (_kernel_of_wigner) takes a real stack (complex input raises TypeError), runs
 rfft over p and fills one triangle of each kernel, the other being its
 conjugate.  The one offset without a
@@ -115,22 +115,21 @@ def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
 # density kernel <-> Wigner
 # ---------------------------------------------------------------------------
 
-def _wigner_of_factors(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGrid,
+def _wigner_of_factors(weights: np.ndarray, fine: np.ndarray, grid: PhaseSpaceGrid,
                        smooth=None) -> np.ndarray:
     """Wigner functions (c, n, n), float64 on the (q, p-ascending) grid, of the
-    kernels K_c = sum_k weights[c, k] a_k a_k^H with amps a_k (k, n): the
-    spatial map of to_vector.
+    kernels K_c = sum_k weights[c, k] a_k a_k^H, given the amps a_k (k, n)
+    upsampled by fourier_upsample2, fine (k, 2n): the spatial map of to_vector.
 
-    Each a_k is upsampled in 1-D to f.  Its correlation C(i, s) =
-    f(2i + s) f*(2i - s) is Hermitian in the offset, C(i, -s) = conj C(i, s),
-    so one Hermitian FFT (hfft) of the offsets s = 0..n/2 gives its Wigner
-    function, with the p-axis fftshift folded into a sign (-1)^s.  Factors are
-    taken one at a time and added to the components that weigh them.  smooth,
-    a linear map of one real (n, n) function (the Husimi smoothing), runs on
-    whichever are fewer: each factor's function before it is added, or each
-    component at the end.  The offset n/2 has no partner (it is -n/2 modulo
-    n): hfft reads only its real part, and _imag_residues reads the imaginary
-    part it leaves out.
+    The correlation C(i, s) = f(2i + s) f*(2i - s) of an upsampled amp f is
+    Hermitian in the offset, C(i, -s) = conj C(i, s), so one Hermitian FFT
+    (hfft) of the offsets s = 0..n/2 gives its Wigner function, with the
+    p-axis fftshift folded into a sign (-1)^s.  Factors are taken one at a
+    time and added to the functions that weigh them.  smooth, a linear map of
+    one real (n, n) function (the Husimi smoothing), runs on each function at
+    the end.  The offset n/2 has no partner (it is -n/2 modulo n): hfft reads
+    only its real part, and _imag_residues reads the imaginary part it leaves
+    out.
     """
     n, half = grid.n, grid.n // 2
     i = np.arange(n)[:, None]
@@ -139,24 +138,22 @@ def _wigner_of_factors(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGr
     b_idx = (2 * i - s) % (2 * n)
     sign = (-1.0) ** s * (grid.dx / (2.0 * np.pi * grid.hbar))
     out = np.zeros((len(weights), n, n))
-    per_factor = smooth is not None and len(amps) < len(weights)
-    for col, fine in zip(np.transpose(weights), fourier_upsample2(amps)):
-        corr = fine[a_idx] * fine.conj()[b_idx]
+    for col, f in zip(np.transpose(weights), fine):
+        corr = f[a_idx] * f.conj()[b_idx]
         corr *= sign
         w = np.fft.hfft(corr, n, axis=1)
-        if per_factor:
-            w = smooth(w)
         for c in np.flatnonzero(col):
             out[c] += col[c] * w
-    if smooth is not None and not per_factor:
+    if smooth is not None:
         for c, w in enumerate(out):
             out[c] = smooth(w)
     return out
 
 
-def _imag_residues(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+def _imag_residues(weights: np.ndarray, fine: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """Largest |Im W_c| per component of the Wigner functions that
-    _wigner_of_factors makes real, in closed form.
+    _wigner_of_factors makes real from the same weights and upsampled amps
+    fine (k, 2n), in closed form.
 
     Only the unpaired offset -n/2 of the correlation contributes an imaginary
     part: Im W_c(q_i, p_m) = +-(-1)^m dx / (2 pi hbar) Im K_c(q_i + L/4, q_i - L/4),
@@ -165,7 +162,6 @@ def _imag_residues(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGrid) 
     """
     n = grid.n
     i = np.arange(n)
-    fine = fourier_upsample2(amps)
     coherence = fine[:, (2 * i + n // 2) % (2 * n)] * fine[:, (2 * i - n // 2) % (2 * n)].conj()
     return np.max(np.abs(weights @ coherence.imag), axis=1) * (grid.dx / (2.0 * np.pi * grid.hbar))
 
@@ -456,7 +452,7 @@ def radon_slices(w_stack: np.ndarray, grid: PhaseSpaceGrid,
 
     w_stack has shape (..., n, n); returns (..., n_theta, n_x).  A caller
     that holds the kernels as factors passes them to skip the kernel map and
-    eigh: (weights, amps), in the form of _wigner_of_factors, or
+    eigh: (weights, amps) for the kernels sum_k weights[c, k] a_k a_k^H, or
     (weights, amps, mix) for the factors mix @ amps, of which only the amps
     are rotated (_quadrature_marginals).  w_stack is then read for its
     leading shape only, so a (c, 0, 0) array will do.
@@ -645,7 +641,7 @@ def wigner_from_optical(fld: ScalarField) -> ScalarField:
         raise ValueError(f"expected an optical field, got {fld.kind!r}")
     levels = invert_optical(fld.values[None], fld.grid, fld.domain)[0]
     probs, fields = _level_factors(levels, 1, fld.grid)
-    values = _wigner_of_factors(probs[None], fields[:, 0], fld.grid)[0]
+    values = _wigner_of_factors(probs[None], fourier_upsample2(fields[:, 0]), fld.grid)[0]
     return ScalarField(grid=fld.grid, values=values, kind="wigner")
 
 

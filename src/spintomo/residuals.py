@@ -24,7 +24,7 @@ from .grids import PhaseSpaceGrid, TomogramDomain
 from .phase_space import _flip_x, angle_step, ddx, husimi_variances
 from .spin_frames import SpinFrame
 from .states import spin_coherent_state
-from .vector_portrait import SpinorDensity, to_vector
+from .vector_portrait import SpinorDensity, VectorDistribution, to_vector
 
 
 def _theta_derivative(v: np.ndarray, thetas: np.ndarray, x_axis: int) -> np.ndarray:
@@ -184,11 +184,18 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
                    frame: SpinFrame, dom: TomogramDomain | None = None) -> ResidualReport:
     """Residuals d_t v - (M + S) v at interior frames of a uniform trajectory.
 
+    The drift M acts on phase space and S on the component index, so on a
+    portrait v = A B (VectorDistribution.mixing A (c, R) and .functions B)
+    the right-hand side is [A, S A] [M B; B]: M runs on the R functions (one
+    per frame for a product state, where the components would be (2s+1)^2)
+    and S on A.  Components are read only for the central difference and its
+    maximum.
+
     The central difference at frame k reads frames k - 1, k and k + 1 only,
     so at most these three portraits are held: frame k + 1 is taken once the
-    drift of frame k is formed, and the residual is formed in place in the
-    array of frame k - 1, which is not read again.  to_vector runs once per
-    frame, in frame order.
+    right-hand side of frame k is formed, and the residual is formed in place
+    in the components of frame k - 1, which are not read again.  to_vector
+    runs once per frame, in frame order.
     """
     if len(traj.states) < 3:
         raise ValueError("residual check needs at least 3 frames")
@@ -210,19 +217,20 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
     else:
         cell = dom.dx * (dom.mu[1] - dom.mu[0]) * (dom.nu[1] - dom.nu[0])
 
-    def portrait(k: int) -> np.ndarray:
-        return to_vector(traj.states[k], frame, representation, dom).components
+    def portrait(k: int) -> VectorDistribution:
+        return to_vector(traj.states[k], frame, representation, dom)
 
     per_frame = []
     sq_sum = 0.0
     times = []
     prev, cur = portrait(0), portrait(1)
     for k in range(1, len(traj.states) - 1):
-        rhs = gen(cur)
-        rhs += (s_mat @ cur.reshape(len(s_mat), -1)).reshape(cur.shape)
+        # A (M B) + (S A) B as one product
+        rhs = np.tensordot(np.hstack([cur.mixing, s_mat @ cur.mixing]),
+                           np.concatenate([gen(cur.functions), cur.functions]), 1)
         nxt = portrait(k + 1)
-        # frame k - 1 is read for the last time: its array takes the residual
-        res = np.subtract(nxt, prev, out=prev)
+        # frame k - 1 is read for the last time: its components take the residual
+        res = np.subtract(nxt.components, prev.components, out=prev.components)
         res /= 2.0 * dt
         res -= rhs
         del rhs

@@ -7,7 +7,7 @@ inverts the spatial map per component and resums with the dual frame.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +19,7 @@ from .phase_space import (
     _kernel_of_wigner,
     _level_factors,
     _wigner_of_factors,
+    fourier_upsample2,
     husimi_from_wigner,
     invert_optical,
     radon_slices,
@@ -32,11 +33,10 @@ VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
 REALNESS_BOUND = 1e-12
 
 # Singular values below this share of the largest are round-off and dropped
-# where a state or a stack is split into rank-one terms (to_vector's Schmidt
-# pairs, dynamics._factor).  A product state's Wigner stack has rank 1, and its
-# other singular values are round-off of the transform: 2e-16 to 5e-16 of the
-# first for packets on balanced(128), 1.2e-15 for a packet at the band edge of
-# balanced(64).
+# where a state is split into Schmidt pairs (to_vector).  A product state's
+# second Schmidt value is round-off: at most 3.6e-16 of the first for spin-1
+# coherent and product packets on balanced(128), 3.7e-17 for a packet at the
+# band edge of balanced(64).
 _RANK_RTOL = 1e-14
 
 
@@ -99,7 +99,16 @@ class SpinorDensity:
 
 @dataclass(frozen=True)
 class VectorDistribution:
-    """(2s+1)^2 real components over a shared representation domain."""
+    """(2s+1)^2 real components over a shared representation domain, with the
+    factors they are formed from: components = mixing @ functions, mixing
+    (c, R) and functions (R, ...) the R phase-space functions (see to_vector).
+
+    factors, (mixing, functions), is given at construction only.  Without it
+    the portrait factors trivially as (I_c, components), so
+    dataclasses.replace, which does not pass it, never keeps factors of other
+    components.  A component count other than frame.size, or factors whose
+    shapes disagree with the components, raise ValueError.
+    """
 
     representation: str
     components: np.ndarray  # (d^2, ...) real
@@ -108,10 +117,24 @@ class VectorDistribution:
     domain: TomogramDomain | None = None
     time: float = 0.0
     imag_residues: np.ndarray | None = None
+    factors: InitVar[tuple | None] = None
+    mixing: np.ndarray = field(init=False, repr=False)
+    functions: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, factors):
         if self.representation not in VECTOR_REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.representation!r}")
+        c = self.frame.size
+        if np.ndim(self.components) < 1 or len(self.components) != c:
+            raise ValueError(f"{np.shape(self.components)} components for a frame "
+                             f"of {c} elements")
+        mixing, functions = (np.eye(c), self.components) if factors is None else factors
+        if (np.ndim(mixing) != 2 or np.shape(mixing)[0] != c
+                or np.shape(functions) != np.shape(mixing)[1:] + np.shape(self.components)[1:]):
+            raise ValueError(f"factors of shapes {np.shape(mixing)} and {np.shape(functions)} "
+                             f"do not form components of shape {np.shape(self.components)}")
+        object.__setattr__(self, "mixing", mixing)
+        object.__setattr__(self, "functions", functions)
 
     def component_integrals(self) -> np.ndarray:
         g = self.grid
@@ -178,16 +201,22 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     and (1, 0.5, 1.1) gives 8.8e-12.
 
     Every representation reads the factors of _spin_contracted: the Schmidt
-    functions phi_rk of the elements psi_r, from one SVD each, and the rows
+    functions phi_rk of the elements psi_r, from one SVD each, and the l rows
     they form.  A product element is one row, phi_r1, weighted into all
     (2s+1)^2 components, where the spin-contracted amplitudes u_j^H psi_r
     would be (2s+1)^2 rows; only an element of Schmidt rank above 1 is
-    expanded into those amplitudes.  The tomograms rotate and dilate the
-    Schmidt functions alone and form the rows at each ray (radon_slices).
-    The Wigner map transforms each row once and weighs it into the
-    components; the Husimi smoothing runs on whichever are fewer, rows or
-    components (_wigner_of_factors).  No Wigner stack is built for the
-    tomograms.  A state with non-finite values raises ValueError.
+    expanded into those amplitudes.  The Schmidt functions are upsampled
+    once, for the Wigner map and the residues both.  The tomograms rotate and
+    dilate the Schmidt functions alone and form the rows at each ray
+    (radon_slices).  No Wigner stack is built for the tomograms.
+
+    The portrait keeps its factors (VectorDistribution.mixing and .functions):
+    with fewer rows than components (l < c, as for a mixture of fewer than c
+    product states) the functions are the l rows' transforms and mixing is
+    the (c, l) weights, so the components are one product mixing @ functions;
+    otherwise the factors are (I_c, components), transformed with the
+    weights.  The Husimi smoothing runs on each function, so on the fewer of
+    rows and components.  A state with non-finite values raises ValueError.
     """
     probs, fields = rho.factors
     if frame.dim != fields.shape[1]:
@@ -198,33 +227,48 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(fields))):
         raise ValueError("the state has non-finite values")
     weights, amps, mix = _spin_contracted(probs, fields, frame)
-    rows = amps if mix is None else mix @ amps
-    residues = _imag_residues(weights, rows, rho.grid)
+    # upsampling is linear, so the rows' upsampled forms are mix @ fine
+    fine = fourier_upsample2(amps)
+    if mix is not None:
+        fine = mix @ fine
+    residues = _imag_residues(weights, fine, rho.grid)
 
+    # the maps transform the rows: the rows themselves (weights I) when they
+    # are fewer than the components, and mixing forms the components
+    n_comp, n_rows = weights.shape
+    factored = n_rows < n_comp
+    mixing, row_weights = (weights, np.eye(n_rows)) if factored else (np.eye(n_comp), weights)
     # the tomograms rotate the factors: their Wigner-stack argument carries
-    # only the component count
-    shape_only = np.empty((frame.size, 0, 0))
+    # only the output count
+    shape_only = np.empty((len(row_weights), 0, 0))
     if representation == "wigner":
-        comps = _wigner_of_factors(weights, rows, rho.grid)
+        functions = _wigner_of_factors(row_weights, fine, rho.grid)
     elif representation == "husimi":
-        comps = _wigner_of_factors(
-            weights, rows, rho.grid,
+        functions = _wigner_of_factors(
+            row_weights, fine, rho.grid,
             lambda w: husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values)
     elif representation == "optical":
         if dom is None or dom.kind != "optical":
             raise ValueError("optical representation needs an optical domain")
-        comps = radon_slices(shape_only, rho.grid, dom.thetas, dom.x,
-                             factors=(weights, amps, mix))
+        functions = radon_slices(shape_only, rho.grid, dom.thetas, dom.x,
+                                 factors=(row_weights, amps, mix))
     else:
         if dom is None or dom.kind != "symplectic":
             raise ValueError("symplectic representation needs a symplectic domain")
-        comps = symplectic_profiles(shape_only, rho.grid, dom.mu, dom.nu, dom.x,
-                                    factors=(weights, amps, mix))
+        functions = symplectic_profiles(shape_only, rho.grid, dom.mu, dom.nu, dom.x,
+                                        factors=(row_weights, amps, mix))
 
     return VectorDistribution(
-        representation=representation, components=comps, frame=frame,
-        grid=rho.grid, domain=dom, time=time, imag_residues=residues,
+        representation=representation,
+        components=np.tensordot(mixing, functions, 1) if factored else functions,
+        frame=frame, grid=rho.grid, domain=dom, time=time, imag_residues=residues,
+        factors=(mixing, functions),
     )
+
+
+def _frame_label(frame: SpinFrame) -> str:
+    return (f"(spin {frame.s:g}, {frame.size} projectors, Gram condition "
+            f"{np.linalg.cond(frame.gram):.6g})")
 
 
 def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
@@ -236,7 +280,14 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
     resummed with the dual frame into the (2s+1)(N+1) square matrix of the
     state in the basis |a> (x) psi_m, whose eigenpairs with |p| > 1e-12
     (phase_space._level_factors) are the state's factors.
+
+    frame must be the portrait's frame, v.frame, by value; any other frame
+    raises ValueError naming both.
     """
+    if frame is not v.frame and not (np.array_equal(frame.dequantizer, v.frame.dequantizer)
+                                     and np.array_equal(frame.quantizer, v.frame.quantizer)):
+        raise ValueError(f"from_vector got the frame {_frame_label(frame)}, but the "
+                         f"portrait was taken with the frame {_frame_label(v.frame)}")
     if v.representation == "wigner":
         kernels = _kernel_of_wigner(v.components, v.grid)
         return SpinorDensity(v.grid, np.tensordot(frame.quantizer, kernels, axes=(0, 0)))

@@ -761,6 +761,27 @@ class TestFactoredEvolution:
         assert np.all(np.abs(got_res - ref_res)[big] <= 1e-12 * ref_res[big])
         assert np.all(np.abs(got_res - ref_res)[~big] <= 1e-15)
 
+    def test_dynamics_job_runs_no_qr(self, frame, grid128, monkeypatch):
+        # the benchmark's dynamics job: the portrait's own factors are evolved,
+        # and each saved frame keeps them
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dynamics job must not run a QR")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        fld = EMFieldConfig(phi=(0.0, -0.21, 0.62), b_field=[0.4, -0.7, 0.3], kappa=1.3,
+                            spin=1.0)
+        direction = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        rho0 = SpinorDensity.from_pure(
+            spin_coherent_state(grid128, direction, 1.0, 1.0, 1.2, -0.9, 2**-0.5), grid128)
+        v0 = to_vector(rho0, frame, "wigner")
+        traj = evolve_wigner_vector(v0, fld, PropagatorConfig(
+            4e-3, 100, dynamics.WIGNER_SCHEME, 25))
+        evolve_oracle(rho0, fld, PropagatorConfig(4e-3, 100, "split-step-strang", 25))
+        assert v0.mixing.shape == (9, 1)
+        for f in traj.frames:
+            assert f.mixing.shape == (9, 1) and f.functions.shape == (1, 128, 128)
+            assert np.array_equal(f.components, np.tensordot(f.mixing, f.functions, 1))
+
     def test_zero_portrait(self, frame, grid64):
         v0, fld, prop = TestComposedStrangMap.composed_case("workload", frame, grid64)
         zero = dataclasses.replace(v0, components=np.zeros_like(v0.components),

@@ -242,9 +242,10 @@ class TestWigner:
         psi2 = random_band_limited_state(grid64, rng)
         a, b = rng.normal(), rng.normal()
         one = np.ones((1, 1))
-        combo = _wigner_of_factors(np.array([[a, b]]), np.stack([psi1, psi2]), grid64)
-        parts = (a * _wigner_of_factors(one, psi1[None], grid64)
-                 + b * _wigner_of_factors(one, psi2[None], grid64))
+        fine = fourier_upsample2(np.stack([psi1, psi2]))
+        combo = _wigner_of_factors(np.array([[a, b]]), fine, grid64)
+        parts = (a * _wigner_of_factors(one, fine[:1], grid64)
+                 + b * _wigner_of_factors(one, fine[1:], grid64))
         assert np.max(np.abs(combo - parts)) < 1e-10
 
     def test_non_hermitian_rejected(self, grid64, rng, frame0):
@@ -347,7 +348,7 @@ class TestRealWignerMaps:
         frame = spin_case(s)
         rho = packet_mixture(grid, frame.dim, np.random.default_rng(n))
         factors = portrait_factors(rho, frame)
-        w = _wigner_of_factors(*factors, grid)
+        w = _wigner_of_factors(factors[0], fourier_upsample2(factors[1]), grid)
         ref = complex_wigner_reference(*factors, grid)
         assert w.dtype == np.float64 and w.shape == (frame.size, n, n)
         assert np.max(np.abs(w - ref.real)) <= 1e-15

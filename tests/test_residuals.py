@@ -13,11 +13,13 @@ from spintomo import (
     TomogramDomain,
     UndersampledDomainError,
     evolve_oracle,
+    gaussian_packet,
     husimi_from_wigner,
     oscillator_eigenstate,
     random_frame,
     residual_check,
     residual_convergence,
+    spin_coherent_state,
     spin_eigenvector,
     spinor_product_state,
     to_vector,
@@ -190,12 +192,14 @@ def _ddx_reference(values, dx, axis=-1):
     return np.fft.irfft(1j * k.reshape(shape) * np.fft.rfft(values, axis=axis), n, axis=axis)
 
 
-def _residual_check_reference(traj, fld, representation, frame):
+def _residual_check_reference(traj, fld, representation, frame, factored=True):
     """residual_check with every frame's portrait held in a list and every
-    operator term in its own temporary: the reference that the three-frame,
-    in-place residual_check must match bit for bit.  The optical and
-    symplectic generators are the module's, applied with residuals.ddx
-    patched to _ddx_reference by the caller."""
+    operator term in its own temporary.  factored=True applies the drift to
+    each portrait's functions and S to its mixing matrix, in residual_check's
+    order, the reference that the three-frame, in-place residual_check must
+    match bit for bit; factored=False applies both to the components.  The
+    optical and symplectic generators are the module's, applied with
+    residuals.ddx patched to _ddx_reference by the caller."""
     dt = float(traj.times[1] - traj.times[0])
     grid = traj.states[0].grid
     dom = default_domain(representation, grid)
@@ -215,7 +219,7 @@ def _residual_check_reference(traj, fld, representation, frame):
                     - diffusion * _ddx_reference(dq, grid.dp, axis=2))
     else:
         gen = representation_generator(representation, grid, dom, fld)
-    vals = [to_vector(s, frame, representation, dom).components for s in traj.states]
+    portraits = [to_vector(s, frame, representation, dom) for s in traj.states]
     s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
     if representation in ("wigner", "husimi"):
         cell = grid.cell
@@ -225,13 +229,26 @@ def _residual_check_reference(traj, fld, representation, frame):
         cell = dom.dx * (dom.mu[1] - dom.mu[0]) * (dom.nu[1] - dom.nu[0])
     per_frame = []
     sq_sum = 0.0
-    for k in range(1, len(vals) - 1):
-        lhs = (vals[k + 1] - vals[k - 1]) / (2.0 * dt)
-        rhs = gen(vals[k]) + (s_mat @ vals[k].reshape(len(s_mat), -1)).reshape(vals[k].shape)
+    for k in range(1, len(portraits) - 1):
+        lhs = (portraits[k + 1].components - portraits[k - 1].components) / (2.0 * dt)
+        v = portraits[k]
+        if factored:
+            rhs = np.tensordot(np.hstack([v.mixing, s_mat @ v.mixing]),
+                               np.concatenate([gen(v.functions), v.functions]), 1)
+        else:
+            rhs = gen(v.components) + np.tensordot(s_mat, v.components, 1)
         res = residuals._interior(lhs - rhs, representation)
         per_frame.append(float(np.max(np.abs(res))))
         sq_sum += float(np.sum(res**2) * cell)
     return np.asarray(per_frame), max(per_frame), float(np.sqrt(sq_sum / len(per_frame)))
+
+
+def assert_round_off(report, reference):
+    """report's per-frame maxima and l2 residual within round-off of the
+    reference's: 1e-14 against residuals of 1e-5 and more."""
+    per_frame, _, l2_res = reference
+    assert np.max(np.abs(report.per_frame_max - per_frame)) <= 1e-14
+    assert abs(report.l2_residual - l2_res) <= 1e-14
 
 
 NON_UNIT = dict(hbar=0.8, mass=1.5, omega=1.3)
@@ -252,9 +269,13 @@ class TestInPlaceResiduals:
         with monkeypatch.context() as patched:
             patched.setattr(residuals, "ddx", _ddx_reference)
             per_frame, max_res, l2_res = _residual_check_reference(traj, fld, rep, frame)
+            by_component = _residual_check_reference(traj, fld, rep, frame, factored=False)
         assert report.per_frame_max.tolist() == per_frame.tolist()
         assert report.max_residual == max_res
         assert report.l2_residual == l2_res
+        # the drift on the one function and on the nine components differ by
+        # round-off (1.0e-15 at most in these cases)
+        assert_round_off(report, by_component)
 
     def test_husimi_portrait_is_smoothed_wigner_portrait(self, frame, grid128):
         rho = SPEC.build(grid128, 1.0)
@@ -264,6 +285,43 @@ class TestInPlaceResiduals:
         # to_vector smooths the product state's one Schmidt function, then
         # weighs it into the nine components: the same map up to round-off
         assert np.max(np.abs(to_vector(rho, frame, "husimi").components - smoothed)) <= 1e-15
+
+
+class TestFactoredResiduals:
+    """Trajectories whose portraits have more than one function: the drift on
+    the functions against the drift on the components."""
+
+    @staticmethod
+    def trajectory(case, grid):
+        if case == "mixture":        # two product packets: R = 2
+            a = spin_coherent_state(grid, [1, 0, 0], 1.0, 1.0, 0.8, 0.5, 1.0)
+            b = spin_coherent_state(grid, np.array([0, 1, 1]) / np.sqrt(2), 1.0, 0.0,
+                                    -0.6, -0.3, 0.9)
+            rho = SpinorDensity.from_mixture([0.7, 0.3], [a, b], grid)
+        else:                        # one entangled element: R = 9, mixing I
+            packets = [gaussian_packet(grid, q0, p0, 0.9)
+                       for q0, p0 in ((-1.0, 0.5), (0.8, -0.3), (0.2, 1.0))]
+            psi = np.stack(packets) * np.array([0.6, 0.5 - 0.3j, 0.2 + 0.5j])[:, None]
+            rho = SpinorDensity.from_pure(psi / np.sqrt(np.sum(np.abs(psi)**2) * grid.dx),
+                                          grid)
+        prop = PropagatorConfig(dt=0.004, n_steps=20, save_every=5)
+        return evolve_oracle(rho, FIELD, prop)
+
+    @pytest.mark.parametrize("rep", REPS)
+    @pytest.mark.parametrize("case, n_functions", [("mixture", 2), ("entangled", 9)])
+    def test_matches_component_order(self, frame, grid128, monkeypatch, case,
+                                     n_functions, rep):
+        traj = self.trajectory(case, grid128)
+        v = to_vector(traj.states[1], frame, rep, default_domain(rep, grid128))
+        assert v.mixing.shape == (9, n_functions)
+        report = residual_check(traj, FIELD, rep, frame)
+        with monkeypatch.context() as patched:
+            patched.setattr(residuals, "ddx", _ddx_reference)
+            factored = _residual_check_reference(traj, FIELD, rep, frame)
+            by_component = _residual_check_reference(traj, FIELD, rep, frame,
+                                                     factored=False)
+        assert report.per_frame_max.tolist() == factored[0].tolist()
+        assert_round_off(report, by_component)
 
 
 def traced_peak(fn, *args):
@@ -291,17 +349,20 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("rep", ["wigner", "husimi"])
     def test_residual_check_holds_three_frames(self, frame, trajectory, rep):
-        # three portraits, the drift and the operator scratch: about 5.2
-        # stacks (Wigner) and 6.2 (Husimi); all five frames and one
-        # temporary per operator term took 11.4 and 12.4
+        # three portraits, the right-hand side and one temporary of the
+        # maxima: about 4.6 stacks (Wigner and Husimi), the drift running on
+        # the one function; the drift on the nine components took 5.2 and
+        # 6.2, and all five frames with one temporary per operator term 11.4
+        # and 12.4
         stack = 9 * 128 * 128 * 8
         residual_check(trajectory, FIELD, rep, frame)
-        assert traced_peak(residual_check, trajectory, FIELD, rep, frame) <= 7 * stack
+        assert traced_peak(residual_check, trajectory, FIELD, rep, frame) <= 5 * stack
 
     def test_husimi_smoothed_in_place(self, frame, trajectory):
-        # the Wigner stack and one component's smoothing: about 1.7 stacks;
-        # a second, stacked Husimi array took 3.0
+        # the components and the one smoothed function: about 1.12 stacks;
+        # smoothing each component of a Wigner stack took 1.7, a second,
+        # stacked Husimi array 3.0
         stack = 9 * 128 * 128 * 8
         rho = trajectory.states[0]
         to_vector(rho, frame, "husimi")
-        assert traced_peak(to_vector, rho, frame, "husimi") <= 2 * stack
+        assert traced_peak(to_vector, rho, frame, "husimi") <= 1.25 * stack

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from spintomo import (
     SpinorDensity,
     TomogramDomain,
     UnsupportedInverseError,
+    VectorDistribution,
     audit,
     build_spin1_frame,
     evolve_oracle,
@@ -29,6 +32,7 @@ from spintomo import vector_portrait
 from spintomo.phase_space import (
     _kernel_of_wigner,
     _wigner_of_factors,
+    fourier_upsample2,
     radon_slices,
     symplectic_profiles,
 )
@@ -184,8 +188,9 @@ class TestToVector:
         v = to_vector(rho, frame, "optical", dom)
         # the spin-traced kernel sum_a rho_aa in factor form: weight p_r on psi_ra
         probs, fields = rho.factors
-        w_scalar = _wigner_of_factors(np.repeat(probs, 3)[None],
-                                      fields.reshape(-1, grid128.n), grid128).real[0]
+        w_scalar = _wigner_of_factors(
+            np.repeat(probs, 3)[None], fourier_upsample2(fields.reshape(-1, grid128.n)),
+            grid128).real[0]
         scalar_tom = radon_slices(w_scalar[None], grid128, dom.thetas, dom.x)[0]
         assert np.max(np.abs(v.components[:3].sum(axis=0) - scalar_tom)) < 1e-10
 
@@ -196,7 +201,8 @@ class TestToVector:
         rho = SpinorDensity.from_pure(spinor_product_state(grid64, chi, psi_space), grid64)
         v = to_vector(rho, frame, "wigner")
         spin_weights = frame.weights(np.outer(chi, chi.conj())).real
-        w_scalar = _wigner_of_factors(np.ones((1, 1)), psi_space[None], grid64).real[0]
+        w_scalar = _wigner_of_factors(np.ones((1, 1)), fourier_upsample2(psi_space[None]),
+                                      grid64).real[0]
         for j in range(9):
             assert np.max(np.abs(v.components[j] - spin_weights[j] * w_scalar)) < 1e-10
 
@@ -407,6 +413,74 @@ class TestSchmidtRank:
         assert v.components.shape == alone.shape and not np.any(v.components)
 
 
+class TestFactors:
+    """A portrait keeps the factors its components are formed from:
+    components = mixing @ functions."""
+
+    @staticmethod
+    def state(case, grid, fr, rng):
+        """(density, R): one product state, a rank-3 product mixture or one
+        entangled element (Schmidt rank 2s+1), and its function count."""
+        packets = [gaussian_packet(grid, q0, p0, 0.8)
+                   for q0, p0 in ((-0.9, 0.4), (0.7, -0.5), (0.1, 0.9))]
+        if case == "product":
+            chi = rng.normal(size=fr.dim) + 1j * rng.normal(size=fr.dim)
+            psi = spinor_product_state(grid, chi / np.linalg.norm(chi), packets[0])
+            return SpinorDensity.from_pure(psi, grid), 1
+        if case == "mixture":
+            chis = rng.normal(size=(3, fr.dim)) + 1j * rng.normal(size=(3, fr.dim))
+            psis = [spinor_product_state(grid, chi / np.linalg.norm(chi), phi)
+                    for chi, phi in zip(chis, packets)]
+            return SpinorDensity.from_mixture([0.5, 0.3, 0.2], psis, grid), 3
+        return SpinorDensity.from_pure(entangled_spinor(grid, fr.dim, rng), grid), fr.size
+
+    @pytest.mark.parametrize("case", ["product", "mixture", "entangled"])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_factors_form_the_components(self, grid64, s, case):
+        fr = build_spin1_frame() if s == 1.0 else random_frame(s, seed=11)
+        rng = np.random.default_rng([int(2 * s), len(case)])
+        rho, n_functions = self.state(case, grid64, fr, rng)
+        dense = SpinorDensity(grid64, rho.blocks)
+        for rep in REPRESENTATIONS:
+            dom = None if rep in ("wigner", "husimi") else default_domain(rep, grid64)
+            v = to_vector(rho, fr, rep, dom)
+            assert v.mixing.shape == (fr.size, n_functions)
+            assert v.functions.shape == (n_functions,) + v.components.shape[1:]
+            if n_functions == fr.size:
+                assert np.array_equal(v.mixing, np.eye(fr.size))
+            formed = np.tensordot(v.mixing, v.functions, 1)
+            scale = np.max(np.abs(v.components))
+            assert np.max(np.abs(formed - v.components)) <= 1e-15 * scale, rep
+            # the dense path finds other factors for the same components
+            ref = to_vector(dense, fr, rep, dom).components
+            assert np.max(np.abs(v.components - ref)) <= 1e-13, rep
+
+    def test_replace_drops_the_factors(self, frame, grid64):
+        psi = spin_coherent_state(grid64, [0.3, 0.2, 1.0], q0=0.4)
+        v = to_vector(SpinorDensity.from_pure(psi, grid64), frame, "wigner")
+        assert v.mixing.shape == (9, 1)
+        zero = dataclasses.replace(v, components=np.zeros_like(v.components))
+        assert np.array_equal(zero.mixing, np.eye(9)) and zero.functions is zero.components
+        assert not np.any(np.tensordot(zero.mixing, zero.functions, 1))
+
+    def test_component_count_checked(self, frame, grid64):
+        with pytest.raises(ValueError, match="components for a frame of 9"):
+            VectorDistribution("wigner", np.zeros((4, 64, 64)), frame, grid64)
+        with pytest.raises(ValueError, match="components for a frame of 9"):
+            VectorDistribution("wigner", np.zeros(()), frame, grid64)
+
+    @pytest.mark.parametrize("mixing, functions", [
+        (np.ones((9, 2)), np.zeros((3, 64, 64))),      # R disagrees
+        (np.ones((8, 1)), np.zeros((1, 64, 64))),      # c disagrees
+        (np.ones((9, 1)), np.zeros((1, 64, 32))),      # function shape disagrees
+        (np.ones(9), np.zeros((64, 64))),              # mixing not a matrix
+    ], ids=["rank", "components", "function-shape", "mixing-ndim"])
+    def test_factor_shapes_checked(self, frame, grid64, mixing, functions):
+        with pytest.raises(ValueError, match="do not form components"):
+            VectorDistribution("wigner", np.zeros((9, 64, 64)), frame, grid64,
+                               factors=(mixing, functions))
+
+
 class TestFromVector:
     def test_wigner_round_trip(self, frame, grid128, rng):
         rho = random_rank2_density(grid128, rng)
@@ -448,6 +522,20 @@ class TestFromVector:
                          frame=frame, grid=grid64)
         back = from_vector(zeroed, frame)
         assert np.max(np.abs(back.blocks)) == 0.0
+
+    @pytest.mark.parametrize("other", [(1.0, 3), (0.5, 0)], ids=["spin-1", "spin-1/2"])
+    def test_other_frame_refused(self, frame, grid128, other):
+        # without the check, random_frame(1.0, 3) gave this packet's blocks
+        # 0.47 off and a spin-1/2 frame failed inside numpy with a bare
+        # shape mismatch
+        psi = spin_coherent_state(grid128, [1, 1, 1], q0=0.5, p0=0.3)
+        v = to_vector(SpinorDensity.from_pure(psi, grid128), frame, "wigner")
+        with pytest.raises(ValueError, match=r"frame \(spin .*portrait.*\(spin 1, 9"):
+            from_vector(v, random_frame(*other))
+        # a frame equal by value is the portrait's frame
+        rebuilt = build_spin1_frame()
+        assert rebuilt is not frame
+        assert np.array_equal(from_vector(v, rebuilt).blocks, from_vector(v, frame).blocks)
 
     def test_husimi_inverse_rejected(self, frame, grid64):
         rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
