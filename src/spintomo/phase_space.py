@@ -533,9 +533,10 @@ def oscillator_levels(grid: PhaseSpaceGrid, n_theta: int) -> int:
     return min(grid.n // 2, n_theta - 1)
 
 
-def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain) -> np.ndarray:
-    """Density matrices (c, N + 1, N + 1) over the grid oscillator's eigenstates
-    psi_0..psi_N (states.oscillator_basis) of optical tomograms (c, n_theta, n_x).
+def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
+                   mixing: np.ndarray | None = None) -> np.ndarray:
+    """Density matrices (R, N + 1, N + 1) over the grid oscillator's eigenstates
+    psi_0..psi_N (states.oscillator_basis) of optical tomograms (R, n_theta, n_x).
 
     A kernel sum_mn rho_mn psi_m psi_n has the tomogram
     w(X, theta) = sum_mn rho_mn e^{-i (m - n) theta} psi_m(X) psi_n(X)
@@ -555,6 +556,12 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain)
     once per domain, raised on every call), and when the tomogram content those
     levels leave unexplained at the half-spaced points exceeds UNEXPLAINED_RTOL
     of the tomogram's largest value, or is not finite.
+
+    The inversion is linear, so a portrait's R functions may be inverted in
+    place of its c components = mixing @ stack (mixing (c, R), the identity
+    by default); the components' levels are then mixing @ levels.  The check
+    reads the components all the same: the residual is mixing applied to the
+    functions' residuals, and the scale is the largest |component|.
     """
     n_theta = len(dom.thetas)
     angle_step(dom.thetas)
@@ -568,36 +575,43 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain)
     basis, solvers = inversion
     n_levels = len(basis)
     # harmonics 0..n_theta of the real series at the half-spaced points that
-    # _half_points keeps; harmonic -d is the conjugate of d.  One component at
+    # _half_points keeps; harmonic -d is the conjugate of d.  One function at
     # a time, which bounds the transforms' scratch memory.
-    c = len(stack)
+    r = len(stack)
+    mixing = np.eye(r) if mixing is None else mixing
     keep = _half_points(len(x))
-    spectrum = np.empty((c, n_theta + 1, len(keep)), dtype=complex)
-    for comp, tomogram in zip(spectrum, stack):
+    spectrum = np.empty((r, n_theta + 1, len(keep)), dtype=complex)
+    for fn, tomogram in zip(spectrum, stack):
         harmonics = np.fft.rfft(np.concatenate([tomogram, _flip_x(tomogram, axis=-1)]), axis=0)
         harmonics /= 2 * n_theta
-        comp[:] = fourier_upsample2(harmonics, axis=-1)[:, keep]
+        fn[:] = fourier_upsample2(harmonics, axis=-1)[:, keep]
     half = slice(1, None)                                      # X >= 0
-    levels = np.zeros((c, n_levels, n_levels), dtype=complex)
+    levels = np.zeros((r, n_levels, n_levels), dtype=complex)
     for d, solver in enumerate(solvers):
         m = np.arange(d, n_levels)
-        harmonic = spectrum[:, d, half].conj()                 # harmonic -d, (c, n_x)
+        harmonic = spectrum[:, d, half].conj()                 # harmonic -d, (R, n_x)
         sol = solver @ np.concatenate([harmonic.real, harmonic.imag]).T
-        rho_d = (sol[:, :c] + 1j * sol[:, c:]).T               # rho_{m, m-d}, (c, N + 1 - d)
+        rho_d = (sol[:, :r] + 1j * sol[:, r:]).T               # rho_{m, m-d}, (R, N + 1 - d)
         levels[:, m, m - d] = rho_d
         levels[:, m - d, m] = rho_d.conj()
         explained = np.concatenate([rho_d.real, rho_d.imag]) @ (basis[d:] * basis[:n_levels - d])
-        spectrum[:, d] -= explained[:c] - 1j * explained[c:]
-    # largest |residual| per component (a NaN propagates)
-    unexplained = np.max([np.max(np.abs(np.fft.irfft(comp, 2 * n_theta, axis=0)), initial=0.0)
-                          for comp in spectrum], initial=0.0) * 2 * n_theta
-    scale = float(np.max(np.abs(stack), initial=0.0))
+        spectrum[:, d] -= explained[:r] - 1j * explained[r:]
+    residual = np.fft.irfft(spectrum, 2 * n_theta, axis=1)
+    unexplained = _largest_component(mixing, residual) * 2 * n_theta
+    scale = _largest_component(mixing, stack)
     if not unexplained <= UNEXPLAINED_RTOL * scale:           # a NaN fails too
         raise UndersampledDomainError(
             f"{n_levels} oscillator levels ({n_theta} angles, n = {grid.n}) leave "
             f"{unexplained / scale:.2e} of the tomogram's largest value unexplained, above "
             f"{UNEXPLAINED_RTOL:g}: the state is not supported by the grid or the angles")
     return levels
+
+
+def _largest_component(mixing: np.ndarray, functions: np.ndarray) -> float:
+    """max |mixing @ functions|, forming one component at a time, which bounds
+    the scratch memory (a NaN propagates)."""
+    return float(np.max([np.max(np.abs(np.tensordot(row, functions, 1)), initial=0.0)
+                         for row in mixing], initial=0.0))
 
 
 def _level_factors(matrix: np.ndarray, dim: int, grid: PhaseSpaceGrid) -> tuple:

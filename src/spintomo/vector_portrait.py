@@ -3,7 +3,8 @@
 A vector distribution collects (2s+1)^2 real components: component j is the
 spatial transform (Wigner, optical, symplectic, or Husimi) of the spin
 contraction Tr_spin(U_j rho), taken on factors (see to_vector).  Reconstruction
-inverts the spatial map per component and resums with the dual frame.
+inverts the spatial map on the portrait's phase-space functions and resums with
+the dual frame, mixed as the components are (see from_vector).
 """
 from __future__ import annotations
 
@@ -106,8 +107,9 @@ class VectorDistribution:
     factors, (mixing, functions), is given at construction only.  Without it
     the portrait factors trivially as (I_c, components), so
     dataclasses.replace, which does not pass it, never keeps factors of other
-    components.  A component count other than frame.size, or factors whose
-    shapes disagree with the components, raise ValueError.
+    components.  A component count other than frame.size, factors whose
+    shapes disagree with the components, or imag_residues that are not one
+    finite value per component raise ValueError.
     """
 
     representation: str
@@ -128,6 +130,10 @@ class VectorDistribution:
         if np.ndim(self.components) < 1 or len(self.components) != c:
             raise ValueError(f"{np.shape(self.components)} components for a frame "
                              f"of {c} elements")
+        res = self.imag_residues
+        if res is not None and (np.shape(res) != (c,) or not np.all(np.isfinite(res))):
+            raise ValueError(f"imag_residues of shape {np.shape(res)} for {c} components: "
+                             "one finite value per component is needed")
         mixing, functions = (np.eye(c), self.components) if factors is None else factors
         if (np.ndim(mixing) != 2 or np.shape(mixing)[0] != c
                 or np.shape(functions) != np.shape(mixing)[1:] + np.shape(self.components)[1:]):
@@ -137,13 +143,14 @@ class VectorDistribution:
         object.__setattr__(self, "functions", functions)
 
     def component_integrals(self) -> np.ndarray:
-        g = self.grid
+        """Integral of each component: the R functions' integrals, mixed."""
+        fns = self.functions
         if self.representation in ("wigner", "husimi"):
-            return np.sum(self.components, axis=(1, 2)) * g.cell
-        dxs = self.domain.dx
-        # tomographic kinds: integral over X; average over the parameter slices
-        return np.mean(np.sum(self.components, axis=-1), axis=tuple(
-            range(1, self.components.ndim - 1))) * dxs
+            integrals = np.sum(fns, axis=(1, 2)) * self.grid.cell
+        else:   # tomographic kinds: integral over X; average over the parameter slices
+            integrals = np.mean(np.sum(fns, axis=-1), axis=tuple(range(1, fns.ndim - 1)))
+            integrals *= self.domain.dx
+        return self.mixing @ integrals
 
     def normalization_sum(self) -> float:
         """Total trace sum_j Tr(D_j) * integral(w_j); 1 for a normalized state."""
@@ -274,12 +281,18 @@ def _frame_label(frame: SpinFrame) -> str:
 def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
     """Spinor density from a vector distribution (wigner or optical route).
 
-    Wigner route: each component's kernel by the inverse skew FFT, resummed
-    with the dual frame into dense blocks.  Optical route: each component's
-    density matrix over the oscillator levels psi_0..psi_N (invert_optical),
-    resummed with the dual frame into the (2s+1)(N+1) square matrix of the
-    state in the basis |a> (x) psi_m, whose eigenpairs with |p| > 1e-12
-    (phase_space._level_factors) are the state's factors.
+    Both spatial inverses are linear, so they run on the portrait's R
+    functions (v.functions), not on its c = (2s+1)^2 components, and the
+    mixing folds into the dual frame: the components' quantizer
+    sum_j D_j mixing[j, k] weighs function k.  Wigner route: each function's
+    kernel by the inverse skew FFT, resummed into dense blocks.  Optical
+    route: each function's density matrix over the oscillator levels
+    psi_0..psi_N (invert_optical, whose unexplained-share check reads the
+    components, mixing @ the functions' residuals), resummed into the
+    (2s+1)(N+1) square matrix of the state in the basis |a> (x) psi_m, whose
+    eigenpairs with |p| > 1e-12 (phase_space._level_factors) are the state's
+    factors.  A portrait that factors trivially, (I_c, components), inverts
+    its components.
 
     frame must be the portrait's frame, v.frame, by value; any other frame
     raises ValueError naming both.
@@ -288,16 +301,17 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
                                      and np.array_equal(frame.quantizer, v.frame.quantizer)):
         raise ValueError(f"from_vector got the frame {_frame_label(frame)}, but the "
                          f"portrait was taken with the frame {_frame_label(v.frame)}")
+    quant = np.tensordot(v.mixing, frame.quantizer, axes=(0, 0))    # (R, d, d)
     if v.representation == "wigner":
-        kernels = _kernel_of_wigner(v.components, v.grid)
-        return SpinorDensity(v.grid, np.tensordot(frame.quantizer, kernels, axes=(0, 0)))
+        kernels = _kernel_of_wigner(v.functions, v.grid)
+        return SpinorDensity(v.grid, np.tensordot(quant, kernels, axes=(0, 0)))
     if v.representation != "optical":
         raise UnsupportedInverseError(
             f"no inverse map for the {v.representation} representation; "
             "reconstruct through the wigner route instead")
-    levels = invert_optical(v.components, v.grid, v.domain)
+    levels = invert_optical(v.functions, v.grid, v.domain, v.mixing)
     d, n_levels = frame.dim, levels.shape[-1]
-    joint = np.tensordot(frame.quantizer, levels, axes=(0, 0))     # (a, b, m, n)
+    joint = np.tensordot(quant, levels, axes=(0, 0))                # (a, b, m, n)
     joint = joint.transpose(0, 2, 1, 3).reshape(d * n_levels, -1)
     return SpinorDensity.from_mixture(*_level_factors(joint, d, v.grid), v.grid)
 

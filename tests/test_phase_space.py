@@ -592,6 +592,21 @@ class TestOpticalInversion:
         stack = np.zeros((2, n_theta, n))
         assert invert_optical(stack, grid, dom).shape == (2, levels + 1, levels + 1)
 
+    def test_mixing_reads_the_components(self, grid128, rng):
+        # the levels are the functions'; mixed, they are the components'
+        frame = random_frame(1.5, 11)
+        psis = [spinor_product_state(grid128, rng.normal(size=4) + 1j * rng.normal(size=4),
+                                     random_band_limited_state(grid128, rng)) for _ in range(2)]
+        rho = SpinorDensity.from_mixture([0.7, 0.3], psis, grid128)
+        dom = TomogramDomain.optical_default(grid128, 64)
+        v = to_vector(rho, frame, "optical", dom)
+        assert v.mixing.shape == (16, 2)
+        levels = invert_optical(v.functions, grid128, dom, v.mixing)
+        assert np.array_equal(levels, invert_optical(v.functions, grid128, dom))
+        ref = invert_optical(v.components, grid128, dom)
+        mixed = np.tensordot(v.mixing, levels, 1)
+        assert np.max(np.abs(mixed - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_narrow_domain_rejected(self, frame):
         # 16 quadrature points cannot determine the 32 levels of n = 64 and 32 angles
         grid = PhaseSpaceGrid.balanced(64)

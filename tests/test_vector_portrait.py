@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spintomo import (
     ScalarField,
     SpinorDensity,
     TomogramDomain,
+    UndersampledDomainError,
     UnsupportedInverseError,
     VectorDistribution,
     audit,
@@ -480,6 +482,29 @@ class TestFactors:
             VectorDistribution("wigner", np.zeros((9, 64, 64)), frame, grid64,
                                factors=(mixing, functions))
 
+    @pytest.mark.parametrize("residues", [np.zeros(3), np.zeros((9, 1)), np.full(9, np.nan),
+                                          np.r_[np.zeros(8), np.inf]],
+                             ids=["count", "shape", "nan", "inf"])
+    def test_imag_residues_checked(self, frame, grid64, residues):
+        # before the check, three residues for nine components passed the
+        # audit and failed evolve_wigner_vector with a bare broadcast error
+        psi = spin_coherent_state(grid64, [0.3, 0.2, 1.0], q0=0.4)
+        v = to_vector(SpinorDensity.from_pure(psi, grid64), frame, "wigner")
+        with pytest.raises(ValueError, match=rf"imag_residues of shape \({len(residues)},.*"
+                                             "for 9 components"):
+            dataclasses.replace(v, imag_residues=residues)
+        assert dataclasses.replace(v, imag_residues=np.zeros(9)).imag_residues.shape == (9,)
+        assert dataclasses.replace(v, imag_residues=None).imag_residues is None
+
+
+def product_mixture(grid, fr, rank, rng):
+    """Mixture of rank spin (x) Gaussian product states, as in a tomography job."""
+    psis = [spinor_product_state(grid, rng.normal(size=fr.dim) + 1j * rng.normal(size=fr.dim),
+                                 gaussian_packet(grid, *rng.uniform(-1.5, 1.5, size=2),
+                                                 rng.uniform(0.65, 0.85)))
+            for _ in range(rank)]
+    return SpinorDensity.from_mixture(rng.dirichlet(np.ones(rank)), psis, grid)
+
 
 class TestFromVector:
     def test_wigner_round_trip(self, frame, grid128, rng):
@@ -536,6 +561,72 @@ class TestFromVector:
         rebuilt = build_spin1_frame()
         assert rebuilt is not frame
         assert np.array_equal(from_vector(v, rebuilt).blocks, from_vector(v, frame).blocks)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, "entangled"])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_factored_equals_unfactored(self, grid128, s, rank):
+        # from_vector inverts the R functions and mixes the dual frame; the
+        # same portrait without its factors inverts its c components
+        fr = build_spin1_frame() if s == 1.0 else random_frame(s, seed=11)
+        rng = np.random.default_rng([int(2 * s), len(str(rank))])
+        if rank == "entangled":
+            rho = SpinorDensity.from_pure(entangled_spinor(grid128, fr.dim, rng), grid128)
+        else:
+            rho = product_mixture(grid128, fr, rank, rng)
+        n_functions = fr.size if rank == "entangled" else rank
+        opt = TomogramDomain.optical_default(grid128, 64)
+        for rep, dom in (("wigner", None), ("optical", opt)):
+            v = to_vector(rho, fr, rep, dom)
+            bare = dataclasses.replace(v)
+            assert v.mixing.shape == (fr.size, n_functions) and bare.mixing.shape == (fr.size,) * 2
+            got, ref = from_vector(v, fr).blocks, from_vector(bare, fr).blocks
+            if n_functions == fr.size:      # (I_c, components): the unchanged path
+                assert np.array_equal(got, ref), rep
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), rep
+
+    @pytest.mark.parametrize("s, rank", [(1.0, 1), (1.0, 2), (1.0, 3), (0.5, 2), (1.5, 3)])
+    def test_tomography_job_inverts_the_functions(self, grid128, monkeypatch, s, rank):
+        # a benchmark tomography job: four portraits of a product mixture,
+        # their audits, and both routes back; each spatial inverse sees the
+        # R functions, not the (2s+1)^2 components
+        fr = build_spin1_frame() if s == 1.0 else random_frame(s, seed=7)
+        rho = product_mixture(grid128, fr, rank, np.random.default_rng([rank, int(2 * s)]))
+        seen = {"kernel": [], "optical": []}
+
+        def recording(name, inverse):
+            def wrapped(stack, *args, **kwargs):
+                seen[name].append(np.shape(stack))
+                return inverse(stack, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(vector_portrait, "_kernel_of_wigner",
+                            recording("kernel", vector_portrait._kernel_of_wigner))
+        monkeypatch.setattr(vector_portrait, "invert_optical",
+                            recording("optical", vector_portrait.invert_optical))
+        doms = {"wigner": None, "optical": TomogramDomain.optical_default(grid128, 64),
+                "symplectic-section": default_domain("symplectic-section", grid128),
+                "husimi": None}
+        portraits = {rep: to_vector(rho, fr, rep, dom) for rep, dom in doms.items()}
+        assert all(audit(v).passed for v in portraits.values())
+        back = {rep: from_vector(portraits[rep], fr) for rep in ("wigner", "optical")}
+        assert seen == {"kernel": [(rank, 128, 128)], "optical": [(rank, 64, 128)]}
+        for rep, rho_back in back.items():
+            assert np.max(np.abs(rho_back.blocks - rho.blocks)) <= 1e-12, rep
+
+    def test_unsupported_state_refused_alike(self, frame):
+        # the roundtrip CLI's unsupported optical packet: its components and
+        # its one function leave the same share unexplained
+        grid = PhaseSpaceGrid.balanced(256, mass=4.0)
+        psi = spin_coherent_state(grid, [1, 1, 1], q0=3.0, p0=2.0, sigma=1.0)
+        v = to_vector(SpinorDensity.from_pure(psi, grid), frame, "optical",
+                      TomogramDomain.optical_default(grid, 128))
+        assert v.mixing.shape == (9, 1)
+        shares = []
+        for portrait in (v, dataclasses.replace(v)):
+            with pytest.raises(UndersampledDomainError, match="unexplained") as err:
+                from_vector(portrait, frame)
+            shares.append(re.search(r"leave (\S+) of the tomogram", str(err.value)).group(1))
+        assert shares[0] == shares[1]
 
     def test_husimi_inverse_rejected(self, frame, grid64):
         rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
