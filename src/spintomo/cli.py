@@ -38,7 +38,7 @@ from .spin_frames import (
     random_frame,
     spin_eigenvector,
 )
-from .states import random_band_limited_state, spin_coherent_state, spinor_product_state
+from .states import random_band_limited_state, spinor_product_state
 from .vector_portrait import (
     REALNESS_BOUND,
     VECTOR_REPRESENTATIONS,
@@ -480,10 +480,8 @@ def _run_roundtrip(cfg: dict, out: Path, scale: float) -> dict:
 
     if run["route"] in ("optical", "both"):
         grid_o = _grid_from(cfg, n_override=run["optical_n"])
-        st = cfg["state"]
-        psi = spin_coherent_state(grid_o, st["spin_direction"], 1.0, st["spin_m"],
-                                  st["q0"], st["p0"], st["sigma"])
-        rho = SpinorDensity.from_pure(psi, grid_o)
+        rho = StateSpec(**cfg["state"]).build(grid_o)
+        psi = rho.factors[1][0]
         dom = TomogramDomain.optical_default(grid_o, run["n_theta"])
         v = to_vector(rho, frame, "optical", dom)
         rho_back = from_vector(v, frame)

@@ -493,6 +493,14 @@ UNEXPLAINED_RTOL = 1e-6
 # from its factors (_level_factors)
 _EIGEN_CUTOFF = 1e-12
 
+# Singular values below this share of the largest are round-off and dropped
+# where a state is split into Schmidt pairs (vector_portrait.to_vector) and
+# where the levels' joint range is cut (_level_factors).  A product state's
+# second Schmidt value is round-off: at most 3.6e-16 of the first for spin-1
+# coherent and product packets on balanced(128), 3.7e-17 for a packet at the
+# band edge of balanced(64).
+_RANK_RTOL = 1e-14
+
 # a level system whose singular values fall below this fraction of its largest
 # is not determined by the quadrature points; invert_optical refuses it
 _LEVEL_RCOND = 1e-10
@@ -561,7 +569,9 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
     place of its c components = mixing @ stack (mixing (c, R), the identity
     by default); the components' levels are then mixing @ levels.  The check
     reads the components all the same: the residual is mixing applied to the
-    functions' residuals, and the scale is the largest |component|.
+    functions' residuals, and the scale is the largest |component|.  The
+    state's factors come from the levels and the dual frame by _level_factors,
+    which never forms the (d (N + 1))^2 joint matrix.
     """
     n_theta = len(dom.thetas)
     angle_step(dom.thetas)
@@ -614,34 +624,37 @@ def _largest_component(mixing: np.ndarray, functions: np.ndarray) -> float:
                          for row in mixing], initial=0.0))
 
 
-def _level_factors(matrix: np.ndarray, dim: int, grid: PhaseSpaceGrid) -> tuple:
-    """Factors (probs (r,), fields (r, dim, n)) of a density matrix over the
-    basis |a> (x) psi_m, a < dim, m <= N (row index a (N + 1) + m): its
-    eigenpairs with |p| > 1e-12, as in SpinorDensity.factors, in ascending p,
-    with each eigenvector summed over the oscillator levels on the grid.
+def _level_factors(quant: np.ndarray, levels: np.ndarray, grid: PhaseSpaceGrid) -> tuple:
+    """Factors (probs (r,), fields (r, d, n)) of the density matrix
+    sum_k quant_k (x) levels_k over the basis |a> (x) psi_m, a < d, m <= N:
+    its eigenpairs with |p| > 1e-12, as in SpinorDensity.factors, in ascending
+    p, with each eigenvector summed over the oscillator levels on the grid.
 
-    Only those eigenpairs are solved for, by LAPACK's selected-eigenpair
-    driver (heevx): the ones with p > 1e-12, and those with p < -1e-12 only
-    when a Cholesky factorisation of matrix + 1e-12 I fails, which proves
-    that one exists.  A density matrix keeps its few nonzero eigenpairs, so
-    this skips the full decomposition and its back-transformation.
+    quant (R, d, d) and levels (R, N + 1, N + 1) are Hermitian, so the matrix
+    acts on C^d (x) range(Q), Q an orthonormal basis of the joint range of its
+    level blocks M_ab = sum_k quant_k[a, b] levels_k.  With quant as the
+    (R, d^2) matrix U S V^H, the blocks side by side are the levels mixed by
+    U S, then by V^H, which keeps their range and singular values: one SVD of
+    the levels mixed by U S gives Q, cut at _RANK_RTOL of the largest
+    singular value, so a portrait's factors and its components keep the same
+    range.  One eigensolve of the (d r)^2 compression
+    sum_k quant_k (x) Q^H levels_k Q gives the eigenpairs.  For a mixture of
+    R product states r is R plus the few directions that the inversion's
+    round-off lifts above the cut.
     """
-    from scipy.linalg import LinAlgError, cholesky, eigh   # as in _Plan.inversion
-
-    probs, vecs = eigh(matrix, subset_by_value=(_EIGEN_CUTOFF, np.inf), driver="evx",
-                       check_finite=False)
-    shifted = np.array(matrix, order="F")          # potrf factorises it in place
-    shifted.flat[::len(matrix) + 1] += _EIGEN_CUTOFF
-    try:
-        cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        below = np.nextafter(-_EIGEN_CUTOFF, -np.inf)      # the interval is (lo, hi]
-        neg, neg_vecs = eigh(matrix, subset_by_value=(-np.inf, below), driver="evx",
-                             check_finite=False)
-        probs, vecs = np.concatenate([neg, probs]), np.hstack([neg_vecs, vecs])
-    n_levels = len(matrix) // dim
-    fields = vecs.T.reshape(-1, dim, n_levels) @ oscillator_basis(grid, n_levels)
-    return probs, fields
+    d, n_levels = quant.shape[-1], levels.shape[-1]
+    u, svals, _ = np.linalg.svd(quant.reshape(len(quant), d * d), full_matrices=False)
+    blocks = np.tensordot(u * svals, levels, axes=(0, 0))
+    u, svals, _ = np.linalg.svd(blocks.transpose(1, 0, 2).reshape(n_levels, -1),
+                                full_matrices=False)
+    q = u[:, svals > _RANK_RTOL * svals[:1]]                   # (N + 1, r)
+    r = q.shape[1]
+    small = np.tensordot(quant, q.conj().T @ levels @ q, axes=(0, 0))   # (a, b, i, j)
+    probs, vecs = np.linalg.eigh(small.transpose(0, 2, 1, 3).reshape(d * r, d * r))
+    keep = np.abs(probs) > _EIGEN_CUTOFF
+    vecs = vecs.T[keep].reshape(np.sum(keep), d, r)           # r may be 0
+    fields = vecs @ (q.T @ oscillator_basis(grid, n_levels))
+    return probs[keep], fields
 
 
 def wigner_from_optical(fld: ScalarField) -> ScalarField:
@@ -653,8 +666,8 @@ def wigner_from_optical(fld: ScalarField) -> ScalarField:
     """
     if fld.kind != "optical":
         raise ValueError(f"expected an optical field, got {fld.kind!r}")
-    levels = invert_optical(fld.values[None], fld.grid, fld.domain)[0]
-    probs, fields = _level_factors(levels, 1, fld.grid)
+    levels = invert_optical(fld.values[None], fld.grid, fld.domain)
+    probs, fields = _level_factors(np.ones((1, 1, 1)), levels, fld.grid)
     values = _wigner_of_factors(probs[None], fourier_upsample2(fields[:, 0]), fld.grid)[0]
     return ScalarField(grid=fld.grid, values=values, kind="wigner")
 

@@ -312,17 +312,8 @@ def random_frame(s: float, seed: int, max_attempts: int = 1000,
         dequantizer = np.stack(
             [eigenprojector(s, n, m) for n, m in zip(directions, eigenvalues)]
         )
-        g = gram_matrix(dequantizer)
-        if np.linalg.cond(g) < max_condition:
-            quantizer = solve_dual_frame(dequantizer)
-            return SpinFrame(
-                s=s,
-                directions=directions,
-                eigenvalues=eigenvalues,
-                dequantizer=dequantizer,
-                quantizer=quantizer,
-                gram=g,
-            )
+        if np.linalg.cond(gram_matrix(dequantizer)) < max_condition:
+            return build_frame(s, directions, eigenvalues)
     raise FrameSearchError(
         f"no frame with Gram condition < {max_condition:g} found in "
         f"{max_attempts} attempts (s={s}, seed={seed})"

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import UnsupportedInverseError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
 from .phase_space import (
+    _RANK_RTOL,
     _imag_residues,
     _kernel_of_wigner,
     _level_factors,
@@ -32,13 +33,6 @@ VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
 
 # largest imaginary residue the audit accepts as round-off (realness_ok)
 REALNESS_BOUND = 1e-12
-
-# Singular values below this share of the largest are round-off and dropped
-# where a state is split into Schmidt pairs (to_vector).  A product state's
-# second Schmidt value is round-off: at most 3.6e-16 of the first for spin-1
-# coherent and product packets on balanced(128), 3.7e-17 for a packet at the
-# band edge of balanced(64).
-_RANK_RTOL = 1e-14
 
 
 class SpinorDensity:
@@ -108,7 +102,8 @@ class VectorDistribution:
     the portrait factors trivially as (I_c, components), so
     dataclasses.replace, which does not pass it, never keeps factors of other
     components.  A component count other than frame.size, factors whose
-    shapes disagree with the components, or imag_residues that are not one
+    shapes disagree with the components, non-finite factors (the components
+    themselves when none are given), or imag_residues that are not one
     finite value per component raise ValueError.
     """
 
@@ -139,6 +134,10 @@ class VectorDistribution:
                 or np.shape(functions) != np.shape(mixing)[1:] + np.shape(self.components)[1:]):
             raise ValueError(f"factors of shapes {np.shape(mixing)} and {np.shape(functions)} "
                              f"do not form components of shape {np.shape(self.components)}")
+        # the components are formed from finite factors, so checking the
+        # factors alone keeps the cost to R functions
+        if not (np.isfinite(mixing).all() and np.isfinite(functions).all()):
+            raise ValueError("the portrait has non-finite components or factors")
         object.__setattr__(self, "mixing", mixing)
         object.__setattr__(self, "functions", functions)
 
@@ -286,13 +285,13 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
     mixing folds into the dual frame: the components' quantizer
     sum_j D_j mixing[j, k] weighs function k.  Wigner route: each function's
     kernel by the inverse skew FFT, resummed into dense blocks.  Optical
-    route: each function's density matrix over the oscillator levels
+    route: each function's density matrix L_k over the oscillator levels
     psi_0..psi_N (invert_optical, whose unexplained-share check reads the
-    components, mixing @ the functions' residuals), resummed into the
-    (2s+1)(N+1) square matrix of the state in the basis |a> (x) psi_m, whose
-    eigenpairs with |p| > 1e-12 (phase_space._level_factors) are the state's
-    factors.  A portrait that factors trivially, (I_c, components), inverts
-    its components.
+    components, mixing @ the functions' residuals); the state's factors are
+    the eigenpairs with |p| > 1e-12 of sum_k quant_k (x) L_k, solved in the
+    range of its level blocks (phase_space._level_factors), so no
+    (2s+1)(N+1) square matrix is formed.  A portrait that factors trivially,
+    (I_c, components), inverts its components.
 
     frame must be the portrait's frame, v.frame, by value; any other frame
     raises ValueError naming both.
@@ -310,10 +309,7 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
             f"no inverse map for the {v.representation} representation; "
             "reconstruct through the wigner route instead")
     levels = invert_optical(v.functions, v.grid, v.domain, v.mixing)
-    d, n_levels = frame.dim, levels.shape[-1]
-    joint = np.tensordot(quant, levels, axes=(0, 0))                # (a, b, m, n)
-    joint = joint.transpose(0, 2, 1, 3).reshape(d * n_levels, -1)
-    return SpinorDensity.from_mixture(*_level_factors(joint, d, v.grid), v.grid)
+    return SpinorDensity.from_mixture(*_level_factors(quant, levels, v.grid), v.grid)
 
 
 @dataclass(frozen=True)

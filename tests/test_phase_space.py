@@ -1,6 +1,7 @@
+import dataclasses
+
 import numpy as np
 import pytest
-import scipy.linalg
 
 from spintomo import (
     PhaseSpaceGrid,
@@ -660,58 +661,126 @@ def factor_blocks(probs, fields):
     return np.einsum("r,rai,rbj->abij", probs, fields, fields.conj())
 
 
+def frame_levels(matrix, frame):
+    """Levels Tr_spin(U_j matrix), (c, N + 1, N + 1), of a matrix over
+    |a> (x) psi_m in the frame's components: sum_j D_j (x) levels_j is the
+    matrix, and each level is Hermitian when the matrix is."""
+    d = frame.dim
+    blocks = matrix.reshape(d, len(matrix) // d, d, -1)          # (a, m, b, n)
+    return np.einsum("jab,bman->jmn", frame.dequantizer, blocks)
+
+
+def joint_matrix(quant, levels):
+    """The dense matrix sum_k quant_k (x) levels_k, row index a (N + 1) + m."""
+    d, n_levels = quant.shape[-1], levels.shape[-1]
+    joint = np.tensordot(quant, levels, axes=(0, 0))             # (a, b, m, n)
+    return joint.transpose(0, 2, 1, 3).reshape(d * n_levels, -1)
+
+
+def level_frame(dim):
+    return build_spin1_frame() if dim == 3 else random_frame((dim - 1) / 2, seed=3)
+
+
 class TestLevelFactors:
-    """_level_factors solves only for the eigenpairs it keeps; its factors give
-    the blocks of the full numpy.linalg.eigh decomposition it replaced."""
+    """_level_factors solves one eigenproblem in the range of the level
+    blocks; its factors give the blocks of the full numpy.linalg.eigh
+    decomposition of the dense joint matrix, which it never forms."""
 
     N_LEVELS = 64
 
-    def check(self, matrix, dim, grid, monkeypatch, solves):
-        evals, evecs = np.linalg.eigh(matrix)
+    def check(self, quant, levels, grid, monkeypatch):
+        """Compares with the dense decomposition; returns r, the dimension of
+        the range the one eigenproblem was solved in."""
+        d, n_levels = quant.shape[-1], levels.shape[-1]
+        evals, evecs = np.linalg.eigh(joint_matrix(quant, levels))
         keep = np.abs(evals) > 1e-12
-        basis = oscillator_basis(grid, self.N_LEVELS)
-        ref = factor_blocks(evals[keep],
-                            evecs[:, keep].T.reshape(-1, dim, self.N_LEVELS) @ basis)
+        basis = oscillator_basis(grid, n_levels)
+        ref = factor_blocks(evals[keep], evecs[:, keep].T.reshape(-1, d, n_levels) @ basis)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("full eigendecomposition")
+        sizes = []
+        eigh = np.linalg.eigh
 
-        calls = []
+        def recorded(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["subset_by_value"])
-            return eigh(*args, **kwargs)
-
-        eigh = scipy.linalg.eigh        # _level_factors imports it when called
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(scipy.linalg, "eigh", counted)
-        probs, fields = _level_factors(matrix, dim, grid)
-        assert len(calls) == solves
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", recorded)
+            probs, fields = _level_factors(quant, levels, grid)
+        assert len(sizes) == 1 and sizes[0][0] == sizes[0][1] and sizes[0][0] % d == 0
         assert np.all(np.diff(probs) >= 0)
-        np.testing.assert_allclose(probs, evals[keep], rtol=0, atol=1e-15)
-        assert fields.shape == (int(np.sum(keep)), dim, grid.n)
-        # two LAPACK solvers agree to a few round-offs: up to 3e-15 of the
-        # largest block entry over 20 seeds of these cases
-        assert np.max(np.abs(factor_blocks(probs, fields) - ref)) <= 5e-15 * np.max(np.abs(ref))
+        assert fields.shape == (int(np.sum(keep)), d, grid.n)
+        # The two solvers round the sum of the terms quant_k (x) levels_k
+        # differently, and the frame's quantizer (entries up to 4.4) scales
+        # that round-off: the dense reference itself misses the eigenvalues
+        # the matrix was built with by up to 2.6e-15.  Over 40 seeds of each
+        # case below the two differed by up to 1.9e-15 in the eigenvalues and
+        # 6.9e-15 of the largest block entry in the blocks.
+        np.testing.assert_allclose(probs, evals[keep], rtol=0, atol=4e-15)
+        blocks_err = np.max(np.abs(factor_blocks(probs, fields) - ref))
+        assert blocks_err <= 1e-14 * np.max(np.abs(ref))
+        return sizes[0][0] // d
+
+    def check_matrix(self, matrix, dim, grid, monkeypatch):
+        """The levels of a joint matrix in a frame's components, with the
+        frame's quantizer as quant.  Each eigenvector spans dim levels'
+        vectors, and r is their count."""
+        fr = level_frame(dim)
+        levels = frame_levels(matrix, fr)
+        assert np.max(np.abs(joint_matrix(fr.quantizer, levels) - matrix)) <= 1e-14
+        n_vectors = np.linalg.matrix_rank(matrix, tol=1e-14)
+        assert self.check(fr.quantizer, levels, grid, monkeypatch) == dim * n_vectors
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5], ids=["D128", "D192", "D256"])
     def test_positive_semidefinite(self, grid128, rng, monkeypatch, s, rank):
-        # no eigenvalue is below -1e-12, so the negative side is never solved
         dim = int(2 * s + 1)
         matrix = level_matrix(dim, self.N_LEVELS, rng.dirichlet(np.ones(rank)), rng)
-        self.check(matrix, dim, grid128, monkeypatch, solves=1)
+        self.check_matrix(matrix, dim, grid128, monkeypatch)
 
     def test_degenerate_pair(self, grid128, rng, monkeypatch):
         matrix = level_matrix(3, self.N_LEVELS, np.array([0.4, 0.4, 0.2]), rng)
-        self.check(matrix, 3, grid128, monkeypatch, solves=1)
+        self.check_matrix(matrix, 3, grid128, monkeypatch)
 
     def test_indefinite(self, grid128, rng, monkeypatch):
-        # +-1e-10 are kept, +-1e-13 dropped; the Cholesky factorisation of
-        # matrix + 1e-12 I fails, so the negative side is solved too
+        # +-1e-10 are kept, +-1e-13 dropped
         probs = np.array([0.7, 0.3, 1e-10, -1e-10, 1e-13, -1e-13])
         matrix = level_matrix(2, self.N_LEVELS, probs, rng)
-        self.check(matrix, 2, grid128, monkeypatch, solves=2)
+        self.check_matrix(matrix, 2, grid128, monkeypatch)
+
+    def test_zero_portrait(self, grid128, frame):
+        # no range, no factors; through from_vector as well
+        levels = np.zeros((frame.size, self.N_LEVELS, self.N_LEVELS), dtype=complex)
+        probs, fields = _level_factors(frame.quantizer, levels, grid128)
+        assert probs.shape == (0,) and fields.shape == (0, 3, grid128.n)
+        dom = TomogramDomain.optical_default(grid128, 64)
+        v = to_vector(SpinorDensity(grid128, np.zeros((3, 3, 128, 128))), frame, "optical", dom)
+        for portrait in (v, dataclasses.replace(v)):
+            back = from_vector(portrait, frame)
+            assert len(back.factors[0]) == 0 and not np.any(back.blocks)
+
+    @pytest.mark.parametrize("case", ["entangled", "replaced"])
+    def test_trivially_factored_portrait(self, grid128, frame, monkeypatch, case):
+        # R = c functions: the components of an entangled element, and of a
+        # product state's portrait copied without its factors.  The range
+        # holds the state's 3 or 1 Schmidt functions and the directions that
+        # the inversion's round-off, 1e-14 to 5e-14 of the levels' largest
+        # singular value, lifts above the cut: r = 11 and 39.
+        rng = np.random.default_rng(7)
+        if case == "entangled":
+            psi = np.stack([random_band_limited_state(grid128, rng) for _ in range(3)])
+            psi *= (rng.normal(size=3) + 1j * rng.normal(size=3))[:, None]
+            psi /= np.sqrt(np.sum(np.abs(psi)**2) * grid128.dx)
+        else:
+            psi = spin_coherent_state(grid128, [1, 1, 1], q0=0.5, p0=0.3)
+        dom = TomogramDomain.optical_default(grid128, 64)
+        v = to_vector(SpinorDensity.from_pure(psi, grid128), frame, "optical", dom)
+        if case == "replaced":
+            v = dataclasses.replace(v)
+        assert v.mixing.shape == (9, 9)
+        levels = invert_optical(v.functions, grid128, dom, v.mixing)
+        quant = np.tensordot(v.mixing, frame.quantizer, axes=(0, 0))
+        assert self.check(quant, levels, grid128, monkeypatch) >= (3 if case == "entangled" else 1)
 
 
 def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:

@@ -465,6 +465,26 @@ class TestFactors:
         assert np.array_equal(zero.mixing, np.eye(9)) and zero.functions is zero.components
         assert not np.any(np.tensordot(zero.mixing, zero.functions, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("rep", ["wigner", "optical"])
+    def test_non_finite_portrait_refused(self, frame, grid64, rep, bad):
+        # before the check the Wigner route turned NaN components into NaN
+        # blocks without an error
+        dom = TomogramDomain.optical_default(grid64, 32) if rep == "optical" else None
+        psi = spin_coherent_state(grid64, [0.3, 0.2, 1.0], q0=0.4)
+        v = to_vector(SpinorDensity.from_pure(psi, grid64), frame, rep, dom)
+        with pytest.raises(ValueError, match="non-finite components or factors"):
+            dataclasses.replace(v, components=np.full_like(v.components, bad))
+        one_bad = v.components.copy()
+        one_bad[4].flat[7] = bad
+        with pytest.raises(ValueError, match="non-finite components or factors"):
+            dataclasses.replace(v, components=one_bad)
+        for mixing, functions in ((np.full_like(v.mixing, bad), v.functions),
+                                  (v.mixing, np.full_like(v.functions, bad))):
+            with pytest.raises(ValueError, match="non-finite components or factors"):
+                VectorDistribution(rep, v.components, frame, grid64, dom,
+                                   factors=(mixing, functions))
+
     def test_component_count_checked(self, frame, grid64):
         with pytest.raises(ValueError, match="components for a frame of 9"):
             VectorDistribution("wigner", np.zeros((4, 64, 64)), frame, grid64)
@@ -588,10 +608,13 @@ class TestFromVector:
     def test_tomography_job_inverts_the_functions(self, grid128, monkeypatch, s, rank):
         # a benchmark tomography job: four portraits of a product mixture,
         # their audits, and both routes back; each spatial inverse sees the
-        # R functions, not the (2s+1)^2 components
+        # R functions, not the (2s+1)^2 components.  The optical route's
+        # state is factored by one numpy eigensolve of size (2s+1) r, r at
+        # least R and far below the 64 levels; no scipy eigensolver or
+        # Cholesky factorisation runs.
         fr = build_spin1_frame() if s == 1.0 else random_frame(s, seed=7)
         rho = product_mixture(grid128, fr, rank, np.random.default_rng([rank, int(2 * s)]))
-        seen = {"kernel": [], "optical": []}
+        seen = {"kernel": [], "optical": [], "eigh": []}
 
         def recording(name, inverse):
             def wrapped(stack, *args, **kwargs):
@@ -599,17 +622,27 @@ class TestFromVector:
                 return inverse(stack, *args, **kwargs)
             return wrapped
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy eigensolver or Cholesky factorisation")
+
         monkeypatch.setattr(vector_portrait, "_kernel_of_wigner",
                             recording("kernel", vector_portrait._kernel_of_wigner))
         monkeypatch.setattr(vector_portrait, "invert_optical",
                             recording("optical", vector_portrait.invert_optical))
+        monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
         doms = {"wigner": None, "optical": TomogramDomain.optical_default(grid128, 64),
                 "symplectic-section": default_domain("symplectic-section", grid128),
                 "husimi": None}
         portraits = {rep: to_vector(rho, fr, rep, dom) for rep, dom in doms.items()}
         assert all(audit(v).passed for v in portraits.values())
         back = {rep: from_vector(portraits[rep], fr) for rep in ("wigner", "optical")}
+        eighs = seen.pop("eigh")
+        assert len(eighs) == 1 and eighs[0][0] == eighs[0][1] and eighs[0][0] % fr.dim == 0
+        assert rank <= eighs[0][0] // fr.dim <= 16
         assert seen == {"kernel": [(rank, 128, 128)], "optical": [(rank, 64, 128)]}
+        assert len(back["optical"].factors[0]) == rank
         for rep, rho_back in back.items():
             assert np.max(np.abs(rho_back.blocks - rho.blocks)) <= 1e-12, rep
 
