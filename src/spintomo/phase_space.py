@@ -490,16 +490,9 @@ MIN_ANGLES = 16
 UNEXPLAINED_RTOL = 1e-6
 
 # eigenvalues of a reconstructed density matrix up to this size are dropped
-# from its factors (_level_factors)
+# from its factors, and so are the directions of its level blocks' range that
+# cannot hold a larger one (_level_factors)
 _EIGEN_CUTOFF = 1e-12
-
-# Singular values below this share of the largest are round-off and dropped
-# where a state is split into Schmidt pairs (vector_portrait.to_vector) and
-# where the levels' joint range is cut (_level_factors).  A product state's
-# second Schmidt value is round-off: at most 3.6e-16 of the first for spin-1
-# coherent and product packets on balanced(128), 3.7e-17 for a packet at the
-# band edge of balanced(64).
-_RANK_RTOL = 1e-14
 
 # a level system whose singular values fall below this fraction of its largest
 # is not determined by the quadrature points; invert_optical refuses it
@@ -634,20 +627,22 @@ def _level_factors(quant: np.ndarray, levels: np.ndarray, grid: PhaseSpaceGrid) 
     acts on C^d (x) range(Q), Q an orthonormal basis of the joint range of its
     level blocks M_ab = sum_k quant_k[a, b] levels_k.  With quant as the
     (R, d^2) matrix U S V^H, the blocks side by side are the levels mixed by
-    U S, then by V^H, which keeps their range and singular values: one SVD of
-    the levels mixed by U S gives Q, cut at _RANK_RTOL of the largest
-    singular value, so a portrait's factors and its components keep the same
-    range.  One eigensolve of the (d r)^2 compression
-    sum_k quant_k (x) Q^H levels_k Q gives the eigenpairs.  For a mixture of
-    R product states r is R plus the few directions that the inversion's
-    round-off lifts above the cut.
+    U S, then by V^H, which keeps their range and singular values; those
+    come from the triangular factor of the mixed levels' QR.  The matrix's
+    part on C^d (x) u, u a left singular vector, has norm at most its
+    singular value, so the directions at or below _EIGEN_CUTOFF hold no
+    eigenpair the factors keep and are cut; they hold the inversion's error
+    (below 5e-14 on the benchmark's jobs, so r = R for a mixture of R
+    product states there).  One eigensolve of the (d r)^2 compression
+    sum_k quant_k (x) Q^H levels_k Q gives the eigenpairs, Q made orthonormal
+    to round-off by a QR.
     """
     d, n_levels = quant.shape[-1], levels.shape[-1]
     u, svals, _ = np.linalg.svd(quant.reshape(len(quant), d * d), full_matrices=False)
     blocks = np.tensordot(u * svals, levels, axes=(0, 0))
-    u, svals, _ = np.linalg.svd(blocks.transpose(1, 0, 2).reshape(n_levels, -1),
-                                full_matrices=False)
-    q = u[:, svals > _RANK_RTOL * svals[:1]]                   # (N + 1, r)
+    tri = np.linalg.qr(blocks.transpose(1, 0, 2).reshape(n_levels, -1).conj().T, mode="r")
+    u, svals, _ = np.linalg.svd(tri.conj().T)
+    q = np.linalg.qr(u[:, svals > _EIGEN_CUTOFF])[0]            # (N + 1, r)
     r = q.shape[1]
     small = np.tensordot(quant, q.conj().T @ levels @ q, axes=(0, 0))   # (a, b, i, j)
     probs, vecs = np.linalg.eigh(small.transpose(0, 2, 1, 3).reshape(d * r, d * r))

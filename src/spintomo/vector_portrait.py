@@ -16,7 +16,6 @@ import numpy as np
 from .errors import UnsupportedInverseError
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
 from .phase_space import (
-    _RANK_RTOL,
     _imag_residues,
     _kernel_of_wigner,
     _level_factors,
@@ -33,6 +32,13 @@ VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
 
 # largest imaginary residue the audit accepts as round-off (realness_ok)
 REALNESS_BOUND = 1e-12
+
+# Singular values below this share of the largest are round-off and dropped
+# where a state is split into Schmidt pairs (to_vector).  A product state's
+# second Schmidt value is round-off: at most 3.6e-16 of the first for spin-1
+# coherent and product packets on balanced(128), 3.7e-17 for a packet at the
+# band edge of balanced(64).
+_RANK_RTOL = 1e-14
 
 
 class SpinorDensity:
@@ -104,7 +110,9 @@ class VectorDistribution:
     components.  A component count other than frame.size, factors whose
     shapes disagree with the components, non-finite factors (the components
     themselves when none are given), or imag_residues that are not one
-    finite value per component raise ValueError.
+    finite value per component raise ValueError.  Components given with
+    factors are trusted to be mixing @ functions, as to_vector and the
+    evolution form them: neither their finiteness nor the product is checked.
     """
 
     representation: str
@@ -134,8 +142,8 @@ class VectorDistribution:
                 or np.shape(functions) != np.shape(mixing)[1:] + np.shape(self.components)[1:]):
             raise ValueError(f"factors of shapes {np.shape(mixing)} and {np.shape(functions)} "
                              f"do not form components of shape {np.shape(self.components)}")
-        # the components are formed from finite factors, so checking the
-        # factors alone keeps the cost to R functions
+        # components given with factors are trusted to be mixing @ functions,
+        # so checking the factors alone keeps the cost to R functions
         if not (np.isfinite(mixing).all() and np.isfinite(functions).all()):
             raise ValueError("the portrait has non-finite components or factors")
         object.__setattr__(self, "mixing", mixing)

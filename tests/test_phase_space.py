@@ -661,13 +661,13 @@ def factor_blocks(probs, fields):
     return np.einsum("r,rai,rbj->abij", probs, fields, fields.conj())
 
 
-def frame_levels(matrix, frame):
+def frame_levels(matrix, dequantizer):
     """Levels Tr_spin(U_j matrix), (c, N + 1, N + 1), of a matrix over
-    |a> (x) psi_m in the frame's components: sum_j D_j (x) levels_j is the
+    |a> (x) psi_m in a frame's components: sum_j D_j (x) levels_j is the
     matrix, and each level is Hermitian when the matrix is."""
-    d = frame.dim
+    d = dequantizer.shape[-1]
     blocks = matrix.reshape(d, len(matrix) // d, d, -1)          # (a, m, b, n)
-    return np.einsum("jab,bman->jmn", frame.dequantizer, blocks)
+    return np.einsum("jab,bman->jmn", dequantizer, blocks)
 
 
 def joint_matrix(quant, levels):
@@ -678,7 +678,19 @@ def joint_matrix(quant, levels):
 
 
 def level_frame(dim):
-    return build_spin1_frame() if dim == 3 else random_frame((dim - 1) / 2, seed=3)
+    """(dequantizer, quantizer) of a well-conditioned Hermitian frame: the
+    paper's spin-1 frame, or else the orthonormal operator basis of the
+    diagonal units and (|a><b| + |b><a|) / sqrt 2, i (|b><a| - |a><b|) / sqrt 2,
+    which is its own dual."""
+    if dim == 3:
+        fr = build_spin1_frame()
+        return fr.dequantizer, fr.quantizer
+    units = np.einsum("ac,bd->abcd", np.eye(dim), np.eye(dim))       # |a><b|
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    basis = np.array([units[a, a] for a in range(dim)]
+                     + [(units[a, b] + units[b, a]) / np.sqrt(2) for a, b in pairs]
+                     + [1j * (units[b, a] - units[a, b]) / np.sqrt(2) for a, b in pairs])
+    return basis, basis
 
 
 class TestLevelFactors:
@@ -710,26 +722,20 @@ class TestLevelFactors:
         assert len(sizes) == 1 and sizes[0][0] == sizes[0][1] and sizes[0][0] % d == 0
         assert np.all(np.diff(probs) >= 0)
         assert fields.shape == (int(np.sum(keep)), d, grid.n)
-        # The two solvers round the sum of the terms quant_k (x) levels_k
-        # differently, and the frame's quantizer (entries up to 4.4) scales
-        # that round-off: the dense reference itself misses the eigenvalues
-        # the matrix was built with by up to 2.6e-15.  Over 40 seeds of each
-        # case below the two differed by up to 1.9e-15 in the eigenvalues and
-        # 6.9e-15 of the largest block entry in the blocks.
-        np.testing.assert_allclose(probs, evals[keep], rtol=0, atol=4e-15)
+        np.testing.assert_allclose(probs, evals[keep], rtol=0, atol=1e-15)
         blocks_err = np.max(np.abs(factor_blocks(probs, fields) - ref))
-        assert blocks_err <= 1e-14 * np.max(np.abs(ref))
+        assert blocks_err <= 5e-15 * np.max(np.abs(ref))
         return sizes[0][0] // d
 
     def check_matrix(self, matrix, dim, grid, monkeypatch):
         """The levels of a joint matrix in a frame's components, with the
-        frame's quantizer as quant.  Each eigenvector spans dim levels'
-        vectors, and r is their count."""
-        fr = level_frame(dim)
-        levels = frame_levels(matrix, fr)
-        assert np.max(np.abs(joint_matrix(fr.quantizer, levels) - matrix)) <= 1e-14
-        n_vectors = np.linalg.matrix_rank(matrix, tol=1e-14)
-        assert self.check(fr.quantizer, levels, grid, monkeypatch) == dim * n_vectors
+        frame's quantizer as quant.  Each eigenvector with |p| > 1e-12 spans
+        dim levels' vectors, and r is their count."""
+        dequantizer, quantizer = level_frame(dim)
+        levels = frame_levels(matrix, dequantizer)
+        assert np.max(np.abs(joint_matrix(quantizer, levels) - matrix)) <= 1e-14
+        n_vectors = np.sum(np.abs(np.linalg.eigvalsh(matrix)) > 1e-12)
+        assert self.check(quantizer, levels, grid, monkeypatch) == dim * n_vectors
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5], ids=["D128", "D192", "D256"])
@@ -762,10 +768,11 @@ class TestLevelFactors:
     @pytest.mark.parametrize("case", ["entangled", "replaced"])
     def test_trivially_factored_portrait(self, grid128, frame, monkeypatch, case):
         # R = c functions: the components of an entangled element, and of a
-        # product state's portrait copied without its factors.  The range
-        # holds the state's 3 or 1 Schmidt functions and the directions that
-        # the inversion's round-off, 1e-14 to 5e-14 of the levels' largest
-        # singular value, lifts above the cut: r = 11 and 39.
+        # product state's portrait copied without its factors.  The range is
+        # the one the state's own factors give: its 3 Schmidt functions for
+        # the entangled element, whose levels are exact to round-off; for the
+        # coherent packet, its one function and the 8 directions that the
+        # inversion's error on this grid (up to 2.2e-12) lifts above the cut.
         rng = np.random.default_rng(7)
         if case == "entangled":
             psi = np.stack([random_band_limited_state(grid128, rng) for _ in range(3)])
@@ -775,12 +782,13 @@ class TestLevelFactors:
             psi = spin_coherent_state(grid128, [1, 1, 1], q0=0.5, p0=0.3)
         dom = TomogramDomain.optical_default(grid128, 64)
         v = to_vector(SpinorDensity.from_pure(psi, grid128), frame, "optical", dom)
-        if case == "replaced":
-            v = dataclasses.replace(v)
-        assert v.mixing.shape == (9, 9)
-        levels = invert_optical(v.functions, grid128, dom, v.mixing)
-        quant = np.tensordot(v.mixing, frame.quantizer, axes=(0, 0))
-        assert self.check(quant, levels, grid128, monkeypatch) >= (3 if case == "entangled" else 1)
+        ranges = []
+        for portrait in (v, dataclasses.replace(v)):
+            levels = invert_optical(portrait.functions, grid128, dom, portrait.mixing)
+            quant = np.tensordot(portrait.mixing, frame.quantizer, axes=(0, 0))
+            ranges.append(self.check(quant, levels, grid128, monkeypatch))
+        assert v.mixing.shape == ((9, 9) if case == "entangled" else (9, 1))
+        assert ranges == ([3, 3] if case == "entangled" else [9, 9])
 
 
 def symplectic_section(tom: ScalarField, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
