@@ -489,9 +489,8 @@ MIN_ANGLES = 16
 # times their unexplained share, so at most 1.4e-5 at this bound.
 UNEXPLAINED_RTOL = 1e-6
 
-# eigenvalues of a reconstructed density matrix up to this size are dropped
-# from its factors, and so are the directions of its level blocks' range that
-# cannot hold a larger one (_level_factors)
+# eigenvalues of a reconstructed density matrix up to this size, and the range
+# directions that cannot hold a larger one, are dropped (_level_factors)
 _EIGEN_CUTOFF = 1e-12
 
 # a level system whose singular values fall below this fraction of its largest
@@ -562,9 +561,7 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
     place of its c components = mixing @ stack (mixing (c, R), the identity
     by default); the components' levels are then mixing @ levels.  The check
     reads the components all the same: the residual is mixing applied to the
-    functions' residuals, and the scale is the largest |component|.  The
-    state's factors come from the levels and the dual frame by _level_factors,
-    which never forms the (d (N + 1))^2 joint matrix.
+    functions' residuals, and the scale is the largest |component|.
     """
     n_theta = len(dom.thetas)
     angle_step(dom.thetas)
@@ -624,18 +621,15 @@ def _level_factors(quant: np.ndarray, levels: np.ndarray, grid: PhaseSpaceGrid) 
     p, with each eigenvector summed over the oscillator levels on the grid.
 
     quant (R, d, d) and levels (R, N + 1, N + 1) are Hermitian, so the matrix
-    acts on C^d (x) range(Q), Q an orthonormal basis of the joint range of its
-    level blocks M_ab = sum_k quant_k[a, b] levels_k.  With quant as the
-    (R, d^2) matrix U S V^H, the blocks side by side are the levels mixed by
-    U S, then by V^H, which keeps their range and singular values; those
-    come from the triangular factor of the mixed levels' QR.  The matrix's
-    part on C^d (x) u, u a left singular vector, has norm at most its
-    singular value, so the directions at or below _EIGEN_CUTOFF hold no
-    eigenpair the factors keep and are cut; they hold the inversion's error
-    (below 5e-14 on the benchmark's jobs, so r = R for a mixture of R
-    product states there).  One eigensolve of the (d r)^2 compression
-    sum_k quant_k (x) Q^H levels_k Q gives the eigenpairs, Q made orthonormal
-    to round-off by a QR.
+    acts on C^d (x) range(Q), Q an orthonormal basis of the range of its level
+    blocks M_ab = sum_k quant_k[a, b] levels_k.  Side by side, the blocks are
+    the levels mixed by U S, then by V^H, for quant = U S V^H as an (R, d^2)
+    matrix; with (side by side)^H = W T, their left singular pairs are T^H's.
+    The matrix's part on C^d (x) u has norm at most u's singular value, so
+    the directions up to _EIGEN_CUTOFF, which hold the inversion's error
+    (below 5e-14 on the benchmark's product mixtures: r = R), are cut.  One
+    eigh of the (d r)^2 matrix sum_k quant_k (x) Q^H levels_k Q, with Q made
+    orthonormal to round-off by a QR, gives the eigenpairs.
     """
     d, n_levels = quant.shape[-1], levels.shape[-1]
     u, svals, _ = np.linalg.svd(quant.reshape(len(quant), d * d), full_matrices=False)

@@ -111,8 +111,7 @@ class VectorDistribution:
     shapes disagree with the components, non-finite factors (the components
     themselves when none are given), or imag_residues that are not one
     finite value per component raise ValueError.  Components given with
-    factors are trusted to be mixing @ functions, as to_vector and the
-    evolution form them: neither their finiteness nor the product is checked.
+    factors are taken to be mixing @ functions and are not checked.
     """
 
     representation: str
@@ -142,8 +141,6 @@ class VectorDistribution:
                 or np.shape(functions) != np.shape(mixing)[1:] + np.shape(self.components)[1:]):
             raise ValueError(f"factors of shapes {np.shape(mixing)} and {np.shape(functions)} "
                              f"do not form components of shape {np.shape(self.components)}")
-        # components given with factors are trusted to be mixing @ functions,
-        # so checking the factors alone keeps the cost to R functions
         if not (np.isfinite(mixing).all() and np.isfinite(functions).all()):
             raise ValueError("the portrait has non-finite components or factors")
         object.__setattr__(self, "mixing", mixing)
