@@ -221,11 +221,10 @@ def _check_values(cfg: dict) -> None:
 
 
 def _check_strang_factors(cfg: dict) -> None:
-    """Refuse a field whose potential energy e phi(q) or Strang factors
-    overflow on a grid and step the scenario runs: the half kick
-    exp(-i dt e phi(q) / 2 hbar) (field.phi) and the kinetic phase
-    dt (hbar k - e a_long / c)^2 / (2 m hbar) (field.a_long, with e, c and m).
-    The run would carry NaN states and fail instead."""
+    """Refuse a field whose Strang factors overflow on a grid and step the
+    scenario runs, before the run: dynamics._strang_factors's ValueError,
+    which names phi or a_long, becomes a ConfigError on field.phi or
+    field.a_long."""
     run = cfg["run"]
     grid = _grid_from(cfg)
     if cfg["scenario"] == "wavepacket":
@@ -241,21 +240,10 @@ def _check_strang_factors(cfg: dict) -> None:
         levels = [(grid, dt), (fine, dt / 2)]
     fld = _field_from(cfg)
     for g, dt in levels:
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy = fld.e * fld.phi_at(g.q)
-            kick, kinetic = _strang_factors(g, fld, dt)
-        if not (np.all(np.isfinite(energy)) and np.all(np.isfinite(kick))):
-            raise ConfigError(
-                f"field.phi: the potential energy e phi(q) or the Strang half-kick phase "
-                f"dt e phi(q) / (2 hbar) overflows on the grid (|q| up to "
-                f"{np.max(np.abs(g.q)):g}) for field.phi {list(fld.phi)!r} and field.e "
-                f"{fld.e!r}")
-        if not np.all(np.isfinite(kinetic)):
-            raise ConfigError(
-                f"field.a_long: the Strang kinetic phase dt (hbar k - e a_long / c)^2 / "
-                f"(2 m hbar) overflows on the grid (|hbar k| up to "
-                f"{np.max(np.abs(g.hbar * g.k_fft)):g}) for field.a_long {fld.a_long!r}, "
-                f"field.e {fld.e!r}, field.c {fld.c_light!r} and field.m {fld.mass!r}")
+        try:
+            _strang_factors(g, fld, dt)
+        except ValueError as exc:
+            raise ConfigError(f"field.{exc}") from exc
 
 
 def _precession_frequency(kappa: float, b, hbar: float, spin: float = 1.0) -> float:

@@ -90,13 +90,18 @@ class EMFieldConfig:
         dq/dt = (p - eA/c)/m and dp/dt = -e phi'(q) = -e (c1 + 2 c2 q).
 
         The Strang step and the Wigner, Husimi, optical and symplectic drifts
-        are all images of this flow.
+        are all images of this flow.  A generator that is not finite raises
+        ValueError, naming phi (the force row) or a_long (the velocity row).
         """
         _, c1, c2 = self.phi
         m, e, c = self.mass, self.e, self.c_light
-        return np.array([[0.0, 1.0 / m, -e * self.a_long / (m * c)],
+        flow = np.array([[0.0, 1.0 / m, -e * self.a_long / (m * c)],
                          [-2.0 * e * c2, 0.0, -e * c1],
                          [0.0, 0.0, 0.0]])
+        for name, row in (("phi", flow[1]), ("a_long", flow[0])):
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{name}: the phase-space flow {row.tolist()} overflows")
+        return flow
 
     def zeeman_matrix(self) -> np.ndarray:
         """-(kappa/s) s_hat . B, acting on the spin index."""
@@ -176,11 +181,22 @@ class Trajectory:
 
 def _strang_factors(grid: PhaseSpaceGrid, fld: EMFieldConfig,
                     dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Half potential kick and kinetic phase of a Strang step of size dt."""
-    half_v = np.exp(-0.5j * dt * fld.e * fld.phi_at(grid.q) / grid.hbar)
-    kin = np.exp(-1j * dt * (grid.hbar * grid.k_fft - fld.e * fld.a_long / fld.c_light) ** 2
-                 / (2.0 * fld.mass * grid.hbar))
-    return half_v, kin
+    """Half potential kick and kinetic phase of a Strang step of size dt; a
+    field the grid cannot step, whose factors would be NaN, raises ValueError
+    naming phi (e phi(q) or the kick's phase) or a_long (the kinetic phase)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = fld.phi_at(grid.q)
+        kick = -0.5j * dt * fld.e * phi / grid.hbar
+        kin = (-1j * dt * (grid.hbar * grid.k_fft - fld.e * fld.a_long / fld.c_light) ** 2
+               / (2.0 * fld.mass * grid.hbar))
+        phi_ok = np.all(np.isfinite(fld.e * phi) & np.isfinite(kick))
+    if not phi_ok:
+        raise ValueError(f"phi: e phi(q) or the Strang half-kick phase dt e phi(q) / (2 hbar) "
+                         f"overflows on the grid (|q| up to {np.max(np.abs(grid.q)):g})")
+    if not np.all(np.isfinite(kin)):
+        raise ValueError(f"a_long: the Strang kinetic phase dt (hbar k - e a_long / c)^2 / "
+                         f"(2 m hbar) overflows on the grid for a_long {fld.a_long!r}")
+    return np.exp(kick), np.exp(kin)
 
 
 def _rk4_steps(psis: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
@@ -419,6 +435,7 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
 
     grid = v0.grid
     dt = prop.dt
+    _strang_factors(grid, fld, dt)     # refuses a field the grid cannot step
     q = grid.q
     p = grid.p
     kq = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dx)

@@ -13,8 +13,8 @@ no separate scalar density entry point.
 Real Wigner maps: a Hermitian kernel's skew correlation C(q, s) is Hermitian
 in the offset s, so both directions transform only the half spectrum
 s = 0..n/2.  Factor -> Wigner (_wigner_of_factors) is one hfft per factor,
-upsampled once by the caller, into a float64 stack, and a linear smoothing of
-each result (the Husimi map) follows.  Wigner -> kernel
+upsampled once by the caller, into a float64 stack, which to_vector smooths
+in place, one function at a time, for the Husimi map.  Wigner -> kernel
 (_kernel_of_wigner) takes a real stack (complex input raises TypeError), runs
 rfft over p and fills one triangle of each kernel, the other being its
 conjugate.  The one offset without a
@@ -115,8 +115,8 @@ def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
 # density kernel <-> Wigner
 # ---------------------------------------------------------------------------
 
-def _wigner_of_factors(weights: np.ndarray, fine: np.ndarray, grid: PhaseSpaceGrid,
-                       smooth=None) -> np.ndarray:
+def _wigner_of_factors(weights: np.ndarray, fine: np.ndarray,
+                       grid: PhaseSpaceGrid) -> np.ndarray:
     """Wigner functions (c, n, n), float64 on the (q, p-ascending) grid, of the
     kernels K_c = sum_k weights[c, k] a_k a_k^H, given the amps a_k (k, n)
     upsampled by fourier_upsample2, fine (k, 2n): the spatial map of to_vector.
@@ -125,11 +125,9 @@ def _wigner_of_factors(weights: np.ndarray, fine: np.ndarray, grid: PhaseSpaceGr
     Hermitian in the offset, C(i, -s) = conj C(i, s), so one Hermitian FFT
     (hfft) of the offsets s = 0..n/2 gives its Wigner function, with the
     p-axis fftshift folded into a sign (-1)^s.  Factors are taken one at a
-    time and added to the functions that weigh them.  smooth, a linear map of
-    one real (n, n) function (the Husimi smoothing), runs on each function at
-    the end.  The offset n/2 has no partner (it is -n/2 modulo n): hfft reads
-    only its real part, and _imag_residues reads the imaginary part it leaves
-    out.
+    time and added to the functions that weigh them.  The offset n/2 has no
+    partner (it is -n/2 modulo n): hfft reads only its real part, and
+    _imag_residues reads the imaginary part it leaves out.
     """
     n, half = grid.n, grid.n // 2
     i = np.arange(n)[:, None]
@@ -144,9 +142,6 @@ def _wigner_of_factors(weights: np.ndarray, fine: np.ndarray, grid: PhaseSpaceGr
         w = np.fft.hfft(corr, n, axis=1)
         for c in np.flatnonzero(col):
             out[c] += col[c] * w
-    if smooth is not None:
-        for c, w in enumerate(out):
-            out[c] = smooth(w)
     return out
 
 
@@ -489,8 +484,8 @@ MIN_ANGLES = 16
 # times their unexplained share, so at most 1.4e-5 at this bound.
 UNEXPLAINED_RTOL = 1e-6
 
-# eigenvalues of a reconstructed density matrix up to this size, and the range
-# directions that cannot hold a larger one, are dropped (_level_factors)
+# eigenvalues of a density matrix up to this size, and the range directions
+# that cannot hold a larger one, are dropped (_level_factors)
 _EIGEN_CUTOFF = 1e-12
 
 # a level system whose singular values fall below this fraction of its largest
@@ -614,35 +609,36 @@ def _largest_component(mixing: np.ndarray, functions: np.ndarray) -> float:
                          for row in mixing], initial=0.0))
 
 
-def _level_factors(quant: np.ndarray, levels: np.ndarray, grid: PhaseSpaceGrid) -> tuple:
-    """Factors (probs (r,), fields (r, d, n)) of the density matrix
-    sum_k quant_k (x) levels_k over the basis |a> (x) psi_m, a < d, m <= N:
-    its eigenpairs with |p| > 1e-12, as in SpinorDensity.factors, in ascending
-    p, with each eigenvector summed over the oscillator levels on the grid.
+def _level_factors(quant: np.ndarray, levels: np.ndarray, basis: np.ndarray) -> tuple:
+    """Factors (probs (r,), fields (r, d, n)) of the operator
+    sum_k quant_k (x) levels_k over |a> (x) e_m, e_m orthonormal with grid
+    samples basis[m]: its eigenpairs with |p| > _EIGEN_CUTOFF, in ascending p,
+    mapped out through basis.  The one factoriser of SpinorDensity.factors
+    (quant the units |a><b|, levels the blocks) and of optical reconstructions.
 
-    quant (R, d, d) and levels (R, N + 1, N + 1) are Hermitian, so the matrix
-    acts on C^d (x) range(Q), Q an orthonormal basis of the range of its level
-    blocks M_ab = sum_k quant_k[a, b] levels_k.  Side by side, the blocks are
-    the levels mixed by U S, then by V^H, for quant = U S V^H as an (R, d^2)
+    Only the sum need be Hermitian, so it acts on C^d (x) range(Q), Q an
+    orthonormal basis of the range of its level blocks
+    M_ab = sum_k quant_k[a, b] levels_k.  Side by side, the blocks are the
+    levels mixed by U S, then by V^H, for quant = U S V^H as an (R, d^2)
     matrix; with (side by side)^H = W T, their left singular pairs are T^H's.
-    The matrix's part on C^d (x) u has norm at most u's singular value, so
-    the directions up to _EIGEN_CUTOFF, which hold the inversion's error
-    (below 5e-14 on the benchmark's product mixtures: r = R), are cut.  One
-    eigh of the (d r)^2 matrix sum_k quant_k (x) Q^H levels_k Q, with Q made
-    orthonormal to round-off by a QR, gives the eigenpairs.
+    The operator's part on C^d (x) u has norm at most u's singular value, so
+    the directions up to _EIGEN_CUTOFF, which hold the optical inversion's
+    error (below 5e-14 on the benchmark's product mixtures: r = R), are cut.
+    One eigh of the (d r)^2 matrix sum_k quant_k (x) Q^H levels_k Q, with Q
+    made orthonormal to round-off by a QR, gives the eigenpairs.
     """
     d, n_levels = quant.shape[-1], levels.shape[-1]
     u, svals, _ = np.linalg.svd(quant.reshape(len(quant), d * d), full_matrices=False)
     blocks = np.tensordot(u * svals, levels, axes=(0, 0))
     tri = np.linalg.qr(blocks.transpose(1, 0, 2).reshape(n_levels, -1).conj().T, mode="r")
     u, svals, _ = np.linalg.svd(tri.conj().T)
-    q = np.linalg.qr(u[:, svals > _EIGEN_CUTOFF])[0]            # (N + 1, r)
+    q = np.linalg.qr(u[:, svals > _EIGEN_CUTOFF])[0]            # (M, r)
     r = q.shape[1]
     small = np.tensordot(quant, q.conj().T @ levels @ q, axes=(0, 0))   # (a, b, i, j)
     probs, vecs = np.linalg.eigh(small.transpose(0, 2, 1, 3).reshape(d * r, d * r))
     keep = np.abs(probs) > _EIGEN_CUTOFF
     vecs = vecs.T[keep].reshape(np.sum(keep), d, r)           # r may be 0
-    fields = vecs @ (q.T @ oscillator_basis(grid, n_levels))
+    fields = vecs @ (q.T @ basis)
     return probs[keep], fields
 
 
@@ -656,7 +652,8 @@ def wigner_from_optical(fld: ScalarField) -> ScalarField:
     if fld.kind != "optical":
         raise ValueError(f"expected an optical field, got {fld.kind!r}")
     levels = invert_optical(fld.values[None], fld.grid, fld.domain)
-    probs, fields = _level_factors(np.ones((1, 1, 1)), levels, fld.grid)
+    basis = oscillator_basis(fld.grid, levels.shape[-1])
+    probs, fields = _level_factors(np.ones((1, 1, 1)), levels, basis)
     values = _wigner_of_factors(probs[None], fourier_upsample2(fields[:, 0]), fld.grid)[0]
     return ScalarField(grid=fld.grid, values=values, kind="wigner")
 

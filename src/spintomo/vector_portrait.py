@@ -8,7 +8,7 @@ the dual frame, mixed as the components are (see from_vector).
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields as record_fields
 from functools import cached_property
 
 import numpy as np
@@ -27,6 +27,7 @@ from .phase_space import (
     symplectic_profiles,
 )
 from .spin_frames import SpinFrame
+from .states import oscillator_basis
 
 VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
 
@@ -72,15 +73,15 @@ class SpinorDensity:
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(probs (r,), fields (r, d, n)).  From blocks: the eigenpairs with
-        |p| > 1e-12 of one eigensolve, which reads one triangle only, so
-        non-Hermitian blocks raise ValueError."""
+        |p| > 1e-12 of sum_ab |a><b| (x) blocks[a, b] dx, solved in the range
+        of the blocks (phase_space._level_factors), which reads one triangle
+        only, so non-Hermitian blocks raise ValueError."""
         if not self.hermiticity_residual() <= 1e-12:
             raise ValueError(f"density is not Hermitian: {self.hermiticity_residual():.3e}")
         d, _, n, _ = self.blocks.shape
-        evals, evecs = np.linalg.eigh(self.to_matrix())
-        probs = evals * self.grid.dx
-        keep = np.abs(probs) > 1e-12
-        return probs[keep], evecs[:, keep].T.reshape(-1, d, n) / np.sqrt(self.grid.dx)
+        dx = self.grid.dx
+        return _level_factors(np.eye(d * d).reshape(d * d, d, d),
+                              self.blocks.reshape(d * d, n, n) * dx, np.eye(n) / np.sqrt(dx))
 
     def trace(self) -> float:
         if "blocks" in vars(self):
@@ -252,12 +253,11 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     # the tomograms rotate the factors: their Wigner-stack argument carries
     # only the output count
     shape_only = np.empty((len(row_weights), 0, 0))
-    if representation == "wigner":
+    if representation in ("wigner", "husimi"):
         functions = _wigner_of_factors(row_weights, fine, rho.grid)
-    elif representation == "husimi":
-        functions = _wigner_of_factors(
-            row_weights, fine, rho.grid,
-            lambda w: husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values)
+        if representation == "husimi":      # smoothed in place, one at a time
+            for w in functions:
+                w[:] = husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values
     elif representation == "optical":
         if dom is None or dom.kind != "optical":
             raise ValueError("optical representation needs an optical domain")
@@ -314,7 +314,8 @@ def from_vector(v: VectorDistribution, frame: SpinFrame) -> SpinorDensity:
             f"no inverse map for the {v.representation} representation; "
             "reconstruct through the wigner route instead")
     levels = invert_optical(v.functions, v.grid, v.domain, v.mixing)
-    return SpinorDensity.from_mixture(*_level_factors(quant, levels, v.grid), v.grid)
+    basis = oscillator_basis(v.grid, levels.shape[-1])
+    return SpinorDensity.from_mixture(*_level_factors(quant, levels, basis), v.grid)
 
 
 @dataclass(frozen=True)
@@ -342,21 +343,13 @@ class AuditReport:
         return all(checks)
 
     def as_dict(self) -> dict:
-        return {
-            "representation": self.representation,
-            "component_integrals": self.component_integrals.tolist(),
-            "min_values": self.min_values.tolist(),
-            "max_values": self.max_values.tolist(),
-            "imag_residues": self.imag_residues.tolist(),
-            "normalization_sum": self.normalization_sum,
-            "normalization_ok": self.normalization_ok,
-            "nonnegativity_ok": self.nonnegativity_ok,
-            "integral_bounds_ok": self.integral_bounds_ok,
-            "realness_ok": self.realness_ok,
-            "pointwise_upper_ok": self.pointwise_upper_ok,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        """The fields, arrays and tuples as lists, and passed."""
+        out = {"passed": self.passed}
+        for f in record_fields(self):
+            val = getattr(self, f.name)
+            out[f.name] = (val.tolist() if isinstance(val, np.ndarray)
+                           else list(val) if isinstance(val, tuple) else val)
+        return out
 
 
 def audit(v: VectorDistribution) -> AuditReport:

@@ -557,6 +557,46 @@ class TestEvolveWignerVector:
                                  PropagatorConfig(dt=0.01, n_steps=1))
 
 
+class TestFieldTheGridCannotStep:
+    """A field whose Strang factors overflow on the grid is refused by both
+    evolutions with ValueError naming it, without a floating-point warning:
+    the oracle carried NaN traces and energies, the vector Wigner evolution
+    either failed on its NaN imag_residues (phi) or ran with phases that
+    hold no digit (a_long)."""
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"phi": (0.0, 0.0, 1e308)}, "phi"), ({"a_long": 1e200}, "a_long")],
+        ids=["phi", "a_long"])
+    def test_refused(self, frame, grid64, kwargs, name):
+        rho0 = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
+        v0 = to_vector(rho0, frame, "wigner")
+        fld = EMFieldConfig(**kwargs)
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=f"^{name}: .* overflows"):
+                evolve_oracle(rho0, fld, PropagatorConfig(dt=0.01, n_steps=2))
+            with pytest.raises(ValueError, match=f"^{name}: .* overflows"):
+                evolve_wigner_vector(v0, fld, PropagatorConfig(
+                    dt=0.01, n_steps=2, scheme="wigner-spectral"))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"phi": (0.0, 0.0, 1e308)}, "phi"), ({"phi": (0.0, 1e308, 0.0), "e": 10.0}, "phi"),
+        ({"a_long": 1e300, "mass": 1e-10}, "a_long")], ids=["c2", "e-c1", "a_long"])
+    def test_phase_flow_refused(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name}: the phase-space flow"):
+            EMFieldConfig(**kwargs).phase_flow()
+
+    def test_factors_unchanged(self, grid64):
+        # the checked factors are the plain formulas' values, bit for bit
+        fld = EMFieldConfig(phi=(0.1, -0.3, 0.7), a_long=0.4, e=-1.5, mass=2.0)
+        dt = 3e-3
+        kick, kinetic = dynamics._strang_factors(grid64, fld, dt)
+        assert np.array_equal(kick, np.exp(-0.5j * dt * fld.e * fld.phi_at(grid64.q)
+                                           / grid64.hbar))
+        assert np.array_equal(kinetic, np.exp(
+            -1j * dt * (grid64.hbar * grid64.k_fft - fld.e * fld.a_long / fld.c_light) ** 2
+            / (2.0 * fld.mass * grid64.hbar)))
+
+
 class TestComposedStrangMap:
     """evolve_wigner_vector composes the Strang steps between saved frames in
     closed form; the step-by-step loop is the reference."""

@@ -718,7 +718,7 @@ class TestLevelFactors:
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigh", recorded)
-            probs, fields = _level_factors(quant, levels, grid)
+            probs, fields = _level_factors(quant, levels, basis)
         assert len(sizes) == 1 and sizes[0][0] == sizes[0][1] and sizes[0][0] % d == 0
         assert np.all(np.diff(probs) >= 0)
         assert fields.shape == (int(np.sum(keep)), d, grid.n)
@@ -757,7 +757,8 @@ class TestLevelFactors:
     def test_zero_portrait(self, grid128, frame):
         # no range, no factors; through from_vector as well
         levels = np.zeros((frame.size, self.N_LEVELS, self.N_LEVELS), dtype=complex)
-        probs, fields = _level_factors(frame.quantizer, levels, grid128)
+        basis = oscillator_basis(grid128, self.N_LEVELS)
+        probs, fields = _level_factors(frame.quantizer, levels, basis)
         assert probs.shape == (0,) and fields.shape == (0, 3, grid128.n)
         dom = TomogramDomain.optical_default(grid128, 64)
         v = to_vector(SpinorDensity(grid128, np.zeros((3, 3, 128, 128))), frame, "optical", dom)

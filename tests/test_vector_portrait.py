@@ -79,20 +79,27 @@ class TestSpinorDensity:
         rebuilt = SpinorDensity.from_mixture(probs, fields, grid128)
         assert np.max(np.abs(rebuilt.blocks - rho.blocks)) < 1e-12
 
-    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("rank", [1, 3, pytest.param(None, id="full-indefinite")])
     def test_factors_match_full_solve(self, grid64, rng, rank):
-        # a density built from blocks keeps exactly the eigenpairs a full eigh keeps
+        # a density built from blocks keeps exactly the eigenpairs a full eigh
+        # keeps; rank None adds Hermitian noise of 1e-9 to a rank-2 mixture,
+        # which leaves every eigenvalue above the cut, of either sign
         psis = [spinor_product_state(grid64, rng.normal(size=3) + 1j * rng.normal(size=3),
                                      random_band_limited_state(grid64, rng))
-                for _ in range(rank)]
-        rho = SpinorDensity.from_mixture(rng.dirichlet(np.ones(rank)), psis, grid64)
-        evals, evecs = np.linalg.eigh(rho.to_matrix())
-        keep = evals * grid64.dx > 1e-12
+                for _ in range(rank or 2)]
+        blocks = SpinorDensity.from_mixture(rng.dirichlet(np.ones(len(psis))), psis,
+                                            grid64).blocks
+        if rank is None:
+            noise = 1e-9 * (rng.normal(size=(192, 192)) + 1j * rng.normal(size=(192, 192)))
+            blocks = blocks + (noise + noise.conj().T).reshape(3, 64, 3, 64).transpose(0, 2, 1, 3)
+        dense = SpinorDensity(grid64, blocks)
+        evals, evecs = np.linalg.eigh(dense.to_matrix())
+        keep = np.abs(evals * grid64.dx) > 1e-12
         full_probs = evals[keep] * grid64.dx
         full_fields = evecs[:, keep].T.reshape(-1, 3, grid64.n) / np.sqrt(grid64.dx)
-        dense = SpinorDensity(grid64, rho.blocks)
         probs, fields = dense.factors
-        assert len(probs) == rank
+        assert len(probs) == (rank or 3 * grid64.n)
+        assert rank or np.sum(probs < 0) > 0
         assert np.max(np.abs(probs - full_probs)) < 1e-14
         assemble = "k,kai,kbj->abij"
         expected = np.einsum(assemble, full_probs, full_fields, full_fields.conj())
@@ -531,6 +538,29 @@ class TestFromVector:
         rho = random_rank2_density(grid128, rng)
         back = from_vector(to_vector(rho, frame, "wigner"), frame)
         assert np.max(np.abs(back.blocks - rho.blocks)) < 1e-10
+
+    def test_wigner_route_factors_in_the_range(self, frame, grid128, rng, monkeypatch):
+        # the dense blocks of a Wigner-route reconstruction factor in the range
+        # of their rank-2 mixture: one numpy eigh of size 3 x 2, none of 3 n
+        rho = random_rank2_density(grid128, rng)
+        back = from_vector(to_vector(rho, frame, "wigner"), frame)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        probs, fields = back.factors
+        assert sizes == [(6, 6)]
+        assert len(probs) == 2
+        rebuilt = SpinorDensity.from_mixture(probs, fields, grid128)
+        assert np.max(np.abs(rebuilt.blocks - rho.blocks)) < 1e-10
 
     def test_round_trip_with_random_frame(self, grid128, rng):
         fr = random_frame(1.0, seed=5)
