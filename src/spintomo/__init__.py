@@ -23,6 +23,7 @@ from .errors import (
     SchemeMismatchError,
     UndersampledDomainError,
     UnsupportedInverseError,
+    UnsteppableFieldError,
 )
 from .grids import PhaseSpaceGrid, ScalarField, TomogramDomain
 from .phase_space import (

@@ -3,8 +3,9 @@ round-trip checks, and residual-convergence studies.
 
 Each run reads one JSON config object, writes report.json plus plot-ready
 CSV tables into the output directory, and exits 0 only if every enabled gate
-passes (1: physics gate failure, 2: config error, or a state or domain that
-the grid or the optical inversion cannot hold, UndersampledDomainError).  A
+passes (1: physics gate failure, 2: config error, a field the grid cannot
+step, UnsteppableFieldError, or a state or domain that the grid or the
+optical inversion cannot hold, UndersampledDomainError).  A
 scenario accepts only the sections and keys it reads (the _DEFAULTS table),
 each value in its default's type, and "seed".  Reports carry no timestamps,
 so identical configs and seeds produce byte-identical outputs.
@@ -22,12 +23,11 @@ from .dynamics import (
     ORACLE_SCHEMES,
     EMFieldConfig,
     PropagatorConfig,
-    _strang_factors,
     evolve_oracle,
     fit_precession_frequency,
     spin_coupling_matrix,
 )
-from .errors import ConfigError, UndersampledDomainError
+from .errors import ConfigError, UndersampledDomainError, UnsteppableFieldError
 from .grids import PhaseSpaceGrid, TomogramDomain, tidy_columns, write_csv
 from .phase_space import MIN_ANGLES
 from .residuals import StateSpec, residual_convergence
@@ -208,8 +208,6 @@ def _check_values(cfg: dict) -> None:
             projection_values(run["spin"])
         except ValueError as exc:
             raise ConfigError(f"run.spin: {exc}") from exc
-    if "phi" in cfg.get("field", ()):
-        _check_strang_factors(cfg)
     if "state" in cfg:
         state = cfg["state"]
         if not np.any(state["spin_direction"]):
@@ -218,32 +216,6 @@ def _check_values(cfg: dict) -> None:
         if not np.any(np.abs(allowed_m - state["spin_m"]) < 1e-9):
             raise ConfigError(f"state.spin_m: expected one of {allowed_m.tolist()} for the "
                               f"spin-1 frame, got {state['spin_m']!r}")
-
-
-def _check_strang_factors(cfg: dict) -> None:
-    """Refuse a field whose Strang factors overflow on a grid and step the
-    scenario runs, before the run: dynamics._strang_factors's ValueError,
-    which names phi or a_long, becomes a ConfigError on field.phi or
-    field.a_long."""
-    run = cfg["run"]
-    grid = _grid_from(cfg)
-    if cfg["scenario"] == "wavepacket":
-        levels = [(grid, run["t_final"] / run["n_steps"])]
-    else:
-        # the residual study's two levels: dt on n points, and dt / 2 on 2n
-        # points in the same box for the phase-space representations
-        dt = run["dt_frame"] / run["substeps"]
-        fine = grid
-        if {"wigner", "husimi"} & set(run["representations"]):
-            fine = PhaseSpaceGrid.centered(2 * grid.n, grid.length, grid.hbar, grid.mass,
-                                           grid.omega)
-        levels = [(grid, dt), (fine, dt / 2)]
-    fld = _field_from(cfg)
-    for g, dt in levels:
-        try:
-            _strang_factors(g, fld, dt)
-        except ValueError as exc:
-            raise ConfigError(f"field.{exc}") from exc
 
 
 def _precession_frequency(kappa: float, b, hbar: float, spin: float = 1.0) -> float:
@@ -362,18 +334,14 @@ def _run_precess(cfg: dict, out: Path, scale: float) -> dict:
     direction = np.asarray(cfg["state"]["spin_direction"])
     chi = spin_eigenvector(field.spin, direction / np.linalg.norm(direction),
                            cfg["state"]["spin_m"])
-    rho0 = np.outer(chi, chi.conj())
-
-    h_s = field.zeeman_matrix()
-    evals, evecs = np.linalg.eigh(h_s)
-    weights = np.empty((n_samples, frame.size))
-    for i, t in enumerate(times):
-        u = (evecs * np.exp(-1j * evals * t / hbar)) @ evecs.conj().T
-        weights[i] = frame.weights(u @ rho0 @ u.conj().T).real
+    # chi(t) = V exp(-i E t / hbar) V^H chi at every sample from the one eigh
+    # of H_s = V E V^H, and its frame weights w_j = |u_j^H chi(t)|^2
+    evals, evecs = np.linalg.eigh(field.zeeman_matrix())
+    chis = (np.exp(-1j * np.outer(times, evals) / hbar) * (evecs.conj().T @ chi)) @ evecs.T
+    weights = np.abs(chis @ frame.vectors.conj().T) ** 2
 
     s_mat = spin_coupling_matrix(frame, field.b_field, field.kappa, field.spin, hbar)
-    w0 = weights[0]
-    s_weights = np.stack([expm(s_mat * t) @ w0 for t in times])
+    s_weights = expm(s_mat * times[:, None, None]) @ weights[0]
     s_err = float(np.max(np.abs(s_weights - weights)))
 
     spans = weights.max(axis=0) - weights.min(axis=0)
@@ -572,6 +540,11 @@ def main(argv=None) -> int:
 
     try:
         report, code = run(cfg, args.out, args.tolerance_scale)
+    except UnsteppableFieldError as exc:
+        # the evolution refuses the field before its first step, so no report
+        # is written; the message starts with the field key, phi or a_long
+        print(f"config error: field.{exc}", file=sys.stderr)
+        return 2
     except UndersampledDomainError as exc:
         # the config asked for a state or domain that the inversion refuses
         print(f"undersampled: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import SchemeMismatchError
+from .errors import SchemeMismatchError, UnsteppableFieldError
 from .grids import PhaseSpaceGrid
 from .phase_space import _shear as _sandwich    # chirp . F^-1 fresnel F . chirp steps
 from .spin_frames import SpinFrame, projection_values, spin_operators
@@ -91,7 +91,8 @@ class EMFieldConfig:
 
         The Strang step and the Wigner, Husimi, optical and symplectic drifts
         are all images of this flow.  A generator that is not finite raises
-        ValueError, naming phi (the force row) or a_long (the velocity row).
+        UnsteppableFieldError, naming phi (the force row) or a_long (the
+        velocity row).
         """
         _, c1, c2 = self.phi
         m, e, c = self.mass, self.e, self.c_light
@@ -100,7 +101,8 @@ class EMFieldConfig:
                          [0.0, 0.0, 0.0]])
         for name, row in (("phi", flow[1]), ("a_long", flow[0])):
             if not np.all(np.isfinite(row)):
-                raise ValueError(f"{name}: the phase-space flow {row.tolist()} overflows")
+                raise UnsteppableFieldError(
+                    f"{name}: the phase-space flow {row.tolist()} overflows")
         return flow
 
     def zeeman_matrix(self) -> np.ndarray:
@@ -182,8 +184,9 @@ class Trajectory:
 def _strang_factors(grid: PhaseSpaceGrid, fld: EMFieldConfig,
                     dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Half potential kick and kinetic phase of a Strang step of size dt; a
-    field the grid cannot step, whose factors would be NaN, raises ValueError
-    naming phi (e phi(q) or the kick's phase) or a_long (the kinetic phase)."""
+    field the grid cannot step, whose factors would be NaN, raises
+    UnsteppableFieldError naming phi (e phi(q) or the kick's phase) or a_long
+    (the kinetic phase).  Every evolution calls it before its first step."""
     with np.errstate(over="ignore", invalid="ignore"):
         phi = fld.phi_at(grid.q)
         kick = -0.5j * dt * fld.e * phi / grid.hbar
@@ -191,11 +194,13 @@ def _strang_factors(grid: PhaseSpaceGrid, fld: EMFieldConfig,
                / (2.0 * fld.mass * grid.hbar))
         phi_ok = np.all(np.isfinite(fld.e * phi) & np.isfinite(kick))
     if not phi_ok:
-        raise ValueError(f"phi: e phi(q) or the Strang half-kick phase dt e phi(q) / (2 hbar) "
-                         f"overflows on the grid (|q| up to {np.max(np.abs(grid.q)):g})")
+        raise UnsteppableFieldError(
+            f"phi: e phi(q) or the Strang half-kick phase dt e phi(q) / (2 hbar) "
+            f"overflows on the grid (|q| up to {np.max(np.abs(grid.q)):g})")
     if not np.all(np.isfinite(kin)):
-        raise ValueError(f"a_long: the Strang kinetic phase dt (hbar k - e a_long / c)^2 / "
-                         f"(2 m hbar) overflows on the grid for a_long {fld.a_long!r}")
+        raise UnsteppableFieldError(
+            f"a_long: the Strang kinetic phase dt (hbar k - e a_long / c)^2 / "
+            f"(2 m hbar) overflows on the grid for a_long {fld.a_long!r}")
     return np.exp(kick), np.exp(kin)
 
 

@@ -21,5 +21,10 @@ class UnsupportedInverseError(ValueError):
     """Requested inverse map is ill-posed by design (e.g. Husimi deconvolution)."""
 
 
+class UnsteppableFieldError(ValueError):
+    """Field whose Strang factors or phase-space flow overflow; the message
+    starts with the field parameter at fault, phi or a_long."""
+
+
 class ConfigError(ValueError):
     """Scenario configuration is malformed; message carries the offending field path."""

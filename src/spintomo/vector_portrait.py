@@ -30,6 +30,19 @@ from .spin_frames import SpinFrame
 from .states import oscillator_basis
 
 VECTOR_REPRESENTATIONS = ("wigner", "optical", "husimi", "symplectic-section")
+# the domain kind each tomographic representation samples
+_DOMAIN_KINDS = {"optical": "optical", "symplectic-section": "symplectic"}
+
+
+def _checked_domain(representation: str, dom: TomogramDomain | None) -> TomogramDomain | None:
+    """The domain a representation samples: dom for a tomographic one, which
+    needs a domain of its kind (ValueError otherwise), and None for wigner
+    and husimi, which sample the grid."""
+    kind = _DOMAIN_KINDS.get(representation)
+    if kind is not None and (dom is None or dom.kind != kind):
+        raise ValueError(f"the {representation} representation needs a domain of kind "
+                         f"{kind!r}, got {dom and dom.kind!r}")
+    return dom if kind else None
 
 # largest imaginary residue the audit accepts as round-off (realness_ok)
 REALNESS_BOUND = 1e-12
@@ -45,11 +58,18 @@ _RANK_RTOL = 1e-14
 class SpinorDensity:
     """Spin (x) spatial density sum_r p_r |psi_r><psi_r|.  It holds what it
     was built from, its factors or its dense blocks rho_ab(x, x'), and
-    computes the other once, on first use."""
+    computes the other once, on first use.  Blocks other than (d, d, n, n),
+    or weights and fields other than (r,) and (r, d, n), on a grid of n
+    points raise ValueError; the weights may be negative, as those of an
+    indefinite reconstruction are."""
 
     def __init__(self, grid: PhaseSpaceGrid, blocks: np.ndarray):
+        blocks = np.asarray(blocks, dtype=complex)
+        if blocks.ndim != 4 or blocks.shape != (len(blocks), len(blocks), grid.n, grid.n):
+            raise ValueError(f"blocks of shape {blocks.shape} on a grid of {grid.n} points: "
+                             f"(d, d, {grid.n}, {grid.n}) is needed")
         self.grid = grid
-        self.blocks = np.asarray(blocks, dtype=complex)  # (d, d, n, n)
+        self.blocks = blocks
 
     @classmethod
     def from_pure(cls, psi: np.ndarray, grid: PhaseSpaceGrid) -> "SpinorDensity":
@@ -59,9 +79,14 @@ class SpinorDensity:
     @classmethod
     def from_mixture(cls, probs, psis, grid: PhaseSpaceGrid) -> "SpinorDensity":
         """rho = sum_r probs[r] |psis[r]><psis[r]|, kept as these factors."""
+        probs, fields = np.array(probs, dtype=float), np.array(psis, dtype=complex)
+        if probs.ndim != 1 or fields.ndim != 3 or fields.shape[::2] != (len(probs), grid.n):
+            raise ValueError(f"weights of shape {probs.shape} and fields of shape "
+                             f"{fields.shape} on a grid of {grid.n} points: (r,) and "
+                             f"(r, d, {grid.n}) are needed")
         rho = cls.__new__(cls)
         rho.grid = grid
-        rho.factors = (np.array(probs, dtype=float), np.array(psis, dtype=complex))
+        rho.factors = (probs, fields)
         return rho
 
     @cached_property
@@ -111,8 +136,12 @@ class VectorDistribution:
     components.  A component count other than frame.size, factors whose
     shapes disagree with the components, non-finite factors (the components
     themselves when none are given), or imag_residues that are not one
-    finite value per component raise ValueError.  Components given with
-    factors are taken to be mixing @ functions and are not checked.
+    finite value per component raise ValueError, as do components that do
+    not sample the grid, (n, n) for wigner and husimi, or the domain,
+    (n_theta, n_x) for optical and (n_mu, n_nu, n_x) for symplectic-section,
+    and a tomographic portrait without a domain of its kind.  Components
+    given with factors are taken to be mixing @ functions and are not
+    checked.
     """
 
     representation: str
@@ -133,6 +162,16 @@ class VectorDistribution:
         if np.ndim(self.components) < 1 or len(self.components) != c:
             raise ValueError(f"{np.shape(self.components)} components for a frame "
                              f"of {c} elements")
+        dom = _checked_domain(self.representation, self.domain)
+        if dom is None:
+            samples = (self.grid.n, self.grid.n)
+        elif dom.kind == "optical":
+            samples = (len(dom.thetas), len(dom.x))
+        else:
+            samples = (len(dom.mu), len(dom.nu), len(dom.x))
+        if np.shape(self.components)[1:] != samples:
+            raise ValueError(f"components of shape {np.shape(self.components)} do not sample "
+                             f"the {self.representation} portrait's {samples} points")
         res = self.imag_residues
         if res is not None and (np.shape(res) != (c,) or not np.all(np.isfinite(res))):
             raise ValueError(f"imag_residues of shape {np.shape(res)} for {c} components: "
@@ -236,6 +275,7 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
             f"frame dimension {frame.dim} != state spin dimension {fields.shape[1]}")
     if representation not in VECTOR_REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
+    _checked_domain(representation, dom)
     if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(fields))):
         raise ValueError("the state has non-finite values")
     weights, amps, mix = _spin_contracted(probs, fields, frame)
@@ -259,13 +299,9 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
             for w in functions:
                 w[:] = husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values
     elif representation == "optical":
-        if dom is None or dom.kind != "optical":
-            raise ValueError("optical representation needs an optical domain")
         functions = radon_slices(shape_only, rho.grid, dom.thetas, dom.x,
                                  factors=(row_weights, amps, mix))
     else:
-        if dom is None or dom.kind != "symplectic":
-            raise ValueError("symplectic representation needs a symplectic domain")
         functions = symplectic_profiles(shape_only, rho.grid, dom.mu, dom.nu, dom.x,
                                         factors=(row_weights, amps, mix))
 

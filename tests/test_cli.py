@@ -10,6 +10,7 @@ import pytest
 import spintomo
 from spintomo import (
     EMFieldConfig,
+    PhaseSpaceGrid,
     PropagatorConfig,
     SpinorDensity,
     StateSpec,
@@ -18,6 +19,7 @@ from spintomo import (
     evolve_wigner_vector,
     residual_convergence,
     spin_coherent_state,
+    spin_eigenvector,
     to_vector,
 )
 from spintomo.cli import load_config, main
@@ -86,6 +88,31 @@ class TestScenarios:
         assert rep["measurements"]["s_matrix_vs_oracle"] < 1e-8
         weights = (tmp_path / "o" / "precess_weights.csv").read_text().splitlines()
         assert weights[0] == "t,series,value"
+
+    @pytest.mark.parametrize("raw", [
+        {}, {"grid": {"hbar": 0.7}, "field": {"b": [0.3, -0.5, 0.8], "kappa": -1.3},
+             "state": {"spin_direction": [1.0, 2.0, -0.5], "spin_m": -1.0}}],
+        ids=["default", "general"])
+    def test_precess_weights_match_the_conjugated_density(self, tmp_path, raw):
+        # the closed form chi(t) = V exp(-i E t / hbar) V^H chi gives the
+        # weights of the density matrix conjugated sample by sample
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["precess", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "o" / "precess_weights.csv").read_text().splitlines()[1:]]
+        times = np.array([float(row[0]) for row in rows[::9]])
+        weights = np.array([float(row[2]) for row in rows]).reshape(len(times), 9)
+        c = load_config(raw, "precess")
+        h_s = EMFieldConfig(b_field=c["field"]["b"], kappa=c["field"]["kappa"]).zeeman_matrix()
+        direction = np.asarray(c["state"]["spin_direction"])
+        chi = spin_eigenvector(1.0, direction / np.linalg.norm(direction), c["state"]["spin_m"])
+        rho0 = np.outer(chi, chi.conj())
+        evals, evecs = np.linalg.eigh(h_s)
+        frame = build_spin1_frame()
+        for i in range(0, len(times), 37):
+            u = (evecs * np.exp(-1j * evals * times[i] / c["grid"]["hbar"])) @ evecs.conj().T
+            assert np.max(np.abs(weights[i] - frame.weights(u @ rho0 @ u.conj().T).real)) < 1e-15
 
     def test_wavepacket(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -279,6 +306,45 @@ class TestScenarios:
         # the largest default-grid potential stays finite, as does its kick
         for scenario in ("wavepacket", "residual"):
             load_config({"field": {"phi": [0.0, 0.0, 1e300]}}, scenario)
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"field": {"phi": [0.0, 0.0, 1e308]}}, "field.phi"),
+        ({"field": {"a_long": 1e200}}, "field.a_long"),
+    ], ids=["phi", "a_long"])
+    def test_overflow_refused_before_any_portrait(self, tmp_path, capsys, monkeypatch, raw,
+                                                  path):
+        # the evolution refuses the field at its first Strang factors, before
+        # residual_check takes the portrait of any frame
+        def refuse(*args, **kwargs):
+            raise AssertionError("residuals.to_vector called")
+
+        monkeypatch.setattr(spintomo.residuals, "to_vector", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_fine_level_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
+        # dt k^2 is finite on the 64 points of the residual study's level 0
+        # and overflows on the 2n points of its level 1 (twice the wavenumbers
+        # at half the step): level 0 runs, and level 1 is refused before its
+        # first step, with no report written
+        checks = []
+        check = spintomo.residuals.residual_check
+        monkeypatch.setattr(spintomo.residuals, "residual_check",
+                            lambda traj, *args: checks.append(traj.states[0].grid.n)
+                            or check(traj, *args))
+        dt = 1.3e308 / np.max(PhaseSpaceGrid.balanced(64).k_fft ** 2)   # the oracle step
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"n": 64}, "field": {"phi": [0.0, 0.0, 0.0]},
+            "run": {"representations": ["wigner"], "n_frames": 3, "substeps": 2,
+                    "dt_frame": 2 * dt}}))
+        assert main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: field.a_long: " in capsys.readouterr().err
+        assert checks == [64]
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_default_roundtrip_passes_byte_identically(self, tmp_path):
         for copy in ("a", "b"):

@@ -11,6 +11,7 @@ from spintomo import (
     SchemeMismatchError,
     SpinorDensity,
     StateSpec,
+    UnsteppableFieldError,
     audit,
     evolve_oracle,
     evolve_wigner_vector,
@@ -559,7 +560,8 @@ class TestEvolveWignerVector:
 
 class TestFieldTheGridCannotStep:
     """A field whose Strang factors overflow on the grid is refused by both
-    evolutions with ValueError naming it, without a floating-point warning:
+    evolutions with UnsteppableFieldError (a ValueError) naming it, without a
+    floating-point warning:
     the oracle carried NaN traces and energies, the vector Wigner evolution
     either failed on its NaN imag_residues (phi) or ran with phases that
     hold no digit (a_long)."""
@@ -572,9 +574,9 @@ class TestFieldTheGridCannotStep:
         v0 = to_vector(rho0, frame, "wigner")
         fld = EMFieldConfig(**kwargs)
         with np.errstate(all="raise"):
-            with pytest.raises(ValueError, match=f"^{name}: .* overflows"):
+            with pytest.raises(UnsteppableFieldError, match=f"^{name}: .* overflows"):
                 evolve_oracle(rho0, fld, PropagatorConfig(dt=0.01, n_steps=2))
-            with pytest.raises(ValueError, match=f"^{name}: .* overflows"):
+            with pytest.raises(UnsteppableFieldError, match=f"^{name}: .* overflows"):
                 evolve_wigner_vector(v0, fld, PropagatorConfig(
                     dt=0.01, n_steps=2, scheme="wigner-spectral"))
 
@@ -582,7 +584,7 @@ class TestFieldTheGridCannotStep:
         ({"phi": (0.0, 0.0, 1e308)}, "phi"), ({"phi": (0.0, 1e308, 0.0), "e": 10.0}, "phi"),
         ({"a_long": 1e300, "mass": 1e-10}, "a_long")], ids=["c2", "e-c1", "a_long"])
     def test_phase_flow_refused(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"^{name}: the phase-space flow"):
+        with pytest.raises(UnsteppableFieldError, match=f"^{name}: the phase-space flow"):
             EMFieldConfig(**kwargs).phase_flow()
 
     def test_factors_unchanged(self, grid64):

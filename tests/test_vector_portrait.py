@@ -109,6 +109,30 @@ class TestSpinorDensity:
                                PropagatorConfig(dt=0.01, n_steps=1))
         assert np.max(np.abs(oracle.states[0].blocks - expected)) < 1e-13
 
+    @pytest.mark.parametrize("probs, fields", [
+        ([1.0], (1, 3, 128)),            # another grid's packet: a (9, 64, 64) portrait,
+                                         # and a broadcast error in evolve_oracle
+        ([0.5, 0.5], (1, 3, 64)),        # a weight without its field was dropped
+        ([1.0], (3, 64)),                # a spinor without its element axis
+        ([[1.0]], (1, 3, 64)),           # weights not 1-D
+    ], ids=["grid", "weights", "fields-ndim", "weights-ndim"])
+    def test_mixture_shapes_checked(self, grid64, probs, fields):
+        with pytest.raises(ValueError, match="are needed"):
+            SpinorDensity.from_mixture(probs, np.ones(fields), grid64)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 128, 128), (3, 2, 64, 64), (3, 3, 64, 32),
+                                       (3, 64, 64), (192, 192)],
+                             ids=["grid", "spin", "square", "ndim", "matrix"])
+    def test_blocks_shape_checked(self, grid64, shape):
+        with pytest.raises(ValueError, match="is needed"):
+            SpinorDensity(grid64, np.zeros(shape))
+
+    def test_negative_weights_kept(self, grid64):
+        # an indefinite reconstruction returns negative weights
+        psis = [spin_coherent_state(grid64, [0, 0, 1], q0=q0) for q0 in (-1.0, 1.0)]
+        rho = SpinorDensity.from_mixture([1.5, -0.5], psis, grid64)
+        assert np.array_equal(rho.factors[0], [1.5, -0.5])
+
     def test_mixture_keeps_its_factors(self, grid64, rng):
         probs = rng.dirichlet(np.ones(3))
         psis = [spin_coherent_state(grid64, rng.normal(size=3), q0=q0) for q0 in (-1, 0, 1)]
@@ -497,6 +521,26 @@ class TestFactors:
             VectorDistribution("wigner", np.zeros((4, 64, 64)), frame, grid64)
         with pytest.raises(ValueError, match="components for a frame of 9"):
             VectorDistribution("wigner", np.zeros(()), frame, grid64)
+
+    @pytest.mark.parametrize("rep, shape, domain, message", [
+        ("wigner", (9, 64, 32), None, "do not sample"),               # not the grid's
+        ("husimi", (9, 128, 128), None, "do not sample"),             # another grid's
+        ("wigner", (9,), None, "do not sample"),                      # 1-D: AxisError
+        ("optical", (9, 32, 64), None, "needs a domain"),             # audit: AttributeError
+        ("optical", (9, 3, 2, 64), "symplectic", "needs a domain"),   # audited as passed
+        ("optical", (9, 5, 64), "optical", "do not sample"),          # 5 of 32 angles
+        ("symplectic-section", (9, 3, 2, 64), None, "needs a domain"),
+        ("symplectic-section", (9, 2, 3, 64), "symplectic", "do not sample"),
+    ], ids=["wigner-q", "husimi-grid", "wigner-1d", "optical-none", "optical-symplectic",
+            "optical-angles", "symplectic-none", "symplectic-mesh"])
+    def test_samples_checked(self, frame, grid64, rep, shape, domain, message):
+        # components must sample the portrait's grid (wigner, husimi) or its
+        # domain, and a tomographic portrait needs a domain of its kind
+        dom = {None: None, "optical": TomogramDomain.optical_default(grid64, 32),
+               "symplectic": TomogramDomain.symplectic_grid(grid64, [0.8, 1.0, 1.2],
+                                                            [0.7, 0.9])}[domain]
+        with pytest.raises(ValueError, match=message):
+            VectorDistribution(rep, np.zeros(shape), frame, grid64, dom)
 
     @pytest.mark.parametrize("mixing, functions", [
         (np.ones((9, 2)), np.zeros((3, 64, 64))),      # R disagrees
