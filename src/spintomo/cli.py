@@ -3,8 +3,8 @@ round-trip checks, and residual-convergence studies.
 
 Each run reads one JSON config object, writes report.json plus plot-ready
 CSV tables into the output directory, and exits 0 only if every enabled gate
-passes (1: physics gate failure, 2: config error, a field the grid cannot
-step, UnsteppableFieldError, or a state or domain that the grid or the
+passes (1: physics gate failure, 2: config error, a field or time step the
+grid cannot step, UnsteppableFieldError, or a state or domain that the grid or the
 optical inversion cannot hold, UndersampledDomainError).  A
 scenario accepts only the sections and keys it reads (the _DEFAULTS table),
 each value in its default's type, and "seed".  Reports carry no timestamps,
@@ -542,8 +542,10 @@ def main(argv=None) -> int:
         report, code = run(cfg, args.out, args.tolerance_scale)
     except UnsteppableFieldError as exc:
         # the evolution refuses the field before its first step, so no report
-        # is written; the message starts with the field key, phi or a_long
-        print(f"config error: field.{exc}", file=sys.stderr)
+        # is written; the message starts with the field key, phi or a_long, or
+        # with dt when the time step overflows whatever the field
+        key = "" if str(exc).startswith("dt:") else "field."
+        print(f"config error: {key}{exc}", file=sys.stderr)
         return 2
     except UndersampledDomainError as exc:
         # the config asked for a state or domain that the inversion refuses

@@ -186,18 +186,26 @@ def _strang_factors(grid: PhaseSpaceGrid, fld: EMFieldConfig,
     """Half potential kick and kinetic phase of a Strang step of size dt; a
     field the grid cannot step, whose factors would be NaN, raises
     UnsteppableFieldError naming phi (e phi(q) or the kick's phase) or a_long
-    (the kinetic phase).  Every evolution calls it before its first step."""
+    (the kinetic phase), or dt when the kinetic phase overflows with a_long
+    left out as well.  Every evolution calls it before its first step."""
     with np.errstate(over="ignore", invalid="ignore"):
         phi = fld.phi_at(grid.q)
         kick = -0.5j * dt * fld.e * phi / grid.hbar
         kin = (-1j * dt * (grid.hbar * grid.k_fft - fld.e * fld.a_long / fld.c_light) ** 2
                / (2.0 * fld.mass * grid.hbar))
         phi_ok = np.all(np.isfinite(fld.e * phi) & np.isfinite(kick))
+        kin_ok = np.all(np.isfinite(kin))
+        free_ok = kin_ok or np.all(np.isfinite(
+            -1j * dt * (grid.hbar * grid.k_fft) ** 2 / (2.0 * fld.mass * grid.hbar)))
     if not phi_ok:
         raise UnsteppableFieldError(
             f"phi: e phi(q) or the Strang half-kick phase dt e phi(q) / (2 hbar) "
             f"overflows on the grid (|q| up to {np.max(np.abs(grid.q)):g})")
-    if not np.all(np.isfinite(kin)):
+    if not free_ok:
+        raise UnsteppableFieldError(
+            f"dt: the Strang kinetic phase dt (hbar k)^2 / (2 m hbar) overflows on the "
+            f"grid (|k| up to {np.max(np.abs(grid.k_fft)):g}) for the time step {dt!r}")
+    if not kin_ok:
         raise UnsteppableFieldError(
             f"a_long: the Strang kinetic phase dt (hbar k - e a_long / c)^2 / "
             f"(2 m hbar) overflows on the grid for a_long {fld.a_long!r}")
@@ -505,8 +513,13 @@ def fit_precession_frequency(times: np.ndarray, series: np.ndarray,
     """Angular frequency of a (multi-)harmonic signal by variable projection.
 
     Linear least squares in the harmonic amplitudes at fixed omega, outer
-    bounded minimization over omega seeded by the FFT peak.  Avoids FFT
-    leakage bias at short durations.
+    bounded minimization over omega.  Avoids FFT leakage bias at short
+    durations.  The FFT peak may sit on any harmonic h of omega (a spin-1
+    weight series of an m = 0 state oscillates mostly at 2 omega), so the
+    search is seeded at peak / h for each h = 1..n_harmonics and keeps the
+    omega of least residual.  A signal at omega alone is fit as well by
+    omega / 2 with its second harmonic, so a lower seed wins only by more
+    than round-off in the residual.
     """
     from scipy.optimize import minimize_scalar   # costs every import 0.2 s at module level
 
@@ -528,6 +541,11 @@ def fit_precession_frequency(times: np.ndarray, series: np.ndarray,
         resid = series - a @ np.linalg.lstsq(a, series, rcond=None)[0]
         return float(resid @ resid)
 
-    res = minimize_scalar(ssr, bounds=(0.5 * guess, 1.5 * guess), method="bounded",
-                          options={"xatol": 1e-14})
-    return float(res.x)
+    round_off = 1e-12 * float(np.sum((series - series.mean()) ** 2))
+    best = None
+    for h in range(1, n_harmonics + 1):
+        res = minimize_scalar(ssr, bounds=(0.5 * guess / h, 1.5 * guess / h), method="bounded",
+                              options={"xatol": 1e-14})
+        if best is None or res.fun < best.fun - round_off:
+            best = res
+    return float(best.x)

@@ -42,16 +42,17 @@ do not explain.
 
 Plans: what depends only on the sampling (grid, x and the angles or the
 (mu, nu) mesh) is built once per domain, on first use, into a _Plan: the
-working-grid embedding, the march of the rays in ascending theta (each ray
-rotated from the one before by the angle step, whose shear factors equal
-steps share), the dilation to x / r per distinct r, and the inversion's
-oscillator basis and per-diagonal least-squares solvers.  Plans are found by
+working-grid embedding, the rays grouped by their number of sub-rotations
+from theta = 0 (each group's shear factors and dilations to x / r stacked
+over its rays, so a group turns and dilates in one batch), and the
+inversion's oscillator basis and per-diagonal least-squares solvers.  Plans are found by
 the identity of the domain's arrays and dropped when one of those arrays is
 freed, so a plan lives as long as its TomogramDomain; an array changed in
 place gets a new plan.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from functools import cached_property
 
@@ -253,9 +254,17 @@ def _working_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
     return work
 
 
-def _shear_factors(work: PhaseSpaceGrid, theta: float) -> tuple:
+def _sub_rotations(theta) -> np.ndarray:
+    """Number of sub-rotations of at most pi/4 that turn by theta (0 for 0)."""
+    return np.ceil(np.abs(theta) / (0.25 * np.pi)).astype(int)
+
+
+def _shear_factors(work: PhaseSpaceGrid, theta) -> tuple:
     """(n_sub, chirp, fresnel): the rotation by theta on the balanced grid work
     as n_sub equal sub-rotations t of at most pi/4 (none for theta = 0).
+    theta may also be an array of angles whose last axis has length 1, such
+    as (rays, 1, 1): the factors then broadcast to theta.shape[:-1] + (N,),
+    and each angle turns in as many sub-rotations as the largest needs.
 
     Each sub-rotation is three shears (Ozaktas et al., IEEE TSP 1996): the
     chirp exp(-i tan(t/2) m omega q^2 / 2 hbar), the Fresnel factor
@@ -264,7 +273,7 @@ def _shear_factors(work: PhaseSpaceGrid, theta: float) -> tuple:
     t -> pi; sub-rotations of at most pi/4 keep content within 0.92 of the
     box half-width inside the band.
     """
-    n_sub = int(np.ceil(abs(theta) / (0.25 * np.pi)))
+    n_sub = int(np.max(_sub_rotations(theta), initial=0))
     if n_sub == 0:
         return 0, None, None
     t = theta / n_sub
@@ -328,14 +337,17 @@ class _Plan:
         return _band_limited_matrix(self.grid.q, self.work.q).T
 
     @cached_property
-    def march(self) -> list:
-        """The rays (theta, r) in ascending theta, as (index, shear, dilation, r).
+    def rays(self) -> list:
+        """The rays (theta, r) in groups of equal sub-rotation count, each
+        group as (index, shear, dilation, r) over its rays.
 
-        shear turns the amplitudes of the ray before (of theta = 0 for the
-        first) to this ray's angle, in one sub-rotation per pi/4 of the step;
-        steps of equal size share their factors.  dilation is the transposed
-        band-limited map from the working grid to x / r, None where x / r is
-        the working grid, one per distinct r.
+        index holds the rays' places in the tomogram; shear the factors
+        (n_sub, chirp, fresnel) that turn amplitudes from theta = 0 to every
+        ray's angle at once, chirp and fresnel of shape (rays, 1, N); dilation
+        the transposed band-limited maps (rays, N, n_x) from the working grid
+        to x / r, None when every x / r of the plan is the working grid; r
+        the radii, (rays, 1, 1).  A group's dilation is filled in place, one
+        distinct r at a time.
         """
         x, *axes = self.samples
         if len(axes) == 1:
@@ -346,29 +358,33 @@ class _Plan:
             thetas = np.arctan2(nn * m_omega, mm).ravel()
             radii = np.hypot(mm, nn * m_omega).ravel()
         q = self.work.q
-        order = np.argsort(thetas, kind="stable")
-        shears, dilations, march = {}, {}, []
-        for k, step in zip(order, np.diff(thetas[order], prepend=0.0)):
-            if step not in shears:
-                shears[step] = _shear_factors(self.work, step)
-            r = radii[k]
-            if r not in dilations:
-                dilations[r] = (None if np.array_equal(x / r, q)
-                                else _band_limited_matrix(q, x / r).T)
-            march.append((k, shears[step], dilations[r], r))
-        return march
+        dilate = not all(np.array_equal(x / r, q) for r in np.unique(radii))
+        counts = _sub_rotations(thetas)
+        groups = []
+        for count in np.unique(counts):
+            index = np.flatnonzero(counts == count)
+            dilation = None
+            if dilate:
+                dilation = np.empty((len(index), len(q), len(x)))
+                for r in np.unique(radii[index]):
+                    dilation[radii[index] == r] = (np.eye(len(q)) if np.array_equal(x / r, q)
+                                                   else _band_limited_matrix(q, x / r).T)
+            groups.append((index, _shear_factors(self.work, thetas[index, None, None]),
+                           dilation, radii[index, None, None]))
+        return groups
 
     @cached_property
     def inversion(self) -> tuple | str:
         """invert_optical's sampling-only part on an optical domain: (basis,
-        solvers), or the message that refuses the domain.
+        solvers, rows, cols), or the message that refuses the domain.
 
         basis holds the oscillator levels 0..N at the half-spaced points
         _half_points keeps, solvers[d] the least-squares solution operator
         (N + 1 - d, n_x) of diagonal d over X >= 0, from a column-pivoted QR of
         its design.  A design of numerical rank below its column count (R's
         diagonal below _LEVEL_RCOND of its first entry) leaves its levels
-        undetermined.
+        undetermined.  rows and cols place the solutions (m, m - d) of the
+        diagonals d = 0..N, one after the other, in a level matrix.
         """
         from scipy.linalg import qr   # costs every import 0.28 s at module level
         from scipy.linalg.lapack import dtrtri
@@ -395,7 +411,9 @@ class _Plan:
             solver = stacked[start:start + n_levels - d]
             solver[perm] = dtrtri(r)[0] @ q.T
             solvers.append(solver)
-        return basis, solvers
+        rows, cols = np.tril_indices(n_levels)
+        by_diagonal = np.argsort(rows - cols, kind="stable")
+        return basis, solvers, rows[by_diagonal], cols[by_diagonal]
 
 
 def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan,
@@ -410,9 +428,9 @@ def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan
     kernel has the marginal sum_k weights[c, k] |R_theta a_k|^2(x/r) / r,
     R_theta the metaplectic rotation.  Rotation and dilation are linear, so
     they act on the m amps alone, and mix forms the rows from them at each
-    ray.  The rays are visited in ascending theta, each rotated from the one
-    before by plan.march, so a ray costs one sub-rotation per pi/4 of its
-    angle step instead of per pi/4 of its angle.
+    ray.  Every ray is rotated from theta = 0, the rays of plan.rays that
+    need equally many sub-rotations together, so each product below runs
+    once per group on a (rays, m, N) stack.
     """
     if factors is None:
         kernels = _kernel_of_wigner(w_stack.reshape((-1,) + w_stack.shape[-2:]), grid)
@@ -427,16 +445,16 @@ def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan
     if plan.embed is not None:
         amps = amps @ plan.embed
     n_amps = len(amps)
-    out = np.empty((len(weights), len(plan.march), len(plan.samples[0])))
-    for k, shear, dilation, r in plan.march:
-        amps = _shear(amps, shear)
-        rows = amps
+    n_rays = sum(len(index) for index, *_ in plan.rays)
+    out = np.empty((len(weights), n_rays, len(plan.samples[0])))
+    for index, shear, dilation, r in plan.rays:
+        rows = _shear(amps, shear)                 # (rays, m, N); (m, N) at theta = 0
         if dilation is not None:
-            parts = np.concatenate([amps.real, amps.imag]) @ dilation
-            rows = parts[:n_amps] + 1j * parts[n_amps:]
+            parts = np.concatenate([rows.real, rows.imag], axis=-2) @ dilation
+            rows = parts[..., :n_amps, :] + 1j * parts[..., n_amps:, :]
         if mix is not None:
             rows = mix @ rows
-        out[:, k] = weights @ (rows.real**2 + rows.imag**2) / r
+        out[:, index] = np.swapaxes(weights @ (rows.real**2 + rows.imag**2) / r, 0, 1)
     return out.reshape(w_stack.shape[:-2] + out.shape[1:])
 
 
@@ -541,7 +559,9 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
     of parity (-1)^d in X.  The products oscillate twice as fast as the levels,
     so each harmonic is resampled at half the spacing by band-limited
     interpolation, and one least-squares solve over X >= 0 per d = 0..N gives
-    the d-th diagonal; the solvers depend on the domain only and come from its
+    the d-th diagonal of all R tomograms at once (their harmonics as 2R real
+    right-hand sides); the diagonals are placed in the level matrices after
+    the last solve.  The solvers depend on the domain only and come from its
     plan (_Plan.inversion).  Exact to round-off for kernels within the first
     N + 1 levels, N = oscillator_levels, whose tomograms are band-limited on x.
 
@@ -567,30 +587,33 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
     inversion = _plan(grid, x, dom.thetas).inversion
     if isinstance(inversion, str):
         raise UndersampledDomainError(inversion)
-    basis, solvers = inversion
+    basis, solvers, rows, cols = inversion
     n_levels = len(basis)
     # harmonics 0..n_theta of the real series at the half-spaced points that
-    # _half_points keeps; harmonic -d is the conjugate of d.  One function at
-    # a time, which bounds the transforms' scratch memory.
+    # _half_points keeps, all R functions in one transform; harmonic -d is
+    # the conjugate of d
     r = len(stack)
     mixing = np.eye(r) if mixing is None else mixing
-    keep = _half_points(len(x))
-    spectrum = np.empty((r, n_theta + 1, len(keep)), dtype=complex)
-    for fn, tomogram in zip(spectrum, stack):
-        harmonics = np.fft.rfft(np.concatenate([tomogram, _flip_x(tomogram, axis=-1)]), axis=0)
-        harmonics /= 2 * n_theta
-        fn[:] = fourier_upsample2(harmonics, axis=-1)[:, keep]
-    half = slice(1, None)                                      # X >= 0
-    levels = np.zeros((r, n_levels, n_levels), dtype=complex)
+    harmonics = np.fft.rfft(np.concatenate([stack, _flip_x(stack, axis=-1)], axis=1), axis=1)
+    harmonics /= 2 * n_theta
+    spectrum = fourier_upsample2(harmonics, axis=-1)[..., _half_points(len(x))]
+    del harmonics
+    # harmonics -d = 0..N over X >= 0 as real (D, n_x, 2R) right-hand sides
+    negative = spectrum[:, :n_levels, 1:].conj()
+    packed = np.concatenate([negative.real, negative.imag]).transpose(1, 2, 0).copy()
+    del negative
+    # rho_{m, m-d} of every diagonal d in turn, real and imaginary parts side by side
+    sols = np.empty((len(rows), 2 * r))
+    end = 0
     for d, solver in enumerate(solvers):
-        m = np.arange(d, n_levels)
-        harmonic = spectrum[:, d, half].conj()                 # harmonic -d, (R, n_x)
-        sol = solver @ np.concatenate([harmonic.real, harmonic.imag]).T
-        rho_d = (sol[:, :r] + 1j * sol[:, r:]).T               # rho_{m, m-d}, (R, N + 1 - d)
-        levels[:, m, m - d] = rho_d
-        levels[:, m - d, m] = rho_d.conj()
-        explained = np.concatenate([rho_d.real, rho_d.imag]) @ (basis[d:] * basis[:n_levels - d])
+        sol = np.matmul(solver, packed[d], out=sols[end:end + len(solver)])
+        end += len(solver)
+        explained = sol.T @ (basis[d:] * basis[:n_levels - d])
         spectrum[:, d] -= explained[:r] - 1j * explained[r:]
+    rho = (sols[:, :r] + 1j * sols[:, r:]).T                  # (R, sum_d (N + 1 - d))
+    levels = np.zeros((r, n_levels, n_levels), dtype=complex)
+    levels[:, rows, cols] = rho
+    levels[:, cols, rows] = rho.conj()
     residual = np.fft.irfft(spectrum, 2 * n_theta, axis=1)
     unexplained = _largest_component(mixing, residual) * 2 * n_theta
     scale = _largest_component(mixing, stack)
@@ -605,8 +628,9 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
 def _largest_component(mixing: np.ndarray, functions: np.ndarray) -> float:
     """max |mixing @ functions|, forming one component at a time, which bounds
     the scratch memory (a NaN propagates)."""
-    return float(np.max([np.max(np.abs(np.tensordot(row, functions, 1)), initial=0.0)
-                         for row in mixing], initial=0.0))
+    flat = functions.reshape(len(functions), math.prod(functions.shape[1:]))   # R may be 0
+    return float(np.max([np.max(np.abs(row @ flat), initial=0.0) for row in mixing],
+                        initial=0.0))
 
 
 def _level_factors(quant: np.ndarray, levels: np.ndarray, basis: np.ndarray) -> tuple:

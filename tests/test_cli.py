@@ -91,8 +91,10 @@ class TestScenarios:
 
     @pytest.mark.parametrize("raw", [
         {}, {"grid": {"hbar": 0.7}, "field": {"b": [0.3, -0.5, 0.8], "kappa": -1.3},
-             "state": {"spin_direction": [1.0, 2.0, -0.5], "spin_m": -1.0}}],
-        ids=["default", "general"])
+             "state": {"spin_direction": [1.0, 2.0, -0.5], "spin_m": -1.0}},
+        {"grid": {"hbar": 0.7}, "field": {"b": [0.3, -0.5, 0.8], "kappa": -1.3},
+         "state": {"spin_direction": [1.0, 2.0, -0.5], "spin_m": 0.0}}],
+        ids=["default", "general", "spin-m-0"])
     def test_precess_weights_match_the_conjugated_density(self, tmp_path, raw):
         # the closed form chi(t) = V exp(-i E t / hbar) V^H chi gives the
         # weights of the density matrix conjugated sample by sample
@@ -342,8 +344,21 @@ class TestScenarios:
             "run": {"representations": ["wigner"], "n_frames": 3, "substeps": 2,
                     "dt_frame": 2 * dt}}))
         assert main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "config error: field.a_long: " in capsys.readouterr().err
+        assert "config error: dt: " in capsys.readouterr().err
         assert checks == [64]
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_time_step_overflow_names_dt(self, tmp_path, capsys):
+        # a_long is 0, so the kinetic phase overflows through dt k^2 alone:
+        # the refusal names the time step, not field.a_long
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"n": 64}, "field": {"phi": [0, 0, 0]},
+            "run": {"representations": ["wigner"], "n_frames": 3, "substeps": 2,
+                    "dt_frame": 2.586e306}}))
+        assert main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dt: ") and "a_long" not in err
         assert not (tmp_path / "o" / "report.json").exists()
 
     def test_default_roundtrip_passes_byte_identically(self, tmp_path):

@@ -566,19 +566,22 @@ class TestFieldTheGridCannotStep:
     either failed on its NaN imag_residues (phi) or ran with phases that
     hold no digit (a_long)."""
 
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"phi": (0.0, 0.0, 1e308)}, "phi"), ({"a_long": 1e200}, "a_long")],
-        ids=["phi", "a_long"])
-    def test_refused(self, frame, grid64, kwargs, name):
+    @pytest.mark.parametrize("kwargs, dt, name", [
+        ({"phi": (0.0, 0.0, 1e308)}, 0.01, "phi"), ({"a_long": 1e200}, 0.01, "a_long"),
+        ({"a_long": 1.0}, 1e307, "dt")],
+        ids=["phi", "a_long", "dt"])
+    def test_refused(self, frame, grid64, kwargs, dt, name):
+        # dt: the kinetic phase overflows with a_long left out as well, so
+        # the time step is named, not the field
         rho0 = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
         v0 = to_vector(rho0, frame, "wigner")
         fld = EMFieldConfig(**kwargs)
         with np.errstate(all="raise"):
             with pytest.raises(UnsteppableFieldError, match=f"^{name}: .* overflows"):
-                evolve_oracle(rho0, fld, PropagatorConfig(dt=0.01, n_steps=2))
+                evolve_oracle(rho0, fld, PropagatorConfig(dt=dt, n_steps=2))
             with pytest.raises(UnsteppableFieldError, match=f"^{name}: .* overflows"):
                 evolve_wigner_vector(v0, fld, PropagatorConfig(
-                    dt=0.01, n_steps=2, scheme="wigner-spectral"))
+                    dt=dt, n_steps=2, scheme="wigner-spectral"))
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"phi": (0.0, 0.0, 1e308)}, "phi"), ({"phi": (0.0, 1e308, 0.0), "e": 10.0}, "phi"),
@@ -841,4 +844,15 @@ class TestFrequencyFit:
         t = np.linspace(0, 20, 400)
         omega = 1.37
         y = 0.4 + 0.5 * np.cos(omega * t) + 0.1 * np.cos(2 * omega * t + 0.3)
+        assert abs(fit_precession_frequency(t, y) - omega) / omega < 1e-9
+
+    @pytest.mark.parametrize("first, second", [(0.1, 0.5), (0.5, 0.0)],
+                             ids=["second-harmonic-peak", "one-harmonic"])
+    def test_peak_on_either_harmonic(self, first, second):
+        # a peak at 2 omega is not taken for the frequency; a signal at omega
+        # alone, which omega / 2 with its second harmonic fits as well, is
+        # fit at omega
+        t = np.linspace(0, 20, 400)
+        omega = 1.37
+        y = 0.4 + first * np.cos(omega * t) + second * np.cos(2 * omega * t + 0.3)
         assert abs(fit_precession_frequency(t, y) - omega) / omega < 1e-9

@@ -2,7 +2,8 @@
 from to_vector's carried factors and from Wigner input, checked against the
 dense characteristic-function ray sums (kept here as the independent
 reference) and against closed-form Gaussian marginals; and the per-domain
-plans that march the rotation from ray to ray."""
+plans that rotate every ray from theta = 0, the rays of equal sub-rotation
+count in one batch."""
 import gc
 import weakref
 
@@ -25,6 +26,7 @@ from spintomo.phase_space import (
     _band_limited_matrix,
     _shear,
     _shear_factors,
+    _sub_rotations,
     _wigner_of_factors,
     fourier_upsample2,
     _working_grid,
@@ -32,6 +34,7 @@ from spintomo.phase_space import (
     symplectic_profiles,
 )
 from spintomo.residuals import default_domain
+from spintomo.vector_portrait import _spin_contracted
 
 JUST_BELOW_PI = np.pi * (1 - 1e-12)
 
@@ -231,9 +234,8 @@ def rotate(amps, work, theta):
     work: afterwards |amps|^2 is the marginal of q cos(theta) + p sin(theta)/(m omega).
 
     The rotation of one ray from theta = 0, in sub-rotations of at most pi/4
-    (_shear_factors).  Tomograms do not rotate ray by ray: their plan marches
-    from ray to ray in angle steps (_Plan.march), which must compose to this
-    rotation to round-off.
+    (_shear_factors).  Tomograms apply the same rotation to stacks of rays
+    at once (_Plan.rays), which must agree with it ray by ray to round-off.
     """
     return _shear(amps, _shear_factors(work, theta))
 
@@ -273,8 +275,10 @@ def test_band_limited_matrix_complex_stack(rng):
 
 def per_ray_marginals(factors, grid, thetas, radii, x):
     """Marginals of the factored kernels, each ray rotated from theta = 0 by
-    rotate on its own: the reference for the plan's march."""
-    weights, amps = factors
+    rotate on its own: the reference for the plan's batched rays."""
+    weights, amps, mix = (*factors, None)[:3]
+    if mix is not None:
+        amps = mix @ amps
     work = _working_grid(grid)
     if work is not grid:
         amps = amps @ _band_limited_matrix(grid.q, work.q).T
@@ -288,22 +292,34 @@ def per_ray_marginals(factors, grid, thetas, radii, x):
 @pytest.mark.parametrize("grid", [PhaseSpaceGrid.balanced(128),
                                   PhaseSpaceGrid.centered(64, 20.0, mass=2.0)],
                          ids=["balanced-128", "n64-L20-m2"])
-def test_march_matches_per_ray_rotation(grid):
+@pytest.mark.parametrize("element", ["product", "entangled"])
+def test_batched_rays_match_per_ray_rotation(grid, element):
     rng = np.random.default_rng(8)
-    rho = mixture(grid, FRAMES["random-1.0"], 2, rng, 1.0, (0.65, 0.85))
-    probs, fields = rho.factors
-    factors = (np.repeat(probs, 3)[None], fields.reshape(-1, grid.n))
-    w = np.zeros((1, grid.n, grid.n))     # unused when factors are given
+    frame = FRAMES["random-1.0"]
+    if element == "product":    # the spin-traced kernel of a rank-2 mixture
+        probs, fields = mixture(grid, frame, 2, rng, 1.0, (0.65, 0.85)).factors
+        factors = (np.repeat(probs, 3)[None], fields.reshape(-1, grid.n))
+    else:   # an element of Schmidt rank 3, whose nine rows are mix @ amps
+        psi = np.stack([gaussian_packet(grid, *rng.uniform(-1.0, 1.0, 2),
+                                        rng.uniform(0.65, 0.85)) for _ in range(3)])
+        psi *= (rng.normal(size=3) + 1j * rng.normal(size=3))[:, None]
+        rho = SpinorDensity.from_pure(psi / np.sqrt(np.sum(np.abs(psi)**2) * grid.dx), grid)
+        factors = _spin_contracted(*rho.factors, frame)
+        assert factors[2].shape == (9, 3)
+    w = np.zeros((len(factors[0]), grid.n, grid.n))     # unused when factors are given
     m_omega = grid.mass * grid.omega
 
-    # uniform optical angles over [0, pi): every step is pi / 64
+    # uniform optical angles over [0, pi): theta = 0, exactly pi / 4 and
+    # above 3 pi / 4, so every sub-rotation count from 0 to 4
     thetas = np.pi * np.arange(64) / 64
+    assert thetas[16] == 0.25 * np.pi
+    assert set(_sub_rotations(thetas)) == {0, 1, 2, 3, 4}
     got = radon_slices(w, grid, thetas, grid.q, factors=factors)
     ref = per_ray_marginals(factors, grid, thetas, np.ones(64), grid.q)
     assert np.max(np.abs(got - ref)) <= 1e-13
 
-    # unsorted, non-uniform symplectic angles in (-pi, pi]; the march starts
-    # with a step of more than pi / 4 from theta = 0 to the smallest angle
+    # unsorted, non-uniform symplectic angles in (-pi, pi], down to below
+    # -pi / 4, each with its own dilation
     mu, nu = np.array([0.9, -1.1, 0.3, -0.2]), np.array([-0.8, 1.2, -0.1, 0.5])
     mm, nn = np.meshgrid(mu, nu, indexing="ij")
     ray_thetas = np.arctan2(nn * m_omega, mm).ravel()
@@ -324,7 +340,7 @@ def test_plan_reuse_is_bit_identical(grid64):
         axes = (dom.thetas,) if rep == "optical" else (dom.mu, dom.nu)
         first = to_vector(rho, frame, rep, dom).components
         plan = phase_space._plan(grid64, dom.x, *axes)
-        assert "march" in vars(plan)          # built by the first call
+        assert "rays" in vars(plan)          # built by the first call
         second = to_vector(rho, frame, rep, dom).components
         assert np.array_equal(first, second)
         assert phase_space._plan(grid64, dom.x, *axes) is plan
@@ -343,7 +359,7 @@ def test_plan_dies_with_its_domain(grid64):
     to_vector(rho, frame, "symplectic-section", sym)
     plans = [weakref.ref(phase_space._plan(grid64, opt.x, opt.thetas)),
              weakref.ref(phase_space._plan(grid64, sym.x, sym.mu, sym.nu))]
-    assert "inversion" in vars(plans[0]()) and "march" in vars(plans[1]())
+    assert "inversion" in vars(plans[0]()) and "rays" in vars(plans[1]())
     del opt, sym
     gc.collect()
     assert [ref() for ref in plans] == [None, None]

@@ -156,7 +156,7 @@ class TestTomogramDomain:
             assert stored is given or not isinstance(given, np.ndarray)
         tom = portrait(oscillator_eigenstate(grid64, 0), grid64, frame0, "optical", dom)[0]
         plan = phase_space._plan(grid64, dom.x, dom.thetas)
-        assert "march" in vars(plan)          # built by the portrait
+        assert "rays" in vars(plan)          # built by the portrait
         assert np.array_equal(
             portrait(oscillator_eigenstate(grid64, 0), grid64, frame0, "optical", dom)[0], tom)
         assert phase_space._plan(grid64, dom.x, dom.thetas) is plan
@@ -607,6 +607,26 @@ class TestOpticalInversion:
         ref = invert_optical(v.components, grid128, dom)
         mixed = np.tensordot(v.mixing, levels, 1)
         assert np.max(np.abs(mixed - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_functions_inverted_together_as_one_by_one(self, grid128, rng, rank):
+        # the R functions share one transform and one solve per diagonal
+        frame = random_frame(1.0, 12)
+        dom = TomogramDomain.optical_default(grid128, 64)
+        if rank:
+            psis = [spinor_product_state(grid128, rng.normal(size=3) + 1j * rng.normal(size=3),
+                                         random_band_limited_state(grid128, rng))
+                    for _ in range(rank)]
+            rho = SpinorDensity.from_mixture(rng.dirichlet(np.ones(rank)), psis, grid128)
+            v = to_vector(rho, frame, "optical", dom)
+            functions, mixing = v.functions, v.mixing
+        else:
+            functions, mixing = np.zeros((0, 64, grid128.n)), np.zeros((9, 0))
+        assert functions.shape[0] == rank
+        levels = invert_optical(functions, grid128, dom, mixing)
+        assert levels.shape == (rank, 64, 64)
+        for fn, lv in zip(functions, levels):
+            assert np.max(np.abs(invert_optical(fn[None], grid128, dom)[0] - lv)) <= 1e-15
 
     def test_narrow_domain_rejected(self, frame):
         # 16 quadrature points cannot determine the 32 levels of n = 64 and 32 angles
