@@ -45,10 +45,10 @@ Plans: what depends only on the sampling (grid, x and the angles or the
 working-grid embedding, the rays grouped by their number of sub-rotations
 from theta = 0 (each group's shear factors and dilations to x / r stacked
 over its rays, so a group turns and dilates in one batch), and the
-inversion's oscillator basis and per-diagonal least-squares solvers.  Plans are found by
-the identity of the domain's arrays and dropped when one of those arrays is
-freed, so a plan lives as long as its TomogramDomain; an array changed in
-place gets a new plan.
+inversion's oscillator basis and per-diagonal least-squares solvers.  Plans
+are found by the identity of the domain's arrays and dropped when one of
+those arrays is freed, so a plan lives as long as its TomogramDomain; an
+array changed in place gets a new plan.
 """
 from __future__ import annotations
 
@@ -357,18 +357,18 @@ class _Plan:
             m_omega = self.grid.mass * self.grid.omega
             thetas = np.arctan2(nn * m_omega, mm).ravel()
             radii = np.hypot(mm, nn * m_omega).ravel()
+        # sets, not np.unique, whose first call imports numpy.ma (15-30 ms)
         q = self.work.q
-        dilate = not all(np.array_equal(x / r, q) for r in np.unique(radii))
+        dilate = not all(np.array_equal(x / r, q) for r in set(radii.tolist()))
         counts = _sub_rotations(thetas)
         groups = []
-        for count in np.unique(counts):
+        for count in sorted(set(counts.tolist())):
             index = np.flatnonzero(counts == count)
             dilation = None
             if dilate:
                 dilation = np.empty((len(index), len(q), len(x)))
-                for r in np.unique(radii[index]):
-                    dilation[radii[index] == r] = (np.eye(len(q)) if np.array_equal(x / r, q)
-                                                   else _band_limited_matrix(q, x / r).T)
+                for r in set(radii[index].tolist()):
+                    dilation[radii[index] == r] = _band_limited_matrix(q, x / r).T
             groups.append((index, _shear_factors(self.work, thetas[index, None, None]),
                            dilation, radii[index, None, None]))
         return groups
