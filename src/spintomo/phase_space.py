@@ -598,10 +598,12 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
     harmonics /= 2 * n_theta
     spectrum = fourier_upsample2(harmonics, axis=-1)[..., _half_points(len(x))]
     del harmonics
-    # harmonics -d = 0..N over X >= 0 as real (D, n_x, 2R) right-hand sides
-    negative = spectrum[:, :n_levels, 1:].conj()
-    packed = np.concatenate([negative.real, negative.imag]).transpose(1, 2, 0).copy()
-    del negative
+    # harmonics -d = 0..N over X >= 0, the conjugates of d, as real (D, n_x, 2R)
+    # right-hand sides
+    positive = spectrum[:, :n_levels, 1:].transpose(1, 2, 0)
+    packed = np.empty(positive.shape[:2] + (2 * r,))
+    packed[..., :r] = positive.real
+    np.negative(positive.imag, out=packed[..., r:])
     # rho_{m, m-d} of every diagonal d in turn, real and imaginary parts side by side
     sols = np.empty((len(rows), 2 * r))
     end = 0
@@ -610,6 +612,7 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
         end += len(solver)
         explained = sol.T @ (basis[d:] * basis[:n_levels - d])
         spectrum[:, d] -= explained[:r] - 1j * explained[r:]
+    del packed
     rho = (sols[:, :r] + 1j * sols[:, r:]).T                  # (R, sum_d (N + 1 - d))
     levels = np.zeros((r, n_levels, n_levels), dtype=complex)
     levels[:, rows, cols] = rho
