@@ -357,7 +357,7 @@ class _Plan:
             m_omega = self.grid.mass * self.grid.omega
             thetas = np.arctan2(nn * m_omega, mm).ravel()
             radii = np.hypot(mm, nn * m_omega).ravel()
-        # sets, not np.unique, whose first call imports numpy.ma (15-30 ms)
+        # sets, not np.unique, whose first call imports numpy.ma (about 15 ms)
         q = self.work.q
         dilate = not all(np.array_equal(x / r, q) for r in set(radii.tolist()))
         counts = _sub_rotations(thetas)
