@@ -519,7 +519,8 @@ def fit_precession_frequency(times: np.ndarray, series: np.ndarray,
     search is seeded at peak / h for each h = 1..n_harmonics and keeps the
     omega of least residual.  A signal at omega alone is fit as well by
     omega / 2 with its second harmonic, so a lower seed wins only by more
-    than round-off in the residual.
+    than round-off in the residual.  No caller in the package (`precess` reads
+    the spectrum of S); the benchmark's span table traces it by name.
     """
     from scipy.optimize import minimize_scalar   # costs every import 0.2 s at module level
 

@@ -17,12 +17,14 @@ from spintomo import (
     build_spin1_frame,
     evolve_oracle,
     evolve_wigner_vector,
+    random_frame,
     residual_convergence,
     spin_coherent_state,
+    spin_coupling_matrix,
     spin_eigenvector,
     to_vector,
 )
-from spintomo.cli import load_config, main
+from spintomo.cli import _spectrum_deviations, load_config, main
 from spintomo.errors import ConfigError
 from spintomo.grids import tidy_columns, write_csv
 
@@ -115,6 +117,35 @@ class TestScenarios:
         for i in range(0, len(times), 37):
             u = (evecs * np.exp(-1j * evals * times[i] / c["grid"]["hbar"])) @ evecs.conj().T
             assert np.max(np.abs(weights[i] - frame.weights(u @ rho0 @ u.conj().T).real)) < 1e-15
+
+    @pytest.mark.parametrize("raw, omega", [
+        ({"field": {"b": [1e-300, 0.0, 0.0]}}, 1e-300),
+        ({"field": {"b": [1e-150, 0.0, 0.0]}}, 1e-150),
+        ({"grid": {"hbar": 1e300}}, 1e-300),
+        ({"run": {"periods": 1.0, "samples_per_period": 3}}, 1.0)],
+        ids=["tiny-field", "small-field", "huge-hbar", "four-samples"])
+    def test_valid_precession_passes(self, tmp_path, raw, omega):
+        # |b| of a tiny field is taken without underflow, and the spectrum of
+        # S reads the frequency at any scale and from any number of samples
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["precess", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        measured = read_report(tmp_path / "o")["measurements"]
+        assert measured["omega_expected"] == omega
+        assert measured["freq_rel_err"] < 1e-6
+
+    @pytest.mark.parametrize("hbar_factor, s_factor", [(2.0, 1.0), (1.0, 1.0 + 1e-3)],
+                             ids=["hbar-doubled", "scaled-1e-3"])
+    def test_wrong_s_matrix_fails_the_frequency_gate(self, tmp_path, monkeypatch, hbar_factor,
+                                                      s_factor):
+        def wrong_s(frame, b, kappa, s, hbar):
+            return s_factor * spin_coupling_matrix(frame, b, kappa, s, hbar_factor * hbar)
+
+        monkeypatch.setattr("spintomo.cli.spin_coupling_matrix", wrong_s)
+        assert main(["precess", "--out", str(tmp_path / "o")]) == 1
+        rep = read_report(tmp_path / "o")
+        assert not rep["gates"]["freq_rel_err"]["pass"]
+        assert rep["measurements"]["freq_rel_err"] > 1e-4
 
     def test_wavepacket(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -247,6 +278,8 @@ class TestScenarios:
         ("roundtrip", {"run": {"route": "wigner", "n_theta": 64}}, "run.n_theta"),
         ("roundtrip", {"run": {"route": "optical", "rank": 3}}, "run.rank"),
         ("roundtrip", {"run": {"route": "optical"}, "grid": {"n": 64}}, "grid.n"),
+        ("precess", {"field": {"b": [1e-300, 0, 0], "kappa": 1e-300}}, "field.kappa"),
+        ("precess", {"field": {"b": [5e-324, 0, 0]}}, "field.b"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, scenario, raw, path):
         cfg = tmp_path / "cfg.json"
@@ -413,7 +446,7 @@ class TestScenarios:
 
     def test_tolerance_scale_loosens_gate(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerances": {"freq_rel_err": 1e-12}}))
+        cfg.write_text(json.dumps({"tolerances": {"freq_rel_err": 1e-14}}))
         assert main(["precess", "--config", str(cfg), "--out", str(tmp_path / "o1")]) == 1
         assert main(["precess", "--config", str(cfg), "--out", str(tmp_path / "o2"),
                      "--tolerance-scale", "1e6"]) == 0
@@ -433,6 +466,14 @@ class TestScenarios:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_precess_leaves_scipy_optimize_out(self, tmp_path):
+        # the frequency is read from the spectrum of S with numpy alone
+        proc = run_python("-c", "import sys; from spintomo.cli import main; "
+                          f"main(['precess', '--out', {str(tmp_path / 'o')!r}]); "
+                          "print('scipy.optimize' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_module_entry_point(self, tmp_path):
         proc = run_python("-m", "spintomo.cli", "audit-frame", "--out", str(tmp_path / "o"))
         assert proc.returncode == 0, proc.stderr
@@ -448,6 +489,32 @@ def trajectories(frame, grid64):
         dt=0.05, n_steps=8, scheme="wigner-spectral", save_every=2))
     orc = evolve_oracle(rho0, fld, PropagatorConfig(dt=0.05, n_steps=8, save_every=2))
     return vec, orc
+
+
+class TestSpectralRead:
+    # The eigenvalues of S are i k omega exactly, so the spectral read sees
+    # only eigvals' round-off: on these frames and fields at most 43 eps
+    # relative to omega (s = 3/2, seed 4).  The bound is 128 eps.
+    BOUND = 128 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("spin", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_frame_spectrum_is_the_harmonics(self, spin, seed):
+        frame = random_frame(spin, seed)
+        for b, kappa, hbar in (([1.0, 0.0, 0.0], 1.0, 1.0), ([0.3, -0.5, 0.8], -1.3, 0.7)):
+            omega = abs(kappa) * np.linalg.norm(b) / (spin * hbar)
+            s_mat = spin_coupling_matrix(frame, b, kappa, spin, hbar)
+            dev = _spectrum_deviations(s_mat, omega, spin)
+            assert len(dev) == (2 * spin + 1) ** 2
+            assert np.max(np.abs(dev)) < self.BOUND
+
+    def test_wrong_harmonic_is_not_rounded(self):
+        # spin 1 has one eigenvalue at each of +-2i omega: a second one at
+        # 2i omega takes the place of an eigenvalue at i omega, and is read
+        # against that harmonic
+        lam = 1j * np.array([-2.0, -1.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 2.0])
+        dev = _spectrum_deviations(np.diag(lam), 1.0, 1.0)
+        assert np.max(np.abs(dev)) == 1.0
 
 
 class TestEmitPlotData:
