@@ -522,6 +522,13 @@ def angle_step(thetas: np.ndarray) -> float:
     return np.pi / n
 
 
+def _check_mirror(dom: TomogramDomain, use: str) -> None:
+    """Raise UndersampledDomainError, naming use, unless dom.x is closed under
+    X -> -X as _flip_x maps it."""
+    if not np.allclose(dom.x[:0:-1], -dom.x[1:], rtol=0.0, atol=1e-9 * dom.dx):
+        raise UndersampledDomainError(f"{use} needs quadrature points closed under X -> -X")
+
+
 def _flip_x(values: np.ndarray, axis: int) -> np.ndarray:
     """X -> -X on a centered grid (index l -> (n - l) mod n): the tomogram at
     theta + pi, since w(X, theta + pi) = w(-X, theta)."""
@@ -581,9 +588,7 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
     n_theta = len(dom.thetas)
     angle_step(dom.thetas)
     x = dom.x
-    if not np.allclose(x[:0:-1], -x[1:], rtol=0.0, atol=1e-9 * dom.dx):
-        raise UndersampledDomainError(
-            "the optical inversion needs quadrature points closed under X -> -X")
+    _check_mirror(dom, "the optical inversion")
     inversion = _plan(grid, x, dom.thetas).inversion
     if isinstance(inversion, str):
         raise UndersampledDomainError(inversion)

@@ -6,9 +6,29 @@ distribution v(t) must satisfy d_t v = M v + S v, with M the representation
 drift operator and S the constant spin-coupling matrix.  The residual engine
 compares a central time difference of v against the spatially discretized
 right-hand side and measures how the mismatch shrinks under refinement.
+
+The right-hand side is one table of rows (evolution_rows): the vector Wigner
+equation d_t w = sum over rows of spin (c_q q + c_p p + c_1) d_q^i d_p^j w, a
+spin matrix on the portrait's mixing and an affine coefficient and derivative
+order on its functions.  The Liouville class is three rows: -(L z)_q d_q and
+-(L z)_p d_p with the identity, L = EMFieldConfig.phase_flow() and
+z = (q, p, 1), and S with coefficient 1.  Each representation maps the rows
+by fixed rules (Mancini, Man'ko and Tombesi, Found. Phys. 27, 801 (1997)):
+- Husimi: q. -> q + S_qq d_q and p. -> p + S_pp d_p (Weierstrass), with S the
+  covariance of the Gaussian that smooths Wigner into Husimi; Wigner is the
+  case S = 0.
+- Symplectic M(X, mu, nu): d_q -> mu d_X, d_p -> nu d_X, q. -> -d_X^-1 d_mu
+  and p. -> -d_X^-1 d_nu.
+- Optical w(X, theta) = M(X, k(theta)) on the ellipse
+  k = (cos theta, sin theta / m omega) (grid constants): the symplectic
+  image, with a.grad_k split as alpha k + beta dk/dtheta, which gives
+  beta d_theta - alpha (1 + X d_X) since M is homogeneous of degree -1.
+A row whose image keeps d_X^-1 is refused with ValueError.  Affine rows need
+no k-derivative beyond the first, which the optical split covers.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,143 +40,161 @@ from .dynamics import (
     evolve_oracle,
     spin_coupling_matrix,
 )
+from .errors import UndersampledDomainError
 from .grids import PhaseSpaceGrid, TomogramDomain
-from .phase_space import _flip_x, angle_step, ddx, husimi_variances
+from .phase_space import _check_mirror, _flip_x, angle_step, ddx, husimi_variances
 from .spin_frames import SpinFrame
 from .states import spin_coherent_state
 from .vector_portrait import SpinorDensity, VectorDistribution, to_vector
 
 
-def _theta_derivative(v: np.ndarray, thetas: np.ndarray, x_axis: int) -> np.ndarray:
-    """Central difference in theta using the mirror extension
-    w(X, theta + pi) = w(-X, theta); theta sits on axis 1 of (c, n_t, n_x)."""
-    ext = np.concatenate([_flip_x(v[:, -1:], x_axis), v, _flip_x(v[:, :1], x_axis)], axis=1)
-    return (ext[:, 2:] - ext[:, :-2]) / (2.0 * angle_step(thetas))
+# spin (c_q q + c_p p + c_1) d_q^i d_p^j, coef (c_q, c_p, c_1) and order (i, j);
+# spin "1" is the identity, "S" the spin coupling
+Row = namedtuple("Row", "spin coef order", defaults=[(0, 0)])
 
 
-# Every drift below is an image of one affine flow d(q, p, 1)/dt = L (q, p, 1),
-# L = fld.phase_flow(): G = L[:2, :2] is its linear part (zero diagonal in the
-# quadratic class) and b = L[:2, 2] its offset.
-
-def _rates(grid: PhaseSpaceGrid, fld: EMFieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(dq/dt, dp/dt) = L z with z = (q, p, 1) on the (q, p) mesh."""
+def evolution_rows(fld: EMFieldConfig) -> list[Row]:
+    """The vector Wigner equation of the Liouville class of fld, identity rows first."""
     flow = fld.phase_flow()
-    qq, pp = np.meshgrid(grid.q, grid.p, indexing="ij")
-    return tuple(row[0] * qq + row[1] * pp + row[2] for row in flow[:2])
+    return [Row("1", tuple(-flow[0]), (1, 0)), Row("1", tuple(-flow[1]), (0, 1)),
+            Row("S", (0.0, 0.0, 1.0))]
 
 
-def wigner_generator(grid: PhaseSpaceGrid, fld: EMFieldConfig):
-    """Liouville drift of the vector Wigner function: d_t w = -(L z).grad w."""
-    rate_q, rate_p = _rates(grid, fld)
-    neg_rate_q = -rate_q
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        # accumulated in the d_q array as (-r_q * d_q v) - r_p * d_p v
-        out = ddx(v, grid.dx, axis=1)
-        out *= neg_rate_q
-        d_p = ddx(v, grid.dp, axis=2)
-        d_p *= rate_p
-        out -= d_p
-        return out
-
-    return apply
+def _mesh_step(samples: np.ndarray, name: str) -> float:
+    """Step of the increasing uniform mesh of 3 samples or more that central
+    differences in name assume; UndersampledDomainError for any other mesh."""
+    steps = np.diff(samples)
+    if len(samples) < 3 or not np.all(np.abs(steps - steps[0]) < 1e-9 * steps[0]):
+        raise UndersampledDomainError(
+            f"expected an increasing uniform {name} mesh of 3 samples or more, "
+            f"got {samples.tolist()}")
+    return float(steps[0])
 
 
-def husimi_generator(grid: PhaseSpaceGrid, fld: EMFieldConfig):
-    """Drift of the vector Husimi function: the Wigner drift minus
-    (G_01 S_pp + G_10 S_qq) d_q d_p, where S = diag(S_qq, S_pp) is the
-    covariance of the Gaussian that smooths Wigner into Husimi."""
-    rate_q, rate_p = _rates(grid, fld)
-    neg_rate_q = -rate_q
-    g = fld.phase_flow()[:2, :2]
-    var_q, var_p = husimi_variances(grid)
-    diffusion = g[0, 1] * var_p + g[1, 0] * var_q
+class _Image:
+    """Rows mapped to one representation: operators on the functions, one per
+    spin matrix in the order of its first row, the l2 residual's cell and the
+    checked samples.  A subclass sets steps, a derivative per axis, and gives
+    a row's terms."""
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        # accumulated in the d_q array as ((-r_q * d_q v) - r_p * d_p v)
-        # - D * d_q d_p v, so d_q d_p v is taken before d_q v is scaled
-        out = ddx(v, grid.dx, axis=1)
-        d_qp = ddx(out, grid.dp, axis=2)
-        d_qp *= diffusion
-        out *= neg_rate_q
-        d_p = ddx(v, grid.dp, axis=2)
-        d_p *= rate_p
-        out -= d_p
-        out -= d_qp
-        return out
+    refines_grid = False      # refinement halves dq and dp, doubling n
+    interior = ()
 
-    return apply
+    def __init__(self, representation: str, rows: list[Row]):
+        groups = {}
+        for row in rows:
+            terms = groups.setdefault(row.spin, {})
+            for coef, orders in self.terms(row):
+                if np.any(coef):
+                    if min(orders) < 0:
+                        raise ValueError(f"{row} has no {representation} image: it keeps d_X^-1")
+                    terms[orders] = terms.get(orders, 0.0) + coef
+        self.operators = {spin: self._operator(terms) for spin, terms in groups.items()}
 
+    def _operator(self, terms: dict):
+        steps, orders = self.steps, sorted(terms, key=lambda o: (sum(o), [-k for k in o]))
 
-def optical_generator(grid: PhaseSpaceGrid, dom: TomogramDomain, fld: EMFieldConfig):
-    """Drift of the vector optical tomogram w(X, theta) = M(X, k(theta)) on
-    the ellipse k = (cos theta, sin theta / m omega) (grid constants).
+        def apply(v: np.ndarray) -> np.ndarray:
+            # each derivative is taken once, from the one a step below it on its
+            # last differentiated axis, and scaled in place once all are taken;
+            # the terms are summed lowest order first
+            derivs = {(0,) * len(steps): v}
+            for o in orders:
+                below = (0,) * len(o)
+                for a in np.repeat(np.arange(len(o)), o):
+                    up = below[:a] + (below[a] + 1,) + below[a + 1:]
+                    if up not in derivs:
+                        derivs[up] = steps[a](derivs[below])
+                    below = up
+            out = [np.multiply(derivs[o], terms[o], out=None if derivs[o] is v else derivs[o])
+                   for o in orders]
+            return sum(out[1:], out[0])
 
-    Splitting G^T k = alpha k + beta dk/dtheta, the homogeneity of M turns
-    the symplectic drift into
-    d_t w = beta d_theta w - alpha (1 + X d_X) w - (k.b) d_X w,
-    the form of the tomographic evolution equations of Mancini, Man'ko and
-    Tombesi (Phys. Lett. A 213, 1996).
-    """
-    flow = fld.phase_flow()
-    th = dom.thetas[:, None]
-    x = dom.x[None, :]
-    m_omega = grid.mass * grid.omega
-    k = np.array([np.cos(th), np.sin(th) / m_omega])
-    dk = np.array([-np.sin(th), np.cos(th) / m_omega])
-    gk = np.einsum("ij,i...->j...", flow[:2, :2], k)
-    # Cramer's rule; k x dk = 1 / m_omega
-    alpha = m_omega * (gk[0] * dk[1] - gk[1] * dk[0])
-    beta = m_omega * (k[0] * gk[1] - k[1] * gk[0])
-    shift = flow[0, 2] * k[0] + flow[1, 2] * k[1]
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        d_th = _theta_derivative(v, dom.thetas, x_axis=2)
-        d_x = ddx(v, dom.dx, axis=2)
-        return beta * d_th - alpha * (v + x * d_x) - shift * d_x
-
-    return apply
+        return apply
 
 
-def symplectic_generator(grid: PhaseSpaceGrid, dom: TomogramDomain, fld: EMFieldConfig):
-    """Drift of the symplectic vector tomogram M(X, mu, nu), k = (mu, nu):
-    d_t M = (G^T k).grad_k M - (k.b) d_X M.
+class _PhaseSpaceImage(_Image):
+    """Wigner and Husimi functions, axes 1 (q) and 2 (p) of (R, n, n)."""
 
-    mu and nu derivatives are central differences, so residuals are
-    meaningful on interior (mu, nu) samples only.
-    """
-    flow = fld.phase_flow()
-    k = (dom.mu[:, None, None], dom.nu[None, :, None])
-    rate_mu, rate_nu, shift = (flow[0, j] * k[0] + flow[1, j] * k[1] for j in range(3))
-    d_mu = dom.mu[1] - dom.mu[0]
-    d_nu = dom.nu[1] - dom.nu[0]
+    refines_grid = True
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        d_x = ddx(v, dom.dx, axis=3)
-        dv_mu = np.gradient(v, d_mu, axis=1)
-        dv_nu = np.gradient(v, d_nu, axis=2)
-        return rate_nu * dv_nu - shift * d_x + rate_mu * dv_mu
+    def __init__(self, representation, grid, dom, rows):
+        self.q, self.p, self.cell = grid.q[:, None], grid.p[None, :], grid.cell
+        self.smoothing = husimi_variances(grid) if representation == "husimi" else (0.0, 0.0)
+        self.steps = (lambda v: ddx(v, grid.dx, axis=1), lambda v: ddx(v, grid.dp, axis=2))
+        super().__init__(representation, rows)
 
-    return apply
+    def terms(self, row):
+        (c_q, c_p, c_1), (i, j), (s_qq, s_pp) = row.coef, row.order, self.smoothing
+        yield c_q * self.q + c_p * self.p + c_1, (i, j)
+        yield c_q * s_qq, (i + 1, j)
+        yield c_p * s_pp, (i, j + 1)
 
 
-def representation_generator(representation: str, grid: PhaseSpaceGrid,
-                             dom: TomogramDomain | None, fld: EMFieldConfig):
-    if representation == "wigner":
-        return wigner_generator(grid, fld)
-    if representation == "husimi":
-        return husimi_generator(grid, fld)
-    if representation == "optical":
-        return optical_generator(grid, dom, fld)
-    if representation == "symplectic-section":
-        return symplectic_generator(grid, dom, fld)
-    raise ValueError(f"unknown representation {representation!r}")
+class _SymplecticImage(_Image):
+    """M(X, mu, nu), axes 1 (mu), 2 (nu) and 3 (X) of (R, n_mu, n_nu, n_x);
+    mu and nu central differences are read on interior samples only."""
+
+    interior = (slice(None), slice(1, -1), slice(1, -1))
+
+    def __init__(self, representation, grid, dom, rows):
+        d_mu, d_nu = _mesh_step(dom.mu, "mu"), _mesh_step(dom.nu, "nu")
+        self.k, self.cell = (dom.mu[:, None, None], dom.nu[None, :, None]), dom.dx * d_mu * d_nu
+        self.steps = (lambda v: np.gradient(v, d_mu, axis=1),
+                      lambda v: np.gradient(v, d_nu, axis=2), lambda v: ddx(v, dom.dx, axis=3))
+        super().__init__(representation, rows)
+
+    def terms(self, row):
+        # orders (d_mu, d_nu, d_X); q. d_q^i d_p^j -> -d_X^-1 d_mu (mu^i nu^j d_X^(i+j))
+        (c_q, c_p, c_1), (i, j), (mu, nu) = row.coef, row.order, self.k
+        mono = mu**i * nu**j
+        yield c_1 * mono, (0, 0, i + j)
+        yield (-c_q * i * mu**max(i - 1, 0) * nu**j
+               - c_p * j * mu**i * nu**max(j - 1, 0)), (0, 0, i + j - 1)
+        yield -c_q * mono, (1, 0, i + j - 1)
+        yield -c_p * mono, (0, 1, i + j - 1)
 
 
-def _interior(res: np.ndarray, representation: str) -> np.ndarray:
-    if representation == "symplectic-section":
-        return res[:, 1:-1, 1:-1, :]
-    return res
+class _OpticalImage(_Image):
+    """w(X, theta) = M(X, k(theta)), axes 1 (theta) and 2 (X) of (R, n_theta, n_x)."""
+
+    def __init__(self, representation, grid, dom, rows):
+        d_theta = angle_step(dom.thetas)
+        _check_mirror(dom, "the optical residual")
+        self.cell, self.x = dom.dx * d_theta, dom.x[None, :]
+        self.m_omega = grid.mass * grid.omega
+        self.cos, self.sin = np.cos(dom.thetas[:, None]), np.sin(dom.thetas[:, None])
+        self.k = (self.cos, self.sin / self.m_omega)
+
+        def theta_step(v):    # central difference over w(X, theta + pi) = w(-X, theta)
+            ext = np.concatenate([_flip_x(v[:, -1:], 2), v, _flip_x(v[:, :1], 2)], axis=1)
+            return (ext[:, 2:] - ext[:, :-2]) / (2.0 * d_theta)
+
+        self.steps = (theta_step, lambda v: ddx(v, dom.dx, axis=2))
+        super().__init__(representation, rows)
+
+    def terms(self, row):
+        for a, (d_mu, d_nu, d_x) in _SymplecticImage.terms(self, row):
+            if not (d_mu or d_nu):
+                yield a, (0, d_x)
+                continue
+            # a e_mu or a e_nu = alpha k + beta dk/dtheta; d_X^d_x M has degree -1 - d_x
+            alpha = a * (self.cos if d_mu else self.m_omega * self.sin)
+            yield a * (-self.sin if d_mu else self.m_omega * self.cos), (1, d_x)
+            yield -(1 + d_x) * alpha, (0, d_x)
+            yield -alpha * self.x, (0, d_x + 1)
+
+
+_IMAGES = {"wigner": _PhaseSpaceImage, "husimi": _PhaseSpaceImage,
+           "optical": _OpticalImage, "symplectic-section": _SymplecticImage}
+
+
+def generator(representation: str, grid: PhaseSpaceGrid, dom: TomogramDomain | None,
+              fld: EMFieldConfig) -> _Image:
+    """evolution_rows(fld) mapped to representation; operators["1"] is the drift."""
+    if representation not in _IMAGES:
+        raise ValueError(f"unknown representation {representation!r}")
+    return _IMAGES[representation](representation, grid, dom, evolution_rows(fld))
 
 
 @dataclass(frozen=True)
@@ -184,12 +222,11 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
                    frame: SpinFrame, dom: TomogramDomain | None = None) -> ResidualReport:
     """Residuals d_t v - (M + S) v at interior frames of a uniform trajectory.
 
-    The drift M acts on phase space and S on the component index, so on a
-    portrait v = A B (VectorDistribution.mixing A (c, R) and .functions B)
-    the right-hand side is [A, S A] [M B; B]: M runs on the R functions (one
-    per frame for a product state, where the components would be (2s+1)^2)
-    and S on A.  Components are read only for the central difference and its
-    maximum.
+    Each spin group of generator's table acts on a portrait v = A B
+    (VectorDistribution.mixing A (c, R) and .functions B) as its matrix on A
+    and its operator on B: the right-hand side is [A, S A] [M B; B], and M
+    runs on the R functions.  Components are read only for the central
+    difference and its maximum.
 
     The central difference at frame k reads frames k - 1, k and k + 1 only,
     so at most these three portraits are held: frame k + 1 is taken once the
@@ -207,15 +244,9 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
     if dom is None:
         dom = default_domain(representation, grid)
 
-    gen = representation_generator(representation, grid, dom, fld)
+    image = generator(representation, grid, dom, fld)
     s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
-
-    if representation in ("wigner", "husimi"):
-        cell = grid.cell
-    elif representation == "optical":
-        cell = dom.dx * angle_step(dom.thetas)
-    else:
-        cell = dom.dx * (dom.mu[1] - dom.mu[0]) * (dom.nu[1] - dom.nu[0])
+    spin = {"1": lambda a: a, "S": lambda a: s_mat @ a}
 
     def portrait(k: int) -> VectorDistribution:
         return to_vector(traj.states[k], frame, representation, dom)
@@ -225,18 +256,18 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
     times = []
     prev, cur = portrait(0), portrait(1)
     for k in range(1, len(traj.states) - 1):
-        # A (M B) + (S A) B as one product
-        rhs = np.tensordot(np.hstack([cur.mixing, s_mat @ cur.mixing]),
-                           np.concatenate([gen(cur.functions), cur.functions]), 1)
+        # the sum over spin groups of (spin A) (operator B), identity first, as one product
+        rhs = np.tensordot(np.hstack([spin[s](cur.mixing) for s in image.operators]),
+                           np.concatenate([f(cur.functions) for f in image.operators.values()]), 1)
         nxt = portrait(k + 1)
         # frame k - 1 is read for the last time: its components take the residual
         res = np.subtract(nxt.components, prev.components, out=prev.components)
         res /= 2.0 * dt
         res -= rhs
         del rhs
-        res = _interior(res, representation)
+        res = res[image.interior]
         per_frame.append(float(np.max(np.abs(res))))
-        sq_sum += float(np.sum(res**2) * cell)
+        sq_sum += float(np.sum(res**2) * image.cell)
         times.append(traj.times[k])
         del res
         prev, cur = cur, nxt
@@ -302,7 +333,7 @@ def residual_convergence(representation: str, fld: EMFieldConfig, frame: SpinFra
     reports = []
     for level in (0, 1):
         factor = 2**level
-        n_grid = n * factor if representation in ("wigner", "husimi") else n
+        n_grid = n * factor if _IMAGES.get(representation, _Image).refines_grid else n
         grid = PhaseSpaceGrid.centered(n_grid, length, hbar, mass, omega)
         dom = default_domain(representation, grid, n_theta * factor,
                              (n_mu - 1) * factor + 1, (n_nu - 1) * factor + 1)

@@ -742,7 +742,10 @@ class TestLevelFactors:
         assert len(sizes) == 1 and sizes[0][0] == sizes[0][1] and sizes[0][0] % d == 0
         assert np.all(np.diff(probs) >= 0)
         assert fields.shape == (int(np.sum(keep)), d, grid.n)
-        np.testing.assert_allclose(probs, evals[keep], rtol=0, atol=1e-15)
+        # two independent solves: up to 7.6 eps max|p| apart over 500 seeds of
+        # the matrix cases below and 40 of the entangled portrait
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(probs - evals[keep])) <= 16 * eps * np.max(np.abs(evals[keep]))
         blocks_err = np.max(np.abs(factor_blocks(probs, fields) - ref))
         assert blocks_err <= 5e-15 * np.max(np.abs(ref))
         return sizes[0][0] // d
