@@ -1,26 +1,28 @@
 """Spatial representation transforms on a 1-D grid, applied per component.
 
-Factored kernel <-> Wigner by FFT over the skew coordinate (with exact Fourier
-interpolation at half-grid points); optical and symplectic tomograms by
-metaplectic rotation of kernel factors; optical -> density matrix by exact
-inversion in the grid oscillator's eigenstates (invert_optical); Wigner ->
-Husimi by Gaussian smoothing; plus the
+Factored kernel <-> Wigner by FFT over the skew coordinate; optical and
+symplectic tomograms by metaplectic rotation of kernel factors; optical ->
+density matrix by exact inversion in the grid oscillator's eigenstates
+(invert_optical); Wigner -> Husimi by Gaussian smoothing; plus the
 Fourier-multiplier operators used by the tomographic evolution equations.
 These act on factor and component stacks for vector_portrait; a spinless
 state is the spin-0 case of that API (one component, U = D = 1), so there is
 no separate scalar density entry point.
 
+Half-grid sampling: the Wigner maps and the optical inversion read values
+half a grid step apart, which they build themselves by one n-point FFT each
+(_half_shift); the plans' other targets use _band_limited_matrix.
+
 Real Wigner maps: a Hermitian kernel's skew correlation C(q, s) is Hermitian
 in the offset s, so both directions transform only the half spectrum
-s = 0..n/2.  Factor -> Wigner (_wigner_of_factors) is one hfft per factor,
-upsampled once by the caller, into a float64 stack, which to_vector smooths
-in place, one function at a time, for the Husimi map.  Wigner -> kernel
-(_kernel_of_wigner) takes a real stack (complex input raises TypeError), runs
-rfft over p and fills one triangle of each kernel, the other being its
-conjugate.  The one offset without a
-partner, n/2, pairs points half a box apart; the imaginary part it gives the
-Wigner function vanishes for grid-supported states and is read in closed
-form from those coherences (_imag_residues).
+s = 0..n/2.  Factor -> Wigner (_wigner_of_factors) is one hfft per factor
+into a float64 stack, which to_vector smooths in place, one function at a
+time, for the Husimi map.  Wigner -> kernel (_kernel_of_wigner) takes a real
+stack (complex input raises TypeError), runs rfft over p and fills one
+triangle of each kernel, the other being its conjugate.  The one offset
+without a partner, n/2, pairs points half a box apart; the imaginary part it
+gives the Wigner function vanishes for grid-supported states and is read in
+closed form from those coherences, which are grid points (_imag_residues).
 
 Tomograms: a Hermitian kernel K = sum_r lam_r phi_r phi_r^H (signed factors,
 found by eigh only for Wigner input) has the quadrature marginal
@@ -67,33 +69,18 @@ from .states import oscillator_basis
 # spectral helpers
 # ---------------------------------------------------------------------------
 
-def fourier_upsample2(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Exact factor-2 Fourier interpolation along one axis.
-
-    The Nyquist bin is split symmetrically so real band-limited data stays
-    real and the original samples are reproduced exactly at even indices.
+def _half_shift(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Band-limited values of the samples a at the half points x + dx/2 along
+    one axis: one FFT, the phase exp(i pi k / n) on bin k, and the inverse.
+    The Nyquist bin of an even n is split symmetrically, so its term,
+    cos(pi (x - x0) / dx), is zero at half points: that bin is set to 0.
     """
-    a = np.asarray(a, dtype=complex)
     n = a.shape[axis]
-    half = n // 2
+    k = np.fft.ifftshift(np.arange(n) - n // 2)            # signed bins
+    phase = np.where(2 * k == -n, 0.0, np.exp(1j * np.pi * k / n))
     spec = np.fft.fft(a, axis=axis)
-    out_shape = list(a.shape)
-    out_shape[axis] = 2 * n
-    padded = np.zeros(out_shape, dtype=complex)
-
-    def sl(lo, hi):
-        idx = [slice(None)] * a.ndim
-        idx[axis] = slice(lo, hi)
-        return tuple(idx)
-
-    padded[sl(0, half)] = spec[sl(0, half)]
-    padded[sl(half, half + 1)] = 0.5 * spec[sl(half, half + 1)]
-    padded[sl(2 * n - half, 2 * n - half + 1)] = 0.5 * spec[sl(half, half + 1)]
-    padded[sl(2 * n - half + 1, 2 * n)] = spec[sl(half + 1, n)]
-    del spec
-    out = np.fft.ifft(padded, axis=axis)
-    out *= 2.0
-    return out
+    spec *= phase.reshape((n,) + (1,) * (spec.ndim - 1 - axis % spec.ndim))
+    return np.fft.ifft(spec, axis=axis)
 
 
 def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
@@ -116,19 +103,20 @@ def ddx(values: np.ndarray, dx: float, axis: int = -1) -> np.ndarray:
 # density kernel <-> Wigner
 # ---------------------------------------------------------------------------
 
-def _wigner_of_factors(weights: np.ndarray, fine: np.ndarray,
+def _wigner_of_factors(weights: np.ndarray, amps: np.ndarray,
                        grid: PhaseSpaceGrid) -> np.ndarray:
     """Wigner functions (c, n, n), float64 on the (q, p-ascending) grid, of the
-    kernels K_c = sum_k weights[c, k] a_k a_k^H, given the amps a_k (k, n)
-    upsampled by fourier_upsample2, fine (k, 2n): the spatial map of to_vector.
+    kernels K_c = sum_k weights[c, k] a_k a_k^H, given the amps a_k (k, n):
+    the spatial map of to_vector.
 
-    The correlation C(i, s) = f(2i + s) f*(2i - s) of an upsampled amp f is
-    Hermitian in the offset, C(i, -s) = conj C(i, s), so one Hermitian FFT
-    (hfft) of the offsets s = 0..n/2 gives its Wigner function, with the
-    p-axis fftshift folded into a sign (-1)^s.  Factors are taken one at a
-    time and added to the functions that weigh them.  The offset n/2 has no
-    partner (it is -n/2 modulo n): hfft reads only its real part, and
-    _imag_residues reads the imaginary part it leaves out.
+    Each amp is interleaved with its _half_shift into f (2n) at half the grid
+    spacing.  The correlation C(i, s) = f(2i + s) f*(2i - s) is Hermitian in
+    the offset, C(i, -s) = conj C(i, s), so one Hermitian FFT (hfft) of the
+    offsets s = 0..n/2 gives its Wigner function, with the p-axis fftshift
+    folded into a sign (-1)^s.  Factors are taken one at a time and added to
+    the functions that weigh them.  The offset n/2 has no partner (it is -n/2
+    modulo n): hfft reads only its real part, and _imag_residues reads the
+    imaginary part it leaves out.
     """
     n, half = grid.n, grid.n // 2
     i = np.arange(n)[:, None]
@@ -137,7 +125,8 @@ def _wigner_of_factors(weights: np.ndarray, fine: np.ndarray,
     b_idx = (2 * i - s) % (2 * n)
     sign = (-1.0) ** s * (grid.dx / (2.0 * np.pi * grid.hbar))
     out = np.zeros((len(weights), n, n))
-    for col, f in zip(np.transpose(weights), fine):
+    for col, amp, shifted in zip(np.transpose(weights), amps, _half_shift(amps)):
+        f = np.stack([amp, shifted], axis=-1).ravel()
         corr = f[a_idx] * f.conj()[b_idx]
         corr *= sign
         w = np.fft.hfft(corr, n, axis=1)
@@ -146,19 +135,20 @@ def _wigner_of_factors(weights: np.ndarray, fine: np.ndarray,
     return out
 
 
-def _imag_residues(weights: np.ndarray, fine: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+def _imag_residues(weights: np.ndarray, amps: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """Largest |Im W_c| per component of the Wigner functions that
-    _wigner_of_factors makes real from the same weights and upsampled amps
-    fine (k, 2n), in closed form.
+    _wigner_of_factors makes real from the same weights and amps (k, n), in
+    closed form.
 
     Only the unpaired offset -n/2 of the correlation contributes an imaginary
     part: Im W_c(q_i, p_m) = +-(-1)^m dx / (2 pi hbar) Im K_c(q_i + L/4, q_i - L/4),
     the components' coherence at half-box separation (L = n dx, positions
-    taken round the box).  It vanishes for grid-supported states.
+    taken round the box).  n is a power of two of at least 32, so q_i +- L/4
+    are grid points.  It vanishes for grid-supported states.
     """
     n = grid.n
     i = np.arange(n)
-    coherence = fine[:, (2 * i + n // 2) % (2 * n)] * fine[:, (2 * i - n // 2) % (2 * n)].conj()
+    coherence = amps[:, (i + n // 4) % n] * amps[:, (i - n // 4) % n].conj()
     return np.max(np.abs(weights @ coherence.imag), axis=1) * (grid.dx / (2.0 * np.pi * grid.hbar))
 
 
@@ -172,10 +162,10 @@ def _kernel_of_wigner(w: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     offset, so only the offsets s = 0..n/2 - 1 and -n/2 are transformed (rfft
     over p, the ifftshift folded into (-1)^s).  The pair (a, b) reads offset
     s at the centre 2a - s on the half grid: a grid point for even s, and for
-    odd s a half-grid point, where those columns are upsampled in q.  These
-    give the pairs whose offset a - b is 0..n/2 - 1 modulo n, and the pairs
-    at half-box separation (offset n/2, which has no partner) with a > b; the
-    other triangle is their conjugate.
+    odd s a half-grid point, where those columns are shifted in q
+    (_half_shift).  These give the pairs whose offset a - b is 0..n/2 - 1
+    modulo n, and the pairs at half-box separation (offset n/2, which has no
+    partner) with a > b; the other triangle is their conjugate.
     """
     if np.iscomplexobj(w):
         raise TypeError("_kernel_of_wigner takes real Wigner functions")
@@ -183,7 +173,7 @@ def _kernel_of_wigner(w: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     skew = np.fft.rfft(w, axis=-1).conj()
     skew *= (-1.0) ** np.arange(half + 1) * (2.0 * np.pi * grid.hbar / (grid.dx * n))
     # odd offsets: row j now holds the centre j + 1/2
-    skew[..., 1::2] = fourier_upsample2(skew[..., 1::2], axis=-2)[..., 1::2, :]
+    skew[..., 1::2] = _half_shift(skew[..., 1::2], axis=-2)
     idx = np.arange(n)
     d = idx[:, None] - idx[None, :]
     a, b = np.nonzero((d % n < half) | (d == half))
@@ -594,15 +584,21 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
         raise UndersampledDomainError(inversion)
     basis, solvers, rows, cols = inversion
     n_levels = len(basis)
-    # harmonics 0..n_theta of the real series at the half-spaced points that
-    # _half_points keeps, all R functions in one transform; harmonic -d is
-    # the conjugate of d
+    # harmonics 0..n_theta of the real series, all R functions in one
+    # transform; harmonic -d is the conjugate of d
     r = len(stack)
     mixing = np.eye(r) if mixing is None else mixing
     harmonics = np.fft.rfft(np.concatenate([stack, _flip_x(stack, axis=-1)], axis=1), axis=1)
     harmonics /= 2 * n_theta
-    spectrum = fourier_upsample2(harmonics, axis=-1)[..., _half_points(len(x))]
-    del harmonics
+    # the points of _half_points: -L/2, then X >= 0, where half point f is
+    # sample f / 2 for even f and the shift of sample (f - 1) / 2 for odd f
+    n_x, odd = len(x), len(x) % 2
+    shifted = _half_shift(harmonics, axis=-1)
+    spectrum = np.empty(harmonics.shape[:-1] + (n_x + 1,), dtype=complex)
+    spectrum[..., 0] = harmonics[..., 0]
+    spectrum[..., 1 + odd::2] = harmonics[..., n_x - n_x // 2:]
+    spectrum[..., 2 - odd::2] = shifted[..., n_x // 2:]
+    del harmonics, shifted
     # harmonics -d = 0..N over X >= 0, the conjugates of d, as real (D, n_x, 2R)
     # right-hand sides
     positive = spectrum[:, :n_levels, 1:].transpose(1, 2, 0)
@@ -686,7 +682,7 @@ def wigner_from_optical(fld: ScalarField) -> ScalarField:
     levels = invert_optical(fld.values[None], fld.grid, fld.domain)
     basis = oscillator_basis(fld.grid, levels.shape[-1])
     probs, fields = _level_factors(np.ones((1, 1, 1)), levels, basis)
-    values = _wigner_of_factors(probs[None], fourier_upsample2(fields[:, 0]), fld.grid)[0]
+    values = _wigner_of_factors(probs[None], fields[:, 0], fld.grid)[0]
     return ScalarField(grid=fld.grid, values=values, kind="wigner")
 
 

@@ -45,7 +45,7 @@ from .grids import PhaseSpaceGrid, TomogramDomain
 from .phase_space import _check_mirror, _flip_x, angle_step, ddx, husimi_variances
 from .spin_frames import SpinFrame
 from .states import spin_coherent_state
-from .vector_portrait import SpinorDensity, VectorDistribution, to_vector
+from .vector_portrait import SpinorDensity, VectorDistribution, _checked_domain, to_vector
 
 
 # spin (c_q q + c_p p + c_1) d_q^i d_p^j, coef (c_q, c_p, c_1) and order (i, j);
@@ -243,6 +243,7 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
     grid = traj.states[0].grid
     if dom is None:
         dom = default_domain(representation, grid)
+    dom = _checked_domain(representation, dom)
 
     image = generator(representation, grid, dom, fld)
     s_mat = spin_coupling_matrix(frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
@@ -330,10 +331,12 @@ def residual_convergence(representation: str, fld: EMFieldConfig, frame: SpinFra
     spatial spacing for the phase-space representations.  Second-order
     convergence shows as a residual ratio near 4.
     """
+    if representation not in _IMAGES:
+        raise ValueError(f"unknown representation {representation!r}")
     reports = []
     for level in (0, 1):
         factor = 2**level
-        n_grid = n * factor if _IMAGES.get(representation, _Image).refines_grid else n
+        n_grid = n * factor if _IMAGES[representation].refines_grid else n
         grid = PhaseSpaceGrid.centered(n_grid, length, hbar, mass, omega)
         dom = default_domain(representation, grid, n_theta * factor,
                              (n_mu - 1) * factor + 1, (n_nu - 1) * factor + 1)

@@ -20,7 +20,6 @@ from .phase_space import (
     _kernel_of_wigner,
     _level_factors,
     _wigner_of_factors,
-    fourier_upsample2,
     husimi_from_wigner,
     invert_optical,
     radon_slices,
@@ -256,10 +255,10 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     they form.  A product element is one row, phi_r1, weighted into all
     (2s+1)^2 components, where the spin-contracted amplitudes u_j^H psi_r
     would be (2s+1)^2 rows; only an element of Schmidt rank above 1 is
-    expanded into those amplitudes.  The Schmidt functions are upsampled
-    once, for the Wigner map and the residues both.  The tomograms rotate and
-    dilate the Schmidt functions alone and form the rows at each ray
-    (radon_slices).  No Wigner stack is built for the tomograms.
+    expanded into those amplitudes.  The Wigner map and the residues read
+    the rows; the tomograms rotate and dilate the Schmidt functions alone and
+    form the rows at each ray (radon_slices).  No Wigner stack is built for
+    the tomograms.
 
     The portrait keeps its factors (VectorDistribution.mixing and .functions):
     with fewer rows than components (l < c, as for a mixture of fewer than c
@@ -279,11 +278,8 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(fields))):
         raise ValueError("the state has non-finite values")
     weights, amps, mix = _spin_contracted(probs, fields, frame)
-    # upsampling is linear, so the rows' upsampled forms are mix @ fine
-    fine = fourier_upsample2(amps)
-    if mix is not None:
-        fine = mix @ fine
-    residues = _imag_residues(weights, fine, rho.grid)
+    rows = amps if mix is None else mix @ amps
+    residues = _imag_residues(weights, rows, rho.grid)
 
     # the maps transform the rows: the rows themselves (weights I) when they
     # are fewer than the components, and mixing forms the components
@@ -294,7 +290,7 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
     # only the output count
     shape_only = np.empty((len(row_weights), 0, 0))
     if representation in ("wigner", "husimi"):
-        functions = _wigner_of_factors(row_weights, fine, rho.grid)
+        functions = _wigner_of_factors(row_weights, rows, rho.grid)
         if representation == "husimi":      # smoothed in place, one at a time
             for w in functions:
                 w[:] = husimi_from_wigner(ScalarField(rho.grid, w, "wigner")).values

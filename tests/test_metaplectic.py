@@ -28,7 +28,6 @@ from spintomo.phase_space import (
     _shear_factors,
     _sub_rotations,
     _wigner_of_factors,
-    fourier_upsample2,
     _working_grid,
     radon_slices,
     symplectic_profiles,
@@ -145,7 +144,7 @@ def test_wigner_input_matches_kernel_input(grid128):
     # the spin-traced kernel sum_a rho_aa in factor form: weight p_r on psi_ra
     probs, fields = rho.factors
     factors = (np.repeat(probs, 3)[None], fields.reshape(-1, grid128.n))
-    w = _wigner_of_factors(factors[0], fourier_upsample2(factors[1]), grid128).real
+    w = _wigner_of_factors(factors[0], factors[1], grid128).real
     thetas = np.pi * np.arange(16) / 16
     via_wigner = radon_slices(w, grid128, thetas, grid128.q)
     via_kernel = radon_slices(w, grid128, thetas, grid128.q, factors=factors)
@@ -160,8 +159,7 @@ def test_signed_kernel_matches_dense_reference(grid128):
     # a difference of two packets' kernels has one negative eigenvalue
     psi1 = gaussian_packet(grid128, 0.7, -0.4, 0.8)
     psi2 = gaussian_packet(grid128, -1.0, 0.9, 0.7)
-    w = _wigner_of_factors(np.array([[0.7, -0.4]]),
-                           fourier_upsample2(np.stack([psi1, psi2])), grid128).real
+    w = _wigner_of_factors(np.array([[0.7, -0.4]]), np.stack([psi1, psi2]), grid128).real
     thetas = np.append(np.pi * np.arange(8) / 8, JUST_BELOW_PI)
     got = radon_slices(w, grid128, thetas, grid128.q)
     ref = dense_ray_profiles(w, grid128, np.cos(thetas), np.sin(thetas), grid128.q)
@@ -174,7 +172,7 @@ def test_balanced_n64_oblique_angles(grid64):
     # larger error: the rotation route is at least as close to the closed form
     q0, p0, sigma = 0.6, -0.8, np.sqrt(0.5)
     factors = pure_factors(gaussian_packet(grid64, q0, p0, sigma))
-    w = _wigner_of_factors(factors[0], fourier_upsample2(factors[1]), grid64).real
+    w = _wigner_of_factors(factors[0], factors[1], grid64).real
     thetas = np.pi * np.arange(16) / 16
     exact = gaussian_marginal(grid64, q0, p0, sigma, thetas[:, None], 1.0, grid64.q)
     err_new = np.max(np.abs(radon_slices(w, grid64, thetas, grid64.q, factors=factors)[0]
@@ -192,7 +190,7 @@ def test_non_balanced_grids_no_worse_than_dense_route(grid):
     q0, p0, sigma = 0.8, 0.5, 1.0
     m_omega = grid.mass * grid.omega
     factors = pure_factors(gaussian_packet(grid, q0, p0, sigma))
-    w = _wigner_of_factors(factors[0], fourier_upsample2(factors[1]), grid).real
+    w = _wigner_of_factors(factors[0], factors[1], grid).real
     x = grid.q
 
     thetas = np.pi * np.arange(32) / 32
@@ -369,7 +367,7 @@ def test_plan_follows_in_place_changes(grid64):
     # a plan keyed by array identity must not serve arrays changed in place
     psi = gaussian_packet(grid64, 0.3, -0.2, np.sqrt(0.5))
     factors = pure_factors(psi)
-    w = _wigner_of_factors(factors[0], fourier_upsample2(factors[1]), grid64).real
+    w = _wigner_of_factors(factors[0], factors[1], grid64).real
     thetas, x = np.pi * np.arange(16) / 16, grid64.q
     radon_slices(w, grid64, thetas, x, factors=factors)
     thetas[:] = thetas[::-1].copy()

@@ -34,7 +34,6 @@ from spintomo.phase_space import (
     _wigner_of_factors,
     angle_step,
     ddx,
-    fourier_upsample2,
     husimi_variances,
     invert_optical,
     oscillator_levels,
@@ -59,6 +58,22 @@ def optical_field(psi, grid, frame0, dom):
     """Optical tomogram of psi as a ScalarField, for the single-field maps."""
     return ScalarField(grid, portrait(psi, grid, frame0, "optical", dom)[0], "optical",
                        domain=dom)
+
+
+def fourier_upsample2(a, axis=-1):
+    """Factor-2 Fourier interpolation along one axis by zero-padding the
+    spectrum to 2n bins, the Nyquist bin split symmetrically: the independent
+    reference for the half-grid sampling of the maps under test (their
+    phase_space._half_shift).  Even indices reproduce the samples."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[axis]
+    half = n // 2
+    spec = np.moveaxis(np.fft.fft(a, axis=axis), axis, 0)
+    padded = np.zeros((2 * n,) + spec.shape[1:], dtype=complex)
+    padded[:half] = spec[:half]
+    padded[half] = padded[2 * n - half] = 0.5 * spec[half]
+    padded[2 * n - half + 1:] = spec[half + 1:]
+    return np.moveaxis(2.0 * np.fft.ifft(padded, axis=0), 0, axis)
 
 
 class TestGrid:
@@ -173,6 +188,28 @@ class TestFourierHelpers:
         exact = sum(c * np.exp(2j * np.pi * k * x2) for k, c in enumerate(modes, -5))
         assert np.max(np.abs(fine - exact)) < 1e-13
 
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -2])
+    def test_half_shift_is_trigonometric_interpolation(self, rng, axis):
+        # complex data of 11 modes along one axis of a 3-D stack, read at the
+        # half points x + dx / 2
+        n = 64
+        shape, along = [3, 4, 5], [1, 1, 1]
+        shape[axis], along[axis] = 1, n
+        x = (np.arange(n) / n).reshape(along)
+        coeffs = rng.normal(size=(11, *shape)) + 1j * rng.normal(size=(11, *shape))
+
+        def series(t):
+            return sum(c * np.exp(2j * np.pi * k * t) for k, c in enumerate(coeffs, -5))
+
+        shifted = phase_space._half_shift(series(x), axis=axis)
+        assert shifted.shape == series(x).shape
+        assert np.max(np.abs(shifted - series(x + 0.5 / n))) < 1e-13
+
+    def test_half_shift_of_nyquist_is_zero(self):
+        # the split Nyquist term is cos(pi (x - x0) / dx), zero at half points
+        nyquist = (0.3 - 2j) * (-1.0) ** np.arange(64)
+        assert np.max(np.abs(phase_space._half_shift(nyquist))) < 1e-15
+
     def test_ddx_spectral(self, grid64):
         f = np.exp(-grid64.q**2)
         df = ddx(f, grid64.dx)
@@ -243,10 +280,10 @@ class TestWigner:
         psi2 = random_band_limited_state(grid64, rng)
         a, b = rng.normal(), rng.normal()
         one = np.ones((1, 1))
-        fine = fourier_upsample2(np.stack([psi1, psi2]))
-        combo = _wigner_of_factors(np.array([[a, b]]), fine, grid64)
-        parts = (a * _wigner_of_factors(one, fine[:1], grid64)
-                 + b * _wigner_of_factors(one, fine[1:], grid64))
+        amps = np.stack([psi1, psi2])
+        combo = _wigner_of_factors(np.array([[a, b]]), amps, grid64)
+        parts = (a * _wigner_of_factors(one, amps[:1], grid64)
+                 + b * _wigner_of_factors(one, amps[1:], grid64))
         assert np.max(np.abs(combo - parts)) < 1e-10
 
     def test_non_hermitian_rejected(self, grid64, rng, frame0):
@@ -349,7 +386,7 @@ class TestRealWignerMaps:
         frame = spin_case(s)
         rho = packet_mixture(grid, frame.dim, np.random.default_rng(n))
         factors = portrait_factors(rho, frame)
-        w = _wigner_of_factors(factors[0], fourier_upsample2(factors[1]), grid)
+        w = _wigner_of_factors(factors[0], factors[1], grid)
         ref = complex_wigner_reference(*factors, grid)
         assert w.dtype == np.float64 and w.shape == (frame.size, n, n)
         assert np.max(np.abs(w - ref.real)) <= 1e-15
@@ -592,6 +629,18 @@ class TestOpticalInversion:
         dom = TomogramDomain.optical_default(grid, n_theta)
         stack = np.zeros((2, n_theta, n))
         assert invert_optical(stack, grid, dom).shape == (2, levels + 1, levels + 1)
+
+    @pytest.mark.parametrize("n_x", [63, 65])
+    def test_odd_quadrature_count(self, frame, n_x):
+        # centred points of odd count put X = 0 halfway between two samples,
+        # so the half-spaced points over X >= 0 start with a shifted value
+        grid = PhaseSpaceGrid.balanced(64)
+        dom = TomogramDomain(kind="optical", x=(np.arange(n_x) - n_x / 2) * grid.dx,
+                             thetas=TomogramDomain.optical_default(grid, 32).thetas)
+        psi = coherent_spinor(grid, frame, 0.4, -0.3)
+        back = from_vector(to_vector(SpinorDensity.from_pure(psi, grid), frame, "optical", dom),
+                           frame)
+        assert abs(1.0 - fidelity_with_pure(back, psi)) <= 1e-11
 
     def test_mixing_reads_the_components(self, grid128, rng):
         # the levels are the functions'; mixed, they are the components'

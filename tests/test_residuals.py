@@ -27,7 +27,7 @@ from spintomo import (
 )
 from spintomo import residuals
 from spintomo.dynamics import spin_coupling_matrix
-from spintomo.phase_space import _flip_x, angle_step, ddx, husimi_variances
+from spintomo.phase_space import _flip_x, angle_step, ddx, husimi_variances, invert_optical
 from spintomo.residuals import Row, default_domain, generator
 
 FIELD = EMFieldConfig(phi=(0.0, 0.2, 0.5), b_field=[0.4, 0.3, 0.5], kappa=0.8, spin=1.0)
@@ -225,8 +225,33 @@ class TestDomainsRefused:
         with pytest.raises(UndersampledDomainError, match=f" {axis} mesh"):
             residual_check(traj, FIELD, "symplectic-section", frame, dom)
 
+    @pytest.mark.parametrize("rep, other", [("symplectic-section", "optical"),
+                                            ("optical", "symplectic-section")])
+    def test_domain_of_the_wrong_kind(self, frame, grid64, rep, other):
+        traj = short_trajectory(grid64, FIELD)
+        with pytest.raises(ValueError, match=f"the {rep} representation needs a domain"):
+            residual_check(traj, FIELD, rep, frame, default_domain(other, grid64))
+
+    def test_wigner_reads_no_domain(self, frame, grid64):
+        traj = short_trajectory(grid64, FIELD)
+        report = residual_check(traj, FIELD, "wigner", frame, default_domain("optical", grid64))
+        assert report.meta["n_theta"] is None
+        assert report.max_residual == residual_check(traj, FIELD, "wigner", frame).max_residual
+
 
 class TestConvergence:
+    def test_unknown_representation_runs_no_oracle(self, frame, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evolve_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(residuals, "evolve_oracle", counted)
+        with pytest.raises(ValueError, match="unknown representation 'glauber'"):
+            residual_convergence("glauber", FIELD, frame, SPEC, n=64)
+        assert len(calls) == 0
+
     def test_wigner_second_order(self, frame):
         report = residual_convergence("wigner", FIELD, frame, SPEC,
                                       n=64, length=20.0, n_frames=4,
@@ -555,6 +580,22 @@ class TestWorkingSet:
         stack = 9 * 128 * 128 * 8
         residual_check(trajectory, FIELD, rep, frame)
         assert traced_peak(residual_check, trajectory, FIELD, rep, frame) <= 5 * stack
+
+    def test_optical_inversion(self, frame):
+        # a trivially factored R = 9 portrait at n = 256 with 128 angles; its
+        # (R, n_theta + 1, n_x) complex harmonics weigh 2.02 stacks, and the
+        # half shift holds three such arrays at once (the harmonics, their
+        # spectrum and the shifted values): about 6.5 stacks; the zero-padded
+        # 2 n_x spectrum took 10.1
+        grid = PhaseSpaceGrid.balanced(256)
+        dom = TomogramDomain.optical_default(grid, 128)
+        psi = spin_coherent_state(grid, [1.0, 0.5, 0.3], q0=0.4, p0=-0.3,
+                                  sigma=np.sqrt(0.5))
+        tom = to_vector(SpinorDensity.from_pure(psi, grid), frame, "optical", dom).components
+        stack = tom.nbytes
+        assert tom.shape == (9, 128, 256) and stack == 9 * 128 * 256 * 8
+        invert_optical(tom, grid, dom)         # builds the domain's plan
+        assert traced_peak(invert_optical, tom, grid, dom) <= 7 * stack
 
     def test_husimi_smoothed_in_place(self, frame, trajectory):
         # the components and the one smoothed function: about 1.12 stacks;

@@ -34,7 +34,6 @@ from spintomo import vector_portrait
 from spintomo.phase_space import (
     _kernel_of_wigner,
     _wigner_of_factors,
-    fourier_upsample2,
     radon_slices,
     symplectic_profiles,
 )
@@ -222,8 +221,7 @@ class TestToVector:
         # the spin-traced kernel sum_a rho_aa in factor form: weight p_r on psi_ra
         probs, fields = rho.factors
         w_scalar = _wigner_of_factors(
-            np.repeat(probs, 3)[None], fourier_upsample2(fields.reshape(-1, grid128.n)),
-            grid128).real[0]
+            np.repeat(probs, 3)[None], fields.reshape(-1, grid128.n), grid128).real[0]
         scalar_tom = radon_slices(w_scalar[None], grid128, dom.thetas, dom.x)[0]
         assert np.max(np.abs(v.components[:3].sum(axis=0) - scalar_tom)) < 1e-10
 
@@ -234,8 +232,7 @@ class TestToVector:
         rho = SpinorDensity.from_pure(spinor_product_state(grid64, chi, psi_space), grid64)
         v = to_vector(rho, frame, "wigner")
         spin_weights = frame.weights(np.outer(chi, chi.conj())).real
-        w_scalar = _wigner_of_factors(np.ones((1, 1)), fourier_upsample2(psi_space[None]),
-                                      grid64).real[0]
+        w_scalar = _wigner_of_factors(np.ones((1, 1)), psi_space[None], grid64).real[0]
         for j in range(9):
             assert np.max(np.abs(v.components[j] - spin_weights[j] * w_scalar)) < 1e-10
 
