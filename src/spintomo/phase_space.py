@@ -652,17 +652,20 @@ def _level_factors(quant: np.ndarray, levels: np.ndarray, basis: np.ndarray) -> 
     The operator's part on C^d (x) u has norm at most u's singular value, so
     the directions up to _EIGEN_CUTOFF, which hold the optical inversion's
     error (below 5e-14 on the benchmark's product mixtures: r = R), are cut.
-    One eigh of the (d r)^2 matrix sum_k quant_k (x) Q^H levels_k Q, with Q
-    made orthonormal to round-off by a QR, gives the eigenpairs.
+    One eigh of the (d r)^2 matrix sum_i V_i^H (x) Q^H B_i Q, with Q made
+    orthonormal to round-off by a QR, gives the eigenpairs: B_i are the blocks
+    mixed by U S and V_i^H are orthonormal d x d units, so the projected
+    terms add without the cancellation of an ill-conditioned frame's quant_k.
     """
     d, n_levels = quant.shape[-1], levels.shape[-1]
-    u, svals, _ = np.linalg.svd(quant.reshape(len(quant), d * d), full_matrices=False)
+    u, svals, vh = np.linalg.svd(quant.reshape(len(quant), d * d), full_matrices=False)
     blocks = np.tensordot(u * svals, levels, axes=(0, 0))
     tri = np.linalg.qr(blocks.transpose(1, 0, 2).reshape(n_levels, -1).conj().T, mode="r")
     u, svals, _ = np.linalg.svd(tri.conj().T)
     q = np.linalg.qr(u[:, svals > _EIGEN_CUTOFF])[0]            # (M, r)
     r = q.shape[1]
-    small = np.tensordot(quant, q.conj().T @ levels @ q, axes=(0, 0))   # (a, b, i, j)
+    small = np.tensordot(vh.reshape(-1, d, d), q.conj().T @ blocks @ q,
+                         axes=(0, 0))                                   # (a, b, i, j)
     probs, vecs = np.linalg.eigh(small.transpose(0, 2, 1, 3).reshape(d * r, d * r))
     keep = np.abs(probs) > _EIGEN_CUTOFF
     vecs = vecs.T[keep].reshape(np.sum(keep), d, r)           # r may be 0
