@@ -15,6 +15,7 @@ from .dynamics import (
     fit_precession_frequency,
     hamiltonian_apply,
     spin_coupling_matrix,
+    spin_flow,
 )
 from .errors import (
     ConfigError,

@@ -1,23 +1,11 @@
-"""Time evolution: exact spinor propagation, the 9x9 spin coupling matrix,
-and direct integration of the vector phase-space equation for quadratic
-potentials with uniform fields.
+"""Time evolution for quadratic potentials with uniform fields: the exact
+spinor propagator (the oracle), the spin coupling matrix S of dw/dt = S w,
+and direct integration of the vector Wigner equation.
 
-In that field class a Strang step of the vector Wigner equation is an affine
-symplectic map of (q, p), so evolve_wigner_vector composes the steps between
-two saved frames in closed form and applies the result as three spectral
-shears: dt keeps its meaning as the Strang step.  The shears move only the
-R phase-space functions that the portrait's components are formed from, its
-factors (one for a product state, at most (2s+1)^2), and the spin coupling
-mixes their coefficients, so the cost follows saved frames times R rather
-than n_steps.
-The components stay real: the shears run on rfft bins, and each frame's
-imag_residues carry the imaginary part that complex shears would have left
-at the Nyquist bin, per component.
-
-The oracle's Strang scheme applies the uniform Zeeman term once per saved
-chunk of m steps and advances a chunk by the m-th power of the one-step n x n
-Strang matrix when that costs no more than stepping (see evolve_oracle);
-otherwise it steps with the tomogram rotation's chirp-Fresnel-chirp sandwich."""
+spin_flow forms the spin part of every evolution, u(t) = exp(-i H_s t / hbar)
+or its frame image exp(S t), from one eigh of H_s; evolve_oracle and
+evolve_wigner_vector apply it once per saved chunk, next to the chunk's
+spatial part (see each)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
@@ -135,6 +123,11 @@ class PropagatorConfig:
             if not isinstance(val, (int, np.integer)) or val < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
 
+    def chunks(self) -> list:
+        """Steps between saved frames: save_every each, then what remains."""
+        full, rest = divmod(self.n_steps, self.save_every)
+        return [self.save_every] * full + ([rest] if rest else [])
+
 
 def spin_coupling_matrix(frame: SpinFrame, b_field, kappa: float, s: float,
                          hbar: float = 1.0) -> np.ndarray:
@@ -146,6 +139,25 @@ def spin_coupling_matrix(frame: SpinFrame, b_field, kappa: float, s: float,
     h_s = EMFieldConfig(b_field=b_field, kappa=kappa, spin=s).zeeman_matrix()
     traces = np.einsum("jab,bc,kca->jk", frame.dequantizer, h_s, frame.quantizer)
     return (2.0 / hbar) * traces.imag
+
+
+def spin_flow(fld: EMFieldConfig, hbar: float, times, frame: SpinFrame | None = None
+              ) -> np.ndarray:
+    """u(t) = exp(-i H_s t / hbar) = V exp(-i E t / hbar) V^H at each of times,
+    (T, 2s+1, 2s+1), from one eigh H_s = V E V^H; with a frame, its image on
+    the weights, exp(S t)_jk = Re Tr(U_j u D_k u^H), (T, c, c), formed as
+    delta_jk (Tr(U_j D_k) of an exact dual pair) plus the image of
+    u D u^H - D.  In the eigenbasis that difference has entries
+    ((1 + z_a)(1 + conj z_b) - 1) (V^H D V)_ab, z = exp(-i E t / hbar) - 1
+    at full relative precision, so short-time images stay exact to round-off."""
+    evals, evecs = np.linalg.eigh(fld.zeeman_matrix())
+    energy_times = np.multiply.outer(np.asarray(times, dtype=float), evals)
+    if frame is None:
+        return (evecs * np.exp(-1j * energy_times / hbar)[:, None, :]) @ evecs.conj().T
+    z = -2.0 * np.sin(0.5 * energy_times / hbar) ** 2 - 1j * np.sin(energy_times / hbar)
+    pair = z[:, :, None] + z[:, None, :].conj() + z[:, :, None] * z[:, None, :].conj()
+    dequant, quant = (evecs.conj().T @ m @ evecs for m in (frame.dequantizer, frame.quantizer))
+    return np.eye(frame.size) + np.einsum("jba,tab,kab->tjk", dequant, pair, quant).real
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +247,7 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
 
     A Strang chunk of m steps factors into a spin part and a spatial part,
     since the uniform Zeeman term H_s acts on the spin index alone and
-    commutes with the rest of H: the spin part is the one matrix
-    expm(-i m dt H_s / hbar), formed from the eigenpairs of the Hermitian H_s.
+    commutes with the rest of H: the spin part is spin_flow at m dt.
     Each Strang step of the spatial part is the sandwich S = diag(h) F^-1
     diag(kin) F diag(h) of the half potential kick h, kinetic phase kin and
     FFT F: phase_space._shear with h as chirp and kin as Fresnel factor.  A
@@ -255,28 +266,23 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     _check_spin_dim(fld, psis.shape[1], "state")
     grid = rho0.grid
     dt = prop.dt
-    m = min(prop.save_every, prop.n_steps)
+    chunks = prop.chunks()
+    m = chunks[0]
     # the size rule of the docstring; (k - 1).bit_length() is ceil(log2 k)
-    powered = (2 * (m - 1).bit_length() * grid.n <= prop.n_steps
+    powered = (prop.scheme != "rk4-ode" and 2 * (m - 1).bit_length() * grid.n <= prop.n_steps
                and grid.n <= m * (grid.n - 1).bit_length())
     half_v, kin = _strang_factors(grid, fld, dt)
-    powers = {}    # chunk length -> S^chunk, at most two lengths
-    zeeman, zeeman_basis = np.linalg.eigh(fld.zeeman_matrix())
+    lengths = sorted(set(chunks))      # at most two
+    spins = dict(zip(lengths, spin_flow(fld, grid.hbar, dt * np.array(lengths))))
+    if powered:    # the sandwich maps each row of the identity to a column of S
+        step = _sandwich(np.eye(grid.n), (1, half_v, kin)).T
+        powers = {k: np.linalg.matrix_power(step, k) for k in lengths}
 
     def advance(psis, n_sub):
         if prop.scheme == "rk4-ode":
             return _rk4_steps(psis, grid, fld, dt, n_sub)
-        if powered:
-            if n_sub not in powers:
-                # the sandwich maps each row of the identity to a column of S
-                step = _sandwich(np.eye(grid.n), (1, half_v, kin)).T
-                powers[n_sub] = np.linalg.matrix_power(step, n_sub)
-            psis = psis @ powers[n_sub].T
-        else:
-            psis = _sandwich(psis, (n_sub, half_v, kin))
-        spin = (zeeman_basis * np.exp(-1j * n_sub * dt * zeeman / grid.hbar)) \
-            @ zeeman_basis.conj().T
-        return np.einsum("ab,kbn->kan", spin, psis)
+        psis = psis @ powers[n_sub].T if powered else _sandwich(psis, (n_sub, half_v, kin))
+        return np.einsum("ab,kbn->kan", spins[n_sub], psis)
 
     def energy(p):
         return sum(w * expectation(pk, grid, hamiltonian_apply(pk, grid, fld))
@@ -285,12 +291,9 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     times = [t0]
     states = [SpinorDensity.from_mixture(probs, psis, grid)]
     t = t0
-    done = 0
-    while done < prop.n_steps:
-        chunk = min(prop.save_every, prop.n_steps - done)
+    for chunk in chunks:
         psis = advance(psis, chunk)
         t += chunk * dt
-        done += chunk
         times.append(t)
         states.append(SpinorDensity.from_mixture(probs, psis, grid))
     energies = [energy(s.factors[1]) for s in states]
@@ -422,21 +425,20 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     to_vector): B holds the R phase-space functions the components are
     formed from (1 for a product state, R for a mixture of R < c product
     states, the c components themselves otherwise) and is what the shears
-    move, while the spin coupling, an exact matrix exponential, mixes the
-    (c, R) matrix A.  A saved frame keeps its factors (expm(S tau) A, B(tau))
-    and forms its components as their product.  The cost therefore grows
-    with the number of saved frames times R, not with n_steps or c.
+    move, while the spin coupling mixes the (c, R) matrix A by exp(S tau), the
+    frame image of spin_flow, once per chunk length.  A saved frame keeps its
+    factors (exp(S tau) A, B(tau)) and forms its components as their product.
+    The cost therefore grows with saved frames times R, not n_steps or c.
 
     The components stay real: each shear runs on rfft bins and keeps the real
     part of what a complex shift would give.  The part it drops lives at the
     Nyquist bin, and a frame's imag_residues carry it: they start from
     v0.imag_residues, add each shear's largest dropped part per component
     (A combines the rows' dropped parts line by line, as the shear is
-    linear), and pass through each spin mixing expm(S tau) as
-    |expm(S tau)| r.  To first order in the band-edge content this bounds the
-    imaginary part that complex shears would carry.  The residues stay at
-    round-off for states the grid supports and flag band-edge content
-    otherwise.
+    linear), and pass through each spin mixing M = exp(S tau) as |M| r.  To
+    first order in the band-edge content this bounds the imaginary part that
+    complex shears would carry.  The residues stay at round-off for states
+    the grid supports and flag band-edge content otherwise.
     """
     if prop.scheme != WIGNER_SCHEME:
         raise SchemeMismatchError(
@@ -444,18 +446,17 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     if v0.representation != "wigner":
         raise ValueError("initial distribution must be in the wigner representation")
     _check_spin_dim(fld, v0.frame.dim, "frame")
-    from scipy.linalg import expm   # costs every import 0.28 s at module level
 
-    grid = v0.grid
-    dt = prop.dt
+    grid, dt = v0.grid, prop.dt
     _strang_factors(grid, fld, dt)     # refuses a field the grid cannot step
-    q = grid.q
-    p = grid.p
+    q, p = grid.q, grid.p
     kq = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dx)
     kp = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dp)
     step = _strang_step(fld, dt)
-    max_steps = _max_steps(step, min(prop.save_every, prop.n_steps), grid.dx / grid.dp)
-    s_mat = spin_coupling_matrix(v0.frame, fld.b_field, fld.kappa, fld.spin, grid.hbar)
+    chunks = prop.chunks()
+    max_steps = _max_steps(step, chunks[0], grid.dx / grid.dp)
+    lengths = sorted(set(chunks))     # exp(S tau) for each chunk length tau
+    mixes = dict(zip(lengths, spin_flow(fld, grid.hbar, dt * np.array(lengths), v0.frame)))
 
     res = (np.zeros(len(v0.components)) if v0.imag_residues is None
            else np.array(v0.imag_residues, dtype=float))
@@ -481,8 +482,7 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
             for axis, turn in shears_of(steps):
                 rows, dropped = _shear(rows, axis, turn)
                 res = res + np.max(np.abs(mixing @ dropped), axis=1)
-        mix = expm(s_mat * (n_sub * dt))
-        return mix @ mixing, rows, np.abs(mix) @ res
+        return mixes[n_sub] @ mixing, rows, np.abs(mixes[n_sub]) @ res
 
     def frame_of(w, mixing, rows, res, t):
         return VectorDistribution(
@@ -492,12 +492,9 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     times = [v0.time]
     frames = [frame_of(np.array(v0.components, dtype=float), mixing, rows, res, v0.time)]
     t = v0.time
-    done = 0
-    while done < prop.n_steps:
-        chunk = min(prop.save_every, prop.n_steps - done)
+    for chunk in chunks:
         mixing, rows, res = run_chunk(mixing, rows, res, chunk)
         t += chunk * dt
-        done += chunk
         frames.append(frame_of(np.tensordot(mixing, rows, 1), mixing, rows, res, t))
         times.append(t)
     norm_sums = np.asarray([f.normalization_sum() for f in frames])

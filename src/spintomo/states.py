@@ -18,12 +18,14 @@ def normalize_field(psi: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _unit(vec, dtype, what: str) -> np.ndarray:
-    """vec / |vec|; a zero or non-finite vec raises ValueError before the division."""
-    vec = np.asarray(vec, dtype=dtype)
-    norm = np.linalg.norm(vec)
-    if not 0.0 < norm < math.inf:
+    """vec / |vec| with |vec| taken at largest |entry| ~ 1 (an exact 2^k scaling);
+    a zero or non-finite vec raises ValueError before the division."""
+    vec = np.array(vec, dtype=dtype)
+    largest = np.max(np.abs(vec), initial=0.0)
+    if not 0.0 < largest < math.inf:
         raise ValueError(f"{what} must be nonzero and finite, got {vec!r}")
-    return vec / norm
+    vec = np.ldexp(vec.view(float), -math.frexp(largest)[1]).view(dtype)
+    return vec / np.linalg.norm(vec)
 
 
 def gaussian_packet(grid: PhaseSpaceGrid, q0: float = 0.0, p0: float = 0.0,

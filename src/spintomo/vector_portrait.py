@@ -138,9 +138,9 @@ class VectorDistribution:
     finite value per component raise ValueError, as do components that do
     not sample the grid, (n, n) for wigner and husimi, or the domain,
     (n_theta, n_x) for optical and (n_mu, n_nu, n_x) for symplectic-section,
-    and a tomographic portrait without a domain of its kind.  Components
-    given with factors are taken to be mixing @ functions and are not
-    checked.
+    and a tomographic portrait without a domain of its kind; a wigner or
+    husimi one keeps no domain.  Components given with factors are taken to
+    be mixing @ functions and are not checked.
     """
 
     representation: str
@@ -162,6 +162,7 @@ class VectorDistribution:
             raise ValueError(f"{np.shape(self.components)} components for a frame "
                              f"of {c} elements")
         dom = _checked_domain(self.representation, self.domain)
+        object.__setattr__(self, "domain", dom)    # None where the grid is sampled
         if dom is None:
             samples = (self.grid.n, self.grid.n)
         elif dom.kind == "optical":
@@ -274,7 +275,7 @@ def to_vector(rho: SpinorDensity, frame: SpinFrame, representation: str,
             f"frame dimension {frame.dim} != state spin dimension {fields.shape[1]}")
     if representation not in VECTOR_REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")
-    _checked_domain(representation, dom)
+    dom = _checked_domain(representation, dom)
     if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(fields))):
         raise ValueError("the state has non-finite values")
     weights, amps, mix = _spin_contracted(probs, fields, frame)

@@ -257,6 +257,18 @@ class TestToVector:
         with pytest.raises(ValueError, match="domain"):
             to_vector(rho, frame, "optical")
 
+    @pytest.mark.parametrize("representation", ["wigner", "husimi"])
+    def test_grid_portrait_keeps_no_domain(self, frame, grid64, representation):
+        # a portrait that samples the grid drops a tomogram domain it is given,
+        # whether it comes from to_vector or is built directly
+        rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
+        dom = TomogramDomain.optical_default(grid64, 32)
+        v = to_vector(rho, frame, representation, dom)
+        assert v.domain is None
+        assert VectorDistribution(representation, v.components, frame, grid64,
+                                  domain=dom).domain is None
+        assert to_vector(rho, frame, "optical", dom).domain is dom
+
     def test_symplectic_components(self, frame, grid64):
         rho = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
         dom = TomogramDomain.symplectic_grid(grid64, [0.8, 1.0, 1.2], [0.7, 0.9])
