@@ -47,9 +47,9 @@ Plans: what depends only on the sampling (grid, x and the angles or the
 working-grid embedding, the rays grouped by their number of sub-rotations
 from theta = 0 (each group's shear factors and dilations to x / r stacked
 over its rays, so a group turns and dilates in one batch), and the
-inversion's oscillator basis and per-diagonal least-squares solvers.  Plans
-are found by the identity of the domain's arrays and dropped when one of
-those arrays is freed, so a plan lives as long as its TomogramDomain; an
+inversion's oscillator basis and per-diagonal normal-equation solvers.
+Plans are found by the identity of the domain's arrays and dropped when one
+of those arrays is freed, so a plan lives as long as its TomogramDomain; an
 array changed in place gets a new plan.
 """
 from __future__ import annotations
@@ -222,10 +222,16 @@ def _band_limited_matrix(x: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # eigensolver round-off and are dropped from its factorization
 _FACTOR_RTOL = 1e-13
 
+# most points a working grid may have, unless grid has more: at 4096 the 9 x 9
+# symplectic plan of the residual study holds 81 x 4096 x 128 float64, 340 MB
+_MAX_WORK_POINTS = 4096
+
 
 def _working_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
     """Smallest balanced, centered grid whose box covers both the q-box and
     the p/(m omega)-range of grid; grid itself when it is balanced and centered.
+    Raises UndersampledDomainError, naming the n it needs, when that grid
+    would have more than max(grid.n, _MAX_WORK_POINTS) points.
 
     Rotations mix q with p/(m omega), so they need equal, origin-centered
     ranges in both; on other grids rotated content would wrap round the box.
@@ -233,11 +239,17 @@ def _working_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
     m_omega = grid.mass * grid.omega
     span = max(2.0 * abs(grid.x0), 2.0 * abs(grid.x0 + grid.length),
                grid.n * grid.dp / m_omega)
+    # a balanced box of n points is sqrt(2 pi hbar n / m omega) long
+    points = m_omega * span * span / (2.0 * np.pi * grid.hbar) * (1.0 - 2e-12)
+    cap = max(grid.n, _MAX_WORK_POINTS)
+    if not points <= cap:                                     # an overflow is refused too
+        raise UndersampledDomainError(
+            f"rotating tomograms of n = {grid.n} on a box of length {grid.length:g} needs a "
+            f"working grid of n = 2^{np.ceil(np.log2(points)):g} points, above the {cap} allowed")
     n = grid.n
-    work = PhaseSpaceGrid.balanced(n, grid.hbar, grid.mass, grid.omega)
-    while work.length < span * (1.0 - 1e-12):
+    while n < points:
         n *= 2
-        work = PhaseSpaceGrid.balanced(n, grid.hbar, grid.mass, grid.omega)
+    work = PhaseSpaceGrid.balanced(n, grid.hbar, grid.mass, grid.omega)
     if (n == grid.n and np.isclose(work.dx, grid.dx, rtol=1e-12, atol=0.0)
             and np.isclose(work.x0, grid.x0, rtol=1e-12, atol=0.0)):
         return grid
@@ -314,9 +326,13 @@ class _Plan:
 
     def __init__(self, grid: PhaseSpaceGrid, arrays: tuple, on_free):
         self.grid = grid
-        self.work = _working_grid(grid)
         self.samples = tuple(a.copy() for a in arrays)
         self._refs = [weakref.ref(a, on_free) for a in arrays]
+
+    @cached_property
+    def work(self) -> PhaseSpaceGrid:
+        """The balanced grid the rays turn on (_working_grid); unread by the inversion."""
+        return _working_grid(self.grid)
 
     @cached_property
     def embed(self) -> np.ndarray | None:
@@ -335,7 +351,8 @@ class _Plan:
         (n_sub, chirp, fresnel) that turn amplitudes from theta = 0 to every
         ray's angle at once, chirp and fresnel of shape (rays, 1, N); dilation
         the transposed band-limited maps (rays, N, n_x) from the working grid
-        to x / r, None when every x / r of the plan is the working grid; r
+        to x / r, None when every x / r of the plan is the working grid, and
+        one map (1, N, n_x) that broadcasts over rays that share their r; r
         the radii, (rays, 1, 1).  A group's dilation is filled in place, one
         distinct r at a time.
         """
@@ -354,10 +371,12 @@ class _Plan:
         groups = []
         for count in sorted(set(counts.tolist())):
             index = np.flatnonzero(counts == count)
-            dilation = None
-            if dilate:
+            dilation, group_radii = None, set(radii[index].tolist())
+            if dilate and len(group_radii) == 1:       # as every optical group: one shared map
+                dilation = _band_limited_matrix(q, x / group_radii.pop()).T[None]
+            elif dilate:
                 dilation = np.empty((len(index), len(q), len(x)))
-                for r in set(radii[index].tolist()):
+                for r in group_radii:
                     dilation[radii[index] == r] = _band_limited_matrix(q, x / r).T
             groups.append((index, _shear_factors(self.work, thetas[index, None, None]),
                            dilation, radii[index, None, None]))
@@ -370,15 +389,14 @@ class _Plan:
 
         basis holds the oscillator levels 0..N at the half-spaced points
         _half_points keeps, solvers[d] the least-squares solution operator
-        (N + 1 - d, n_x) of diagonal d over X >= 0, from a column-pivoted QR of
-        its design.  A design of numerical rank below its column count (R's
-        diagonal below _LEVEL_RCOND of its first entry) leaves its levels
-        undetermined.  rows and cols place the solutions (m, m - d) of the
-        diagonals d = 0..N, one after the other, in a level matrix.
+        L^-T L^-1 A^T (N + 1 - d, n_x) of diagonal d over X >= 0, L the
+        Cholesky factor of the normal matrix A^T A of its design A.  L is read
+        as R^T from a QR of A: the product A^T A and its Cholesky would change
+        in the last bit with the BLAS thread count.  A design whose L is
+        singular, or whose condition |L|_1 |L^-1|_1 exceeds _LEVEL_COND, leaves
+        its levels undetermined.  rows and cols place the solutions (m, m - d)
+        of the diagonals d = 0..N, one after the other, in a level matrix.
         """
-        from scipy.linalg import qr   # costs every import 0.28 s at module level
-        from scipy.linalg.lapack import dtrtri
-
         x, thetas = self.samples
         grid, n_theta = self.grid, len(thetas)
         n_levels = oscillator_levels(grid, n_theta) + 1
@@ -391,16 +409,20 @@ class _Plan:
         solvers = []
         for d in range(n_levels):
             design = (basis[d:, half] * basis[:n_levels - d, half]).T  # (n_x, N + 1 - d)
-            q, r, perm = qr(design, mode="economic", pivoting=True, check_finite=False)
-            diag = np.abs(np.diag(r))
-            if np.count_nonzero(diag > _LEVEL_RCOND * diag[0]) < n_levels - d:
+            tri = np.linalg.qr(design, mode="r")                        # L^T
+            with np.errstate(over="ignore"):           # an overflowing norm refuses too
+                try:
+                    inv = np.linalg.inv(tri)
+                    cond = np.linalg.norm(tri, np.inf) * np.linalg.norm(inv, np.inf)
+                except np.linalg.LinAlgError:        # L singular, or fewer points than levels
+                    cond = np.inf
+            if not cond <= _LEVEL_COND:                                 # a NaN fails too
                 return (f"{len(x)} quadrature points from {x[0]:g} to {x[-1]:g} do not "
                         f"determine the {n_levels} oscillator levels of n = {grid.n} "
                         f"and {n_theta} angles")
             start = len(stacked) - (n_levels - d) * (n_levels - d + 1) // 2
-            solver = stacked[start:start + n_levels - d]
-            solver[perm] = dtrtri(r)[0] @ q.T
-            solvers.append(solver)
+            solvers.append(np.matmul(inv, inv.T @ design.T,
+                                     out=stacked[start:start + n_levels - d]))
         rows, cols = np.tril_indices(n_levels)
         by_diagonal = np.argsort(rows - cols, kind="stable")
         return basis, solvers, rows[by_diagonal], cols[by_diagonal]
@@ -496,9 +518,10 @@ UNEXPLAINED_RTOL = 1e-6
 # that cannot hold a larger one, are dropped (_level_factors)
 _EIGEN_CUTOFF = 1e-12
 
-# a level system whose singular values fall below this fraction of its largest
-# is not determined by the quadrature points; invert_optical refuses it
-_LEVEL_RCOND = 1e-10
+# largest condition |L|_1 |L^-1|_1 of the Cholesky factor L of a level
+# system's normal matrix that invert_optical accepts: the normal equations
+# lose about its square times eps, 2e-8 of the levels at this bound
+_LEVEL_COND = 1e4
 
 
 def angle_step(thetas: np.ndarray) -> float:

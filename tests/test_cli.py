@@ -64,6 +64,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="grid.length"):
             load_config({"grid": {"length": float("nan")}}, "precess")
 
+    @pytest.mark.parametrize("periods", [2048.0, 1e6])
+    def test_precess_sample_count_capped(self, periods):
+        # about 2.7 kB a sample: the cap of 2^17 samples holds about 350 MB,
+        # and 1e6 periods of 64 samples asked numpy for 8.58 GiB
+        with pytest.raises(ConfigError, match="run.periods"):
+            load_config({"run": {"periods": periods}}, "precess")
+        assert load_config({"run": {"periods": 2047.0}}, "precess")["run"]["periods"] == 2047.0
+
 
 class TestScenarios:
     def test_audit_frame(self, tmp_path):
@@ -352,6 +360,17 @@ class TestScenarios:
         assert "n = 64" in err and "3.23e-08" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_working_grid_beyond_its_cap_exits_2(self, tmp_path, capsys):
+        # a box of 0.3 needs a working grid of 2^21 points to rotate the
+        # optical tomograms: refused before it is built
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"length": 0.3},
+                                   "run": {"representations": ["optical"]}}))
+        assert main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "n = 2^21" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     @pytest.mark.parametrize("scenario", ["wavepacket", "residual"])
     @pytest.mark.parametrize("raw, path", [
         ({"field": {"phi": [0.0, 0.0, 1e308]}}, "field.phi"),               # phi(q)
@@ -516,6 +535,15 @@ class TestScenarios:
                           "v0 = to_vector(rho, build_spin1_frame(), 'wigner'); "
                           "evolve_wigner_vector(v0, EMFieldConfig(phi=(0, 0, 0.5), "
                           "b_field=[0.3, 0.2, 0.5]), PropagatorConfig(0.05, 8, 'wigner-spectral', 3)); "
+                          "print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_roundtrip_leaves_scipy_out(self, tmp_path):
+        # the optical inversion builds its solvers from a numpy QR, so no
+        # scenario imports scipy
+        proc = run_python("-c", "import sys; from spintomo.cli import main; "
+                          f"main(['roundtrip', '--out', {str(tmp_path / 'o')!r}]); "
                           "print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"

@@ -14,6 +14,7 @@ from spintomo import (
     PhaseSpaceGrid,
     SpinorDensity,
     TomogramDomain,
+    UndersampledDomainError,
     build_spin1_frame,
     gaussian_packet,
     from_vector,
@@ -227,6 +228,16 @@ def test_working_grid():
         assert PhaseSpaceGrid.balanced(work.n // 2, mass=work.mass).length < span
 
 
+def test_working_grid_refused_beyond_its_cap():
+    # a box of 0.3 at n = 128 has the p-range 2 pi n / 0.3 = 2681, which a
+    # balanced grid covers at 2^21 points; the cap is 4096 points
+    with pytest.raises(UndersampledDomainError, match=r"n = 2\^21 points"):
+        _working_grid(PhaseSpaceGrid.centered(128, 0.3))
+    with pytest.raises(UndersampledDomainError, match=r"n = 2\^14 points"):
+        _working_grid(PhaseSpaceGrid.centered(128, 3.0))
+    assert _working_grid(PhaseSpaceGrid.centered(128, 8.0)).n == 2048
+
+
 def rotate(amps, work, theta):
     """Fractional-Fourier rotation of amplitudes (..., N) on the balanced grid
     work: afterwards |amps|^2 is the marginal of q cos(theta) + p sin(theta)/(m omega).
@@ -327,6 +338,16 @@ def test_batched_rays_match_per_ray_rotation(grid, element):
     ref = per_ray_marginals(factors, grid, ray_thetas, np.hypot(mm, nn * m_omega).ravel(),
                             grid.q)
     assert np.max(np.abs(got.reshape(ref.shape) - ref)) <= 1e-13
+
+
+def test_optical_rays_share_one_dilation():
+    # every optical ray has r = 1, so a group holds one (1, N, n_x) map, not
+    # one per ray: 128 rays of (512, 256) maps held 134 MB on centered(256, 24)
+    grid = PhaseSpaceGrid.centered(64, 20.0, mass=2.0)
+    dom = TomogramDomain.optical_default(grid, 64)
+    plan = phase_space._plan(grid, dom.x, dom.thetas)
+    assert plan.work is not grid
+    assert [dilation.shape for _, _, dilation, _ in plan.rays] == [(1, plan.work.n, 64)] * 5
 
 
 def test_plan_reuse_is_bit_identical(grid64):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spintomo import (
     PhaseSpaceGrid,
@@ -29,6 +30,7 @@ from spintomo import phase_space
 from spintomo.phase_space import (
     _band_limited_matrix,
     _flip_x,
+    _half_points,
     _kernel_of_wigner,
     _level_factors,
     _wigner_of_factors,
@@ -569,6 +571,27 @@ def _inversion_case(name):
     return grid, TomogramDomain.optical_default(grid, n_theta), frame
 
 
+def pivoted_qr_inversion(plan):
+    """_Plan.inversion as scipy's column-pivoted QR built it: each diagonal's
+    least-squares solver R^-1 Q^T, with the columns of its design permuted,
+    the reference for the normal-equation solvers that replaced it.  Returns
+    (basis, solvers, rows, cols) like it, for a domain that determines its
+    levels."""
+    x, thetas = plan.samples
+    n_levels = oscillator_levels(plan.grid, len(thetas)) + 1
+    basis = oscillator_basis(plan.grid, n_levels, x[0] + 0.5 * (x[1] - x[0]) * _half_points(len(x)))
+    solvers = []
+    for d in range(n_levels):
+        design = (basis[d:, 1:] * basis[:n_levels - d, 1:]).T
+        q, r, perm = scipy.linalg.qr(design, mode="economic", pivoting=True)
+        solver = np.empty((n_levels - d, len(x)))
+        solver[perm] = scipy.linalg.lapack.dtrtri(r)[0] @ q.T
+        solvers.append(solver)
+    rows, cols = np.tril_indices(n_levels)
+    by_diagonal = np.argsort(rows - cols, kind="stable")
+    return basis, solvers, rows[by_diagonal], cols[by_diagonal]
+
+
 class TestOpticalInversion:
     """from_vector on the optical route against the closed-form states, on
     tomograms with 1, 9 and 16 components; the states sit off centre so that
@@ -713,6 +736,39 @@ class TestOpticalInversion:
         back = from_vector(to_vector(SpinorDensity.from_pure(supported, grid), frame,
                                      "optical", dom), frame)
         assert abs(1.0 - fidelity_with_pure(back, supported)) <= 1e-12
+
+    # The normal equations can lose the square of the design's condition
+    # kappa times eps, a pivoted QR kappa eps.  kappa reads 7-21 on the
+    # balanced and the first two centred grids, where the levels agree within
+    # 6 eps; on centered(64, 20, m = 2) it reads 461, and they agree within
+    # 60 eps, far inside kappa^2 eps = 2.1e5 eps.
+    @pytest.mark.parametrize("grid, n_theta, multiple", [
+        *[(PhaseSpaceGrid.balanced(n), n_theta, 16) for n, n_theta in [
+            (64, 16), (64, 64), (128, 64), (128, 128), (256, 128), (256, 16)]],
+        (PhaseSpaceGrid.centered(64, 16.0), 32, 16),
+        (PhaseSpaceGrid.centered(256, 24.0, hbar=0.7, mass=1.3, omega=0.9), 128, 16),
+        (PhaseSpaceGrid.centered(64, 20.0, mass=2.0), 32, 256)],
+        ids=["64-16", "64-64", "128-64", "128-128", "256-128", "256-16", "centered-64",
+             "centered-256-non-unit", "centered-64-mass-2"])
+    def test_levels_agree_with_pivoted_qr(self, frame0, monkeypatch, grid, n_theta, multiple):
+        dom = TomogramDomain.optical_default(grid, n_theta)
+        psi = coherent_spinor(grid, frame0, 0.4, -0.3)
+        stack = to_vector(SpinorDensity.from_pure(psi, grid), frame0, "optical", dom).components
+        levels = invert_optical(stack, grid, dom)
+        monkeypatch.setattr(phase_space._Plan, "inversion", property(pivoted_qr_inversion))
+        ref = invert_optical(stack, grid, dom)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(levels - ref)) <= multiple * eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("length, mass", [(12.0, 2.0), (24.0, 0.5)])
+    def test_ill_conditioned_domain_rejected(self, frame, length, mass):
+        # the designs' condition reads 6.8e9: a pivoted QR solved them, and a
+        # coherent spinor came back only to 1.2e-8 and 1.6e-8 of its blocks
+        grid = PhaseSpaceGrid.centered(128, length, mass=mass)
+        v = to_vector(SpinorDensity.from_pure(coherent_spinor(grid, frame, 0.4, -0.3), grid),
+                      frame, "optical", TomogramDomain.optical_default(grid, 64))
+        with pytest.raises(UndersampledDomainError, match="quadrature points"):
+            from_vector(v, frame)
 
 
 def level_matrix(dim, n_levels, probs, rng):
