@@ -368,8 +368,11 @@ def _run_precess(cfg: dict, out: Path, scale: float) -> dict:
         "freq_rel_err": rel_err,
         "s_matrix_vs_oracle": s_err,
     }
-    return {"measurements": measurements,
-            "gates": {key: _gate(measurements[key], tol[key], scale) for key in tol}}
+    gates = {
+        "freq_rel_err": _gate(rel_err, tol["freq_rel_err"], scale),
+        "s_matrix_vs_oracle": _gate(s_err, tol["s_matrix_vs_oracle"], scale),
+    }
+    return {"measurements": measurements, "gates": gates}
 
 
 def _run_wavepacket(cfg: dict, out: Path, scale: float) -> dict:
@@ -401,8 +404,12 @@ def _run_wavepacket(cfg: dict, out: Path, scale: float) -> dict:
         "norm_sum_dev": norm_dev,
         "final_time": float(traj.times[-1]),
     }
-    return {"measurements": measurements,
-            "gates": {key: _gate(measurements[key], tol[key], scale) for key in tol}}
+    gates = {
+        "trace_drift": _gate(trace_drift, tol["trace_drift"], scale),
+        "energy_rel_drift": _gate(energy_drift, tol["energy_rel_drift"], scale),
+        "norm_sum_dev": _gate(norm_dev, tol["norm_sum_dev"], scale),
+    }
+    return {"measurements": measurements, "gates": gates}
 
 
 def _run_roundtrip(cfg: dict, out: Path, scale: float) -> dict:

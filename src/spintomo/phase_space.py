@@ -47,9 +47,9 @@ Plans: what depends only on the sampling (grid, x and the angles or the
 working-grid embedding, the rays grouped by their number of sub-rotations
 from theta = 0 (each group's shear factors and dilations to x / r stacked
 over its rays, so a group turns and dilates in one batch), and the
-inversion's oscillator basis and per-diagonal normal-equation solvers.
-Plans are found by the identity of the domain's arrays and dropped when one
-of those arrays is freed, so a plan lives as long as its TomogramDomain; an
+inversion's oscillator basis and per-diagonal least-squares solvers.  Plans
+are found by the identity of the domain's arrays and dropped when one of
+those arrays is freed, so a plan lives as long as its TomogramDomain; an
 array changed in place gets a new plan.
 """
 from __future__ import annotations
@@ -222,16 +222,18 @@ def _band_limited_matrix(x: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # eigensolver round-off and are dropped from its factorization
 _FACTOR_RTOL = 1e-13
 
-# most points a working grid may have, unless grid has more: at 4096 the 9 x 9
-# symplectic plan of the residual study holds 81 x 4096 x 128 float64, 340 MB
-_MAX_WORK_POINTS = 4096
+# most float64 entries a plan's maps to a working grid of N points may take,
+# counted as N (n + (k + 5) max(n, n_x)): its embedding, its k dilations and the
+# temporaries of the one _band_limited_matrix builds.  A 9 x 9 symplectic plan at
+# n = n_x = 128 (k = 81) fits up to N = 4096, an optical one (k = 1) at 256 up to 32768
+_MAX_PLAN_ENTRIES = 2**26
 
 
-def _working_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
+def _working_grid(grid: PhaseSpaceGrid, most_points: int = _MAX_PLAN_ENTRIES) -> PhaseSpaceGrid:
     """Smallest balanced, centered grid whose box covers both the q-box and
     the p/(m omega)-range of grid; grid itself when it is balanced and centered.
     Raises UndersampledDomainError, naming the n it needs, when that grid
-    would have more than max(grid.n, _MAX_WORK_POINTS) points.
+    would have more than max(grid.n, most_points) points.
 
     Rotations mix q with p/(m omega), so they need equal, origin-centered
     ranges in both; on other grids rotated content would wrap round the box.
@@ -241,7 +243,7 @@ def _working_grid(grid: PhaseSpaceGrid) -> PhaseSpaceGrid:
                grid.n * grid.dp / m_omega)
     # a balanced box of n points is sqrt(2 pi hbar n / m omega) long
     points = m_omega * span * span / (2.0 * np.pi * grid.hbar) * (1.0 - 2e-12)
-    cap = max(grid.n, _MAX_WORK_POINTS)
+    cap = max(grid.n, most_points)
     if not points <= cap:                                     # an overflow is refused too
         raise UndersampledDomainError(
             f"rotating tomograms of n = {grid.n} on a box of length {grid.length:g} needs a "
@@ -331,8 +333,11 @@ class _Plan:
 
     @cached_property
     def work(self) -> PhaseSpaceGrid:
-        """The balanced grid the rays turn on (_working_grid); unread by the inversion."""
-        return _working_grid(self.grid)
+        """The balanced grid the rays turn on (_working_grid), refused when
+        the plan's maps would exceed _MAX_PLAN_ENTRIES; unread by the inversion."""
+        (x, *axes), n = self.samples, self.grid.n
+        maps = 1 if len(axes) == 1 else len(axes[0]) * len(axes[1])   # optical r is 1
+        return _working_grid(self.grid, _MAX_PLAN_ENTRIES // (n + (maps + 5) * max(n, len(x))))
 
     @cached_property
     def embed(self) -> np.ndarray | None:
@@ -352,7 +357,7 @@ class _Plan:
         ray's angle at once, chirp and fresnel of shape (rays, 1, N); dilation
         the transposed band-limited maps (rays, N, n_x) from the working grid
         to x / r, None when every x / r of the plan is the working grid, and
-        one map (1, N, n_x) that broadcasts over rays that share their r; r
+        one map (1, N, n_x) for every group when all rays share their r; r
         the radii, (rays, 1, 1).  A group's dilation is filled in place, one
         distinct r at a time.
         """
@@ -365,18 +370,19 @@ class _Plan:
             thetas = np.arctan2(nn * m_omega, mm).ravel()
             radii = np.hypot(mm, nn * m_omega).ravel()
         # sets, not np.unique, whose first call imports numpy.ma (about 15 ms)
-        q = self.work.q
-        dilate = not all(np.array_equal(x / r, q) for r in set(radii.tolist()))
+        q, distinct = self.work.q, set(radii.tolist())
+        dilate = not all(np.array_equal(x / r, q) for r in distinct)
+        # rays that all share one r, as the optical rays do, share one map
+        shared = (_band_limited_matrix(q, x / distinct.pop()).T[None]
+                  if dilate and len(distinct) == 1 else None)
         counts = _sub_rotations(thetas)
         groups = []
         for count in sorted(set(counts.tolist())):
             index = np.flatnonzero(counts == count)
-            dilation, group_radii = None, set(radii[index].tolist())
-            if dilate and len(group_radii) == 1:       # as every optical group: one shared map
-                dilation = _band_limited_matrix(q, x / group_radii.pop()).T[None]
-            elif dilate:
+            dilation = shared
+            if dilate and shared is None:
                 dilation = np.empty((len(index), len(q), len(x)))
-                for r in group_radii:
+                for r in set(radii[index].tolist()):
                     dilation[radii[index] == r] = _band_limited_matrix(q, x / r).T
             groups.append((index, _shear_factors(self.work, thetas[index, None, None]),
                            dilation, radii[index, None, None]))
@@ -389,13 +395,11 @@ class _Plan:
 
         basis holds the oscillator levels 0..N at the half-spaced points
         _half_points keeps, solvers[d] the least-squares solution operator
-        L^-T L^-1 A^T (N + 1 - d, n_x) of diagonal d over X >= 0, L the
-        Cholesky factor of the normal matrix A^T A of its design A.  L is read
-        as R^T from a QR of A: the product A^T A and its Cholesky would change
-        in the last bit with the BLAS thread count.  A design whose L is
-        singular, or whose condition |L|_1 |L^-1|_1 exceeds _LEVEL_COND, leaves
-        its levels undetermined.  rows and cols place the solutions (m, m - d)
-        of the diagonals d = 0..N, one after the other, in a level matrix.
+        R^-1 Q^T (N + 1 - d, n_x) of diagonal d over X >= 0, from a QR of its
+        design.  A design whose R is singular, or whose condition
+        |R|_inf |R^-1|_inf exceeds _LEVEL_COND, leaves its levels undetermined.
+        rows and cols place the solutions (m, m - d) of the diagonals
+        d = 0..N, one after the other, in a level matrix.
         """
         x, thetas = self.samples
         grid, n_theta = self.grid, len(thetas)
@@ -409,20 +413,19 @@ class _Plan:
         solvers = []
         for d in range(n_levels):
             design = (basis[d:, half] * basis[:n_levels - d, half]).T  # (n_x, N + 1 - d)
-            tri = np.linalg.qr(design, mode="r")                        # L^T
+            q, r = np.linalg.qr(design)
             with np.errstate(over="ignore"):           # an overflowing norm refuses too
                 try:
-                    inv = np.linalg.inv(tri)
-                    cond = np.linalg.norm(tri, np.inf) * np.linalg.norm(inv, np.inf)
-                except np.linalg.LinAlgError:        # L singular, or fewer points than levels
+                    inv = np.linalg.inv(r)
+                    cond = np.linalg.norm(r, np.inf) * np.linalg.norm(inv, np.inf)
+                except np.linalg.LinAlgError:        # R singular, or fewer points than levels
                     cond = np.inf
             if not cond <= _LEVEL_COND:                                 # a NaN fails too
                 return (f"{len(x)} quadrature points from {x[0]:g} to {x[-1]:g} do not "
                         f"determine the {n_levels} oscillator levels of n = {grid.n} "
                         f"and {n_theta} angles")
             start = len(stacked) - (n_levels - d) * (n_levels - d + 1) // 2
-            solvers.append(np.matmul(inv, inv.T @ design.T,
-                                     out=stacked[start:start + n_levels - d]))
+            solvers.append(np.matmul(inv, q.T, out=stacked[start:start + n_levels - d]))
         rows, cols = np.tril_indices(n_levels)
         by_diagonal = np.argsort(rows - cols, kind="stable")
         return basis, solvers, rows[by_diagonal], cols[by_diagonal]
@@ -518,10 +521,10 @@ UNEXPLAINED_RTOL = 1e-6
 # that cannot hold a larger one, are dropped (_level_factors)
 _EIGEN_CUTOFF = 1e-12
 
-# largest condition |L|_1 |L^-1|_1 of the Cholesky factor L of a level
-# system's normal matrix that invert_optical accepts: the normal equations
-# lose about its square times eps, 2e-8 of the levels at this bound
-_LEVEL_COND = 1e4
+# largest condition |R|_inf |R^-1|_inf of a level system that invert_optical
+# accepts (its solvers lose about that times eps); over 1886 optical domains, it
+# reached 6.7e10 where a pivoted QR's rank test, rcond 1e-10, still accepted
+_LEVEL_COND = 1e11
 
 
 def angle_step(thetas: np.ndarray) -> float:

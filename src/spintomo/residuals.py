@@ -254,6 +254,7 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
 
     per_frame = []
     sq_sum = 0.0
+    times = []
     prev, cur = portrait(0), portrait(1)
     for k in range(1, len(traj.states) - 1):
         # the sum over spin groups of (spin A) (operator B), identity first, as one product
@@ -268,12 +269,13 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
         res = res[image.interior]
         per_frame.append(float(np.max(np.abs(res))))
         sq_sum += float(np.sum(res**2) * image.cell)
+        times.append(traj.times[k])
         del res
         prev, cur = cur, nxt
     per_frame = np.asarray(per_frame)
     return ResidualReport(
         representation=representation,
-        times=np.asarray(traj.times)[1:-1],
+        times=np.asarray(times),
         per_frame_max=per_frame,
         max_residual=float(per_frame.max()),
         l2_residual=float(np.sqrt(sq_sum / len(per_frame))),

@@ -230,12 +230,24 @@ def test_working_grid():
 
 def test_working_grid_refused_beyond_its_cap():
     # a box of 0.3 at n = 128 has the p-range 2 pi n / 0.3 = 2681, which a
-    # balanced grid covers at 2^21 points; the cap is 4096 points
+    # balanced grid covers at 2^21 points
     with pytest.raises(UndersampledDomainError, match=r"n = 2\^21 points"):
-        _working_grid(PhaseSpaceGrid.centered(128, 0.3))
+        _working_grid(PhaseSpaceGrid.centered(128, 0.3), 4096)
     with pytest.raises(UndersampledDomainError, match=r"n = 2\^14 points"):
-        _working_grid(PhaseSpaceGrid.centered(128, 3.0))
-    assert _working_grid(PhaseSpaceGrid.centered(128, 8.0)).n == 2048
+        _working_grid(PhaseSpaceGrid.centered(128, 3.0), 4096)
+    assert _working_grid(PhaseSpaceGrid.centered(128, 8.0), 4096).n == 2048
+
+
+def test_plan_caps_its_working_grid_by_its_maps():
+    # centered(128, 3) needs a working grid of 2^14 points: an optical plan,
+    # whose rays share one dilation map, stays within _MAX_PLAN_ENTRIES there,
+    # and a 9 x 9 symplectic plan, with a map for each of its 81 rays, does not
+    grid = PhaseSpaceGrid.centered(128, 3.0)
+    dom = TomogramDomain.optical_default(grid, 64)
+    assert phase_space._plan(grid, dom.x, dom.thetas).work.n == 2**14
+    mu = np.linspace(0.85, 1.15, 9)
+    with pytest.raises(UndersampledDomainError, match=r"n = 2\^14 points"):
+        phase_space._plan(grid, grid.q, mu, mu).work
 
 
 def rotate(amps, work, theta):
@@ -341,13 +353,15 @@ def test_batched_rays_match_per_ray_rotation(grid, element):
 
 
 def test_optical_rays_share_one_dilation():
-    # every optical ray has r = 1, so a group holds one (1, N, n_x) map, not
-    # one per ray: 128 rays of (512, 256) maps held 134 MB on centered(256, 24)
+    # every optical ray has r = 1, so its five groups hold one (1, N, n_x) map,
+    # not one per ray: 128 rays of (512, 256) maps held 134 MB on centered(256, 24)
     grid = PhaseSpaceGrid.centered(64, 20.0, mass=2.0)
     dom = TomogramDomain.optical_default(grid, 64)
     plan = phase_space._plan(grid, dom.x, dom.thetas)
     assert plan.work is not grid
-    assert [dilation.shape for _, _, dilation, _ in plan.rays] == [(1, plan.work.n, 64)] * 5
+    dilations = [dilation for _, _, dilation, _ in plan.rays]
+    assert len(dilations) == 5 and all(d is dilations[0] for d in dilations)
+    assert dilations[0].shape == (1, plan.work.n, 64)
 
 
 def test_plan_reuse_is_bit_identical(grid64):

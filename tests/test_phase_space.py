@@ -574,7 +574,7 @@ def _inversion_case(name):
 def pivoted_qr_inversion(plan):
     """_Plan.inversion as scipy's column-pivoted QR built it: each diagonal's
     least-squares solver R^-1 Q^T, with the columns of its design permuted,
-    the reference for the normal-equation solvers that replaced it.  Returns
+    the reference for the unpivoted numpy QR that replaced it.  Returns
     (basis, solvers, rows, cols) like it, for a domain that determines its
     levels."""
     x, thetas = plan.samples
@@ -737,19 +737,24 @@ class TestOpticalInversion:
                                      "optical", dom), frame)
         assert abs(1.0 - fidelity_with_pure(back, supported)) <= 1e-12
 
-    # The normal equations can lose the square of the design's condition
-    # kappa times eps, a pivoted QR kappa eps.  kappa reads 7-21 on the
-    # balanced and the first two centred grids, where the levels agree within
-    # 6 eps; on centered(64, 20, m = 2) it reads 461, and they agree within
-    # 60 eps, far inside kappa^2 eps = 2.1e5 eps.
+    # Both QRs lose about the design's condition kappa times eps.  The levels
+    # agree within 4 eps where kappa is below 500, within 1.7e3 eps on
+    # centered(256, 24, hbar = 0.7), and within 1.1e9 eps at the largest kappa
+    # that the pivoted QR's rank test accepted, 1.2e10 and 6.7e10 on the last
+    # two grids.  There the spinor comes back to 1.5e-8 and 2.7e-5 of its
+    # blocks, and to 3.0e-8 and 2.7e-5 through the pivoted QR.
     @pytest.mark.parametrize("grid, n_theta, multiple", [
         *[(PhaseSpaceGrid.balanced(n), n_theta, 16) for n, n_theta in [
             (64, 16), (64, 64), (128, 64), (128, 128), (256, 128), (256, 16)]],
         (PhaseSpaceGrid.centered(64, 16.0), 32, 16),
         (PhaseSpaceGrid.centered(256, 24.0, hbar=0.7, mass=1.3, omega=0.9), 128, 16),
-        (PhaseSpaceGrid.centered(64, 20.0, mass=2.0), 32, 256)],
+        (PhaseSpaceGrid.centered(64, 20.0, mass=2.0), 32, 16),
+        (PhaseSpaceGrid.centered(256, 24.0, hbar=0.7), 128, 1e4),
+        (PhaseSpaceGrid.centered(128, 12.0, mass=2.0), 64, 1e10),
+        (PhaseSpaceGrid.centered(128, 20.0, hbar=0.7, mass=0.5), 128, 1e10)],
         ids=["64-16", "64-64", "128-64", "128-128", "256-128", "256-16", "centered-64",
-             "centered-256-non-unit", "centered-64-mass-2"])
+             "centered-256-non-unit", "centered-64-mass-2", "centered-256-hbar",
+             "centered-128-mass-2", "centered-128-mass-0.5"])
     def test_levels_agree_with_pivoted_qr(self, frame0, monkeypatch, grid, n_theta, multiple):
         dom = TomogramDomain.optical_default(grid, n_theta)
         psi = coherent_spinor(grid, frame0, 0.4, -0.3)
@@ -760,10 +765,10 @@ class TestOpticalInversion:
         eps = np.finfo(float).eps
         assert np.max(np.abs(levels - ref)) <= multiple * eps * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("length, mass", [(12.0, 2.0), (24.0, 0.5)])
+    @pytest.mark.parametrize("length, mass", [(16.0, 1.0), (12.0, 0.5)])
     def test_ill_conditioned_domain_rejected(self, frame, length, mass):
-        # the designs' condition reads 6.8e9: a pivoted QR solved them, and a
-        # coherent spinor came back only to 1.2e-8 and 1.6e-8 of its blocks
+        # the designs' condition reads 8.5e12 and 7.7e17, above _LEVEL_COND;
+        # the pivoted QR's rank test refused both domains too
         grid = PhaseSpaceGrid.centered(128, length, mass=mass)
         v = to_vector(SpinorDensity.from_pure(coherent_spinor(grid, frame, 0.4, -0.3), grid),
                       frame, "optical", TomogramDomain.optical_default(grid, 64))
