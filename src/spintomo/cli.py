@@ -123,6 +123,11 @@ _POSITIVE = ("grid.hbar", "grid.mass", "grid.omega", "field.m", "field.c", "stat
 # most samples precess takes, periods * samples_per_period + 1: each holds
 # about 2.7 kB of spinors, weights and rates, so 2^17 hold about 350 MB
 _MAX_PRECESS_SAMPLES = 2**17
+# largest share of the config's Gaussian packet, |psi|^2 in q or in p, that may lie
+# outside the box or beyond the band edge pi hbar / dx: a packet that loses more
+# to the grid's edges cannot meet the tightest default gates (1e-10); the default
+# and CI configs lose below 1e-30
+_PACKET_TAIL = 1e-10
 
 
 def _is_finite_number(val) -> bool:
@@ -222,6 +227,52 @@ def _check_values(cfg: dict) -> None:
         if not np.any(np.abs(allowed_m - state["spin_m"]) < 1e-9):
             raise ConfigError(f"state.spin_m: expected one of {allowed_m.tolist()} for the "
                               f"spin-1 frame, got {state['spin_m']!r}")
+        # a Gaussian packet, except on the roundtrip route that draws its own states
+        if "q0" in state and run.get("route") != "wigner":
+            _check_packet(cfg)
+
+
+def _packet_tail(cfg: dict) -> float:
+    """Share of the config's Gaussian packet, |psi|^2 of standard deviation
+    sigma in q and hbar / (2 sigma) in p, outside the box of the grid it is
+    built on (run.optical_n points on roundtrip's optical route) or beyond
+    that grid's band edge pi hbar / dx, in closed form: no grid is made."""
+    g, state = cfg["grid"], cfg["state"]
+    n = cfg["run"].get("optical_n", g["n"])
+    with np.errstate(all="ignore"):    # an overflow gives inf or nan, which _check_packet refuses
+        hbar = np.float64(g["hbar"])
+        length = g["length"] if g["length"] > 0.0 else np.sqrt(
+            2.0 * np.pi * hbar * n / (g["mass"] * g["omega"]))
+        beyond = [(state["q0"], state["sigma"], 0.5 * length),
+                  (state["p0"], hbar / (2.0 * state["sigma"]), np.pi * hbar * n / length)]
+        # mass of N(centre, width^2) beyond -half and +half; a NaN propagates
+        return float(np.max([0.5 * (math.erfc((half - centre) / (width * np.sqrt(2.0)))
+                                    + math.erfc((half + centre) / (width * np.sqrt(2.0))))
+                             for centre, width, half in beyond]))
+
+
+def _check_packet(cfg: dict) -> None:
+    """Refuse a packet the grid cannot hold (_packet_tail above _PACKET_TAIL),
+    naming the first key that, set back alone to its default, lets it fit, or
+    else the first of those keys that differs from its default."""
+    tail = _packet_tail(cfg)
+    if tail <= _PACKET_TAIL:                                   # a NaN is refused
+        return
+    defaults = _DEFAULTS[cfg["scenario"]]
+    n_key = "run.optical_n" if cfg["scenario"] == "roundtrip" else "grid.n"
+    changed = []
+    for where in ("state.q0", "state.p0", "state.sigma", "grid.length", n_key,
+                  "grid.hbar", "grid.mass", "grid.omega"):
+        sec, key = where.split(".")
+        if cfg[sec][key] != defaults[sec][key]:
+            changed.append((where, {**cfg, sec: {**cfg[sec], key: defaults[sec][key]}}))
+    fits = [where for where, trial in changed if _packet_tail(trial) <= _PACKET_TAIL]
+    state = cfg["state"]
+    raise ConfigError(
+        f"{(fits or [where for where, _ in changed])[0]}: the Gaussian packet at q0 "
+        f"{state['q0']!r}, p0 {state['p0']!r} with sigma {state['sigma']!r} puts {tail:.2e} "
+        f"of its |psi|^2 outside the grid's box or beyond its band edge pi hbar / dx, above "
+        f"{_PACKET_TAIL:g}: the grid cannot hold it")
 
 
 def _precession_frequency(kappa: float, b, hbar: float, spin: float = 1.0) -> float:

@@ -47,7 +47,9 @@ Plans: what depends only on the sampling (grid, x and the angles or the
 working-grid embedding, the rays grouped by their number of sub-rotations
 from theta = 0 (each group's shear factors and dilations to x / r stacked
 over its rays, so a group turns and dilates in one batch), and the
-inversion's oscillator basis and per-diagonal least-squares solvers.  Plans
+inversion's oscillator basis and per-diagonal least-squares solvers
+(_Plan.inversion), which invert_optical applies one level diagonal at a time,
+writing each into the level matrices as it is solved.  Plans
 are found by the identity of the domain's arrays and dropped when one of
 those arrays is freed, so a plan lives as long as its TomogramDomain; an
 array changed in place gets a new plan.
@@ -391,15 +393,13 @@ class _Plan:
     @cached_property
     def inversion(self) -> tuple | str:
         """invert_optical's sampling-only part on an optical domain: (basis,
-        solvers, rows, cols), or the message that refuses the domain.
+        solvers), or the message that refuses the domain.
 
         basis holds the oscillator levels 0..N at the half-spaced points
         _half_points keeps, solvers[d] the least-squares solution operator
         R^-1 Q^T (N + 1 - d, n_x) of diagonal d over X >= 0, from a QR of its
         design.  A design whose R is singular, or whose condition
         |R|_inf |R^-1|_inf exceeds _LEVEL_COND, leaves its levels undetermined.
-        rows and cols place the solutions (m, m - d) of the diagonals
-        d = 0..N, one after the other, in a level matrix.
         """
         x, thetas = self.samples
         grid, n_theta = self.grid, len(thetas)
@@ -426,9 +426,7 @@ class _Plan:
                         f"and {n_theta} angles")
             start = len(stacked) - (n_levels - d) * (n_levels - d + 1) // 2
             solvers.append(np.matmul(inv, q.T, out=stacked[start:start + n_levels - d]))
-        rows, cols = np.tril_indices(n_levels)
-        by_diagonal = np.argsort(rows - cols, kind="stable")
-        return basis, solvers, rows[by_diagonal], cols[by_diagonal]
+        return basis, solvers
 
 
 def _quadrature_marginals(w_stack: np.ndarray, grid: PhaseSpaceGrid, plan: _Plan,
@@ -583,23 +581,29 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
     so each harmonic is resampled at half the spacing by band-limited
     interpolation, and one least-squares solve over X >= 0 per d = 0..N gives
     the d-th diagonal of all R tomograms at once (their harmonics as 2R real
-    right-hand sides); the diagonals are placed in the level matrices after
-    the last solve.  The solvers depend on the domain only and come from its
-    plan (_Plan.inversion).  Exact to round-off for kernels within the first
-    N + 1 levels, N = oscillator_levels, whose tomograms are band-limited on x.
+    right-hand sides), which is written, with its conjugate, straight into the
+    level matrices, and its explained part taken from the harmonic.  The
+    solvers depend on the domain only and come from its plan
+    (_Plan.inversion).  Exact to round-off for kernels within the first N + 1
+    levels, N = oscillator_levels, whose tomograms are band-limited on x.
 
     Raises UndersampledDomainError when the angles are not the uniform grid of
     angle_step, when x is not closed under X -> -X (index l -> n_x - l, as on
     a centered grid) or its points do not determine the N + 1 levels (found
-    once per domain, raised on every call), and when the tomogram content those
+    once per domain, raised on every call), when the tomogram content those
     levels leave unexplained at the half-spaced points exceeds UNEXPLAINED_RTOL
-    of the tomogram's largest value, or is not finite.
+    of the tomogram's largest value, and when, at some angle, a level trace
+    differs from the tomogram's mass on x (its sum times dx) by more than
+    UNEXPLAINED_RTOL of the largest such mass: levels reaching past the
+    quadrature range can fit the tomogram there without holding the state.
+    Either share that is not finite is refused too.
 
     The inversion is linear, so a portrait's R functions may be inverted in
     place of its c components = mixing @ stack (mixing (c, R), the identity
-    by default); the components' levels are then mixing @ levels.  The check
-    reads the components all the same: the residual is mixing applied to the
-    functions' residuals, and the scale is the largest |component|.
+    by default); the components' levels are then mixing @ levels.  The checks
+    read the components all the same: the residuals and the mass differences
+    are mixing applied to the functions', and the scales are the largest
+    |component| and the largest component mass.
     """
     n_theta = len(dom.thetas)
     angle_step(dom.thetas)
@@ -608,7 +612,7 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
     inversion = _plan(grid, x, dom.thetas).inversion
     if isinstance(inversion, str):
         raise UndersampledDomainError(inversion)
-    basis, solvers, rows, cols = inversion
+    basis, solvers = inversion
     n_levels = len(basis)
     # harmonics 0..n_theta of the real series, all R functions in one
     # transform; harmonic -d is the conjugate of d
@@ -625,25 +629,21 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
     spectrum[..., 1 + odd::2] = harmonics[..., n_x - n_x // 2:]
     spectrum[..., 2 - odd::2] = shifted[..., n_x // 2:]
     del harmonics, shifted
-    # harmonics -d = 0..N over X >= 0, the conjugates of d, as real (D, n_x, 2R)
-    # right-hand sides
-    positive = spectrum[:, :n_levels, 1:].transpose(1, 2, 0)
-    packed = np.empty(positive.shape[:2] + (2 * r,))
-    packed[..., :r] = positive.real
-    np.negative(positive.imag, out=packed[..., r:])
-    # rho_{m, m-d} of every diagonal d in turn, real and imaginary parts side by side
-    sols = np.empty((len(rows), 2 * r))
-    end = 0
+    # the flat level matrices: rho_{m, m-d} lies at (N + 2) m - d and its
+    # conjugate at (N + 2) m - (N + 1) d, m = d..N, each diagonal a strided view
+    levels = np.zeros((r, n_levels * n_levels), dtype=complex)
+    step = n_levels + 1
     for d, solver in enumerate(solvers):
-        sol = np.matmul(solver, packed[d], out=sols[end:end + len(solver)])
-        end += len(solver)
+        # harmonic -d over X >= 0, the conjugate of d, as 2R real right-hand sides,
+        # copied in C order: a transposed view takes another BLAS path (round-off)
+        harmonic = spectrum[:, d, 1:]
+        sol = solver @ np.concatenate([harmonic.real, -harmonic.imag]).T.copy()
         explained = sol.T @ (basis[d:] * basis[:n_levels - d])
         spectrum[:, d] -= explained[:r] - 1j * explained[r:]
-    del packed
-    rho = (sols[:, :r] + 1j * sols[:, r:]).T                  # (R, sum_d (N + 1 - d))
-    levels = np.zeros((r, n_levels, n_levels), dtype=complex)
-    levels[:, rows, cols] = rho
-    levels[:, cols, rows] = rho.conj()
+        rho = (sol[:, :r] + 1j * sol[:, r:]).T                   # (R, N + 1 - d)
+        levels[:, d * n_levels::step] = rho
+        levels[:, d:(n_levels - d) * step:step] = rho.conj()
+    levels = levels.reshape(r, n_levels, n_levels)
     residual = np.fft.irfft(spectrum, 2 * n_theta, axis=1)
     unexplained = _largest_component(mixing, residual) * 2 * n_theta
     scale = _largest_component(mixing, stack)
@@ -652,6 +652,17 @@ def invert_optical(stack: np.ndarray, grid: PhaseSpaceGrid, dom: TomogramDomain,
             f"{n_levels} oscillator levels ({n_theta} angles, n = {grid.n}) leave "
             f"{unexplained / scale:.2e} of the tomogram's largest value unexplained, above "
             f"{UNEXPLAINED_RTOL:g}: the state is not supported by the grid or the angles")
+    # levels reaching past the sampled x range can fit the tomogram on it without
+    # holding the state; then their trace is not the mass sampled at each angle
+    masses = np.sum(stack, axis=-1) * dom.dx
+    lost = _largest_component(mixing, np.trace(levels, axis1=1, axis2=2).real[:, None] - masses)
+    mass = _largest_component(mixing, masses)
+    if not lost <= UNEXPLAINED_RTOL * mass:                   # a NaN fails too
+        raise UndersampledDomainError(
+            f"{n_levels} oscillator levels ({n_theta} angles, n = {grid.n}) differ in trace "
+            f"from the tomogram's mass on x from {x[0]:g} to {x[-1]:g} by "
+            f"{lost / mass if mass else math.inf:.2e} of its largest value, above "
+            f"{UNEXPLAINED_RTOL:g}: the state is not supported by the quadrature range")
     return levels
 
 

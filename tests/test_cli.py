@@ -24,6 +24,7 @@ from spintomo import (
     spin_eigenvector,
     to_vector,
 )
+from spintomo import cli
 from spintomo.cli import _spectrum_deviations, load_config, main
 from spintomo.errors import ConfigError
 from spintomo.grids import tidy_columns, write_csv
@@ -71,6 +72,47 @@ class TestConfig:
         with pytest.raises(ConfigError, match="run.periods"):
             load_config({"run": {"periods": periods}}, "precess")
         assert load_config({"run": {"periods": 2047.0}}, "precess")["run"]["periods"] == 2047.0
+
+    # Gaussian packets the grid cannot hold, which the runs met with a
+    # traceback ("cannot normalize the zero field", an OverflowError) or a
+    # failed ratio gate; the refusal names the key that, set back alone to its
+    # default, lets the packet fit
+    @pytest.mark.parametrize("scenario, raw, key", [
+        ("wavepacket", {"state": {"q0": 1e6}}, "state.q0"),
+        ("roundtrip", {"state": {"q0": 1e6}}, "state.q0"),
+        ("residual", {"state": {"q0": 1e6}}, "state.q0"),
+        ("roundtrip", {"state": {"sigma": 1e-12}}, "state.sigma"),
+        ("residual", {"state": {"sigma": 1e-12}}, "state.sigma"),
+        ("wavepacket", {"state": {"sigma": 1e300}}, "state.sigma"),
+        ("roundtrip", {"state": {"sigma": 1e300}}, "state.sigma"),
+        ("roundtrip", {"grid": {"length": 1e-300}}, "grid.length"),
+        ("residual", {"state": {"sigma": 3.0}}, "state.sigma"),
+        ("residual", {"state": {"q0": 30.0}}, "state.q0"),
+        ("roundtrip", {"run": {"route": "optical", "optical_n": 32},
+                       "grid": {"hbar": 0.5}}, "run.optical_n"),
+    ], ids=["wavepacket-q0", "roundtrip-q0", "residual-q0", "roundtrip-narrow",
+            "residual-narrow", "wavepacket-wide", "roundtrip-wide", "roundtrip-length",
+            "residual-sigma-3", "residual-q0-30", "roundtrip-optical-n"])
+    def test_packet_the_grid_cannot_hold_refused(self, scenario, raw, key):
+        with pytest.raises(ConfigError, match=f"^{key}: the Gaussian packet"):
+            load_config(raw, scenario)
+
+    def test_packet_tail_reads_the_run_grid(self):
+        # the wigner route draws its own states and reads no packet, so a box
+        # of 3 that cannot hold the default one is refused on the other routes
+        # only; the default and CI configs keep their packets inside the grid
+        assert load_config({"grid": {"length": 3.0}, "run": {"route": "wigner"}}, "roundtrip")
+        with pytest.raises(ConfigError, match="^grid.length: the Gaussian packet"):
+            load_config({"grid": {"length": 3.0}}, "roundtrip")
+        for scenario, raw in [
+                ("wavepacket", {}), ("roundtrip", {}), ("residual", {}),
+                ("roundtrip", {"grid": {"length": 24.0, "hbar": 0.7, "mass": 1.3, "omega": 0.9}}),
+                ("roundtrip", {"grid": {"length": 24.0, "hbar": 0.7}}),
+                ("residual", {"grid": {"hbar": 0.8, "mass": 1.5, "omega": 1.3},
+                              "field": {"a_long": 0.3, "m": 0.7}, "state": {"sigma": 0.6}}),
+                ("roundtrip", {"grid": {"mass": 4.0}, "state": {"q0": 3.0, "p0": 2.0},
+                               "run": {"route": "optical"}})]:
+            assert load_config(raw, scenario)["scenario"] == scenario
 
 
 class TestScenarios:
@@ -360,11 +402,30 @@ class TestScenarios:
         assert "n = 64" in err and "3.23e-08" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("scenario, raw, key", [
+        ("wavepacket", {"state": {"sigma": 1e300}}, "state.sigma"),
+        ("roundtrip", {"grid": {"length": 1e-300}}, "grid.length"),
+        ("residual", {"state": {"q0": 1e6}}, "state.q0")],
+        ids=["wavepacket-wide", "roundtrip-length", "residual-q0"])
+    def test_packet_the_grid_cannot_hold_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                 scenario, raw, key):
+        # refused by load_config, before the run allocates anything; these
+        # exited 1 with a traceback
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("the run started"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: the Gaussian packet")
+        assert not (tmp_path / "o").exists()
+
     def test_working_grid_beyond_its_cap_exits_2(self, tmp_path, capsys):
         # a box of 0.3 needs a working grid of 2^21 points to rotate the
-        # optical tomograms: refused before it is built
+        # optical tomograms: refused before it is built.  The packet is made to
+        # fit that box, which the default one (sigma 1) does not
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": {"length": 0.3},
+                                   "state": {"q0": 0.0, "p0": 0.0, "sigma": 0.01},
                                    "run": {"representations": ["optical"]}}))
         assert main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -375,7 +436,9 @@ class TestScenarios:
     @pytest.mark.parametrize("raw, path", [
         ({"field": {"phi": [0.0, 0.0, 1e308]}}, "field.phi"),               # phi(q)
         ({"field": {"phi": [1e300, 0.0, 0.0], "e": 1e10}}, "field.phi"),     # e phi(q)
-        ({"field": {"phi": [1e20, 0.0, 0.0]}, "grid": {"hbar": 1e-300}}, "field.phi"),
+        # the kick, with a packet made to fit the box of 2.8e-149 that hbar 1e-300 gives
+        ({"field": {"phi": [1e20, 0.0, 0.0]}, "grid": {"hbar": 1e-300},
+          "state": {"q0": 0.0, "p0": 0.0, "sigma": 1e-150}}, "field.phi"),
         ({"field": {"a_long": 1e200}}, "field.a_long"),                     # kinetic phase
     ], ids=["phi", "e-phi", "kick", "a_long"])
     def test_overflowing_strang_factor_exits_2(self, tmp_path, capsys, scenario, raw, path):

@@ -585,8 +585,10 @@ class TestWorkingSet:
         # a trivially factored R = 9 portrait at n = 256 with 128 angles; its
         # (R, n_theta + 1, n_x) complex harmonics weigh 2.02 stacks, and the
         # half shift holds three such arrays at once (the harmonics, their
-        # spectrum and the shifted values): about 6.5 stacks; the zero-padded
-        # 2 n_x spectrum took 10.1
+        # spectrum and the shifted values): about 6.06 stacks, with each level
+        # diagonal written into the levels as it is solved; right-hand sides
+        # packed for all diagonals and a buffer of all solutions took 6.5, the
+        # zero-padded 2 n_x spectrum 10.1
         grid = PhaseSpaceGrid.balanced(256)
         dom = TomogramDomain.optical_default(grid, 128)
         psi = spin_coherent_state(grid, [1.0, 0.5, 0.3], q0=0.4, p0=-0.3,
