@@ -11,8 +11,9 @@ import numpy as np
 FIELD_KINDS = ("wigner", "husimi", "optical", "symplectic-section")
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _check_size(n: int) -> None:
+    if n < 32 or n & (n - 1):                              # not a power of two >= 32
+        raise ValueError(f"grid size must be a power of two >= 32, got {n}")
 
 
 def _check_positive(**scales) -> None:
@@ -47,8 +48,7 @@ class PhaseSpaceGrid:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not _is_power_of_two(self.n) or self.n < 32:
-            raise ValueError(f"grid size must be a power of two >= 32, got {self.n}")
+        _check_size(self.n)
         _check_positive(dx=self.dx, hbar=self.hbar, mass=self.mass, omega=self.omega)
         if not np.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0!r}")
@@ -56,14 +56,15 @@ class PhaseSpaceGrid:
     @classmethod
     def centered(cls, n: int, length: float, hbar: float = 1.0,
                  mass: float = 1.0, omega: float = 1.0) -> "PhaseSpaceGrid":
-        dx = length / n
-        return cls(n=n, dx=dx, x0=-length / 2.0, hbar=hbar, mass=mass, omega=omega)
+        _check_size(n)                                     # before length / n
+        return cls(n=n, dx=length / n, x0=-length / 2.0, hbar=hbar, mass=mass, omega=omega)
 
     @classmethod
     def balanced(cls, n: int, hbar: float = 1.0, mass: float = 1.0,
                  omega: float = 1.0) -> "PhaseSpaceGrid":
         """Centered grid with dp = m*omega*dq, so quadrature rays at any angle
         stay inside the supported frequency band."""
+        _check_size(n)                                     # before sqrt(n)
         _check_positive(hbar=hbar, mass=mass, omega=omega)
         length = float(np.sqrt(2.0 * np.pi * hbar * n / (mass * omega)))
         return cls.centered(n, length, hbar, mass, omega)

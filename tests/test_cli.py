@@ -363,6 +363,12 @@ class TestScenarios:
         ("roundtrip", {"run": {"route": "optical"}, "grid": {"n": 64}}, "grid.n"),
         ("precess", {"field": {"b": [1e-300, 0, 0], "kappa": 1e-300}}, "field.kappa"),
         ("precess", {"field": {"b": [5e-324, 0, 0]}}, "field.b"),
+        # length / n and sqrt(n) ran before n was checked: ZeroDivisionError,
+        # or a RuntimeWarning (an error in this suite) for a negative n
+        *[(scenario, {"grid": {"n": 0}}, "grid.n")
+          for scenario in ("wavepacket", "roundtrip", "residual")],
+        ("roundtrip", {"run": {"optical_n": 0}}, "run.optical_n"),
+        ("wavepacket", {"grid": {"n": -32}}, "grid.n"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, scenario, raw, path):
         cfg = tmp_path / "cfg.json"
