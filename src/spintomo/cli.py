@@ -603,7 +603,7 @@ def main(argv=None) -> int:
     except UnsteppableFieldError as exc:
         # the evolution refuses the field before its first step, so no report
         # is written; the message starts with the field key, phi or a_long, or
-        # with dt when the time step overflows whatever the field
+        # with dt when the time step overflows whatever the field or is unstable
         key = "" if str(exc).startswith("dt:") else "field."
         print(f"config error: {key}{exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,9 @@ and direct integration of the vector Wigner equation.
 spin_flow forms the spin part of every evolution, u(t) = exp(-i H_s t / hbar)
 or its frame image exp(S t), from one eigh of H_s; evolve_oracle and
 evolve_wigner_vector apply it once per saved chunk, next to the chunk's
-spatial part (see each)."""
+spatial part.  _sub_maps gives both evolutions that spatial part: the chunk's
+Strang steps composed into one affine map and split into sub-maps of three
+shears, which move w and multiply psi by chirps and Fresnel factors (see each)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
@@ -14,7 +16,6 @@ import numpy as np
 
 from .errors import SchemeMismatchError, UnsteppableFieldError
 from .grids import PhaseSpaceGrid
-from .phase_space import _shear as _sandwich    # chirp . F^-1 fresnel F . chirp steps
 from .spin_frames import SpinFrame, projection_values, spin_operators
 from .vector_portrait import SpinorDensity, VectorDistribution
 
@@ -193,22 +194,20 @@ class Trajectory:
     traces: np.ndarray
 
 
-def _strang_factors(grid: PhaseSpaceGrid, fld: EMFieldConfig,
-                    dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Half potential kick and kinetic phase of a Strang step of size dt; a
-    field the grid cannot step, whose factors would be NaN, raises
-    UnsteppableFieldError naming phi (e phi(q) or the kick's phase) or a_long
-    (the kinetic phase), or dt when the kinetic phase overflows with a_long
-    left out as well.  Every evolution calls it before its first step."""
+def _check_steppable(grid: PhaseSpaceGrid, fld: EMFieldConfig, dt: float) -> None:
+    """Refuse a field the grid cannot Strang-step, whose half kick or kinetic
+    phase would overflow: UnsteppableFieldError naming phi (e phi(q) or the
+    kick's phase) or a_long (the kinetic phase), or dt when the kinetic phase
+    overflows with a_long left out as well.  Every evolution calls it before
+    its first step."""
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = fld.phi_at(grid.q)
-        kick = -0.5j * dt * fld.e * phi / grid.hbar
-        kin = (-1j * dt * (grid.hbar * grid.k_fft - fld.e * fld.a_long / fld.c_light) ** 2
-               / (2.0 * fld.mass * grid.hbar))
-        phi_ok = np.all(np.isfinite(fld.e * phi) & np.isfinite(kick))
-        kin_ok = np.all(np.isfinite(kin))
+        e_phi = fld.e * fld.phi_at(grid.q)
+        phi_ok = np.all(np.isfinite(e_phi) & np.isfinite(0.5 * dt * e_phi / grid.hbar))
+        kin_ok = np.all(np.isfinite(
+            dt * (grid.hbar * grid.k_fft - fld.e * fld.a_long / fld.c_light) ** 2
+            / (2.0 * fld.mass * grid.hbar)))
         free_ok = kin_ok or np.all(np.isfinite(
-            -1j * dt * (grid.hbar * grid.k_fft) ** 2 / (2.0 * fld.mass * grid.hbar)))
+            dt * (grid.hbar * grid.k_fft) ** 2 / (2.0 * fld.mass * grid.hbar)))
     if not phi_ok:
         raise UnsteppableFieldError(
             f"phi: e phi(q) or the Strang half-kick phase dt e phi(q) / (2 hbar) "
@@ -221,7 +220,6 @@ def _strang_factors(grid: PhaseSpaceGrid, fld: EMFieldConfig,
         raise UnsteppableFieldError(
             f"a_long: the Strang kinetic phase dt (hbar k - e a_long / c)^2 / "
             f"(2 m hbar) overflows on the grid for a_long {fld.a_long!r}")
-    return np.exp(kick), np.exp(kin)
 
 
 def _rk4_steps(psis: np.ndarray, grid: PhaseSpaceGrid, fld: EMFieldConfig,
@@ -247,17 +245,16 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
 
     A Strang chunk of m steps factors into a spin part and a spatial part,
     since the uniform Zeeman term H_s acts on the spin index alone and
-    commutes with the rest of H: the spin part is spin_flow at m dt.
-    Each Strang step of the spatial part is the sandwich S = diag(h) F^-1
-    diag(kin) F diag(h) of the half potential kick h, kinetic phase kin and
-    FFT F: phase_space._shear with h as chirp and kin as Fresnel factor.  A
-    chunk is stepped, or is S^m (S the sandwich of the identity), formed by
-    binary powering once per distinct chunk length and applied as one
-    product.  Powering is used when those 2 ceil(log2 m) n x n products
-    cost no more than n_steps dense steps, 2 ceil(log2 m) n <= n_steps, and
-    one n x n product per chunk no more than m FFT steps,
-    n <= m ceil(log2 n).  The scheme is Strang either way, with its O(dt^2)
-    error.
+    commutes with the rest of H: the spin part is spin_flow at m dt.  The
+    spatial part is metaplectic (Moshinsky and Quesne 1971): its Wigner image
+    is the affine map that evolve_wigner_vector applies, so it runs as the
+    same sub-maps (_sub_maps), each shear of w becoming a factor on psi as in
+    phase_space._shear_factors: the chirp exp(-i (alpha q^2 / 2 + beta q) / hbar),
+    the Fresnel factor exp(i (b (hbar k)^2 / 2 + c hbar k) / hbar) on the FFT
+    bins, and the chirp exp(-i gamma q^2 / 2 hbar), tabled once per sub-map
+    length.  The scheme is Strang, with its O(dt^2) error; the factors carry
+    another global phase than the stepped loop, shared by all of them, so
+    every density is the same.
     """
     if prop.scheme not in ORACLE_SCHEMES:
         raise SchemeMismatchError(
@@ -267,21 +264,23 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
     grid = rho0.grid
     dt = prop.dt
     chunks = prop.chunks()
-    m = chunks[0]
-    # the size rule of the docstring; (k - 1).bit_length() is ceil(log2 k)
-    powered = (prop.scheme != "rk4-ode" and 2 * (m - 1).bit_length() * grid.n <= prop.n_steps
-               and grid.n <= m * (grid.n - 1).bit_length())
-    half_v, kin = _strang_factors(grid, fld, dt)
+    _check_steppable(grid, fld, dt)
     lengths = sorted(set(chunks))      # at most two
     spins = dict(zip(lengths, spin_flow(fld, grid.hbar, dt * np.array(lengths))))
-    if powered:    # the sandwich maps each row of the identity to a column of S
-        step = _sandwich(np.eye(grid.n), (1, half_v, kin)).T
-        powers = {k: np.linalg.matrix_power(step, k) for k in lengths}
+    if prop.scheme != "rk4-ode":
+        splits, shears = _sub_maps(fld, dt, chunks, grid.dx / grid.dp)
+        q, hk = grid.q, grid.hbar * grid.k_fft
+        tables = {j: (np.exp(-1j * (0.5 * alpha * q + beta) * q / grid.hbar),
+                      np.exp(1j * (0.5 * b * hk + c) * hk / grid.hbar),
+                      np.exp(-0.5j * gamma * q * q / grid.hbar))
+                  for j, (alpha, beta, b, c, gamma) in shears.items()}
 
     def advance(psis, n_sub):
         if prop.scheme == "rk4-ode":
             return _rk4_steps(psis, grid, fld, dt, n_sub)
-        psis = psis @ powers[n_sub].T if powered else _sandwich(psis, (n_sub, half_v, kin))
+        for j in splits[n_sub]:
+            chirp, fresnel, chirp_out = tables[j]
+            psis = chirp_out * np.fft.ifft(fresnel * np.fft.fft(chirp * psis, axis=-1), axis=-1)
         return np.einsum("ab,kbn->kan", spins[n_sub], psis)
 
     def energy(p):
@@ -303,15 +302,8 @@ def evolve_oracle(rho0: SpinorDensity, fld: EMFieldConfig, prop: PropagatorConfi
 
 
 # ---------------------------------------------------------------------------
-# direct integration of the vector phase-space equation
+# Strang sub-maps, shared by both evolutions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class VectorTrajectory:
-    times: np.ndarray
-    frames: list
-    norm_sums: np.ndarray
-
 
 # Largest p-shear slope of a sub-map in grid units (dp per dq): a p-shear
 # moves the two ends of the q-box apart by at most a quarter of the p-box.
@@ -320,7 +312,8 @@ class VectorTrajectory:
 # frames further from the step-by-step result: on acceptance criterion 8's
 # oscillator run (n=128) slope 0.41, a pi/4 rotation on a balanced grid,
 # gives 3.4e-12 and slope 1/4 gives 7e-13.  The q-shear between the p-shears
-# is the physical drift and is not capped.
+# is the physical drift and is not capped.  On psi the p-shears are chirps,
+# whose momentum kick alpha q the cap bounds across the box alike.
 _P_SHEAR_CAP = 0.25
 
 
@@ -331,13 +324,14 @@ def _compose(e: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _power(e: np.ndarray, n: int) -> np.ndarray:
-    """(I + e)^n - I by binary powering."""
+    """(I + e)^n - I by binary powering, squaring only while bits remain."""
     out = np.zeros_like(e)
     while n:
         if n & 1:
             out = _compose(out, e)
-        e = _compose(e, e)
         n >>= 1
+        if n:
+            e = _compose(e, e)
     return out
 
 
@@ -385,6 +379,48 @@ def _max_steps(step: np.ndarray, n: int, aspect: float) -> int:
     return lo
 
 
+def _sub_maps(fld: EMFieldConfig, dt: float, chunks: list,
+              aspect: float) -> tuple[dict, dict]:
+    """splits[m], the near-equal sub-map lengths of a chunk of m Strang steps
+    (as few as keep each p-shear within _P_SHEAR_CAP), and shears[j] =
+    (alpha, beta, b, c, gamma), the backward map w(z) -> w(M z) of j steps as
+    w(q, p + alpha q + beta), then w(q + b p + c, p), then w(q, p + gamma q).
+    A step with omega dt >= 2 in a trap (omega^2 = 2 e c2 / m > 0) is
+    unstable, and composing its powers overflows: UnsteppableFieldError
+    naming dt.  An inverted trap grows as its flow does and is stepped."""
+    flow = fld.phase_flow()
+    with np.errstate(over="ignore"):
+        omega_dt2 = -flow[1, 0] * dt * flow[0, 1] * dt
+    if omega_dt2 >= 4.0:
+        raise UnsteppableFieldError(
+            f"dt: a Strang step of {dt!r} is unstable in this trap: omega dt = "
+            f"{np.sqrt(omega_dt2):.6g} >= 2, with omega^2 = 2 e c2 / m")
+    step = _strang_step(fld, dt)
+    max_steps = _max_steps(step, chunks[0], aspect)
+    splits = {}
+    for m in set(chunks):
+        k = -(-m // max_steps)
+        j, r = divmod(m, k)
+        splits[m] = [j + 1] * r + [j] * (k - r)
+    shears = {}
+    for j in set().union(*splits.values()):
+        (a1, b, c), (_, d1, cp) = _power(step, j)[:2]
+        alpha = d1 / b
+        shears[j] = (alpha, cp - alpha * c, b, c, a1 / b)
+    return splits, shears
+
+
+# ---------------------------------------------------------------------------
+# direct integration of the vector phase-space equation
+# ---------------------------------------------------------------------------
+
+@dataclass
+class VectorTrajectory:
+    times: np.ndarray
+    frames: list
+    norm_sums: np.ndarray
+
+
 def _shear(w: np.ndarray, axis: int, turn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Band-limited shift of a real stack (c, n, n) along axis 1 or 2 by
     phase / k, one shift per line, given turn = exp(i phase) on the rfftfreq
@@ -416,8 +452,9 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     one map w(z) -> w(M z).  M is applied as three spectral shears (Paeth
     1986): a p-shear, a q-shear, a p-shear, with the translation folded into
     their offsets, in as many sub-maps as keep the p-shears within
-    _P_SHEAR_CAP.  A sub-map and its three phase tables exp(i phase) depend
-    only on its number of steps, so they are built once per distinct length.
+    _P_SHEAR_CAP; _sub_maps gives them, as it does to evolve_oracle.  A
+    sub-map and its three phase tables exp(i phase) depend only on its number
+    of steps, so they are built once per distinct length.
 
     The drift acts on phase space alone and the spin coupling dw/dt = S w on
     the component index alone, and the two commute.  So the evolution reads
@@ -448,13 +485,12 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
     _check_spin_dim(fld, v0.frame.dim, "frame")
 
     grid, dt = v0.grid, prop.dt
-    _strang_factors(grid, fld, dt)     # refuses a field the grid cannot step
+    _check_steppable(grid, fld, dt)
     q, p = grid.q, grid.p
     kq = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dx)
     kp = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dp)
-    step = _strang_step(fld, dt)
     chunks = prop.chunks()
-    max_steps = _max_steps(step, chunks[0], grid.dx / grid.dp)
+    splits, shear_params = _sub_maps(fld, dt, chunks, grid.dx / grid.dp)
     lengths = sorted(set(chunks))     # exp(S tau) for each chunk length tau
     mixes = dict(zip(lengths, spin_flow(fld, grid.hbar, dt * np.array(lengths), v0.frame)))
 
@@ -462,24 +498,16 @@ def evolve_wigner_vector(v0: VectorDistribution, fld: EMFieldConfig,
            else np.array(v0.imag_residues, dtype=float))
     mixing, rows = v0.mixing, v0.functions     # the shears move only rows
 
-    shears = {}    # sub-map length -> its three shears (axis, exp(i phase))
-
-    def shears_of(steps):
-        if steps not in shears:
-            # w(M z) for M = p-shear . q-shear . p-shear, translation in the offsets
-            (a1, b, cq), (_, d1, cp) = _power(step, steps)[:2]
-            alpha, gamma = d1 / b, a1 / b
-            shears[steps] = [(axis, np.exp(1j * phase)) for axis, phase in (
-                (2, np.outer(alpha * q + (cp - alpha * cq), kp)),
-                (1, np.outer(kq, b * p + cq)),
-                (2, np.outer(gamma * q, kp)))]
-        return shears[steps]
+    # sub-map length -> its three shears (axis, exp(i phase))
+    shears = {j: [(axis, np.exp(1j * phase)) for axis, phase in (
+                  (2, np.outer(alpha * q + beta, kp)),
+                  (1, np.outer(kq, b * p + c)),
+                  (2, np.outer(gamma * q, kp)))]
+              for j, (alpha, beta, b, c, gamma) in shear_params.items()}
 
     def run_chunk(mixing, rows, res, n_sub):
-        k = -(-n_sub // max_steps)
-        m, r = divmod(n_sub, k)
-        for steps in [m + 1] * r + [m] * (k - r):
-            for axis, turn in shears_of(steps):
+        for j in splits[n_sub]:
+            for axis, turn in shears[j]:
                 rows, dropped = _shear(rows, axis, turn)
                 res = res + np.max(np.abs(mixing @ dropped), axis=1)
         return mixes[n_sub] @ mixing, rows, np.abs(mixes[n_sub]) @ res

@@ -24,7 +24,8 @@ class UnsupportedInverseError(ValueError):
 class UnsteppableFieldError(ValueError):
     """Field whose Strang factors or phase-space flow overflow; the message
     starts with the field parameter at fault, phi or a_long, or with dt when
-    the time step overflows the kinetic phase whatever the field."""
+    the time step overflows the kinetic phase whatever the field or makes a
+    Strang step unstable in a trap."""
 
 
 class ConfigError(ValueError):

@@ -253,7 +253,7 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
         return to_vector(traj.states[k], frame, representation, dom)
 
     per_frame = []
-    sq_sum = 0.0
+    sq_sums = []    # each frame's sum of squares in units of its peak squared
     times = []
     prev, cur = portrait(0), portrait(1)
     for k in range(1, len(traj.states) - 1):
@@ -267,18 +267,23 @@ def residual_check(traj: Trajectory, fld: EMFieldConfig, representation: str,
         res -= rhs
         del rhs
         res = res[image.interior]
-        per_frame.append(float(np.max(np.abs(res))))
-        sq_sum += float(np.sum(res**2) * image.cell)
+        peak = float(np.max(np.abs(res)))
+        per_frame.append(peak)
+        if peak:    # in units of the peak, a finite residual keeps a finite sum of squares
+            res /= peak
+        sq_sums.append(float(np.sum(res**2) * image.cell))
         times.append(traj.times[k])
         del res
         prev, cur = cur, nxt
     per_frame = np.asarray(per_frame)
+    top = float(per_frame.max())
+    l2 = top * float(np.sqrt(np.mean((per_frame / top) ** 2 * sq_sums))) if top else 0.0
     return ResidualReport(
         representation=representation,
         times=np.asarray(times),
         per_frame_max=per_frame,
-        max_residual=float(per_frame.max()),
-        l2_residual=float(np.sqrt(sq_sum / len(per_frame))),
+        max_residual=top,
+        l2_residual=l2,
         meta={
             "dt": dt,
             "n": grid.n,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +149,14 @@ class TestScenarios:
          "state": {"spin_direction": [1.0, 2.0, -0.5], "spin_m": 0.0}}],
         ids=["default", "general", "spin-m-0"])
     def test_precess_weights_match_the_conjugated_density(self, tmp_path, raw):
-        # the closed form chi(t) = V exp(-i E t / hbar) V^H chi gives the
-        # weights of the density matrix conjugated sample by sample
+        # against the exact orbit: the spin-1 closed form
+        # exp(-i theta n.S) = I - i sin(theta) n.S + (cos(theta) - 1) (n.S)^2,
+        # theta = -kappa |b| t / hbar, conjugating the density in 40 digits.
+        # The weights' rounding grows with the phase |E| t / hbar they carry
+        # (|E| = |kappa b| the largest energy); the three configs peak at
+        # 4.0 eps (1 + |E| t / hbar) over every 7th sample, against a bound of 16
+        import mpmath
+
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         assert main(["precess", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -158,15 +165,31 @@ class TestScenarios:
         times = np.array([float(row[0]) for row in rows[::9]])
         weights = np.array([float(row[2]) for row in rows]).reshape(len(times), 9)
         c = load_config(raw, "precess")
-        h_s = EMFieldConfig(b_field=c["field"]["b"], kappa=c["field"]["kappa"]).zeeman_matrix()
         direction = np.asarray(c["state"]["spin_direction"])
         chi = spin_eigenvector(1.0, direction / np.linalg.norm(direction), c["state"]["spin_m"])
-        rho0 = np.outer(chi, chi.conj())
-        evals, evecs = np.linalg.eigh(h_s)
         frame = build_spin1_frame()
-        for i in range(0, len(times), 37):
-            u = (evecs * np.exp(-1j * evals * times[i] / c["grid"]["hbar"])) @ evecs.conj().T
-            assert np.max(np.abs(weights[i] - frame.weights(u @ rho0 @ u.conj().T).real)) < 1e-15
+        kappa, hbar = c["field"]["kappa"], c["grid"]["hbar"]
+        gaps = []
+        with mpmath.workdps(40):
+            b = [mpmath.mpf(x) for x in c["field"]["b"]]
+            b_norm = mpmath.sqrt(sum(x * x for x in b))
+            r = 1 / mpmath.sqrt(2)
+            spin = (mpmath.matrix([[0, r, 0], [r, 0, r], [0, r, 0]]),
+                    mpmath.matrix([[0, -1j * r, 0], [1j * r, 0, -1j * r], [0, 1j * r, 0]]),
+                    mpmath.diag([1, 0, -1]))
+            n_s = sum((x / b_norm * s for x, s in zip(b, spin)), mpmath.zeros(3))
+            rho0 = mpmath.matrix(np.outer(chi, chi.conj()).tolist())
+            dequant = [mpmath.matrix(d.tolist()) for d in frame.dequantizer]
+            for i in range(0, len(times), 7):
+                theta = -mpmath.mpf(kappa) * b_norm * mpmath.mpf(times[i]) / mpmath.mpf(hbar)
+                u = mpmath.eye(3) - 1j * mpmath.sin(theta) * n_s \
+                    + (mpmath.cos(theta) - 1) * n_s * n_s
+                rho = u * rho0 * u.H
+                exact = [float(mpmath.re(sum(rho[a, k] * d[k, a] for a in range(3)
+                                             for k in range(3)))) for d in dequant]
+                phase = abs(kappa) * float(b_norm) * times[i] / hbar
+                gaps.append(np.max(np.abs(weights[i] - exact)) / (1.0 + phase))
+        assert max(gaps) <= 16 * np.finfo(float).eps
 
     @pytest.mark.parametrize("raw, omega", [
         ({"field": {"b": [1e-300, 0.0, 0.0]}}, 1e-300),
@@ -514,6 +537,49 @@ class TestScenarios:
         err = capsys.readouterr().err
         assert err.startswith("config error: dt: ") and "a_long" not in err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("scenario, raw", [
+        ("wavepacket", {"run": {"n_steps": 2, "save_every": 1}}),
+        ("wavepacket", {"field": {"m": 1e-12}}),
+        ("residual", {"field": {"e": 1e300}})],
+        ids=["wavepacket-two-steps", "wavepacket-light", "residual-strong"])
+    def test_unstable_time_step_exits_2(self, tmp_path, capsys, scenario, raw):
+        # omega dt >= 2: the Strang step is unstable and its composed map
+        # overflowed; refused, naming dt, before any report
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        with np.errstate(all="raise"):
+            code = main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dt: ") and "unstable" in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_packet_the_grid_stops_holding_does_not_pass(self, tmp_path):
+        # at m = 30 the packet narrows towards l^2 / sigma = 0.18, under the
+        # n = 128 grid's spacing of 0.22, so the grid stops holding it mid-run
+        # and the energy gate fails (at n = 512 the run passes)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"field": {"m": 30.0}}))
+        assert main(["wavepacket", "--config", str(cfg), "--out", str(tmp_path / "o")]) != 0
+
+    @pytest.mark.parametrize("raw", [
+        {"field": {"phi": [0.0, 1e300, 0.5]}}, {"field": {"kappa": 1e300}},
+        {"field": {"b": [1e300, 0.0, 0.5]}}, {"run": {"dt_frame": 1e-300}}],
+        ids=["phi1", "kappa", "b", "dt_frame"])
+    def test_extreme_residual_fails_a_named_gate(self, tmp_path, raw):
+        # the L2 residual's squares overflowed on these; each frame's sum of
+        # squares is taken in units of its peak, so every L2 ratio is finite
+        # and the run fails its first ratio gate
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["residual", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        rep = read_report(tmp_path / "o")
+        assert rep["first_failed_gate"] == "wigner_ratio"
+        assert all(np.isfinite(m["ratio_l2"]) for m in rep["measurements"].values())
 
     def test_default_roundtrip_passes_byte_identically(self, tmp_path):
         for copy in ("a", "b"):

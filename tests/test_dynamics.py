@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -168,25 +170,6 @@ def strang_loop_reference(rho0, fld, prop):
         done += chunk
         frames.append(psis)
     return np.stack(frames)
-
-
-@pytest.fixture()
-def matrix_powers(monkeypatch):
-    """Counts numpy.linalg.matrix_power calls; refuses them once .refuse is set."""
-    real = np.linalg.matrix_power
-
-    class Calls:
-        count = 0
-        refuse = False
-
-    def counted(a, n):
-        if Calls.refuse:
-            raise AssertionError("the stepped path must not power the Strang matrix")
-        Calls.count += 1
-        return real(a, n)
-
-    monkeypatch.setattr(np.linalg, "matrix_power", counted)
-    return Calls
 
 
 def packet_vector(frame, grid, direction, q0, p0, sigma):
@@ -372,9 +355,10 @@ class TestEvolveOracle:
 
 
 class TestChunkedOracle:
-    """evolve_oracle applies the Zeeman factor once per saved chunk and, for a
-    static field on a long enough run, the powered one-step Strang matrix; the
-    step-by-step loop is the reference."""
+    """evolve_oracle applies the Zeeman factor once per saved chunk and the
+    chunk's composed Strang map as chirp-Fresnel-chirp sub-maps; the
+    step-by-step loop is the reference.  The two factor sets differ by a
+    global phase, so the densities are compared."""
 
     @staticmethod
     def static_case(case, grid):
@@ -389,55 +373,53 @@ class TestChunkedOracle:
             return fld, SpinorDensity.from_mixture([0.65, 0.35], psis, grid)
         return fld, SpinorDensity.from_pure(psis[0], grid)
 
-    @pytest.mark.parametrize("path", ["powered", "stepped"])
-    @pytest.mark.parametrize("case", ["spin-1", "spin-1/2", "mixture", "ragged-chunks"])
-    def test_static_field_matches_step_loop(self, grid64, matrix_powers, case, path):
-        fld, rho0 = self.static_case(case, grid64)
-        # (n_steps, save_every); powering pays from 2 ceil(log2 save_every) n
-        # = 896 (1024) steps on, so the short runs are stepped
-        n_steps, save_every = {("powered", False): (1000, 100), ("powered", True): (1050, 200),
-                               ("stepped", False): (40, 10), ("stepped", True): (45, 10),
-                               }[path, case == "ragged-chunks"]
-        matrix_powers.refuse = path == "stepped"
-        prop = PropagatorConfig(dt=1e-3, n_steps=n_steps, save_every=save_every)
+    @staticmethod
+    def assert_matches_step_loop(rho0, fld, prop):
         traj = evolve_oracle(rho0, fld, prop)
-        lengths = {min(save_every, n_steps - done) for done in range(0, n_steps, save_every)}
-        assert matrix_powers.count == (len(lengths) if path == "powered" else 0)
-        got = np.stack([s.factors[1] for s in traj.states])
         ref = strang_loop_reference(rho0, fld, prop)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) < 1e-11
+        assert len(traj.states) == len(ref)
+        probs = rho0.factors[0]
+        err = max(np.max(np.abs(s.blocks - SpinorDensity.from_mixture(probs, r, rho0.grid).blocks))
+                  for s, r in zip(traj.states, ref))
+        assert err < 1e-11
         assert np.allclose(traj.times, prop.dt * np.minimum(
-            np.arange(len(ref)) * save_every, n_steps), rtol=0, atol=1e-12)
+            np.arange(len(ref)) * prop.save_every, prop.n_steps), rtol=0, atol=1e-12)
 
-    def test_size_rule_boundaries(self, grid64, matrix_powers):
-        fld, rho0 = self.static_case("spin-1", grid64)
-        matrix_powers.refuse = True
-        # save_every = 100: forming S^m pays from 2 * 7 * 64 = 896 steps on
-        evolve_oracle(rho0, fld, PropagatorConfig(dt=1e-3, n_steps=895, save_every=100))
-        # one dense product per chunk pays from 64 / 6 steps a chunk on
-        for save_every in (1, 10):
-            evolve_oracle(rho0, fld, PropagatorConfig(dt=1e-3, n_steps=600,
-                                                      save_every=save_every))
-        matrix_powers.refuse = False
-        evolve_oracle(rho0, fld, PropagatorConfig(dt=1e-3, n_steps=896, save_every=100))
-        assert matrix_powers.count == 2     # chunks of 100 and of 96
-        evolve_oracle(rho0, fld, PropagatorConfig(dt=1e-3, n_steps=600, save_every=11))
-        assert matrix_powers.count == 4     # chunks of 11 and of 6
+    @pytest.mark.parametrize("run", ["long", "short"])
+    @pytest.mark.parametrize("case", ["spin-1", "spin-1/2", "mixture", "ragged-chunks"])
+    def test_static_field_matches_step_loop(self, grid64, case, run):
+        fld, rho0 = self.static_case(case, grid64)
+        n_steps, save_every = {("long", False): (1000, 100), ("long", True): (1050, 200),
+                               ("short", False): (40, 10), ("short", True): (45, 10),
+                               }[run, case == "ragged-chunks"]
+        self.assert_matches_step_loop(rho0, fld, PropagatorConfig(
+            dt=1e-3, n_steps=n_steps, save_every=save_every))
 
-    def test_each_side_of_the_rule_in_the_scenarios(self, grid128, matrix_powers):
-        fld = EMFieldConfig(phi=(0.0, -0.21, 0.62), b_field=[0.4, -0.7, 0.3], kappa=1.3,
-                            spin=1.0)
-        rho0 = SpinorDensity.from_pure(spin_coherent_state(grid128, [0.3, -0.5, 0.8]),
-                                       grid128)
-        matrix_powers.refuse = True     # the benchmark's dynamics job
-        evolve_oracle(rho0, fld, PropagatorConfig(dt=4e-3, n_steps=100, save_every=25))
-        matrix_powers.refuse = False    # the default wavepacket run
-        traj = evolve_oracle(rho0, EMFieldConfig(phi=HARMONIC),
-                             PropagatorConfig(dt=6.2832 / 25000, n_steps=25000,
-                                              save_every=2500))
-        assert matrix_powers.count == 1
-        assert np.max(np.abs(traj.traces - 1.0)) < 1e-10
+    def test_full_period_in_one_chunk(self, grid64):
+        # omega = sqrt(2 e c2 / m) = 0.775: one chunk of a whole period turns
+        # through every sub-map's rotation cap
+        fld, rho0 = self.static_case("mixture", grid64)
+        n = 2000
+        prop = PropagatorConfig(dt=2 * np.pi / np.sqrt(0.72 / 1.2) / n, n_steps=n, save_every=n)
+        splits, _ = dynamics._sub_maps(fld, prop.dt, prop.chunks(), grid64.dx / grid64.dp)
+        assert len(splits[n]) >= 8
+        self.assert_matches_step_loop(rho0, fld, prop)
+
+    def test_peak_memory_is_a_few_factor_copies(self):
+        # n = 1024 and 50 000 steps: the sub-maps hold O(n) tables, where
+        # n x n Strang matrices and their powers would take 64 MB
+        grid = PhaseSpaceGrid.balanced(1024)
+        rho0 = SpinorDensity.from_pure(spin_coherent_state(grid, [0.3, -0.5, 0.8]), grid)
+        fld = EMFieldConfig(phi=HARMONIC, b_field=[0.4, -0.7, 0.3], spin=1.0)
+        prop = PropagatorConfig(dt=2 * np.pi / 50000, n_steps=50000, save_every=5000)
+        tracemalloc.start()
+        try:
+            traj = evolve_oracle(rho0, fld, prop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.max(np.abs(traj.traces - 1.0)) < 1e-12
 
 
 class TestSpinCouplingMatrix:
@@ -622,16 +604,66 @@ class TestFieldTheGridCannotStep:
         with pytest.raises(UnsteppableFieldError, match=f"^{name}: the phase-space flow"):
             EMFieldConfig(**kwargs).phase_flow()
 
+    def test_unstable_strang_step_refused(self, frame, grid64):
+        # omega = 1: from omega dt = 2 on, the Strang step's powers grow
+        # without bound and composing them overflows; both evolutions
+        # refuse it, naming dt, and run just below it
+        rho0 = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
+        v0 = to_vector(rho0, frame, "wigner")
+        fld = EMFieldConfig(phi=HARMONIC)
+
+        def run_both(dt):
+            return (evolve_oracle(rho0, fld, PropagatorConfig(dt=dt, n_steps=8, save_every=4)),
+                    evolve_wigner_vector(v0, fld, PropagatorConfig(
+                        dt=dt, n_steps=8, scheme="wigner-spectral", save_every=4)))
+
+        for dt in (2.0, 1e200):
+            with pytest.raises(UnsteppableFieldError, match=r"^dt: .* unstable"):
+                evolve_oracle(rho0, fld, PropagatorConfig(dt=dt, n_steps=8))
+            with pytest.raises(UnsteppableFieldError, match=r"^dt: .* unstable"):
+                evolve_wigner_vector(v0, fld, PropagatorConfig(
+                    dt=dt, n_steps=8, scheme="wigner-spectral"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ora, wig = run_both(np.nextafter(2.0, 0.0))
+        assert np.all(np.isfinite(ora.traces)) and np.all(np.isfinite(wig.norm_sums))
+
+    def test_inverted_trap_not_refused(self, frame, grid64):
+        # c2 < 0 grows as the flow does: omega dt = 2.5 is stepped
+        rho0 = SpinorDensity.from_pure(spin_coherent_state(grid64, [0, 0, 1]), grid64)
+        fld = EMFieldConfig(phi=(0.0, 0.0, -0.5))
+        traj = evolve_oracle(rho0, fld, PropagatorConfig(dt=2.5, n_steps=1))
+        assert len(traj.states) == 2
+
+    def test_first_power_does_not_square(self):
+        # the step's square overflows; its first power is the step itself
+        step = _strang_step(EMFieldConfig(phi=(0.0, 0.0, 1e110)), 1.0)
+        assert np.all(np.isfinite(step))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_power(step, 1), step)
+
     def test_factors_unchanged(self, grid64):
-        # the checked factors are the plain formulas' values, bit for bit
-        fld = EMFieldConfig(phi=(0.1, -0.3, 0.7), a_long=0.4, e=-1.5, mass=2.0)
-        dt = 3e-3
-        kick, kinetic = dynamics._strang_factors(grid64, fld, dt)
-        assert np.array_equal(kick, np.exp(-0.5j * dt * fld.e * fld.phi_at(grid64.q)
-                                           / grid64.hbar))
-        assert np.array_equal(kinetic, np.exp(
-            -1j * dt * (grid64.hbar * grid64.k_fft - fld.e * fld.a_long / fld.c_light) ** 2
-            / (2.0 * fld.mass * grid64.hbar)))
+        # the check refuses exactly where the plain formulas of the half-kick
+        # and kinetic phases carry a non-finite value, naming the key
+        for kwargs, dt, name in [
+                ({"phi": (0.1, -0.3, 0.7), "a_long": 0.4, "e": -1.5, "mass": 2.0}, 3e-3, None),
+                ({"phi": (0.0, 0.0, 1e306)}, 1.0, None), ({"phi": (0.0, 0.0, 1e306)}, 1e3, "phi"),
+                ({"a_long": 1e150}, 1e-10, None), ({"a_long": 1e150}, 1e10, "a_long"),
+                ({"a_long": 0.0}, 1e307, "dt")]:
+            fld = EMFieldConfig(**kwargs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                kick = -0.5j * dt * fld.e * fld.phi_at(grid64.q) / grid64.hbar
+                kinetic = (-1j * dt * (grid64.hbar * grid64.k_fft
+                                       - fld.e * fld.a_long / fld.c_light) ** 2
+                           / (2.0 * fld.mass * grid64.hbar))
+            finite = np.all(np.isfinite(kick)) and np.all(np.isfinite(kinetic))
+            assert finite == (name is None), kwargs
+            if name is None:
+                assert dynamics._check_steppable(grid64, fld, dt) is None
+            else:
+                with pytest.raises(UnsteppableFieldError, match=f"^{name}: .* overflows"):
+                    dynamics._check_steppable(grid64, fld, dt)
 
 
 class TestComposedStrangMap:

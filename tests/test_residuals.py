@@ -449,7 +449,7 @@ def _residual_check_reference(traj, fld, representation, frame, factored=True):
     else:
         cell = dom.dx * (dom.mu[1] - dom.mu[0]) * (dom.nu[1] - dom.nu[0])
     per_frame = []
-    sq_sum = 0.0
+    sq_sums = []     # in units of each frame's peak squared
     for k in range(1, len(portraits) - 1):
         lhs = (portraits[k + 1].components - portraits[k - 1].components) / (2.0 * dt)
         v = portraits[k]
@@ -461,9 +461,12 @@ def _residual_check_reference(traj, fld, representation, frame, factored=True):
         res = lhs - rhs
         if representation == "symplectic-section":
             res = res[:, 1:-1, 1:-1, :]
-        per_frame.append(float(np.max(np.abs(res))))
-        sq_sum += float(np.sum(res**2) * cell)
-    return np.asarray(per_frame), max(per_frame), float(np.sqrt(sq_sum / len(per_frame)))
+        peak = float(np.max(np.abs(res)))
+        per_frame.append(peak)
+        sq_sums.append(float(np.sum((res / peak) ** 2) * cell))
+    top = max(per_frame)
+    l2 = top * float(np.sqrt(np.mean((np.asarray(per_frame) / top) ** 2 * sq_sums)))
+    return np.asarray(per_frame), top, l2
 
 
 def assert_round_off(report, reference):
